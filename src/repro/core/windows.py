@@ -553,6 +553,138 @@ def _batch_cell_counts(
     ]
 
 
+#: Most target events :func:`window_scope_hits` gathers at once; larger
+#: requests split the triggers in halves until each half fits.
+GATHER_CHUNK = 1 << 22
+
+
+@dataclass(frozen=True, slots=True)
+class ScopeHits:
+    """Per-trigger window outcomes, indexed ``[span, target, trigger]``.
+
+    Attributes:
+        own: whether the trigger's own node has a target event in
+            ``(t, t + span]`` (the NODE-scope success).
+        system: number of distinct *other* nodes with a target event in
+            the window (the trigger's SYSTEM-scope successes); zero for
+            targets not asked for wide scopes.
+        rack: the same, restricted to the trigger's rack (RACK scope);
+            ``None`` without a rack mapping.
+    """
+
+    own: np.ndarray
+    system: np.ndarray
+    rack: np.ndarray | None
+
+
+def window_scope_hits(
+    trig_t: np.ndarray,
+    trig_n: np.ndarray,
+    targets: Sequence[tuple[np.ndarray, np.ndarray]],
+    span_days: Sequence[float],
+    num_nodes: int,
+    rack_of: np.ndarray | None = None,
+    wide: Sequence[bool] | None = None,
+) -> ScopeHits:
+    """NODE, RACK and SYSTEM window hits of every trigger in one gather.
+
+    The kernel behind incremental (stream) resolution.  For each
+    ``(target, trigger)`` pair, the segment ``(t, t + longest]`` of the
+    time-sorted target stream is located with one ``searchsorted`` per
+    side, and all segments are flattened into one array with
+    ``np.repeat`` index arithmetic.  Every span and scope derives from
+    that array:
+
+    * a shorter span keeps the entries with ``T <= t + days``, the same
+      float comparison ``searchsorted(T, t + days, "right")`` makes, so
+      every window equals the one :func:`conditional_counts` uses;
+    * NODE: entries on the trigger's own node;
+    * SYSTEM: distinct other nodes, via ``np.unique`` over
+      ``pair * num_nodes + node``;
+    * RACK: the SYSTEM keys whose node shares the trigger's rack.
+
+    Censoring is left to the caller, which masks the per-trigger
+    results.  Triggers need not be sorted.
+
+    Args:
+        trig_t / trig_n: trigger times and nodes.
+        targets: ``(times, nodes)`` target streams, each time-sorted
+            with node ids below ``num_nodes``.
+        span_days: window lengths.
+        num_nodes: system node count.
+        rack_of: node -> rack mapping; enables RACK results.
+        wide: per target, whether to compute SYSTEM/RACK results
+            (default: every target).
+    """
+    n_trig = int(trig_t.size)
+    n_spans = len(span_days)
+    shape = (n_spans, len(targets), n_trig)
+    hits = ScopeHits(
+        own=np.zeros(shape, dtype=bool),
+        system=np.zeros(shape, dtype=np.int64),
+        rack=np.zeros(shape, dtype=np.int64) if rack_of is not None else None,
+    )
+    if not n_trig or not n_spans or not targets:
+        return hits
+    ends = trig_t + max(span_days)
+    lo, hi, offset = [], [], 0
+    for times, _ in targets:
+        lo.append(np.searchsorted(times, trig_t, side="right") + offset)
+        hi.append(np.searchsorted(times, ends, side="right") + offset)
+        offset += int(times.size)
+    # Pair p = target * n_trig + trigger: the flat index of hits.*[k].
+    lo = np.concatenate(lo)
+    lengths = np.concatenate(hi) - lo
+    if lengths.sum() > GATHER_CHUNK and n_trig > 1:
+        # Bound the gather's memory: resolve each half of the triggers.
+        first, second = (
+            window_scope_hits(
+                trig_t[part], trig_n[part], targets, span_days, num_nodes,
+                rack_of, wide,
+            )
+            for part in (slice(None, n_trig // 2), slice(n_trig // 2, None))
+        )
+        return ScopeHits(
+            *(
+                None if a is None else np.concatenate((a, b), axis=2)
+                for a, b in (
+                    (first.own, second.own),
+                    (first.system, second.system),
+                    (first.rack, second.rack),
+                )
+            )
+        )
+    pair = np.repeat(np.arange(lo.size), lengths)
+    trig = pair % n_trig
+    # Entry j of pair p's segment is target index lo[p] + j - start[p].
+    start = np.cumsum(lengths) - lengths
+    idx = np.arange(pair.size) + (lo - start)[pair]
+    seg_t = np.concatenate([times for times, _ in targets])[idx]
+    seg_n = np.concatenate([nodes for _, nodes in targets])[idx]
+    t_own = trig_t[trig]
+    same = seg_n == trig_n[trig]
+    other = ~same
+    if wide is not None:
+        other &= np.repeat(np.asarray(wide, dtype=bool), n_trig)[pair]
+    keys = pair * np.int64(num_nodes) + seg_n
+    own, system, rack = (
+        None if a is None else a.reshape(n_spans, -1)
+        for a in (hits.own, hits.system, hits.rack)
+    )
+    for k, days in enumerate(span_days):
+        inside = seg_t <= t_own + days
+        own[k, pair[same & inside]] = True
+        distinct = np.unique(keys[other & inside])
+        hit_pair = distinct // num_nodes
+        system[k] = np.bincount(hit_pair, minlength=lo.size)
+        if rack is not None:
+            in_rack = rack_of[distinct % num_nodes] == rack_of[
+                trig_n[hit_pair % n_trig]
+            ]
+            rack[k] = np.bincount(hit_pair[in_rack], minlength=lo.size)
+    return hits
+
+
 def baseline_counts_batch(
     targets: Sequence[EventIndex],
     num_nodes: int,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from scipy import stats as _scipy_stats
 
@@ -37,7 +38,10 @@ def _check_counts(successes: int, trials: int) -> None:
         )
 
 
+@lru_cache(maxsize=64)
 def _z_for(confidence: float) -> float:
+    """Two-sided normal quantile of ``confidence`` (memoised: a pure
+    function of one float, and every interval asks for it)."""
     if not (0.0 < confidence < 1.0):
         raise ProportionError(f"confidence must be in (0, 1), got {confidence}")
     return float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.windows import Counts, Scope, ZERO_COUNTS
-from ..prediction.risk import RecentFailure, RiskModel
+from ..prediction.risk import RiskModel
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import Span
 from ..telemetry import counter_add, gauge_set, span as tel_span
@@ -123,6 +123,32 @@ def risk_model_from_state(
     return RiskModel(horizon=horizon, baseline=baseline, conditional=conditional)
 
 
+_SCOPE_ROWS = (Scope.NODE, Scope.RACK, Scope.SYSTEM)
+
+#: Category code -> rank of the category's name (the history sort key).
+_NAME_RANK = np.argsort(np.argsort([c.value for c in all_categories()]))
+
+
+def _excess_hazards(model: RiskModel) -> tuple[float, np.ndarray]:
+    """``model``'s baseline hazard and ``[scope row, category code]``
+    excess hazards.
+
+    The same ``math.log`` calls as :meth:`RiskModel._excess_hazard`,
+    made once per scoring call instead of once per event; categories
+    without a fitted probability contribute ``0.0``.
+    """
+    base = -math.log(max(1.0 - model.baseline, 1e-12))
+    categories = all_categories()
+    excess = np.zeros((len(_SCOPE_ROWS), len(categories)))
+    for row, scope in enumerate(_SCOPE_ROWS):
+        for code, category in enumerate(categories):
+            p_c = model.conditional.get((scope, category))
+            if p_c is not None:
+                h_total = -math.log(max(1.0 - p_c, 1e-12))
+                excess[row, code] = max(h_total - base, 0.0)
+    return base, excess
+
+
 def node_risks(
     state: StreamAnalysisState,
     model: RiskModel,
@@ -133,13 +159,14 @@ def node_risks(
 
     "Now" is the system's stream high-water mark (never the wall
     clock), and the recent-failure history feeding the scorer is read
-    from the streaming ANY-category store: a node's own events score at
+    from the streaming per-category stores: a node's own events score at
     NODE scope, its rack peers' events at RACK scope and the rest of
     the system at SYSTEM scope.  Only nodes with at least one own or
     rack event are scored -- every other node shares the same ambient
     (system-events-only) score, which carries no ranking information.
     Results sort by descending score, then node id; ``limit`` keeps the
-    per-batch refresh bounded.
+    per-batch refresh bounded.  Scores equal :meth:`RiskModel.score` of
+    each node's history bit for bit.
     """
     try:
         system = state.systems[system_id]
@@ -150,65 +177,60 @@ def node_risks(
         return []
     horizon_days = model.horizon.days
     rack_of = system.rack_of
-    # Recent (time, node, category) triples straight from the streaming
+    # Recent (time, node, category) events straight from the streaming
     # per-category stores; events without a category (never tracked
     # beyond the ANY store) carry no risk information and are skipped.
-    recent: list[tuple[float, int, Category]] = []
+    times, nodes, codes = [], [], []
     for code in sorted(system.stores):
         if code == ANY_CODE:
             continue
         store = system.stores[code]
-        if not len(store):
-            continue
-        times = store.times
-        lo = int(np.searchsorted(times, now - horizon_days, side="right"))
-        category = _category_by_code(code)
-        for t, n in zip(times[lo:].tolist(), store.nodes[lo:].tolist()):
-            recent.append((t, n, category))
-    if not recent:
+        lo = int(np.searchsorted(store.times, now - horizon_days, side="right"))
+        if lo < store.times.size:
+            times.append(store.times[lo:])
+            nodes.append(store.nodes[lo:])
+            codes.append(np.full(store.times.size - lo, code))
+    if not times:
         return []
-    recent.sort(key=lambda item: (item[0], item[1], item[2].value))
+    t = np.concatenate(times)
+    n = np.concatenate(nodes)
+    c = np.concatenate(codes)
+    # Hazards accumulate in (time, node, category name) order.
+    order = np.lexsort((_NAME_RANK[c], n, t))
+    t, n, c = t[order], n[order], c[order]
     # Score the nodes the recent history can differentiate: nodes with
     # their own events plus their rack peers.
-    candidates = {n for _, n, _ in recent}
+    if rack_of is None:
+        candidates = np.unique(n)
+    else:
+        candidates = np.flatnonzero(np.isin(rack_of, rack_of[n]))
+    # Scope of every (candidate, event) pair, as a row of ``excess``.
+    own = candidates[:, None] == n
+    scope_row = np.where(own, 0, 2)
     if rack_of is not None:
-        racks_hit = {int(rack_of[n]) for _, n, _ in recent}
-        candidates.update(
-            node
-            for node in range(system.num_nodes)
-            if int(rack_of[node]) in racks_hit
+        scope_row[~own & (rack_of[candidates][:, None] == rack_of[n])] = 1
+    age = np.maximum(now - t, 0.0)
+    remaining = np.where(age >= horizon_days, 0.0, 1.0 - age / horizon_days)
+    base, excess = _excess_hazards(model)
+    contrib = excess[scope_row, c] * remaining
+    # Left to right from the baseline hazard, as RiskModel.score adds.
+    hazards = np.cumsum(
+        np.concatenate((np.full((candidates.size, 1), base), contrib), axis=1),
+        axis=1,
+    )[:, -1]
+    risks = [
+        NodeRisk(
+            system_id=system_id,
+            node_id=node,
+            score=1.0 - math.exp(-hazard),
+            recent_own=recent_own,
         )
-    risks: list[NodeRisk] = []
-    for node in sorted(candidates):
-        history: list[RecentFailure] = []
-        own = 0
-        for t, n, category in recent:
-            if n == node:
-                scope = Scope.NODE
-                own += 1
-            elif rack_of is not None and rack_of[n] == rack_of[node]:
-                scope = Scope.RACK
-            else:
-                scope = Scope.SYSTEM
-            history.append(
-                RecentFailure(
-                    age_days=max(now - t, 0.0), category=category, scope=scope
-                )
-            )
-        risks.append(
-            NodeRisk(
-                system_id=system_id,
-                node_id=node,
-                score=model.score(history),
-                recent_own=own,
-            )
+        for node, hazard, recent_own in zip(
+            candidates.tolist(), hazards.tolist(), own.sum(axis=1).tolist()
         )
+    ]
     risks.sort(key=lambda r: (-r.score, r.node_id))
     return risks if limit is None else risks[:limit]
-
-
-def _category_by_code(code: int) -> Category:
-    return all_categories()[code]
 
 
 class OnlineAnalysis:

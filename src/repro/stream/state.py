@@ -11,8 +11,9 @@ events stream in, with three guarantees:
   :func:`repro.core.windows.baseline_counts_batch` *exactly* (integer
   equality, not approximation).  Every float comparison here is the
   same float64 comparison the batch kernels make: window membership is
-  ``searchsorted(block, t, "right") < searchsorted(block, t + span.days,
-  "right")``, censoring is elementwise ``t + span.days <= period.end``,
+  ``t < T <= t + span.days`` (resolved by the shared gather kernel
+  :func:`repro.core.windows.window_scope_hits`), censoring is
+  elementwise ``t + span.days <= period.end``,
   and baseline tiling uses the same ``floor((t - start) / span.days)``
   slot arithmetic.
 * **Monotone finalisation** -- a trigger's window ``(t, t + span]`` is
@@ -38,14 +39,14 @@ import hashlib
 import json
 import math
 import os
-from bisect import bisect_right
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..core.windows import Counts, Scope
+from ..core.windows import Counts, Scope, window_scope_hits
 from ..records.dataset import Archive
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import ALL_SPANS, ObservationPeriod, Span, count_windows
@@ -201,77 +202,64 @@ class BatchStats:
 class StreamingEventIndex:
     """Incremental counterpart of :class:`repro.records.dataset.EventIndex`.
 
-    Maintains one event selection both time-sorted (``times`` /
-    ``nodes``) and regrouped per node (``node_block``), under streaming
-    insertion.  Python lists absorb the out-of-order inserts; numpy
-    mirrors are materialised lazily per micro-batch so the resolution
-    kernels run the same vectorised ``searchsorted`` calls as the batch
-    engine.
+    Keeps one event selection time-sorted (``times`` / ``nodes``) under
+    streaming insertion.  Arrivals are buffered and merged into the
+    sorted arrays in one pass when the arrays are next read (once per
+    micro-batch).  An arrival lands after every stored event of the same
+    time and after earlier arrivals of that time -- the order per-event
+    ``bisect_right`` insertion builds, which checkpoints and the state
+    digest record.
     """
 
-    __slots__ = ("_times", "_nodes", "_node_times", "_cache")
+    __slots__ = ("_times", "_nodes", "_pending")
 
-    def __init__(self) -> None:
-        self._times: list[float] = []
-        self._nodes: list[int] = []
-        self._node_times: dict[int, list[float]] = {}
-        self._cache: dict[object, np.ndarray] = {}
+    def __init__(
+        self, times: np.ndarray | None = None, nodes: np.ndarray | None = None
+    ) -> None:
+        self._times = np.array(() if times is None else times, dtype=float)
+        self._nodes = np.array(() if nodes is None else nodes, dtype=np.int64)
+        self._pending: list[tuple[float, int]] = []
 
     def __len__(self) -> int:
-        return len(self._times)
+        return int(self._times.size) + len(self._pending)
 
     def add(self, time: float, node: int) -> None:
-        """Insert one event, keeping both orderings sorted."""
-        pos = bisect_right(self._times, time)
-        self._times.insert(pos, time)
-        self._nodes.insert(pos, node)
-        block = self._node_times.setdefault(node, [])
-        block.insert(bisect_right(block, time), time)
-        self._cache.pop("t", None)
-        self._cache.pop("n", None)
-        self._cache.pop(node, None)
+        """Queue one event for the next merge."""
+        self._pending.append((time, node))
+
+    def _merge(self) -> None:
+        new_t = np.array([t for t, _ in self._pending], dtype=float)
+        new_n = np.array([n for _, n in self._pending], dtype=np.int64)
+        self._pending.clear()
+        order = np.argsort(new_t, kind="stable")
+        new_t, new_n = new_t[order], new_n[order]
+        if not self._times.size or new_t[0] >= self._times[-1]:
+            # In-order arrivals (the common case) append.
+            self._times = np.concatenate((self._times, new_t))
+            self._nodes = np.concatenate((self._nodes, new_n))
+            return
+        # ``np.insert`` keeps equal positions in the order given.
+        at = np.searchsorted(self._times, new_t, side="right")
+        self._times = np.insert(self._times, at, new_t)
+        self._nodes = np.insert(self._nodes, at, new_n)
 
     @property
     def times(self) -> np.ndarray:
-        """Time-sorted event times (cached numpy mirror)."""
-        cached = self._cache.get("t")
-        if cached is None:
-            cached = np.array(self._times, dtype=float)
-            self._cache["t"] = cached
-        return cached
+        """Time-sorted event times (read-only use)."""
+        if self._pending:
+            self._merge()
+        return self._times
 
     @property
     def nodes(self) -> np.ndarray:
-        """Node ids aligned with :attr:`times` (cached numpy mirror)."""
-        cached = self._cache.get("n")
-        if cached is None:
-            cached = np.array(self._nodes, dtype=np.int64)
-            self._cache["n"] = cached
-        return cached
-
-    def node_block(self, node: int) -> np.ndarray:
-        """Sorted event times of one node (empty for unseen nodes)."""
-        cached = self._cache.get(node)
-        if cached is None:
-            cached = np.array(self._node_times.get(node, ()), dtype=float)
-            self._cache[node] = cached
-        return cached
+        """Node ids aligned with :attr:`times` (read-only use)."""
+        if self._pending:
+            self._merge()
+        return self._nodes
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(times, nodes)`` snapshot for checkpointing."""
         return self.times.copy(), self.nodes.copy()
-
-    @classmethod
-    def from_arrays(
-        cls, times: np.ndarray, nodes: np.ndarray
-    ) -> "StreamingEventIndex":
-        """Rebuild from checkpoint arrays (time order preserved)."""
-        index = cls()
-        index._times = [float(t) for t in times]
-        index._nodes = [int(n) for n in nodes]
-        for t, n in zip(index._times, index._nodes):
-            index._node_times.setdefault(n, []).append(t)
-        return index
 
 
 def _due_prefix(times: np.ndarray, days: float, watermark: float) -> int:
@@ -292,28 +280,13 @@ def _due_prefix(times: np.ndarray, days: float, watermark: float) -> int:
     return pos
 
 
-def _own_hits(
-    due_t: np.ndarray,
-    due_n: np.ndarray,
-    target: StreamingEventIndex,
-    days: float,
-) -> np.ndarray:
-    """Per-trigger "own node has a target event in ``(t, t + days]``"."""
-    hits = np.zeros(due_t.size, dtype=bool)
-    if not len(target) or not due_t.size:
-        return hits
-    order = np.argsort(due_n, kind="stable")
-    grouped = due_n[order]
-    bounds = np.flatnonzero(np.diff(grouped)) + 1
-    for sel in np.split(order, bounds):
-        block = target.node_block(int(due_n[sel[0]]))
-        if block.size == 0:
-            continue
-        starts = due_t[sel]
-        lo = np.searchsorted(block, starts, side="right")
-        hi = np.searchsorted(block, starts + days, side="right")
-        hits[sel] = hi > lo
-    return hits
+def _row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Integer sums of ``values`` over the blocks ``bounds[r]:bounds[r+1]``."""
+    totals = np.zeros(
+        (*values.shape[:-1], values.shape[-1] + 1), dtype=np.int64
+    )
+    np.cumsum(values, axis=-1, out=totals[..., 1:])
+    return totals[..., bounds[1:]] - totals[..., bounds[:-1]]
 
 
 def _window_slot(t: float, start: float, days: float, n_windows: int) -> int:
@@ -363,9 +336,13 @@ class SystemStreamState:
         self.stores: dict[int, StreamingEventIndex] = {
             code: StreamingEventIndex() for code in self._codes
         }
-        self.n_windows = {
-            span.value: count_windows(period, span) for span in config.spans
-        }
+        # (span value, days, tiled windows) per span, in config order.
+        self._tiles = [
+            (span.value, span.days, count_windows(period, span))
+            for span in config.spans
+        ]
+        self._span_days = [days for _, days, _ in self._tiles]
+        self.n_windows = {sv: n for sv, _, n in self._tiles}
         self.resolved: dict[tuple[int, str], int] = {}
         self.cond: dict[tuple[str, int, int, str], list[int]] = {}
         for tc in self._codes:
@@ -413,16 +390,13 @@ class SystemStreamState:
             if store_code is None or store_code not in self.stores:
                 continue
             self.stores[store_code].add(event.time, event.node_id)
-            for span in self.config.spans:
+            for sv, days, n_windows in self._tiles:
                 slot = _window_slot(
-                    event.time,
-                    self.period.start,
-                    span.days,
-                    self.n_windows[span.value],
+                    event.time, self.period.start, days, n_windows
                 )
                 if slot >= 0:
-                    self.base_keys[(store_code, span.value)].add(
-                        event.node_id * self.n_windows[span.value] + slot
+                    self.base_keys[(store_code, sv)].add(
+                        event.node_id * n_windows + slot
                     )
         return "accepted"
 
@@ -449,75 +423,82 @@ class SystemStreamState:
         watermark = self.clock.watermark
         if watermark == -math.inf:
             return
-        for tc in self._codes:
-            store = self.stores[tc]
-            if not len(store):
-                continue
-            times = store.times
-            nodes = store.nodes
-            for span in self.config.spans:
-                key = (tc, span.value)
-                done = self.resolved[key]
-                due = _due_prefix(times, span.days, watermark)
-                if due <= done:
-                    continue
-                self._resolve_range(tc, span, times[done:due], nodes[done:due])
-                self.resolved[key] = due
+        due = {
+            (tc, sv): _due_prefix(self.stores[tc].times, days, watermark)
+            for tc in self._codes
+            for sv, days, _ in self._tiles
+        }
+        if due != self.resolved:
+            self._resolve_range(due)
+            self.resolved.update(due)
 
-    def _resolve_range(
-        self, tc: int, span: Span, due_t: np.ndarray, due_n: np.ndarray
-    ) -> None:
-        """Fold a newly-final trigger range into every counter cell."""
-        days = span.days
-        sv = span.value
-        # The same elementwise censoring predicate as the batch kernel.
-        alive = due_t + days <= self.period.end
-        n_alive = int(np.count_nonzero(alive))
-        own_by_code: dict[int, np.ndarray] = {}
-        for gc in self._codes:
-            own = _own_hits(due_t, due_n, self.stores[gc], days)
-            cell = self.cond[(Scope.NODE.value, tc, gc, sv)]
-            cell[0] += int(np.count_nonzero(own & alive))
-            cell[1] += n_alive
-            if gc in self._wide_codes:
-                own_by_code[gc] = own
-        if not n_alive or self.num_nodes <= 1:
-            return
-        alive_idx = np.flatnonzero(alive).tolist()
-        for gc in self._wide_codes:
-            target = self.stores[gc]
-            target_nodes = target.nodes
-            lo = np.searchsorted(target.times, due_t, side="right")
-            hi = np.searchsorted(target.times, due_t + days, side="right")
-            own = own_by_code[gc]
-            successes = 0
-            for i in alive_idx:
-                segment = target_nodes[lo[i] : hi[i]]
-                if segment.size:
-                    successes += int(np.unique(segment).size)
-                    if own[i]:
-                        successes -= 1
-            cell = self.cond[(Scope.SYSTEM.value, tc, gc, sv)]
-            cell[0] += successes
-            cell[1] += n_alive * (self.num_nodes - 1)
-            if self.rack_of is None:
-                continue
-            rack_successes = 0
-            for i in alive_idx:
-                segment = target_nodes[lo[i] : hi[i]]
-                if not segment.size:
-                    continue
-                node = int(due_n[i])
-                mask = (self.rack_of[segment] == self.rack_of[node]) & (
-                    segment != node
-                )
-                if mask.any():
-                    rack_successes += int(np.unique(segment[mask]).size)
-            cell = self.cond[(Scope.RACK.value, tc, gc, sv)]
-            cell[0] += rack_successes
-            cell[1] += int(
-                (self._rack_sizes[self.rack_of[due_n[alive]]] - 1).sum()
-            )
+    def _resolve_range(self, due: dict[tuple[int, str], int]) -> None:
+        """Fold the triggers between the old and ``due`` pointers into
+        every counter cell.
+
+        Each trigger store with newly final triggers contributes one row
+        -- the union of its spans' ranges -- to a single trigger batch,
+        which one :func:`~repro.core.windows.window_scope_hits` gather
+        resolves against every target store, span and scope.
+        """
+        keys = [[(tc, sv) for sv, _, _ in self._tiles] for tc in self._codes]
+        start = np.array([[self.resolved[key] for key in row] for row in keys])
+        end = np.array([[due[key] for key in row] for row in keys])
+        rows = np.flatnonzero((end > start).any(axis=1))
+        ranges = []
+        for r in rows:
+            first = int(start[r][end[r] > start[r]].min())
+            ranges.append((self.stores[self._codes[r]], first, int(end[r].max())))
+        trig_t = np.concatenate([store.times[lo:hi] for store, lo, hi in ranges])
+        trig_n = np.concatenate([store.nodes[lo:hi] for store, lo, hi in ranges])
+        position = np.concatenate([np.arange(lo, hi) for _, lo, hi in ranges])
+        bounds = np.cumsum([0] + [hi - lo for _, lo, hi in ranges])
+        code_of = rows[np.repeat(np.arange(rows.size), np.diff(bounds))]
+        # alive[k]: the triggers newly final at span k whose window is
+        # complete -- the batch kernel's elementwise censoring predicate.
+        alive = (
+            (start[code_of].T <= position)
+            & (position < end[code_of].T)
+            & (trig_t + np.array(self._span_days)[:, None] <= self.period.end)
+        )
+        wide = [
+            self.num_nodes > 1 and gc in self._wide_codes for gc in self._codes
+        ]
+        hits = window_scope_hits(
+            trig_t,
+            trig_n,
+            [(self.stores[gc].times, self.stores[gc].nodes) for gc in self._codes],
+            self._span_days,
+            self.num_nodes,
+            self.rack_of,
+            wide,
+        )
+        n_alive = _row_sums(alive, bounds).tolist()
+        alive = alive[:, None, :]
+        own = _row_sums(hits.own & alive, bounds).tolist()
+        system = _row_sums(np.where(alive, hits.system, 0), bounds).tolist()
+        if hits.rack is not None:
+            peers = self._rack_sizes[self.rack_of[trig_n]] - 1
+            rack_trials = _row_sums(
+                np.where(alive[:, 0], peers, 0), bounds
+            ).tolist()
+            rack = _row_sums(np.where(alive, hits.rack, 0), bounds).tolist()
+        for k, (sv, _, _) in enumerate(self._tiles):
+            for g, gc in enumerate(self._codes):
+                for r, tc in enumerate(self._codes[i] for i in rows):
+                    cell = self.cond[(Scope.NODE.value, tc, gc, sv)]
+                    cell[0] += own[k][g][r]
+                    cell[1] += n_alive[k][r]
+                    if not wide[g]:
+                        continue
+                    cell = self.cond[(Scope.SYSTEM.value, tc, gc, sv)]
+                    cell[0] += system[k][g][r]
+                    cell[1] += n_alive[k][r] * (self.num_nodes - 1)
+                    if hits.rack is None:
+                        continue
+                    cell = self.cond[(Scope.RACK.value, tc, gc, sv)]
+                    cell[0] += rack[k][g][r]
+                    cell[1] += rack_trials[k][r]
 
     # ------------------------------------------------------------------
     # reads
@@ -673,7 +654,7 @@ class SystemStreamState:
             state.cond[key] = [int(successes), int(trials)]
         for code in state._codes:
             name = _code_name(code)
-            state.stores[code] = StreamingEventIndex.from_arrays(
+            state.stores[code] = StreamingEventIndex(
                 arrays[f"{prefix}.k.{name}.times"],
                 arrays[f"{prefix}.k.{name}.nodes"],
             )
@@ -889,25 +870,34 @@ def load_checkpoint(
         meta = json.loads(meta_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise StreamStateError(f"unreadable checkpoint meta: {exc}") from exc
-    version = meta.get("version")
+    version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
         raise StreamStateError(
             f"checkpoint version {version} is not supported (expected "
             f"{CHECKPOINT_VERSION}); regenerate the checkpoint"
         )
-    restored_config = StreamAnalysisConfig.from_payload(meta["config"])
-    if config is not None and config != restored_config:
+    try:
+        with np.load(npz_path) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        restored_config = StreamAnalysisConfig.from_payload(meta["config"])
+        if config is not None and config != restored_config:
+            raise StreamStateError(
+                "checkpoint was written under a different stream "
+                "configuration"
+            )
+        state = StreamAnalysisState(restored_config)
+        for system_meta in meta["systems"]:
+            system = SystemStreamState.from_payload(
+                system_meta, arrays, restored_config
+            )
+            state.systems[system.system_id] = system
+    except StreamStateError:
+        raise
+    except (OSError, EOFError, zipfile.BadZipFile, LookupError, TypeError,
+            ValueError) as exc:
         raise StreamStateError(
-            "checkpoint was written under a different stream configuration"
-        )
-    state = StreamAnalysisState(restored_config)
-    with np.load(npz_path) as payload:
-        arrays = {key: payload[key] for key in payload.files}
-    for system_meta in meta["systems"]:
-        system = SystemStreamState.from_payload(
-            system_meta, arrays, restored_config
-        )
-        state.systems[system.system_id] = system
+            f"checkpoint {sequence} is unreadable or incomplete: {exc!r}"
+        ) from exc
     return state
 
 

@@ -6,17 +6,26 @@ O(triggers x targets) implementation under randomly generated event
 streams (hypothesis).  Any disagreement is a bug in one of them.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import windows
 from repro.core.windows import (
     Counts,
     Scope,
     baseline_counts,
     conditional_counts,
+    window_scope_hits,
 )
-from repro.records.timeutil import ObservationPeriod, Span, count_windows
+from repro.records.timeutil import (
+    ALL_SPANS,
+    ObservationPeriod,
+    Span,
+    count_windows,
+)
 
 PERIOD = ObservationPeriod(0.0, 120.0)
 NUM_NODES = 5
@@ -140,3 +149,58 @@ class TestAgainstReference:
             sorted(events), sorted(events), PERIOD, Span.WEEK, Scope.NODE
         )
         assert fast == slow
+
+
+def _gathered_counts(trig, targ, span_index, scope, hits):
+    """Reduce ``window_scope_hits`` output to one censored Counts cell."""
+    span = ALL_SPANS[span_index]
+    successes = trials = 0
+    for i, (t0, n0) in enumerate(trig):
+        if t0 + span.days > PERIOD.end:
+            continue
+        if scope is Scope.NODE:
+            trials += 1
+            successes += int(hits.own[span_index, 0, i])
+        elif scope is Scope.SYSTEM:
+            trials += NUM_NODES - 1
+            successes += int(hits.system[span_index, 0, i])
+        else:
+            trials += int((RACK_OF == RACK_OF[n0]).sum()) - 1
+            successes += int(hits.rack[span_index, 0, i])
+    return Counts(successes, trials)
+
+
+class TestGatherKernelAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trig=events_strategy,
+        targ=events_strategy,
+        chunk=st.sampled_from([windows.GATHER_CHUNK, 1, 4]),
+    )
+    def test_every_scope_and_span_matches(self, trig, targ, chunk):
+        """Unsorted triggers; small chunks force the halving path."""
+        tt = np.array([e[0] for e in trig], dtype=float)
+        tn = np.array([e[1] for e in trig], dtype=np.int64)
+        gt, gn = to_arrays(targ)
+        with mock.patch.object(windows, "GATHER_CHUNK", chunk):
+            hits = window_scope_hits(
+                tt,
+                tn,
+                [(gt, gn)],
+                [span.days for span in ALL_SPANS],
+                NUM_NODES,
+                RACK_OF,
+            )
+        for k, span in enumerate(ALL_SPANS):
+            for scope in (Scope.NODE, Scope.RACK, Scope.SYSTEM):
+                assert _gathered_counts(trig, targ, k, scope, hits) == (
+                    naive_conditional(
+                        trig,
+                        sorted(targ),
+                        PERIOD,
+                        span,
+                        scope,
+                        rack_of=RACK_OF,
+                        num_nodes=NUM_NODES,
+                    )
+                )

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.windows import Scope
 from repro.records.taxonomy import Category
@@ -14,6 +18,7 @@ from repro.stream import (
     StreamAnalysisState,
     StreamEvent,
     StreamStateError,
+    StreamingEventIndex,
     latest_checkpoint_sequence,
     load_checkpoint,
     write_checkpoint,
@@ -88,6 +93,35 @@ class TestDispositions:
         state.register_system(0, 4, ObservationPeriod(0.0, 100.0), None)
         with pytest.raises(StreamStateError):
             state.register_system(0, 8, ObservationPeriod(0.0, 100.0), None)
+
+
+class TestEventStore:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 12).map(lambda q: q / 4.0),
+                    st.integers(0, 5),
+                ),
+                max_size=12,
+            ),
+            max_size=6,
+        )
+    )
+    def test_batch_merge_equals_per_event_bisect_insertion(self, batches):
+        store = StreamingEventIndex()
+        times: list[float] = []
+        nodes: list[int] = []
+        for batch in batches:
+            for t, n in batch:
+                store.add(t, n)
+                pos = bisect_right(times, t)
+                times.insert(pos, t)
+                nodes.insert(pos, n)
+            assert len(store) == len(times)
+            assert store.times.tolist() == times
+            assert store.nodes.tolist() == nodes
 
 
 class TestCounters:
@@ -173,6 +207,53 @@ class TestCheckpointFiles:
         write_checkpoint(state, tmp_path)
         with pytest.raises(StreamStateError):
             load_checkpoint(tmp_path, StreamAnalysisConfig(lateness_days=2.0))
+
+    def test_truncated_arrays_rejected(self, tmp_path):
+        state = _state()
+        state.ingest([_event(1.0), _event(2.0, node=3)])
+        info = write_checkpoint(state, tmp_path)
+        npz_path = tmp_path / f"ckpt-{info.sequence:06d}.state.npz"
+        payload = npz_path.read_bytes()
+        npz_path.write_bytes(payload[: len(payload) // 2])
+        with pytest.raises(StreamStateError, match="unreadable or incomplete"):
+            load_checkpoint(tmp_path)
+
+    def test_corrupt_arrays_rejected(self, tmp_path):
+        state = _state()
+        state.ingest([_event(1.0)])
+        info = write_checkpoint(state, tmp_path)
+        npz_path = tmp_path / f"ckpt-{info.sequence:06d}.state.npz"
+        npz_path.write_bytes(b"not a zip archive at all")
+        with pytest.raises(StreamStateError, match="unreadable or incomplete"):
+            load_checkpoint(tmp_path)
+
+    def test_missing_meta_key_rejected(self, tmp_path):
+        import json
+
+        state = _state()
+        state.ingest([_event(1.0)])
+        info = write_checkpoint(state, tmp_path)
+        meta_path = tmp_path / f"ckpt-{info.sequence:06d}.meta.json"
+        payload = json.loads(meta_path.read_text())
+        del payload["systems"][0]["seen"]
+        meta_path.write_text(json.dumps(payload))
+        with pytest.raises(StreamStateError, match="seen"):
+            load_checkpoint(tmp_path)
+
+    def test_missing_array_rejected(self, tmp_path):
+        import numpy as np
+
+        state = _state()
+        state.ingest([_event(1.0)])
+        info = write_checkpoint(state, tmp_path)
+        npz_path = tmp_path / f"ckpt-{info.sequence:06d}.state.npz"
+        with np.load(npz_path) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        del arrays["s0.k.any.times"]
+        with open(npz_path, "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(StreamStateError, match="s0.k.any.times"):
+            load_checkpoint(tmp_path)
 
     def test_checkpoint_writes_are_byte_stable(self, tmp_path):
         state = _state()
