@@ -12,14 +12,31 @@
   larger boost) and checking the measured correlations stay in band.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.correlations import pooled_baseline, same_node_any
-from repro.core.windows import sliding_baseline_counts
-from repro.records.timeutil import Span
+from repro.core.windows import Counts
+from repro.records.timeutil import Span, overlapping_window_starts
 from repro.simulate.archive import make_archive
 from repro.simulate.config import EffectSizes
 from repro.stats.glm import fit_negative_binomial
+
+
+def sliding_baseline_counts(times, nodes, num_nodes, period, span, step):
+    """Overlapping-window baseline (the ablation alternative).
+
+    Windows start every ``step`` days; a (node, window) trial succeeds
+    when the node has >= 1 qualifying event inside ``[start, start+span)``.
+    """
+    starts = overlapping_window_starts(period, span, step)
+    successes = 0
+    for node in np.unique(nodes[nodes < num_nodes]):
+        block = times[nodes == node]
+        lo = np.searchsorted(block, starts, side="left")
+        hi = np.searchsorted(block, starts + span.days, side="left")
+        successes += int(np.count_nonzero(hi > lo))
+    return Counts(successes, int(starts.size) * num_nodes)
 
 
 def test_tiled_vs_sliding_baseline(benchmark, bench_group1):

@@ -18,11 +18,6 @@ dict, so the frozen dataclass itself stays immutable) and serves:
 * arbitrary per-system summaries (usage, temperature) via
   :meth:`AnalysisCache.summary`.
 
-The :func:`cache_disabled` context manager switches the whole layer to
-the legacy per-cell code path with no memoization -- the oracle that the
-equivalence tests (and ``benchmarks/bench_perf.py``'s ``report_percell``
-timing) compare against.
-
 Thread-safety: the memo tables are plain dicts guarded by the GIL.
 Concurrent report sections may occasionally compute the same cell twice
 (both results are identical; last write wins) and the hit/miss counters
@@ -37,7 +32,6 @@ Events kinds are tuples so they are hashable and order-stable:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -56,9 +50,7 @@ from .windows import (
     Scope,
     WindowAnalysisError,
     ZERO_COUNTS,
-    baseline_counts,
     baseline_counts_batch,
-    conditional_counts,
     conditional_counts_batch,
 )
 
@@ -66,31 +58,6 @@ T = TypeVar("T")
 
 #: A memoization key for an event stream; see the module docstring.
 Kind = tuple
-
-_enabled: bool = True
-
-
-def caching_enabled() -> bool:
-    """True unless inside a :func:`cache_disabled` block."""
-    return _enabled
-
-
-@contextmanager
-def cache_disabled():
-    """Run analyses on the legacy per-cell path with no memoization.
-
-    Inside the block every :class:`AnalysisCache` query recomputes from
-    scratch via the per-cell window kernels and the record-based
-    summarizers -- the reference implementation the batched/memoized
-    results must match byte-for-byte.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = False
-    try:
-        yield
-    finally:
-        _enabled = previous
 
 
 def fail_kind(
@@ -126,15 +93,13 @@ class AnalysisCache:
         self._summaries: dict[Hashable, object] = {}
         self.hits = 0
         self.misses = 0
-        self.bypassed = 0
 
-    def _record(self, hits: int = 0, misses: int = 0, bypassed: int = 0) -> None:
+    def _record(self, hits: int = 0, misses: int = 0) -> None:
         """The single bookkeeping point for every cache query.
 
         Updates the per-instance tallies (served to ``--profile`` via
         :func:`cache_stats`) and mirrors them into the telemetry
-        metrics registry.  ``bypassed`` counts cells computed on the
-        legacy path inside a :func:`cache_disabled` block.
+        metrics registry.
         """
         if hits:
             self.hits += hits
@@ -142,9 +107,6 @@ class AnalysisCache:
         if misses:
             self.misses += misses
             counter_add("analysis_cache.misses", misses)
-        if bypassed:
-            self.bypassed += bypassed
-            counter_add("analysis_cache.bypassed", bypassed)
 
     @property
     def entries(self) -> int:
@@ -159,8 +121,6 @@ class AnalysisCache:
             # FailureTable.events already memoizes per-subset indexes.
             return self._ds.failure_table.events(kind[1], kind[2])
         if kind[0] == "maint":
-            if not _enabled:
-                return self._maintenance_index(kind[1])
             cached = self._indices.get(kind)
             if cached is None:
                 cached = self._maintenance_index(kind[1])
@@ -210,21 +170,6 @@ class AnalysisCache:
         if node_subset is not None and subset_key is None:
             raise ValueError("node_subset requires a subset_key token")
         ds = self._ds
-        if not _enabled:
-            self._record(bypassed=len(kinds) * len(spans))
-            return [
-                [
-                    baseline_counts(
-                        *self._kind_arrays(kind),
-                        ds.num_nodes,
-                        ds.period,
-                        span,
-                        node_subset=node_subset,
-                    )
-                    for span in spans
-                ]
-                for kind in kinds
-            ]
         grid: list[list[Counts]] = []
         missing = [
             kind
@@ -281,26 +226,6 @@ class AnalysisCache:
         """
         ds = self._ds
         rack_of = ds.rack_of if scope is Scope.RACK else None
-        if not _enabled:
-            self._record(bypassed=len(triggers) * len(targets) * len(spans))
-            return [
-                [
-                    [
-                        conditional_counts(
-                            period=ds.period,
-                            span=span,
-                            scope=scope,
-                            rack_of=rack_of,
-                            num_nodes=ds.num_nodes,
-                            trigger_index=self.events(trigger),
-                            target_index=self.events(target),
-                        )
-                        for span in spans
-                    ]
-                    for target in targets
-                ]
-                for trigger in triggers
-            ]
         missing = [
             trigger
             for trigger in triggers
@@ -346,18 +271,10 @@ class AnalysisCache:
             )
         return grid
 
-    def _kind_arrays(self, kind: Kind) -> tuple[np.ndarray, np.ndarray]:
-        """Legacy ``(times, nodes)`` arrays of a kind (per-cell path)."""
-        index = self.events(kind)
-        return index.times, index.nodes
-
     # -- cross-section summaries --------------------------------------------
 
     def summary(self, key: Hashable, compute: Callable[[], T]) -> T:
         """Memoize an arbitrary per-system value under ``key``."""
-        if not _enabled:
-            self._record(bypassed=1)
-            return compute()
         try:
             value = self._summaries[key]
             self._record(hits=1)
@@ -370,10 +287,6 @@ class AnalysisCache:
     def node_usage(self):
         """Memoized per-node usage summaries (Sections V and X)."""
         ds = self._ds
-        if not _enabled:
-            # Legacy path: materialize and iterate the record tuples.
-            self._record(bypassed=1)
-            return node_usage_summaries(ds.jobs, ds.num_nodes, ds.period)
         return self.summary(
             ("node_usage",),
             lambda: node_usage_summaries(
@@ -384,9 +297,6 @@ class AnalysisCache:
     def user_usage(self):
         """Memoized per-user usage summaries (Section VI), heaviest first."""
         ds = self._ds
-        if not _enabled:
-            self._record(bypassed=1)
-            return user_usage_summaries(ds.jobs)
         return self.summary(
             ("user_usage",), lambda: user_usage_summaries(ds.job_columns())
         )
@@ -394,9 +304,6 @@ class AnalysisCache:
     def temperature_summaries(self):
         """Memoized per-node temperature aggregates (Sections VIII and X)."""
         ds = self._ds
-        if not _enabled:
-            self._record(bypassed=1)
-            return summarize_temperatures(ds.temperatures, ds.num_nodes)
         return self.summary(
             ("temperature_summaries",),
             lambda: summarize_temperatures(

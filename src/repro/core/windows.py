@@ -19,15 +19,16 @@ Nearly every figure of the paper compares two probabilities:
   recording outages on many nodes at once) do not count as follow-ups of
   each other: the window is the *open-closed* interval ``(t, t + span]``.
 
-Everything here is expressed over plain ``(times, node_ids)`` event
-arrays, so the same engine serves failures, failure subsets (by category
-or subtype) and maintenance events.
+Everything here is expressed over time-sorted event streams
+(:class:`~repro.records.dataset.EventIndex`), so the same engine serves
+failures, failure subsets (by category or subtype) and maintenance
+events.  One gather kernel, :func:`window_scope_hits`, decides window
+membership for the batch grids and the stream alike.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,75 +109,28 @@ class WindowComparison:
     factor: float
 
 
-def _check_events(times: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    times = np.asarray(times, dtype=float)
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if times.ndim != 1 or times.shape != nodes.shape:
-        raise WindowAnalysisError("times and node ids must be matching 1-D arrays")
-    if times.size and np.any(np.diff(times) < 0):
-        order = np.argsort(times, kind="stable")
-        times, nodes = times[order], nodes[order]
-    return times, nodes
-
-
-def baseline_counts(
-    target_times: np.ndarray,
-    target_nodes: np.ndarray,
-    num_nodes: int,
-    period: ObservationPeriod,
-    span: Span,
-    node_subset: np.ndarray | None = None,
-) -> Counts:
-    """Tiled-window baseline counts for "a random node in a random window".
-
-    Args:
-        target_times / target_nodes: the qualifying event stream.
-        num_nodes: node count of the system.
-        period: observation period.
-        span: window length.
-        node_subset: restrict the trials (and events) to these nodes --
-            used e.g. for "rest of the nodes" baselines in Section IV.
-
-    Returns:
-        ``Counts(successes=#(node, window) tiles with >= 1 event,
-        trials=#nodes * #windows)``.
-    """
+def _check_num_nodes(num_nodes: int, indexes: Sequence[EventIndex]) -> None:
+    """Reject a node count that does not cover every indexed event."""
     if num_nodes < 1:
         raise WindowAnalysisError(f"num_nodes must be >= 1, got {num_nodes}")
-    counter_add("windows.baseline_cells", 1, path="percell")
-    times, nodes = _check_events(target_times, target_nodes)
-    n_windows = count_windows(period, span)
-    if node_subset is None:
-        n_nodes_at_risk = num_nodes
-    else:
-        node_subset = np.asarray(node_subset, dtype=np.int64)
-        if node_subset.size == 0:
-            raise WindowAnalysisError("node_subset must be non-empty")
-        n_nodes_at_risk = int(np.unique(node_subset).size)
-        keep = np.isin(nodes, node_subset)
-        times, nodes = times[keep], nodes[keep]
-    idx = window_index(times, period, span)
-    valid = idx >= 0
-    # Distinct (node, window) pairs containing at least one event.
-    keys = nodes[valid] * np.int64(n_windows) + idx[valid]
-    successes = int(np.unique(keys).size)
-    return Counts(successes, n_nodes_at_risk * n_windows)
+    for index in indexes:
+        if index.num_nodes > num_nodes:
+            raise WindowAnalysisError(
+                f"an event stream indexed over {index.num_nodes} nodes "
+                f"exceeds num_nodes={num_nodes}"
+            )
 
 
-def conditional_counts(
-    trigger_times: np.ndarray | None = None,
-    trigger_nodes: np.ndarray | None = None,
-    target_times: np.ndarray | None = None,
-    target_nodes: np.ndarray | None = None,
-    period: ObservationPeriod | None = None,
-    span: Span | None = None,
+def conditional_counts_batch(
+    triggers: Sequence[EventIndex],
+    targets: Sequence[EventIndex],
+    period: ObservationPeriod,
+    spans: Sequence[Span],
+    num_nodes: int,
     scope: Scope = Scope.NODE,
     rack_of: np.ndarray | None = None,
-    num_nodes: int | None = None,
-    target_index: EventIndex | None = None,
-    trigger_index: EventIndex | None = None,
-) -> Counts:
-    """Conditional counts at node, rack or system scope.
+) -> list[list[list[Counts]]]:
+    """A trigger x target x span grid of conditional :class:`Counts`.
 
     The follow-up window is ``(t, t + span]``, open at the trigger time
     (the trigger itself, and any simultaneous events, never count as
@@ -192,7 +146,7 @@ def conditional_counts(
       rack) pair; success when that node has a qualifying event in the
       window.  Requires ``rack_of``.
     * SYSTEM scope -- one trial per (trigger, other node of the system)
-      pair; requires ``num_nodes``.
+      pair.
 
     Counting *pairs* (rather than "any other node fails") is essential:
     in a 1024-node system some node almost surely fails every week, so
@@ -200,264 +154,25 @@ def conditional_counts(
     whereas the per-node probability reproduces the paper's 2.04% ->
     2.68% system-level result.
 
-    Args:
-        trigger_times / trigger_nodes: trigger event stream.
-        target_times / target_nodes: qualifying (target) event stream.
-        period: observation period.
-        span: window length.
-        scope: NODE, RACK or SYSTEM.
-        rack_of: node -> rack id mapping, required for RACK scope.
-        num_nodes: system node count, required for RACK/SYSTEM scope.
-        target_index: pre-built index of the target stream (e.g. from
-            :meth:`repro.records.dataset.FailureTable.events`).  This is
-            the preferred, index-first spelling; passing the redundant
-            ``target_times`` / ``target_nodes`` arrays alongside it is
-            deprecated (they were silently ignored in older releases).
-        trigger_index: pre-built index of the trigger stream; preferred
-            over ``trigger_times`` / ``trigger_nodes`` for the same
-            reason.
-    """
-    if period is None or span is None:
-        raise WindowAnalysisError("period and span are required")
-    counter_add("windows.conditional_cells", 1, path="percell")
-    if trigger_index is not None:
-        if trigger_times is not None or trigger_nodes is not None:
-            warnings.warn(
-                "trigger_times/trigger_nodes are ignored when trigger_index "
-                "is given; pass only trigger_index",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        trig_t, trig_n = trigger_index.times, trigger_index.nodes
-    else:
-        if trigger_times is None or trigger_nodes is None:
-            raise WindowAnalysisError(
-                "need trigger_times/trigger_nodes or a trigger_index"
-            )
-        trig_t, trig_n = _check_events(trigger_times, trigger_nodes)
-    if target_index is not None:
-        if target_times is not None or target_nodes is not None:
-            warnings.warn(
-                "target_times/target_nodes are ignored when target_index "
-                "is given; pass only target_index",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-    else:
-        if target_times is None or target_nodes is None:
-            raise WindowAnalysisError(
-                "need target_times/target_nodes or a target_index"
-            )
-        target_index = EventIndex(*_check_events(target_times, target_nodes))
-
-    # Censor triggers without a complete follow-up window.
-    alive = trig_t + span.days <= period.end
-    trig_t, trig_n = trig_t[alive], trig_n[alive]
-    n_triggers = int(trig_t.size)
-    if n_triggers == 0:
-        return ZERO_COUNTS
-
-    own_counts = _per_node_window_counts(trig_t, trig_n, target_index, span)
-    if scope is Scope.NODE:
-        return Counts(int((own_counts > 0).sum()), n_triggers)
-
-    if num_nodes is None:
-        raise WindowAnalysisError(f"{scope} scope requires num_nodes")
-    if scope is Scope.RACK:
-        if rack_of is None:
-            raise WindowAnalysisError("RACK scope requires a rack_of mapping")
-        rack_of = np.asarray(rack_of, dtype=np.int64)
-        if rack_of.shape != (num_nodes,):
-            raise WindowAnalysisError(
-                "rack_of must map every node of the system to a rack"
-            )
-        rack_sizes = np.bincount(rack_of, minlength=int(rack_of.max()) + 1)
-        trig_racks = rack_of[trig_n]
-        trials = int((rack_sizes[trig_racks] - 1).sum())
-    else:
-        trials = n_triggers * (num_nodes - 1)
-    if trials == 0:
-        return ZERO_COUNTS
-
-    # successes = sum over triggers of the number of distinct *other*
-    # in-scope nodes with >= 1 event in the trigger's window.  Decompose
-    # into all in-scope nodes (per target-node block, vectorised over the
-    # relevant triggers) minus the trigger's own node, which is exactly
-    # the NODE-scope hit count already computed above.
-    successes = -int((own_counts > 0).sum())
-    if scope is Scope.RACK:
-        # Group triggers by rack once; each target node then queries only
-        # its rack's triggers.
-        order = np.argsort(trig_racks, kind="stable")
-        grouped_t = trig_t[order]
-        grouped_racks = trig_racks[order]
-        n_racks = int(rack_sizes.size)
-        rack_starts = np.zeros(n_racks + 1, dtype=np.int64)
-        np.cumsum(np.bincount(grouped_racks, minlength=n_racks), out=rack_starts[1:])
-        for node in target_index.event_nodes():
-            rack = int(rack_of[node]) if node < num_nodes else -1
-            if rack < 0:
-                continue
-            sel = grouped_t[rack_starts[rack] : rack_starts[rack + 1]]
-            if sel.size:
-                successes += int(
-                    (target_index.window_counts(node, sel, span.days) > 0).sum()
-                )
-    else:
-        for node in target_index.event_nodes():
-            successes += int(
-                (target_index.window_counts(node, trig_t, span.days) > 0).sum()
-            )
-    return Counts(successes, trials)
-
-
-def _per_node_window_counts(
-    trig_t: np.ndarray,
-    trig_n: np.ndarray,
-    target_index: EventIndex,
-    span: Span,
-) -> np.ndarray:
-    """#target events on the trigger's own node in each ``(t, t+span]``."""
-    counts = np.zeros(trig_t.size, dtype=np.int64)
-    if len(target_index) == 0 or trig_t.size == 0:
-        return counts
-    # Group the triggers by node once; each group queries its node's
-    # pre-sorted block in the target index.
-    order = np.argsort(trig_n, kind="stable")
-    grouped = trig_n[order]
-    bounds = np.flatnonzero(np.diff(grouped)) + 1
-    for sel in np.split(order, bounds):
-        node = int(trig_n[sel[0]])
-        block = target_index.node_block(node)
-        if block.size == 0:
-            continue
-        starts = trig_t[sel]
-        lo = np.searchsorted(block, starts, side="right")
-        hi = np.searchsorted(block, starts + span.days, side="right")
-        counts[sel] = hi - lo
-    return counts
-
-
-class _TriggerPlan:
-    """Censoring, node grouping and rack grouping of one trigger stream.
-
-    Built once per trigger :class:`EventIndex` and reused for every
-    (target, span) cell of a batched grid.  Because trigger times are
-    sorted and window censoring (``t + span.days <= period.end``) is
-    monotone in ``t``, the censored trigger set for any span is a prefix
-    of the time-sorted stream -- per-span work reduces to a prefix count
-    instead of a fresh mask-and-copy.
-    """
-
-    __slots__ = (
-        "times",
-        "nodes",
-        "span_days",
-        "n_alive",
-        "node_groups",
-        "rack_order",
-        "rack_starts",
-        "rack_trials_cumsum",
-    )
-
-    def __init__(
-        self,
-        trigger: EventIndex,
-        period: ObservationPeriod,
-        spans: Sequence[Span],
-        rack_of: np.ndarray | None,
-        rack_sizes: np.ndarray | None,
-    ) -> None:
-        t = trigger.times
-        n = trigger.nodes
-        self.times = t
-        self.nodes = n
-        self.span_days = [span.days for span in spans]
-        # The same elementwise predicate as the per-cell kernel (NOT the
-        # rearranged ``t <= end - days``, which differs in float).
-        self.n_alive = [
-            int(np.count_nonzero(t + days <= period.end))
-            for days in self.span_days
-        ]
-        # Group triggers by node once; shared by every target's own-node
-        # window queries.
-        if t.size:
-            order = np.argsort(n, kind="stable")
-            grouped = n[order]
-            bounds = np.flatnonzero(np.diff(grouped)) + 1
-            self.node_groups = np.split(order, bounds)
-        else:
-            self.node_groups = []
-        self.rack_order = None
-        self.rack_starts = None
-        self.rack_trials_cumsum = None
-        if rack_sizes is not None:
-            trig_racks = n if not t.size else rack_of[n]
-            self.rack_order = np.argsort(trig_racks, kind="stable")
-            n_racks = int(rack_sizes.size)
-            self.rack_starts = np.zeros(n_racks + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(trig_racks, minlength=n_racks),
-                out=self.rack_starts[1:],
-            )
-            self.rack_trials_cumsum = np.zeros(t.size + 1, dtype=np.int64)
-            np.cumsum(rack_sizes[trig_racks] - 1, out=self.rack_trials_cumsum[1:])
-
-    def own_hit_counts(self, target: EventIndex) -> list[int]:
-        """Per-span number of censored triggers whose own node has a hit.
-
-        One ``lo`` searchsorted per trigger-node block is shared by all
-        spans; only the ``hi`` side is span-dependent.
-        """
-        n_spans = len(self.span_days)
-        if len(target) == 0 or not self.node_groups:
-            return [0] * n_spans
-        hits = [np.zeros(self.times.size, dtype=bool) for _ in range(n_spans)]
-        for sel in self.node_groups:
-            block = target.node_block(int(self.nodes[sel[0]]))
-            if block.size == 0:
-                continue
-            starts = self.times[sel]
-            lo = np.searchsorted(block, starts, side="right")
-            for k, days in enumerate(self.span_days):
-                hi = np.searchsorted(block, starts + days, side="right")
-                hits[k][sel] = hi > lo
-        return [
-            int(np.count_nonzero(hits[k][: self.n_alive[k]]))
-            for k in range(n_spans)
-        ]
-
-
-def conditional_counts_batch(
-    triggers: Sequence[EventIndex],
-    targets: Sequence[EventIndex],
-    period: ObservationPeriod,
-    spans: Sequence[Span],
-    scope: Scope = Scope.NODE,
-    rack_of: np.ndarray | None = None,
-    num_nodes: int | None = None,
-) -> list[list[list[Counts]]]:
-    """A trigger x target x span grid of conditional :class:`Counts`.
-
-    Computes, in one pass per trigger stream, every cell that per-cell
-    :func:`conditional_counts` calls would produce -- censoring, node
-    grouping and rack grouping of each trigger stream happen once and
-    are reused for every target and span, and the window-start
-    ``searchsorted`` is shared across spans.  Results are exactly equal
-    to the per-cell kernel (all reductions are integer counts of the
-    same searchsorted comparisons).
+    Each trigger stream is resolved by one :func:`window_scope_hits`
+    gather covering every target and span.  Trigger times are sorted and
+    censoring is monotone in ``t``, so the uncensored triggers of every
+    span are a prefix of the stream.
 
     Args:
         triggers: trigger event streams (grid rows).
         targets: qualifying event streams (grid columns).
         period: observation period.
         spans: window lengths (grid depth).
-        scope / rack_of / num_nodes: as in :func:`conditional_counts`.
+        num_nodes: system node count; every event must lie below it.
+        scope: NODE, RACK or SYSTEM.
+        rack_of: node -> rack id mapping, required for RACK scope.
 
     Returns:
         ``grid[i][j][k]`` = counts for ``(triggers[i], targets[j],
         spans[k])``.
     """
+    _check_num_nodes(num_nodes, [*triggers, *targets])
     spans = list(spans)
     counter_add("windows.conditional_batch_calls", 1)
     counter_add(
@@ -466,8 +181,6 @@ def conditional_counts_batch(
         path="batch",
     )
     rack_sizes = None
-    if scope is not Scope.NODE and num_nodes is None:
-        raise WindowAnalysisError(f"{scope} scope requires num_nodes")
     if scope is Scope.RACK:
         if rack_of is None:
             raise WindowAnalysisError("RACK scope requires a rack_of mapping")
@@ -477,80 +190,55 @@ def conditional_counts_batch(
                 "rack_of must map every node of the system to a rack"
             )
         rack_sizes = np.bincount(rack_of, minlength=int(rack_of.max()) + 1)
+    span_days = [span.days for span in spans]
+    target_streams = [(target.times, target.nodes) for target in targets]
+    wide = [scope is not Scope.NODE] * len(targets)
     grid: list[list[list[Counts]]] = []
     for trigger in triggers:
-        plan = _TriggerPlan(trigger, period, spans, rack_of, rack_sizes)
+        t, n = trigger.times, trigger.nodes
+        # The elementwise predicate ``t + days <= end`` (NOT the
+        # rearranged ``t <= end - days``, which differs in float).
+        alive = [
+            int(np.count_nonzero(t + days <= period.end)) for days in span_days
+        ]
+        n_live = max(alive, default=0)
+        hits = window_scope_hits(
+            t[:n_live],
+            n[:n_live],
+            target_streams,
+            span_days,
+            num_nodes,
+            rack_of if scope is Scope.RACK else None,
+            wide,
+        )
+        per_trigger = {
+            Scope.NODE: hits.own,
+            Scope.SYSTEM: hits.system,
+            Scope.RACK: hits.rack,
+        }[scope]
+        successes = [
+            per_trigger[k, :, : alive[k]].sum(axis=1) for k in range(len(spans))
+        ]
+        if scope is Scope.NODE:
+            trials = alive
+        elif scope is Scope.SYSTEM:
+            trials = [a * (num_nodes - 1) for a in alive]
+        else:
+            pair_trials = np.zeros(n_live + 1, dtype=np.int64)
+            np.cumsum(rack_sizes[rack_of[n[:n_live]]] - 1, out=pair_trials[1:])
+            trials = [int(pair_trials[a]) for a in alive]
         grid.append(
             [
-                _batch_cell_counts(
-                    plan, target, spans, scope, rack_of, num_nodes
-                )
-                for target in targets
+                [
+                    Counts(int(successes[k][j]), trials[k])
+                    if alive[k] and trials[k]
+                    else ZERO_COUNTS
+                    for k in range(len(spans))
+                ]
+                for j in range(len(targets))
             ]
         )
     return grid
-
-
-def _batch_cell_counts(
-    plan: _TriggerPlan,
-    target: EventIndex,
-    spans: Sequence[Span],
-    scope: Scope,
-    rack_of: np.ndarray | None,
-    num_nodes: int | None,
-) -> list[Counts]:
-    """Per-span counts of one (trigger, target) pair of a batched grid."""
-    n_spans = len(spans)
-    own = plan.own_hit_counts(target)
-    if scope is Scope.NODE:
-        return [
-            Counts(own[k], plan.n_alive[k]) if plan.n_alive[k] else ZERO_COUNTS
-            for k in range(n_spans)
-        ]
-
-    # RACK / SYSTEM: pair trials; successes decompose into all in-scope
-    # nodes (per target-node block) minus the trigger's own node.
-    successes = [-own[k] for k in range(n_spans)]
-    if scope is Scope.RACK:
-        for node in target.event_nodes():
-            rack = int(rack_of[node]) if node < num_nodes else -1
-            if rack < 0:
-                continue
-            sel = plan.rack_order[
-                plan.rack_starts[rack] : plan.rack_starts[rack + 1]
-            ]
-            if not sel.size:
-                continue
-            block = target.node_block(int(node))
-            if not block.size:
-                continue
-            starts = plan.times[sel]
-            lo = np.searchsorted(block, starts, side="right")
-            for k, days in enumerate(plan.span_days):
-                hi = np.searchsorted(block, starts + days, side="right")
-                successes[k] += int(
-                    np.count_nonzero((hi > lo) & (sel < plan.n_alive[k]))
-                )
-        trials = [
-            int(plan.rack_trials_cumsum[plan.n_alive[k]])
-            for k in range(n_spans)
-        ]
-    else:
-        for node in target.event_nodes():
-            block = target.node_block(int(node))
-            if not block.size:
-                continue
-            lo = np.searchsorted(block, plan.times, side="right")
-            for k, days in enumerate(plan.span_days):
-                hi = np.searchsorted(block, plan.times + days, side="right")
-                successes[k] += int(np.count_nonzero((hi > lo)[: plan.n_alive[k]]))
-        trials = [plan.n_alive[k] * (num_nodes - 1) for k in range(n_spans)]
-    return [
-        Counts(successes[k], trials[k])
-        if plan.n_alive[k] and trials[k]
-        else ZERO_COUNTS
-        for k in range(n_spans)
-    ]
 
 
 #: Most target events :func:`window_scope_hits` gathers at once; larger
@@ -588,7 +276,8 @@ def window_scope_hits(
 ) -> ScopeHits:
     """NODE, RACK and SYSTEM window hits of every trigger in one gather.
 
-    The kernel behind incremental (stream) resolution.  For each
+    The one window kernel: the batch grids, the analysis cache and
+    incremental (stream) resolution all count through it.  For each
     ``(target, trigger)`` pair, the segment ``(t, t + longest]`` of the
     time-sorted target stream is located with one ``searchsorted`` per
     side, and all segments are flattened into one array with
@@ -597,7 +286,7 @@ def window_scope_hits(
 
     * a shorter span keeps the entries with ``T <= t + days``, the same
       float comparison ``searchsorted(T, t + days, "right")`` makes, so
-      every window equals the one :func:`conditional_counts` uses;
+      every span gets exactly its own ``(t, t + days]`` window;
     * NODE: entries on the trigger's own node;
     * SYSTEM: distinct other nodes, via ``np.unique`` over
       ``pair * num_nodes + node``;
@@ -694,16 +383,17 @@ def baseline_counts_batch(
 ) -> list[list[Counts]]:
     """A target x span grid of tiled-window baseline :class:`Counts`.
 
-    Exactly equivalent to per-cell :func:`baseline_counts` calls, but the
-    event streams arrive pre-sorted as :class:`EventIndex` objects and a
-    ``node_subset`` filter is applied once per target instead of once per
-    (target, span) cell.
+    A trial is one (node, tile) pair of the system's observation period
+    tiled into non-overlapping ``span`` windows (trailing partial windows
+    are discarded); it succeeds when the node has at least one target
+    event in the tile.  ``node_subset`` restricts the trials (and the
+    events) to those nodes -- used e.g. for "rest of the nodes"
+    baselines in Section IV -- and is applied once per target.
 
     Returns:
         ``grid[j][k]`` = counts for ``(targets[j], spans[k])``.
     """
-    if num_nodes < 1:
-        raise WindowAnalysisError(f"num_nodes must be >= 1, got {num_nodes}")
+    _check_num_nodes(num_nodes, targets)
     spans = list(spans)
     counter_add("windows.baseline_batch_calls", 1)
     counter_add(
@@ -763,35 +453,3 @@ def compare(
         test=test,
         factor=factor,
     )
-
-
-def sliding_baseline_counts(
-    target_times: np.ndarray,
-    target_nodes: np.ndarray,
-    num_nodes: int,
-    period: ObservationPeriod,
-    span: Span,
-    step: float,
-) -> Counts:
-    """Overlapping-window baseline (the ablation alternative).
-
-    Windows start every ``step`` days; a (node, window) trial succeeds
-    when the node has >= 1 qualifying event inside ``[start, start+span)``.
-    Used by ``benchmarks/bench_ablation.py`` to show the tiling choice
-    does not drive the paper's factors.
-    """
-    from ..records.timeutil import overlapping_window_starts
-
-    times, nodes = _check_events(target_times, target_nodes)
-    starts = overlapping_window_starts(period, span, step)
-    trials = int(starts.size) * num_nodes
-    index = EventIndex(times, nodes)
-    successes = 0
-    for node in index.event_nodes():
-        if node >= num_nodes:
-            continue
-        block = index.node_block(int(node))
-        l = np.searchsorted(block, starts, side="left")
-        h = np.searchsorted(block, starts + span.days, side="left")
-        successes += int(((h - l) > 0).sum())
-    return Counts(successes, trials)

@@ -61,17 +61,17 @@ _NO_SUBTYPE = -1
 
 
 class EventIndex:
-    """Columnar index of one event stream for windowed lookups.
+    """One event stream in time order, for windowed lookups.
 
-    Holds the stream twice: in time order (``times`` / ``nodes``) and
-    regrouped by node (``node_times``), with ``node_starts`` offsets so
-    ``node_times[node_starts[v]:node_starts[v + 1]]`` is node ``v``'s
-    sorted event times.  Window queries then reduce to two
-    ``np.searchsorted`` calls per node block instead of re-filtering and
+    ``times`` / ``nodes`` hold the events sorted by time (stably, so
+    simultaneous events keep their input order), and ``num_nodes`` is
+    the node count the stream belongs to -- the given one, or one more
+    than the largest node id.  Window queries locate each window with
+    ``np.searchsorted`` on ``times`` instead of re-filtering and
     re-sorting the raw arrays on every analysis call.
     """
 
-    __slots__ = ("times", "nodes", "num_nodes", "node_times", "node_starts")
+    __slots__ = ("times", "nodes", "num_nodes")
 
     def __init__(
         self, times: np.ndarray, nodes: np.ndarray, num_nodes: int | None = None
@@ -92,36 +92,9 @@ class EventIndex:
                 f"events reference node {inferred - 1} but num_nodes is "
                 f"{self.num_nodes}"
             )
-        # Stable sort by node keeps each node block time-sorted.
-        grouping = np.argsort(nodes, kind="stable")
-        self.node_times = times[grouping]
-        counts = np.bincount(nodes, minlength=self.num_nodes)
-        self.node_starts = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.node_starts[1:])
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def node_block(self, node: int) -> np.ndarray:
-        """Sorted event times of one node (empty for unknown nodes)."""
-        if not (0 <= node < self.num_nodes):
-            return self.node_times[:0]
-        return self.node_times[self.node_starts[node] : self.node_starts[node + 1]]
-
-    def event_nodes(self) -> np.ndarray:
-        """Nodes with at least one event, ascending."""
-        return np.flatnonzero(np.diff(self.node_starts) > 0)
-
-    def window_counts(
-        self, node: int, starts: np.ndarray, span_days: float
-    ) -> np.ndarray:
-        """Per-start counts of this node's events in ``(start, start+span]``."""
-        block = self.node_block(node)
-        if block.size == 0:
-            return np.zeros(np.asarray(starts).shape, dtype=np.int64)
-        lo = np.searchsorted(block, starts, side="right")
-        hi = np.searchsorted(block, starts + span_days, side="right")
-        return hi - lo
 
 
 class FailureTable:
@@ -212,11 +185,7 @@ class FailureTable:
         node_id: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(times, node_ids)`` of failures matching the filters, sorted."""
-        if node_id is not None:
-            idx = self.events(category=category, subtype=subtype)
-            block = idx.node_block(node_id)
-            return block, np.full(block.size, node_id, dtype=np.int64)
-        m = self.mask(category=category, subtype=subtype)
+        m = self.mask(category=category, subtype=subtype, node_id=node_id)
         return self.times[m], self.node_ids[m]
 
     def events(
@@ -227,8 +196,8 @@ class FailureTable:
         """Memoized :class:`EventIndex` of the matching failure subset.
 
         Window analyses query the same few streams (all failures, one
-        category, one subtype) against many triggers; caching the sorted
-        per-node grouping turns each repeat lookup into pure
+        category, one subtype) against many triggers; caching the
+        filtered, time-sorted index turns each repeat lookup into pure
         ``searchsorted`` work.
         """
         key = (category, subtype)

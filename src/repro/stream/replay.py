@@ -8,6 +8,9 @@ replay, every streaming conditional/baseline count grid equals the
 batch :func:`repro.core.windows.conditional_counts_batch` /
 :func:`repro.core.windows.baseline_counts_batch` result **exactly** --
 cell-for-cell integer equality at every scope, not a tolerance check.
+Both sides decide window membership with the same gather kernel, so
+the proof checks the incremental bookkeeping: watermarks, censoring,
+resolution pointers and micro-batching.
 """
 
 from __future__ import annotations
@@ -186,7 +189,9 @@ def _verify_system(
 
     compare_grid(
         Scope.NODE,
-        conditional_counts_batch(triggers, targets, ds.period, spans),
+        conditional_counts_batch(
+            triggers, targets, ds.period, spans, num_nodes=ds.num_nodes
+        ),
         system.conditional_grid(Scope.NODE),
         config.selections,
     )

@@ -9,13 +9,12 @@ events stream in, with three guarantees:
   conditional grids equal :func:`repro.core.windows.conditional_counts_batch`
   and the baseline grids equal
   :func:`repro.core.windows.baseline_counts_batch` *exactly* (integer
-  equality, not approximation).  Every float comparison here is the
-  same float64 comparison the batch kernels make: window membership is
-  ``t < T <= t + span.days`` (resolved by the shared gather kernel
-  :func:`repro.core.windows.window_scope_hits`), censoring is
-  elementwise ``t + span.days <= period.end``,
-  and baseline tiling uses the same ``floor((t - start) / span.days)``
-  slot arithmetic.
+  equality, not approximation).  Window membership
+  ``t < T <= t + span.days`` is decided by the one gather kernel,
+  :func:`repro.core.windows.window_scope_hits`, which the batch grids
+  run on too; censoring is the same elementwise
+  ``t + span.days <= period.end`` comparison, and baseline tiling uses
+  the same ``floor((t - start) / span.days)`` slot arithmetic.
 * **Monotone finalisation** -- a trigger's window ``(t, t + span]`` is
   counted only once the watermark passes ``t + span`` (no admissible
   event can still land in it).  Because admitted events satisfy

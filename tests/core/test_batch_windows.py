@@ -1,9 +1,10 @@
-"""Equivalence of the batched window kernels with the per-cell ones.
+"""Equivalence of the batched window kernels with the per-cell oracles.
 
-The batched kernels must produce *exactly* the per-cell ``Counts`` --
-every reduction is an integer count of searchsorted comparisons, so
-batching changes evaluation order but not a single value.  These tests
-pin that on the medium fixture across scopes, spans and event kinds.
+The batched kernels must produce *exactly* the per-cell ``Counts`` of
+:mod:`tests.core.test_windows_reference` -- every reduction is an
+integer count of the same float comparisons, so batching changes
+evaluation order but not a single value.  These tests pin that on the
+medium fixture across scopes, spans and event kinds.
 """
 
 from __future__ import annotations
@@ -11,16 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.records.dataset import EventIndex
 from repro.records.taxonomy import Category, HardwareSubtype, all_categories
 from repro.records.timeutil import ALL_SPANS, Span
 from repro.core.windows import (
     Scope,
     WindowAnalysisError,
-    baseline_counts,
     baseline_counts_batch,
-    conditional_counts,
     conditional_counts_batch,
 )
+from tests.core.test_windows_reference import percell_baseline, percell_conditional
 
 
 def _indexes(ds, kinds):
@@ -54,13 +55,13 @@ class TestConditionalBatchEquivalence:
         for i, trig in enumerate(triggers):
             for j, targ in enumerate(targets):
                 for k, span in enumerate(ALL_SPANS):
-                    expected = conditional_counts(
-                        period=ds.period,
-                        span=span,
+                    expected = percell_conditional(
+                        trig,
+                        targ,
+                        ds.period,
+                        span,
                         scope=scope,
                         num_nodes=ds.num_nodes,
-                        trigger_index=trig,
-                        target_index=targ,
                     )
                     assert grid[i][j][k] == expected
 
@@ -80,14 +81,14 @@ class TestConditionalBatchEquivalence:
         for i, trig in enumerate(triggers):
             for j, targ in enumerate(targets):
                 for k, span in enumerate([Span.DAY, Span.WEEK]):
-                    expected = conditional_counts(
-                        period=ds.period,
-                        span=span,
+                    expected = percell_conditional(
+                        trig,
+                        targ,
+                        ds.period,
+                        span,
                         scope=Scope.RACK,
                         rack_of=ds.rack_of,
                         num_nodes=ds.num_nodes,
-                        trigger_index=trig,
-                        target_index=targ,
                     )
                     assert grid[i][j][k] == expected
 
@@ -101,12 +102,8 @@ class TestConditionalBatchEquivalence:
             [empty], [target], ds.period, ALL_SPANS, num_nodes=ds.num_nodes
         )
         for k, span in enumerate(ALL_SPANS):
-            assert grid[0][0][k] == conditional_counts(
-                period=ds.period,
-                span=span,
-                num_nodes=ds.num_nodes,
-                trigger_index=empty,
-                target_index=target,
+            assert grid[0][0][k] == percell_conditional(
+                empty, target, ds.period, span
             )
 
     def test_rack_scope_requires_mapping(self, group1):
@@ -122,6 +119,22 @@ class TestConditionalBatchEquivalence:
                 num_nodes=ds.num_nodes,
             )
 
+    @pytest.mark.parametrize("scope", [Scope.NODE, Scope.SYSTEM])
+    def test_rejects_events_beyond_num_nodes(self, group1, scope):
+        ds = group1[0]
+        trigger = EventIndex(np.array([1.0]), np.array([0]))
+        target = EventIndex(np.array([2.0]), np.array([7]))
+        for triggers, targets in (([trigger], [target]), ([target], [trigger])):
+            with pytest.raises(WindowAnalysisError, match="8 nodes"):
+                conditional_counts_batch(
+                    triggers,
+                    targets,
+                    ds.period,
+                    [Span.WEEK],
+                    num_nodes=5,
+                    scope=scope,
+                )
+
 
 class TestBaselineBatchEquivalence:
     def test_matches_per_cell_exactly(self, group1):
@@ -132,9 +145,7 @@ class TestBaselineBatchEquivalence:
         )
         for j, targ in enumerate(targets):
             for k, span in enumerate(ALL_SPANS):
-                expected = baseline_counts(
-                    targ.times, targ.nodes, ds.num_nodes, ds.period, span
-                )
+                expected = percell_baseline(targ, ds.num_nodes, ds.period, span)
                 assert grid[j][k] == expected
 
     def test_matches_per_cell_with_node_subset(self, group1):
@@ -146,78 +157,13 @@ class TestBaselineBatchEquivalence:
         )
         for j, targ in enumerate(targets):
             for k, span in enumerate(ALL_SPANS):
-                expected = baseline_counts(
-                    targ.times,
-                    targ.nodes,
-                    ds.num_nodes,
-                    ds.period,
-                    span,
-                    node_subset=subset,
+                expected = percell_baseline(
+                    targ, ds.num_nodes, ds.period, span, node_subset=subset
                 )
                 assert grid[j][k] == expected
 
-
-class TestConditionalCountsApi:
-    def test_index_only_call(self, group1):
+    def test_rejects_events_beyond_num_nodes(self, group1):
         ds = group1[0]
-        idx = ds.failure_table.events()
-        direct = conditional_counts(
-            idx.times,
-            idx.nodes,
-            idx.times,
-            idx.nodes,
-            ds.period,
-            Span.WEEK,
-        )
-        via_index = conditional_counts(
-            period=ds.period,
-            span=Span.WEEK,
-            trigger_index=idx,
-            target_index=idx,
-        )
-        assert via_index == direct
-
-    def test_redundant_target_arrays_warn(self, group1):
-        ds = group1[0]
-        idx = ds.failure_table.events()
-        with pytest.warns(DeprecationWarning, match="target_times"):
-            conditional_counts(
-                idx.times,
-                idx.nodes,
-                idx.times,
-                idx.nodes,
-                ds.period,
-                Span.WEEK,
-                target_index=idx,
-            )
-
-    def test_redundant_trigger_arrays_warn(self, group1):
-        ds = group1[0]
-        idx = ds.failure_table.events()
-        with pytest.warns(DeprecationWarning, match="trigger_times"):
-            conditional_counts(
-                trigger_times=idx.times,
-                trigger_nodes=idx.nodes,
-                period=ds.period,
-                span=Span.WEEK,
-                trigger_index=idx,
-                target_index=idx,
-            )
-
-    def test_missing_period_or_span_rejected(self, group1):
-        ds = group1[0]
-        idx = ds.failure_table.events()
-        with pytest.raises(WindowAnalysisError, match="period and span"):
-            conditional_counts(trigger_index=idx, target_index=idx)
-
-    def test_missing_events_rejected(self, group1):
-        ds = group1[0]
-        idx = ds.failure_table.events()
-        with pytest.raises(WindowAnalysisError, match="trigger"):
-            conditional_counts(
-                period=ds.period, span=Span.WEEK, target_index=idx
-            )
-        with pytest.raises(WindowAnalysisError, match="target"):
-            conditional_counts(
-                period=ds.period, span=Span.WEEK, trigger_index=idx
-            )
+        target = EventIndex(np.array([1.0, 2.0]), np.array([0, 7]))
+        with pytest.raises(WindowAnalysisError, match="8 nodes"):
+            baseline_counts_batch([target], 5, ds.period, [Span.WEEK])

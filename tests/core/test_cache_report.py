@@ -1,20 +1,21 @@
 """Analysis-cache correctness and report byte-identity.
 
-The memoization layer must be invisible: a cached report, a cache-less
-report and a parallel report must all be the same bytes.  These tests
-also pin the cache bookkeeping the ``--profile`` flag reports.
+The memoization layer must be invisible: a cold report, a warm report
+and a parallel report must all be the same bytes as the pinned digest.
+These tests also pin the cache bookkeeping the ``--profile`` flag
+reports.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.core.cache import (
     AnalysisCache,
-    cache_disabled,
     cache_stats,
-    caching_enabled,
     fail_kind,
     get_cache,
     maint_kind,
@@ -23,14 +24,20 @@ from repro.core.cache import (
     split_kind,
 )
 from repro.core.report import REPORT_SECTIONS, full_report, profiled_full_report
-from repro.core.windows import (
-    Scope,
-    WindowAnalysisError,
-    baseline_counts,
-    conditional_counts,
-)
+from repro.core.windows import Scope, WindowAnalysisError
 from repro.records.taxonomy import Category, HardwareSubtype
 from repro.records.timeutil import Span
+from tests.core.test_windows_reference import percell_baseline, percell_conditional
+
+#: sha256 of ``full_report(tiny_archive)``, recorded when the uncached
+#: per-cell report path still existed and produced these same bytes.
+TINY_REPORT_SHA256 = (
+    "09a79da433a46253760d3fb57c2930345554a119352e4aa2e051f537b618a004"
+)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _fresh(ds):
@@ -52,9 +59,7 @@ class TestAnalysisCache:
         cache = get_cache(ds)
         kind = fail_kind(category=Category.HARDWARE)
         idx = ds.failure_table.events(category=Category.HARDWARE)
-        expected = baseline_counts(
-            idx.times, idx.nodes, ds.num_nodes, ds.period, Span.WEEK
-        )
+        expected = percell_baseline(idx, ds.num_nodes, ds.period, Span.WEEK)
         assert cache.baseline(kind, Span.WEEK) == expected
         misses = cache.misses
         assert cache.baseline(kind, Span.WEEK) == expected
@@ -67,12 +72,11 @@ class TestAnalysisCache:
         trig = fail_kind(category=Category.SOFTWARE)
         targ = fail_kind()
         got = cache.conditional(trig, targ, Span.DAY, Scope.NODE)
-        expected = conditional_counts(
-            period=ds.period,
-            span=Span.DAY,
-            num_nodes=ds.num_nodes,
-            trigger_index=ds.failure_table.events(category=Category.SOFTWARE),
-            target_index=ds.failure_table.events(),
+        expected = percell_conditional(
+            ds.failure_table.events(category=Category.SOFTWARE),
+            ds.failure_table.events(),
+            ds.period,
+            Span.DAY,
         )
         assert got == expected
 
@@ -82,17 +86,6 @@ class TestAnalysisCache:
             cache.baseline(
                 fail_kind(), Span.WEEK, node_subset=np.array([0, 1])
             )
-
-    def test_cache_disabled_matches_enabled(self, group1):
-        ds = _fresh(group1[0])
-        kinds = [fail_kind(), fail_kind(subtype=HardwareSubtype.MEMORY)]
-        spans = [Span.DAY, Span.WEEK]
-        enabled = get_cache(ds).baseline_grid(kinds, spans)
-        with cache_disabled():
-            assert not caching_enabled()
-            disabled = get_cache(_fresh(ds)).baseline_grid(kinds, spans)
-        assert caching_enabled()
-        assert enabled == disabled
 
     def test_maintenance_kind(self, group1):
         ds = _fresh(group1[0])
@@ -142,30 +135,24 @@ class TestPooledGrids:
 
 
 class TestReportIdentity:
-    @pytest.fixture(scope="class")
-    def uncached_text(self, tiny_archive):
-        for ds in tiny_archive:
-            _fresh(ds)
-        with cache_disabled():
-            return full_report(tiny_archive)
-
-    def test_cold_and_warm_match_uncached(self, tiny_archive, uncached_text):
+    def test_cold_and_warm_match_uncached(self, tiny_archive):
         for ds in tiny_archive:
             _fresh(ds)
         cold = full_report(tiny_archive)
         warm = full_report(tiny_archive)
-        assert cold == uncached_text
-        assert warm == uncached_text
+        assert _digest(cold) == TINY_REPORT_SHA256
+        assert _digest(warm) == TINY_REPORT_SHA256
         hits, misses, entries = cache_stats(tiny_archive)
         assert hits > 0 and misses > 0 and entries > 0
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_parallel_matches_serial(self, tiny_archive, uncached_text, workers):
-        assert full_report(tiny_archive, workers=workers) == uncached_text
+    def test_parallel_matches_serial(self, tiny_archive, workers):
+        text = full_report(tiny_archive, workers=workers)
+        assert _digest(text) == TINY_REPORT_SHA256
 
-    def test_profiled_report(self, tiny_archive, uncached_text):
+    def test_profiled_report(self, tiny_archive):
         text, profile = profiled_full_report(tiny_archive, workers=2)
-        assert text == uncached_text
+        assert _digest(text) == TINY_REPORT_SHA256
         assert profile.workers == 2
         assert len(profile.section_seconds) == len(REPORT_SECTIONS)
         rendered = profile.render()

@@ -10,11 +10,11 @@ from repro.core.windows import (
     Scope,
     WindowAnalysisError,
     ZERO_COUNTS,
-    baseline_counts,
+    baseline_counts_batch,
     compare,
-    conditional_counts,
-    sliding_baseline_counts,
+    conditional_counts_batch,
 )
+from repro.records.dataset import EventIndex
 from repro.records.timeutil import ObservationPeriod, Span
 
 PERIOD = ObservationPeriod(0.0, 70.0)  # 70 days = 10 weeks
@@ -25,6 +25,20 @@ def ev(*pairs):
     times = np.array([p[0] for p in pairs], dtype=float)
     nodes = np.array([p[1] for p in pairs], dtype=np.int64)
     return times, nodes
+
+
+def baseline_cell(t, n, num_nodes, period, span, node_subset=None):
+    """One baseline cell of the batch kernel."""
+    return baseline_counts_batch(
+        [EventIndex(t, n)], num_nodes, period, [span], node_subset=node_subset
+    )[0][0]
+
+
+def conditional_cell(trig, targ, span=Span.WEEK, num_nodes=4, **kwargs):
+    """One conditional cell of the batch kernel over :data:`PERIOD`."""
+    return conditional_counts_batch(
+        [EventIndex(*trig)], [EventIndex(*targ)], PERIOD, [span], num_nodes, **kwargs
+    )[0][0][0]
 
 
 class TestCounts:
@@ -44,23 +58,23 @@ class TestBaseline:
     def test_exact_tiling(self):
         # Node 0 fails in weeks 0 and 1; node 1 never. 2 nodes x 10 weeks.
         t, n = ev((1.0, 0), (8.0, 0))
-        c = baseline_counts(t, n, 2, PERIOD, Span.WEEK)
+        c = baseline_cell(t, n, 2, PERIOD, Span.WEEK)
         assert c == Counts(2, 20)
 
     def test_multiple_events_one_window_count_once(self):
         t, n = ev((1.0, 0), (2.0, 0), (3.0, 0))
-        c = baseline_counts(t, n, 1, PERIOD, Span.WEEK)
+        c = baseline_cell(t, n, 1, PERIOD, Span.WEEK)
         assert c == Counts(1, 10)
 
     def test_event_in_trailing_partial_window_ignored(self):
         period = ObservationPeriod(0.0, 69.0)  # 9 complete weeks
         t, n = ev((68.0, 0))
-        c = baseline_counts(t, n, 1, period, Span.WEEK)
+        c = baseline_cell(t, n, 1, period, Span.WEEK)
         assert c == Counts(0, 9)
 
     def test_node_subset(self):
         t, n = ev((1.0, 0), (1.0, 1), (1.0, 2))
-        c = baseline_counts(
+        c = baseline_cell(
             t, n, 3, PERIOD, Span.WEEK, node_subset=np.array([1, 2])
         )
         assert c == Counts(2, 20)
@@ -68,10 +82,10 @@ class TestBaseline:
     def test_empty_subset_rejected(self):
         t, n = ev((1.0, 0))
         with pytest.raises(WindowAnalysisError):
-            baseline_counts(t, n, 1, PERIOD, Span.WEEK, node_subset=np.array([]))
+            baseline_cell(t, n, 1, PERIOD, Span.WEEK, node_subset=np.array([]))
 
     def test_no_events(self):
-        c = baseline_counts(np.array([]), np.array([]), 5, PERIOD, Span.DAY)
+        c = baseline_cell(np.array([]), np.array([]), 5, PERIOD, Span.DAY)
         assert c == Counts(0, 350)
 
     @given(
@@ -83,7 +97,7 @@ class TestBaseline:
     )
     def test_bounds(self, pairs, span):
         t, n = ev(*pairs) if pairs else (np.array([]), np.array([]))
-        c = baseline_counts(t, n, 4, PERIOD, span)
+        c = baseline_cell(t, n, 4, PERIOD, span)
         assert 0 <= c.successes <= c.trials
         assert c.successes <= len(pairs)
 
@@ -92,52 +106,52 @@ class TestConditionalNode:
     def test_simple_follow_up(self):
         trig = ev((1.0, 0))
         targ = ev((1.0, 0), (3.0, 0))
-        c = conditional_counts(*trig, *targ, PERIOD, Span.WEEK)
+        c = conditional_cell(trig, targ)
         assert c == Counts(1, 1)
 
     def test_trigger_not_its_own_follow_up(self):
         trig = ev((1.0, 0))
-        c = conditional_counts(*trig, *trig, PERIOD, Span.WEEK)
+        c = conditional_cell(trig, trig)
         assert c == Counts(0, 1)
 
     def test_simultaneous_events_not_follow_ups(self):
         # Two nodes fail at the exact same instant (one outage).
         trig = ev((1.0, 0))
         targ = ev((1.0, 0), (1.0, 1))
-        c = conditional_counts(*trig, *targ, PERIOD, Span.WEEK)
+        c = conditional_cell(trig, targ)
         assert c == Counts(0, 1)
 
     def test_window_is_open_closed(self):
         trig = ev((1.0, 0))
         targ = ev((8.0, 0))  # exactly t + 7
-        c = conditional_counts(*trig, *targ, PERIOD, Span.WEEK)
+        c = conditional_cell(trig, targ)
         assert c == Counts(1, 1)
         targ_late = ev((8.0001, 0))
-        c = conditional_counts(*trig, *targ_late, PERIOD, Span.WEEK)
+        c = conditional_cell(trig, targ_late)
         assert c == Counts(0, 1)
 
     def test_other_node_does_not_count_at_node_scope(self):
         trig = ev((1.0, 0))
         targ = ev((2.0, 1))
-        c = conditional_counts(*trig, *targ, PERIOD, Span.WEEK)
+        c = conditional_cell(trig, targ)
         assert c == Counts(0, 1)
 
     def test_censored_trigger_excluded(self):
         trig = ev((65.0, 0))  # 65 + 7 > 70
         targ = ev((66.0, 0))
-        c = conditional_counts(*trig, *targ, PERIOD, Span.WEEK)
+        c = conditional_cell(trig, targ)
         assert c == ZERO_COUNTS
 
     def test_multiple_triggers(self):
         trig = ev((1.0, 0), (20.0, 0), (40.0, 1))
         targ = ev((2.0, 0), (41.0, 1))
-        c = conditional_counts(*trig, *targ, PERIOD, Span.WEEK)
+        c = conditional_cell(trig, targ)
         assert c == Counts(2, 3)
 
     def test_unsorted_input_sorted_internally(self):
         trig = ev((20.0, 0), (1.0, 0))
         targ = ev((21.0, 0))
-        c = conditional_counts(*trig, *targ, PERIOD, Span.WEEK)
+        c = conditional_cell(trig, targ)
         assert c == Counts(1, 2)
 
 
@@ -146,32 +160,24 @@ class TestConditionalSystem:
         # 3 nodes. Trigger on node 0; node 1 fails next day; node 2 silent.
         trig = ev((1.0, 0))
         targ = ev((2.0, 1))
-        c = conditional_counts(
-            *trig, *targ, PERIOD, Span.WEEK, scope=Scope.SYSTEM, num_nodes=3
-        )
+        c = conditional_cell(trig, targ, scope=Scope.SYSTEM, num_nodes=3)
         assert c == Counts(1, 2)  # pairs: (trigger, node1), (trigger, node2)
 
     def test_own_node_excluded(self):
         trig = ev((1.0, 0))
         targ = ev((2.0, 0))  # same node only
-        c = conditional_counts(
-            *trig, *targ, PERIOD, Span.WEEK, scope=Scope.SYSTEM, num_nodes=3
-        )
+        c = conditional_cell(trig, targ, scope=Scope.SYSTEM, num_nodes=3)
         assert c == Counts(0, 2)
 
     def test_requires_num_nodes(self):
         trig = ev((1.0, 0))
-        with pytest.raises(WindowAnalysisError):
-            conditional_counts(
-                *trig, *trig, PERIOD, Span.WEEK, scope=Scope.SYSTEM
-            )
+        with pytest.raises(WindowAnalysisError, match="num_nodes"):
+            conditional_cell(trig, trig, scope=Scope.SYSTEM, num_nodes=0)
 
     def test_multiple_failing_nodes(self):
         trig = ev((1.0, 0))
         targ = ev((2.0, 1), (3.0, 2), (4.0, 1))
-        c = conditional_counts(
-            *trig, *targ, PERIOD, Span.WEEK, scope=Scope.SYSTEM, num_nodes=4
-        )
+        c = conditional_cell(trig, targ, scope=Scope.SYSTEM, num_nodes=4)
         assert c == Counts(2, 3)  # nodes 1 and 2 fail; node 3 does not
 
 
@@ -181,50 +187,26 @@ class TestConditionalRack:
     def test_rack_neighbour_counts(self):
         trig = ev((1.0, 0))
         targ = ev((2.0, 1), (2.0, 2))
-        c = conditional_counts(
-            *trig,
-            *targ,
-            PERIOD,
-            Span.WEEK,
-            scope=Scope.RACK,
-            rack_of=self.RACKS,
-            num_nodes=4,
-        )
+        c = conditional_cell(trig, targ, scope=Scope.RACK, rack_of=self.RACKS)
         # One trial (node 1, the only rack mate), success (node 1 failed).
         assert c == Counts(1, 1)
 
     def test_other_rack_ignored(self):
         trig = ev((1.0, 2))
         targ = ev((2.0, 0), (2.0, 1))
-        c = conditional_counts(
-            *trig,
-            *targ,
-            PERIOD,
-            Span.WEEK,
-            scope=Scope.RACK,
-            rack_of=self.RACKS,
-            num_nodes=4,
-        )
+        c = conditional_cell(trig, targ, scope=Scope.RACK, rack_of=self.RACKS)
         assert c == Counts(0, 1)
 
     def test_requires_rack_mapping(self):
         trig = ev((1.0, 0))
         with pytest.raises(WindowAnalysisError):
-            conditional_counts(
-                *trig, *trig, PERIOD, Span.WEEK, scope=Scope.RACK, num_nodes=4
-            )
+            conditional_cell(trig, trig, scope=Scope.RACK)
 
     def test_rejects_short_rack_mapping(self):
         trig = ev((1.0, 0))
         with pytest.raises(WindowAnalysisError):
-            conditional_counts(
-                *trig,
-                *trig,
-                PERIOD,
-                Span.WEEK,
-                scope=Scope.RACK,
-                rack_of=np.array([0, 0]),
-                num_nodes=4,
+            conditional_cell(
+                trig, trig, scope=Scope.RACK, rack_of=np.array([0, 0])
             )
 
 
@@ -244,18 +226,6 @@ class TestCompare:
         assert np.isnan(res.factor)
 
 
-class TestSlidingBaseline:
-    def test_close_to_tiled_for_dense_data(self):
-        rng = np.random.default_rng(1)
-        t = np.sort(rng.uniform(0, 70, 100))
-        n = rng.integers(0, 4, 100)
-        tiled = baseline_counts(t, n, 4, PERIOD, Span.WEEK)
-        slid = sliding_baseline_counts(t, n, 4, PERIOD, Span.WEEK, step=1.0)
-        p_tiled = tiled.successes / tiled.trials
-        p_slid = slid.successes / slid.trials
-        assert p_slid == pytest.approx(p_tiled, abs=0.12)
-
-
 @settings(max_examples=30)
 @given(
     events=st.lists(
@@ -266,10 +236,7 @@ class TestSlidingBaseline:
 )
 def test_conditional_probability_bounds(events, span, scope):
     """Property: counts are consistent and probabilities in [0, 1]."""
-    t, n = ev(*events)
-    c = conditional_counts(
-        t, n, t, n, PERIOD, span, scope=scope, num_nodes=4
-    )
+    c = conditional_cell(ev(*events), ev(*events), span, scope=scope)
     assert 0 <= c.successes <= c.trials
     if c.trials:
         assert 0.0 <= c.successes / c.trials <= 1.0

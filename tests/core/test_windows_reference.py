@@ -1,9 +1,14 @@
 """Reference-implementation tests for the window engine.
 
-The vectorised engine in :mod:`repro.core.windows` is the foundation of
-most results, so it is checked here against a deliberately naive
+The gather-based engine in :mod:`repro.core.windows` is the foundation
+of most results, so it is checked here against a deliberately naive
 O(triggers x targets) implementation under randomly generated event
 streams (hypothesis).  Any disagreement is a bug in one of them.
+
+The module also keeps the per-cell kernels (:func:`percell_baseline`,
+:func:`percell_conditional`): one ``searchsorted`` pass per target node
+and cell, fast enough to act as the oracle for the batch grids on the
+medium fixture, where the naive reference would be too slow.
 """
 
 from unittest import mock
@@ -16,15 +21,18 @@ from repro.core import windows
 from repro.core.windows import (
     Counts,
     Scope,
-    baseline_counts,
-    conditional_counts,
+    ZERO_COUNTS,
+    baseline_counts_batch,
+    conditional_counts_batch,
     window_scope_hits,
 )
+from repro.records.dataset import EventIndex
 from repro.records.timeutil import (
     ALL_SPANS,
     ObservationPeriod,
     Span,
     count_windows,
+    window_index,
 )
 
 PERIOD = ObservationPeriod(0.0, 120.0)
@@ -79,6 +87,67 @@ def naive_conditional(
     return Counts(successes, trials)
 
 
+def percell_baseline(target, num_nodes, period, span, node_subset=None):
+    """One tiled-baseline cell: distinct (node, tile) keys of the events."""
+    times, nodes = target.times, target.nodes
+    n_windows = count_windows(period, span)
+    n_at_risk = num_nodes
+    if node_subset is not None:
+        n_at_risk = int(np.unique(node_subset).size)
+        keep = np.isin(nodes, node_subset)
+        times, nodes = times[keep], nodes[keep]
+    idx = window_index(times, period, span)
+    valid = idx >= 0
+    keys = nodes[valid] * np.int64(n_windows) + idx[valid]
+    return Counts(int(np.unique(keys).size), n_at_risk * n_windows)
+
+
+def percell_conditional(
+    trigger, target, period, span, scope=Scope.NODE, rack_of=None, num_nodes=None
+):
+    """One conditional cell, one target-node block at a time.
+
+    In-scope hits are counted per target node over every (in-rack)
+    trigger, and the trigger's own node is subtracted again: that is
+    exactly the NODE-scope hit count.
+    """
+    alive = trigger.times + span.days <= period.end
+    trig_t, trig_n = trigger.times[alive], trigger.nodes[alive]
+    if not trig_t.size:
+        return ZERO_COUNTS
+    blocks = {
+        int(node): target.times[target.nodes == node]
+        for node in np.unique(target.nodes)
+    }
+
+    def hit(node, starts):
+        block = blocks.get(int(node), target.times[:0])
+        lo = np.searchsorted(block, starts, side="right")
+        hi = np.searchsorted(block, starts + span.days, side="right")
+        return hi > lo
+
+    own = np.zeros(trig_t.size, dtype=bool)
+    for node in np.unique(trig_n):
+        sel = trig_n == node
+        own[sel] = hit(node, trig_t[sel])
+    if scope is Scope.NODE:
+        return Counts(int(own.sum()), int(trig_t.size))
+    if scope is Scope.RACK:
+        rack_sizes = np.bincount(rack_of)
+        trials = int((rack_sizes[rack_of[trig_n]] - 1).sum())
+    else:
+        trials = int(trig_t.size) * (num_nodes - 1)
+    if not trials:
+        return ZERO_COUNTS
+    successes = -int(own.sum())
+    for node in blocks:
+        starts = trig_t
+        if scope is Scope.RACK:
+            starts = trig_t[rack_of[trig_n] == rack_of[node]]
+        successes += int(hit(node, starts).sum())
+    return Counts(successes, trials)
+
+
 events_strategy = st.lists(
     st.tuples(
         st.floats(0.0, 119.5, allow_nan=False),
@@ -98,32 +167,73 @@ def to_arrays(events):
 
 class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
-    @given(events=events_strategy, span=st.sampled_from([Span.DAY, Span.WEEK]))
-    def test_baseline_matches(self, events, span):
+    @given(events=events_strategy)
+    def test_baseline_matches(self, events):
         t, n = to_arrays(events)
-        fast = baseline_counts(t, n, NUM_NODES, PERIOD, span)
-        slow = naive_baseline(t, n, NUM_NODES, PERIOD, span)
-        assert fast == slow
+        grid = baseline_counts_batch(
+            [EventIndex(t, n)], NUM_NODES, PERIOD, ALL_SPANS
+        )
+        for k, span in enumerate(ALL_SPANS):
+            slow = naive_baseline(t, n, NUM_NODES, PERIOD, span)
+            assert grid[0][k] == slow
+            assert percell_baseline(EventIndex(t, n), NUM_NODES, PERIOD, span) == slow
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        trig=events_strategy,
+        targ=events_strategy,
+        scope=st.sampled_from([Scope.NODE, Scope.RACK, Scope.SYSTEM]),
+    )
+    def test_conditional_matches(self, trig, targ, scope):
+        grid = conditional_counts_batch(
+            [EventIndex(*to_arrays(trig))],
+            [EventIndex(*to_arrays(targ))],
+            PERIOD,
+            ALL_SPANS,
+            NUM_NODES,
+            scope=scope,
+            rack_of=RACK_OF if scope is Scope.RACK else None,
+        )
+        for k, span in enumerate(ALL_SPANS):
+            assert grid[0][0][k] == naive_conditional(
+                sorted(trig),
+                sorted(targ),
+                PERIOD,
+                span,
+                scope,
+                rack_of=RACK_OF,
+                num_nodes=NUM_NODES,
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=events_strategy)
+    def test_self_conditional_matches(self, events):
+        """Trigger stream == target stream (the paper's common case)."""
+        index = EventIndex(*to_arrays(events))
+        fast = conditional_counts_batch(
+            [index], [index], PERIOD, [Span.WEEK], NUM_NODES
+        )[0][0][0]
+        slow = naive_conditional(
+            sorted(events), sorted(events), PERIOD, Span.WEEK, Scope.NODE
+        )
+        assert fast == slow
+
+    @settings(max_examples=40, deadline=None)
     @given(
         trig=events_strategy,
         targ=events_strategy,
         span=st.sampled_from([Span.DAY, Span.WEEK]),
         scope=st.sampled_from([Scope.NODE, Scope.RACK, Scope.SYSTEM]),
     )
-    def test_conditional_matches(self, trig, targ, span, scope):
-        tt, tn = to_arrays(trig)
-        gt, gn = to_arrays(targ)
-        fast = conditional_counts(
-            tt,
-            tn,
-            gt,
-            gn,
+    def test_percell_oracle_matches(self, trig, targ, span, scope):
+        """The per-cell oracle of the batch-grid tests is itself right."""
+        fast = percell_conditional(
+            EventIndex(*to_arrays(trig)),
+            EventIndex(*to_arrays(targ)),
             PERIOD,
             span,
             scope=scope,
-            rack_of=RACK_OF if scope is Scope.RACK else None,
+            rack_of=RACK_OF,
             num_nodes=NUM_NODES,
         )
         slow = naive_conditional(
@@ -134,19 +244,6 @@ class TestAgainstReference:
             scope,
             rack_of=RACK_OF,
             num_nodes=NUM_NODES,
-        )
-        assert fast == slow
-
-    @settings(max_examples=40, deadline=None)
-    @given(events=events_strategy)
-    def test_self_conditional_matches(self, events):
-        """Trigger stream == target stream (the paper's common case)."""
-        t, n = to_arrays(events)
-        fast = conditional_counts(
-            t, n, t, n, PERIOD, Span.WEEK, scope=Scope.NODE
-        )
-        slow = naive_conditional(
-            sorted(events), sorted(events), PERIOD, Span.WEEK, Scope.NODE
         )
         assert fast == slow
 

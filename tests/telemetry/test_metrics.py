@@ -6,7 +6,7 @@ import pytest
 import numpy as np
 
 from repro import telemetry
-from repro.core.cache import cache_disabled, fail_kind, get_cache
+from repro.core.cache import fail_kind, get_cache
 from repro.records.timeutil import Span
 from repro.stats.bootstrap import bootstrap_ci, bootstrap_ratio_ci
 
@@ -87,18 +87,6 @@ class TestCacheWorkload:
         assert counters["analysis_cache.hits"] == cache.hits
         assert counters["analysis_cache.misses"] == cache.misses
 
-    def test_bypass_counter_under_cache_disabled(self, fresh_system):
-        telemetry.enable_metrics()
-        cache = get_cache(fresh_system)
-        spans = [Span.DAY, Span.WEEK, Span.MONTH]
-        with cache_disabled():
-            cache.baseline_grid([fail_kind()], spans)
-        counters = telemetry.metrics_snapshot()["counters"]
-        assert counters["analysis_cache.bypassed"] == len(spans)
-        assert counters["analysis_cache.bypassed"] == cache.bypassed
-        assert "analysis_cache.hits" not in counters
-        assert "analysis_cache.misses" not in counters
-
     def test_window_kernel_cell_counters(self, fresh_system):
         telemetry.enable_metrics()
         cache = get_cache(fresh_system)
@@ -107,14 +95,6 @@ class TestCacheWorkload:
         counters = telemetry.metrics_snapshot()["counters"]
         assert counters["windows.baseline_batch_calls"] == 1
         assert counters["windows.baseline_cells{path=batch}"] == len(spans)
-
-    def test_percell_path_counts_cells(self, fresh_system):
-        telemetry.enable_metrics()
-        cache = get_cache(fresh_system)
-        with cache_disabled():
-            cache.baseline_grid([fail_kind()], [Span.DAY])
-        counters = telemetry.metrics_snapshot()["counters"]
-        assert counters["windows.baseline_cells{path=percell}"] == 1
 
 
 class TestBootstrapCounters:
