@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -239,6 +240,13 @@ class SystemDataset:
     layout: MachineLayout | None = None
 
     def __post_init__(self) -> None:
+        self._check_consistency()
+        # Normalise record ordering once, at construction.
+        for name in ("failures", "maintenance", "jobs", "temperatures"):
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
+
+    def _check_consistency(self) -> None:
+        """Check the scalars, failures, maintenance and layout."""
         if self.num_nodes < 1:
             raise DatasetError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.processors_per_node < 1:
@@ -276,11 +284,6 @@ class SystemDataset:
                     f"{sorted(placed ^ expected)[:5]}... inconsistently with "
                     f"num_nodes={self.num_nodes}"
                 )
-        # Normalise record ordering once, at construction.
-        object.__setattr__(self, "failures", tuple(sorted(self.failures)))
-        object.__setattr__(self, "maintenance", tuple(sorted(self.maintenance)))
-        object.__setattr__(self, "jobs", tuple(sorted(self.jobs)))
-        object.__setattr__(self, "temperatures", tuple(sorted(self.temperatures)))
 
     @cached_property
     def failure_table(self) -> FailureTable:
@@ -319,10 +322,10 @@ class SystemDataset:
     def job_columns(self) -> JobColumns:
         """The job log as :class:`JobColumns` (built once, then memoized).
 
-        A plain method with a manual instance-dict memo rather than a
-        ``cached_property`` so archive subclasses can override it to
-        serve columns straight from their stored arrays without
-        materializing record objects first.
+        A manual instance-dict memo rather than a ``cached_property``:
+        :class:`_LazyColumnarSystem` pre-fills the ``_job_columns`` key
+        with its loaded columns, so they are served without materializing
+        records, and its ``jobs`` setter clears the key.
         """
         cols = self.__dict__.get("_job_columns")
         if cols is None:
@@ -333,7 +336,8 @@ class SystemDataset:
     def temperature_columns(self) -> TemperatureColumns:
         """The temperature log as :class:`TemperatureColumns` (memoized).
 
-        Overridable by archive subclasses the same way as
+        :class:`_LazyColumnarSystem` pre-fills the ``_temperature_columns``
+        key and its ``temperatures`` setter clears it, as with
         :meth:`job_columns`.
         """
         cols = self.__dict__.get("_temperature_columns")
@@ -356,6 +360,131 @@ class SystemDataset:
     def has_layout(self) -> bool:
         """True if a machine layout is available (group-1 systems)."""
         return self.layout is not None
+
+
+class _LazyColumnarSystem(SystemDataset):
+    """A :class:`SystemDataset` whose job and temperature logs are columns.
+
+    The two bulk logs live in the instance dict as :class:`JobColumns` /
+    :class:`TemperatureColumns`, already checked and in record order;
+    :meth:`job_columns` and :meth:`temperature_columns` serve them
+    directly, and the record tuples materialise only on first access to
+    ``jobs`` / ``temperatures`` (the properties shadow the dataclass
+    fields).  Both the CSV loader and the archive cache build these, so
+    ``repro report DIR`` and a warm cache load never create a job or
+    temperature record.
+
+    The properties have setters (storing straight into the instance
+    dict) so that ``dataclasses.replace`` and the generated frozen
+    ``__init__`` -- which assign fields via ``object.__setattr__`` --
+    keep working on instances of this class; normal attribute assignment
+    still raises ``FrozenInstanceError`` through the dataclass
+    ``__setattr__``.
+    """
+
+    @classmethod
+    def from_columns(
+        cls,
+        *,
+        jobs: JobColumns,
+        temperatures: TemperatureColumns,
+        **fields,
+    ) -> "_LazyColumnarSystem":
+        """Build a dataset from the record fields plus the two column logs.
+
+        ``fields`` are all the other dataclass fields.  Runs every
+        :class:`SystemDataset` check except those on jobs and
+        temperatures, whose columns the caller has checked and sorted
+        the way :class:`SystemDataset` sorts records.
+        """
+        ds = cls.unchecked(jobs=jobs, temperatures=temperatures, **fields)
+        ds._check_consistency()
+        for name in ("failures", "maintenance"):
+            ds.__dict__[name] = tuple(sorted(ds.__dict__[name]))
+        return ds
+
+    @classmethod
+    def unchecked(
+        cls, *, jobs: JobColumns, temperatures: TemperatureColumns, **fields
+    ) -> "_LazyColumnarSystem":
+        """:meth:`from_columns` without its checks, for fields that were
+        checked and sorted when they were first built."""
+        ds = object.__new__(cls)
+        ds.__dict__.update(
+            fields, _job_columns=jobs, _temperature_columns=temperatures
+        )
+        return ds
+
+    @property
+    def jobs(self) -> tuple[JobRecord, ...]:
+        cached = self.__dict__.get("_jobs")
+        if cached is None:
+            c = self.__dict__["_job_columns"]
+            submit = c.submit_times.tolist()
+            job_id = c.job_ids.tolist()
+            dispatch = c.dispatch_times.tolist()
+            end = c.end_times.tolist()
+            user = c.user_ids.tolist()
+            nprocs = c.num_processors.tolist()
+            failed = c.failed_due_to_node.tolist()
+            offsets = c.node_offsets.tolist()
+            nodes = c.node_ids.tolist()
+            sid = self.system_id
+            cached = tuple(
+                JobRecord(
+                    submit_time=submit[i],
+                    system_id=sid,
+                    job_id=job_id[i],
+                    dispatch_time=dispatch[i],
+                    end_time=end[i],
+                    user_id=user[i],
+                    num_processors=nprocs[i],
+                    node_ids=tuple(nodes[offsets[i] : offsets[i + 1]]),
+                    failed_due_to_node=failed[i],
+                )
+                for i in range(len(submit))
+            )
+            self.__dict__["_jobs"] = cached
+        return cached
+
+    @jobs.setter
+    def jobs(self, value) -> None:
+        # Replaced records make the stored columns stale: drop them so
+        # job_columns() rebuilds from the records.
+        self.__dict__.pop("_job_columns", None)
+        self.__dict__["_jobs"] = tuple(value)
+
+    @property
+    def temperatures(self) -> tuple[TemperatureReading, ...]:
+        cached = self.__dict__.get("_temperatures")
+        if cached is None:
+            c = self.__dict__["_temperature_columns"]
+            cached = tuple(
+                map(
+                    TemperatureReading,
+                    c.times.tolist(),
+                    repeat(self.system_id),
+                    c.node_ids.tolist(),
+                    c.celsius.tolist(),
+                )
+            )
+            self.__dict__["_temperatures"] = cached
+        return cached
+
+    @temperatures.setter
+    def temperatures(self, value) -> None:
+        self.__dict__.pop("_temperature_columns", None)
+        self.__dict__["_temperatures"] = tuple(value)
+
+    @property
+    def has_usage(self) -> bool:
+        """Job-log presence without materialising the record tuple."""
+        return len(self.job_columns()) > 0
+
+    @property
+    def has_temperature(self) -> bool:
+        """Temperature presence without materialising the record tuple."""
+        return len(self.temperature_columns()) > 0
 
 
 class Archive:

@@ -31,6 +31,10 @@ class EnvironmentRecordError(ValueError):
 #: temperature warning.
 HIGH_TEMP_THRESHOLD_C = 40.0
 
+#: The plausible sensor range; readings outside it are rejected.
+CELSIUS_MIN = -50.0
+CELSIUS_MAX = 150.0
+
 
 @dataclass(frozen=True, slots=True, order=True)
 class TemperatureReading:
@@ -49,13 +53,15 @@ class TemperatureReading:
     celsius: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise EnvironmentRecordError(f"non-finite time {self.time!r}")
         if self.time < 0:
             raise EnvironmentRecordError(f"time must be >= 0, got {self.time}")
         if self.node_id < 0:
             raise EnvironmentRecordError(f"node_id must be >= 0, got {self.node_id}")
         if not math.isfinite(self.celsius):
             raise EnvironmentRecordError(f"non-finite temperature {self.celsius!r}")
-        if not (-50.0 <= self.celsius <= 150.0):
+        if not (CELSIUS_MIN <= self.celsius <= CELSIUS_MAX):
             raise EnvironmentRecordError(
                 f"temperature {self.celsius} C outside plausible sensor range"
             )
@@ -87,10 +93,27 @@ class TemperatureColumns:
         cls, readings: Sequence[TemperatureReading]
     ) -> "TemperatureColumns":
         """Build columns from record objects, preserving sample order."""
+        n = len(readings)
         return cls(
-            times=np.array([r.time for r in readings], dtype=float),
-            node_ids=np.array([r.node_id for r in readings], dtype=np.int64),
-            celsius=np.array([r.celsius for r in readings], dtype=float),
+            times=np.fromiter((r.time for r in readings), float, n),
+            node_ids=np.fromiter((r.node_id for r in readings), np.int64, n),
+            celsius=np.fromiter((r.celsius for r in readings), float, n),
+        )
+
+    def invalid_rows(self) -> np.ndarray:
+        """Mask of the samples :class:`TemperatureReading` would reject:
+        every ``__post_init__`` check, evaluated on the columns."""
+        t, c = self.times, self.celsius
+        bad = ~np.isfinite(t) | (t < 0) | (self.node_ids < 0)
+        bad |= ~(np.isfinite(c) & (c >= CELSIUS_MIN) & (c <= CELSIUS_MAX))
+        return bad
+
+    def take(self, order: np.ndarray) -> "TemperatureColumns":
+        """The samples at the row indices ``order``, in that order."""
+        return TemperatureColumns(
+            times=self.times[order],
+            node_ids=self.node_ids[order],
+            celsius=self.celsius[order],
         )
 
 

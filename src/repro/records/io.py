@@ -23,21 +23,38 @@ save/load cycle reproduces every value *exactly*.  Fixed-precision
 formatting used to quantise times, which could reorder records tied on
 the rounded key and silently re-attach per-record flags (e.g.
 ``hardware_related``) to the wrong rows after a round trip.
+
+The two bulk logs load column-wise: :func:`read_jobs` and
+:func:`read_temperatures` return :class:`~repro.records.usage.JobColumns`
+/ :class:`~repro.records.environment.TemperatureColumns`, checked with
+every record invariant and sorted the way the records sort, and
+:func:`load_archive` wraps them in the same lazily materialised dataset
+the archive cache returns.  The smaller tables load as records.  Every
+reader rejects short and long rows, and a record invariant broken by a
+row is raised as an :class:`ArchiveIOError` naming the file and row.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import Archive, DatasetError, HardwareGroup, SystemDataset
-from .environment import NeutronReading, TemperatureReading
-from .failure import FailureRecord, MaintenanceRecord
-from .layout import MachineLayout, NodePlacement
-from .taxonomy import Subtype, parse_category, parse_subtype
-from .timeutil import ObservationPeriod
-from .usage import JobRecord
+import numpy as np
+
+from .dataset import Archive, DatasetError, HardwareGroup, _LazyColumnarSystem
+from .environment import (
+    EnvironmentRecordError,
+    NeutronReading,
+    TemperatureColumns,
+    TemperatureReading,
+)
+from .failure import FailureRecord, MaintenanceRecord, RecordError
+from .layout import LayoutError, MachineLayout, NodePlacement
+from .taxonomy import Subtype, TaxonomyError, parse_category, parse_subtype
+from .timeutil import ObservationPeriod, TimeError
+from .usage import JobColumns, JobRecord, UsageError
 from ..telemetry import span
 
 
@@ -81,23 +98,39 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _open_rows(path: Path, expected_header: list[str]) -> list[dict[str, str]]:
-    """Read a CSV file, validating its header; returns row dicts."""
+def _read_fields(path: Path, header: list[str]) -> list[str]:
+    """Every field of a CSV file's data rows, row-major in one flat list.
+
+    Checks the header and each row's field count.  Blank lines are
+    skipped and not numbered: data row ``i`` (from 0) is row ``i + 2``
+    in error messages, the header being row 1.
+    """
     if not path.exists():
         raise ArchiveIOError(f"missing archive file {path}")
+    width = len(header)
+    flat: list[str] = []
+    extend = flat.extend
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != expected_header:
-            raise ArchiveIOError(
-                f"{path}: expected header {expected_header}, got "
-                f"{reader.fieldnames}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if any(v is None for v in row.values()):
-                raise ArchiveIOError(f"{path}:{lineno}: short row")
-            rows.append(row)
-        return rows
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise ArchiveIOError(f"{path}: expected header {header}, got {got}")
+        for row_no, row in enumerate(filter(None, reader), start=2):
+            if len(row) != width:
+                kind = "short" if len(row) < width else "long"
+                raise ArchiveIOError(f"{path}:{row_no}: {kind} row")
+            extend(row)
+    return flat
+
+
+def _open_rows(path: Path, header: list[str]) -> list[dict[str, str]]:
+    """The data rows of a CSV file as dicts keyed by the header."""
+    flat = _read_fields(path, header)
+    width = len(header)
+    return [
+        dict(zip(header, flat[i : i + width]))
+        for i in range(0, len(flat), width)
+    ]
 
 
 def _parse_float(path: Path, row_no: int, field: str, value: str) -> float:
@@ -126,6 +159,92 @@ def _parse_bool(path: Path, row_no: int, field: str, value: str) -> bool:
     )
 
 
+#: What record constructors raise on a violated invariant.
+_RECORD_ERRORS = (
+    RecordError,
+    UsageError,
+    EnvironmentRecordError,
+    TaxonomyError,
+    LayoutError,
+    TimeError,
+)
+
+
+def _build(build, path: Path, row_no: int, row: dict[str, str], *args):
+    """``build(path, row_no, row, *args)``, raising a record's invariant
+    error as an :class:`ArchiveIOError` located at the row."""
+    try:
+        return build(path, row_no, row, *args)
+    except _RECORD_ERRORS as exc:
+        raise ArchiveIOError(f"{path}:{row_no}: {exc}") from exc
+
+
+def _read_records(path: Path, header: list[str], build, *args) -> list:
+    """One record per data row of a CSV file, built by ``build``."""
+    return [
+        _build(build, path, row_no, row, *args)
+        for row_no, row in enumerate(_open_rows(path, header), start=2)
+    ]
+
+
+def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
+    """The fields of a CSV file's data rows, one list per column."""
+    flat = _read_fields(path, header)
+    width = len(header)
+    return [flat[k::width] for k in range(width)]
+
+
+def _float_column(values: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, values), float, len(values))
+
+
+def _int_column(values: list[str]) -> np.ndarray:
+    return np.fromiter(map(int, values), np.int64, len(values))
+
+
+_INT64 = range(-(2**63), 2**63)
+
+
+def _check_int64(path: Path, row_no: int, row: dict[str, str], fields) -> None:
+    """Reject a row whose integer ``fields`` (or ``;``-separated lists of
+    integers) do not fit the int64 columns."""
+    for field in fields:
+        if not all(int(tok) in _INT64 for tok in row[field].split(";")):
+            raise ArchiveIOError(
+                f"{path}:{row_no}: field {field!r} is out of the 64-bit range: "
+                f"{row[field]!r}"
+            )
+
+
+def _checked_columns(
+    path: Path, header: list[str], system_id: int, parse, build, int_fields
+):
+    """A file's columns converted by ``parse`` and checked with their
+    ``invalid_rows()``.
+
+    ``parse`` raises ValueError or OverflowError on a field it cannot
+    convert.  On any rejection, the rows from the first suspect one on
+    are rebuilt as records with ``build`` and their ``int_fields``
+    range-checked, so the error raised is the one reading the file record
+    by record would raise.
+    """
+    columns = _read_columns(path, header)
+    try:
+        parsed = parse(columns)
+    except (ValueError, OverflowError):
+        start = 0
+    else:
+        bad = parsed.invalid_rows()
+        if not bad.any():
+            return parsed
+        start = int(np.argmax(bad))
+    for i in range(start, len(columns[0])):
+        row = dict(zip(header, (column[i] for column in columns)))
+        _build(build, path, i + 2, row, system_id)
+        _check_int64(path, i + 2, row, int_fields)
+    raise AssertionError(f"{path}: columns rejected rows that all load as records")
+
+
 def write_failures(path: Path, failures: Sequence[FailureRecord]) -> None:
     """Write a failure log to ``failures.csv`` format."""
     with path.open("w", newline="") as fh:
@@ -143,26 +262,27 @@ def write_failures(path: Path, failures: Sequence[FailureRecord]) -> None:
             )
 
 
+def _failure_record(
+    path: Path, i: int, row: dict[str, str], system_id: int
+) -> FailureRecord:
+    subtype: Subtype | None = None
+    if row["subtype"]:
+        subtype = parse_subtype(row["subtype"])
+    return FailureRecord(
+        time=_parse_float(path, i, "time", row["time"]),
+        system_id=system_id,
+        node_id=_parse_int(path, i, "node_id", row["node_id"]),
+        category=parse_category(row["category"]),
+        subtype=subtype,
+        downtime_hours=_parse_float(
+            path, i, "downtime_hours", row["downtime_hours"]
+        ),
+    )
+
+
 def read_failures(path: Path, system_id: int) -> list[FailureRecord]:
     """Read a ``failures.csv`` file for one system."""
-    out = []
-    for i, row in enumerate(_open_rows(path, _FAILURES_HEADER), start=2):
-        subtype: Subtype | None = None
-        if row["subtype"]:
-            subtype = parse_subtype(row["subtype"])
-        out.append(
-            FailureRecord(
-                time=_parse_float(path, i, "time", row["time"]),
-                system_id=system_id,
-                node_id=_parse_int(path, i, "node_id", row["node_id"]),
-                category=parse_category(row["category"]),
-                subtype=subtype,
-                downtime_hours=_parse_float(
-                    path, i, "downtime_hours", row["downtime_hours"]
-                ),
-            )
-        )
-    return out
+    return _read_records(path, _FAILURES_HEADER, _failure_record, system_id)
 
 
 def write_maintenance(path: Path, events: Sequence[MaintenanceRecord]) -> None:
@@ -181,24 +301,27 @@ def write_maintenance(path: Path, events: Sequence[MaintenanceRecord]) -> None:
             )
 
 
+def _maintenance_record(
+    path: Path, i: int, row: dict[str, str], system_id: int
+) -> MaintenanceRecord:
+    return MaintenanceRecord(
+        time=_parse_float(path, i, "time", row["time"]),
+        system_id=system_id,
+        node_id=_parse_int(path, i, "node_id", row["node_id"]),
+        hardware_related=_parse_bool(
+            path, i, "hardware_related", row["hardware_related"]
+        ),
+        duration_hours=_parse_float(
+            path, i, "duration_hours", row["duration_hours"]
+        ),
+    )
+
+
 def read_maintenance(path: Path, system_id: int) -> list[MaintenanceRecord]:
     """Read a ``maintenance.csv`` file for one system."""
-    out = []
-    for i, row in enumerate(_open_rows(path, _MAINTENANCE_HEADER), start=2):
-        out.append(
-            MaintenanceRecord(
-                time=_parse_float(path, i, "time", row["time"]),
-                system_id=system_id,
-                node_id=_parse_int(path, i, "node_id", row["node_id"]),
-                hardware_related=_parse_bool(
-                    path, i, "hardware_related", row["hardware_related"]
-                ),
-                duration_hours=_parse_float(
-                    path, i, "duration_hours", row["duration_hours"]
-                ),
-            )
-        )
-    return out
+    return _read_records(
+        path, _MAINTENANCE_HEADER, _maintenance_record, system_id
+    )
 
 
 def write_jobs(path: Path, jobs: Sequence[JobRecord]) -> None:
@@ -221,36 +344,77 @@ def write_jobs(path: Path, jobs: Sequence[JobRecord]) -> None:
             )
 
 
-def read_jobs(path: Path, system_id: int) -> list[JobRecord]:
-    """Read a ``jobs.csv`` file for one system."""
-    out = []
-    for i, row in enumerate(_open_rows(path, _JOBS_HEADER), start=2):
-        raw_nodes = row["node_ids"]
-        if not raw_nodes:
-            raise ArchiveIOError(f"{path}:{i}: empty node_ids")
-        node_ids = tuple(
-            _parse_int(path, i, "node_ids", tok) for tok in raw_nodes.split(";")
-        )
-        out.append(
-            JobRecord(
-                submit_time=_parse_float(path, i, "submit_time", row["submit_time"]),
-                system_id=system_id,
-                job_id=_parse_int(path, i, "job_id", row["job_id"]),
-                dispatch_time=_parse_float(
-                    path, i, "dispatch_time", row["dispatch_time"]
-                ),
-                end_time=_parse_float(path, i, "end_time", row["end_time"]),
-                user_id=_parse_int(path, i, "user_id", row["user_id"]),
-                num_processors=_parse_int(
-                    path, i, "num_processors", row["num_processors"]
-                ),
-                node_ids=node_ids,
-                failed_due_to_node=_parse_bool(
-                    path, i, "failed_due_to_node", row["failed_due_to_node"]
-                ),
-            )
-        )
-    return out
+def _job_record(
+    path: Path, i: int, row: dict[str, str], system_id: int
+) -> JobRecord:
+    raw_nodes = row["node_ids"]
+    if not raw_nodes:
+        raise ArchiveIOError(f"{path}:{i}: empty node_ids")
+    node_ids = tuple(
+        _parse_int(path, i, "node_ids", tok) for tok in raw_nodes.split(";")
+    )
+    return JobRecord(
+        submit_time=_parse_float(path, i, "submit_time", row["submit_time"]),
+        system_id=system_id,
+        job_id=_parse_int(path, i, "job_id", row["job_id"]),
+        dispatch_time=_parse_float(
+            path, i, "dispatch_time", row["dispatch_time"]
+        ),
+        end_time=_parse_float(path, i, "end_time", row["end_time"]),
+        user_id=_parse_int(path, i, "user_id", row["user_id"]),
+        num_processors=_parse_int(
+            path, i, "num_processors", row["num_processors"]
+        ),
+        node_ids=node_ids,
+        failed_due_to_node=_parse_bool(
+            path, i, "failed_due_to_node", row["failed_due_to_node"]
+        ),
+    )
+
+
+def _parse_job_columns(columns: list[list[str]]) -> JobColumns:
+    job_id, submit, dispatch, end, user, nprocs, node_lists, failed = columns
+    n = len(job_id)
+    if not set(failed) <= {"0", "1"}:
+        raise ValueError("failed_due_to_node is not 0 or 1")
+    # Job i owns count(";") + 1 tokens of the joined lists, so an empty
+    # list or entry is an empty token, which int() rejects.
+    tokens = ";".join(node_lists).split(";") if n else []
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(str.count, node_lists, repeat(";")), np.int64, n) + 1,
+        out=offsets[1:],
+    )
+    return JobColumns(
+        submit_times=_float_column(submit),
+        dispatch_times=_float_column(dispatch),
+        end_times=_float_column(end),
+        user_ids=_int_column(user),
+        num_processors=_int_column(nprocs),
+        failed_due_to_node=np.fromiter(map("1".__eq__, failed), bool, n),
+        job_ids=_int_column(job_id),
+        node_offsets=offsets,
+        node_ids=_int_column(tokens),
+    )
+
+
+def read_jobs(path: Path, system_id: int) -> JobColumns:
+    """Read a ``jobs.csv`` file for one system, as columns in record order.
+
+    Every check a :class:`JobRecord` runs is run on the columns, and a
+    rejected row raises the record path's error for it.
+    """
+    jobs = _checked_columns(
+        path,
+        _JOBS_HEADER,
+        system_id,
+        _parse_job_columns,
+        _job_record,
+        ("job_id", "user_id", "num_processors", "node_ids"),
+    )
+    # JobRecord orders by (submit_time, system_id, job_id); lexsort is
+    # stable and keys on its last key first.
+    return jobs.take(np.lexsort((jobs.job_ids, jobs.submit_times)))
 
 
 def write_temperatures(path: Path, readings: Sequence[TemperatureReading]) -> None:
@@ -262,19 +426,39 @@ def write_temperatures(path: Path, readings: Sequence[TemperatureReading]) -> No
             w.writerow([_fmt(r.time), r.node_id, _fmt(r.celsius)])
 
 
-def read_temperatures(path: Path, system_id: int) -> list[TemperatureReading]:
-    """Read a ``temperatures.csv`` file for one system."""
-    out = []
-    for i, row in enumerate(_open_rows(path, _TEMPERATURES_HEADER), start=2):
-        out.append(
-            TemperatureReading(
-                time=_parse_float(path, i, "time", row["time"]),
-                system_id=system_id,
-                node_id=_parse_int(path, i, "node_id", row["node_id"]),
-                celsius=_parse_float(path, i, "celsius", row["celsius"]),
-            )
-        )
-    return out
+def _temperature_record(
+    path: Path, i: int, row: dict[str, str], system_id: int
+) -> TemperatureReading:
+    return TemperatureReading(
+        time=_parse_float(path, i, "time", row["time"]),
+        system_id=system_id,
+        node_id=_parse_int(path, i, "node_id", row["node_id"]),
+        celsius=_parse_float(path, i, "celsius", row["celsius"]),
+    )
+
+
+def _parse_temperature_columns(columns: list[list[str]]) -> TemperatureColumns:
+    time, node, celsius = columns
+    return TemperatureColumns(
+        times=_float_column(time),
+        node_ids=_int_column(node),
+        celsius=_float_column(celsius),
+    )
+
+
+def read_temperatures(path: Path, system_id: int) -> TemperatureColumns:
+    """Read a ``temperatures.csv`` file for one system, as columns in
+    record order, checked like :func:`read_jobs`."""
+    temps = _checked_columns(
+        path,
+        _TEMPERATURES_HEADER,
+        system_id,
+        _parse_temperature_columns,
+        _temperature_record,
+        ("node_id",),
+    )
+    # TemperatureReading orders by (time, system_id, node_id, celsius).
+    return temps.take(np.lexsort((temps.celsius, temps.node_ids, temps.times)))
 
 
 def write_layout(path: Path, layout: MachineLayout) -> None:
@@ -289,22 +473,21 @@ def write_layout(path: Path, layout: MachineLayout) -> None:
             )
 
 
+def _placement(path: Path, i: int, row: dict[str, str]) -> NodePlacement:
+    return NodePlacement(
+        node_id=_parse_int(path, i, "node_id", row["node_id"]),
+        rack_id=_parse_int(path, i, "rack_id", row["rack_id"]),
+        position_in_rack=_parse_int(
+            path, i, "position_in_rack", row["position_in_rack"]
+        ),
+        room_x=_parse_int(path, i, "room_x", row["room_x"]),
+        room_y=_parse_int(path, i, "room_y", row["room_y"]),
+    )
+
+
 def read_layout(path: Path) -> MachineLayout:
     """Read a ``layout.csv`` file."""
-    placements = []
-    for i, row in enumerate(_open_rows(path, _LAYOUT_HEADER), start=2):
-        placements.append(
-            NodePlacement(
-                node_id=_parse_int(path, i, "node_id", row["node_id"]),
-                rack_id=_parse_int(path, i, "rack_id", row["rack_id"]),
-                position_in_rack=_parse_int(
-                    path, i, "position_in_rack", row["position_in_rack"]
-                ),
-                room_x=_parse_int(path, i, "room_x", row["room_x"]),
-                room_y=_parse_int(path, i, "room_y", row["room_y"]),
-            )
-        )
-    return MachineLayout(placements)
+    return MachineLayout(_read_records(path, _LAYOUT_HEADER, _placement))
 
 
 def write_neutrons(path: Path, readings: Sequence[NeutronReading]) -> None:
@@ -316,19 +499,18 @@ def write_neutrons(path: Path, readings: Sequence[NeutronReading]) -> None:
             w.writerow([_fmt(r.time), _fmt(r.counts_per_minute)])
 
 
+def _neutron_reading(path: Path, i: int, row: dict[str, str]) -> NeutronReading:
+    return NeutronReading(
+        time=_parse_float(path, i, "time", row["time"]),
+        counts_per_minute=_parse_float(
+            path, i, "counts_per_minute", row["counts_per_minute"]
+        ),
+    )
+
+
 def read_neutrons(path: Path) -> list[NeutronReading]:
     """Read a ``neutrons.csv`` file."""
-    out = []
-    for i, row in enumerate(_open_rows(path, _NEUTRONS_HEADER), start=2):
-        out.append(
-            NeutronReading(
-                time=_parse_float(path, i, "time", row["time"]),
-                counts_per_minute=_parse_float(
-                    path, i, "counts_per_minute", row["counts_per_minute"]
-                ),
-            )
-        )
-    return out
+    return _read_records(path, _NEUTRONS_HEADER, _neutron_reading)
 
 
 def save_archive(archive: Archive, root: Path | str) -> None:
@@ -363,9 +545,9 @@ def _save_archive(archive: Archive, root: Path) -> None:
         sysdir.mkdir(exist_ok=True)
         write_failures(sysdir / "failures.csv", ds.failures)
         write_maintenance(sysdir / "maintenance.csv", ds.maintenance)
-        if ds.jobs:
+        if ds.has_usage:
             write_jobs(sysdir / "jobs.csv", ds.jobs)
-        if ds.temperatures:
+        if ds.has_temperature:
             write_temperatures(sysdir / "temperatures.csv", ds.temperatures)
         if ds.layout is not None:
             write_layout(sysdir / "layout.csv", ds.layout)
@@ -381,51 +563,58 @@ def load_archive(root: Path | str) -> Archive:
         return archive
 
 
+def _system_fields(path: Path, i: int, row: dict[str, str]) -> dict:
+    """The scalar :class:`SystemDataset` fields of one ``systems.csv`` row."""
+    try:
+        group = HardwareGroup(row["group"])
+    except ValueError as exc:
+        raise ArchiveIOError(
+            f"{path}:{i}: unknown group {row['group']!r}"
+        ) from exc
+    return {
+        "system_id": _parse_int(path, i, "system_id", row["system_id"]),
+        "group": group,
+        "num_nodes": _parse_int(path, i, "num_nodes", row["num_nodes"]),
+        "processors_per_node": _parse_int(
+            path, i, "processors_per_node", row["processors_per_node"]
+        ),
+        "period": ObservationPeriod(
+            start=_parse_float(path, i, "period_start", row["period_start"]),
+            end=_parse_float(path, i, "period_end", row["period_end"]),
+        ),
+    }
+
+
 def _load_archive(root: Path) -> Archive:
-    systems_path = root / "systems.csv"
     systems = []
-    for i, row in enumerate(_open_rows(systems_path, _SYSTEMS_HEADER), start=2):
-        system_id = _parse_int(systems_path, i, "system_id", row["system_id"])
-        try:
-            group = HardwareGroup(row["group"])
-        except ValueError as exc:
-            raise ArchiveIOError(
-                f"{systems_path}:{i}: unknown group {row['group']!r}"
-            ) from exc
-        period = ObservationPeriod(
-            start=_parse_float(systems_path, i, "period_start", row["period_start"]),
-            end=_parse_float(systems_path, i, "period_end", row["period_end"]),
-        )
+    rows = _read_records(root / "systems.csv", _SYSTEMS_HEADER, _system_fields)
+    for fields in rows:
+        system_id = fields["system_id"]
         sysdir = root / f"system-{system_id}"
         failures = read_failures(sysdir / "failures.csv", system_id)
         maintenance = read_maintenance(sysdir / "maintenance.csv", system_id)
         jobs_path = sysdir / "jobs.csv"
-        jobs = read_jobs(jobs_path, system_id) if jobs_path.exists() else []
+        jobs = (
+            read_jobs(jobs_path, system_id)
+            if jobs_path.exists()
+            else JobColumns.from_records(())
+        )
         temps_path = sysdir / "temperatures.csv"
         temps = (
-            read_temperatures(temps_path, system_id) if temps_path.exists() else []
+            read_temperatures(temps_path, system_id)
+            if temps_path.exists()
+            else TemperatureColumns.from_records(())
         )
         layout_path = sysdir / "layout.csv"
         layout = read_layout(layout_path) if layout_path.exists() else None
         try:
             systems.append(
-                SystemDataset(
-                    system_id=system_id,
-                    group=group,
-                    num_nodes=_parse_int(
-                        systems_path, i, "num_nodes", row["num_nodes"]
-                    ),
-                    processors_per_node=_parse_int(
-                        systems_path,
-                        i,
-                        "processors_per_node",
-                        row["processors_per_node"],
-                    ),
-                    period=period,
-                    failures=tuple(failures),
-                    maintenance=tuple(maintenance),
-                    jobs=tuple(jobs),
-                    temperatures=tuple(temps),
+                _LazyColumnarSystem.from_columns(
+                    **fields,
+                    failures=failures,
+                    maintenance=maintenance,
+                    jobs=jobs,
+                    temperatures=temps,
                     layout=layout,
                 )
             )

@@ -17,6 +17,7 @@ application bugs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -59,6 +60,15 @@ class JobRecord:
     failed_due_to_node: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.submit_time)
+            and math.isfinite(self.dispatch_time)
+            and math.isfinite(self.end_time)
+        ):
+            raise UsageError(
+                f"job times must be finite, got submit_time={self.submit_time!r}, "
+                f"dispatch_time={self.dispatch_time!r}, end_time={self.end_time!r}"
+            )
         if self.submit_time < 0:
             raise UsageError(f"submit_time must be >= 0, got {self.submit_time}")
         if self.dispatch_time < self.submit_time:
@@ -105,6 +115,7 @@ class JobColumns:
     node_offsets[i + 1]]``.
 
     Attributes:
+        submit_times: per-job submission time (days).
         dispatch_times: per-job dispatch time (days).
         end_times: per-job end time (days).
         user_ids: per-job submitting user.
@@ -116,6 +127,7 @@ class JobColumns:
         node_ids: concatenated node assignments of all jobs.
     """
 
+    submit_times: np.ndarray
     dispatch_times: np.ndarray
     end_times: np.ndarray
     user_ids: np.ndarray
@@ -131,27 +143,72 @@ class JobColumns:
     @classmethod
     def from_records(cls, jobs: Sequence[JobRecord]) -> "JobColumns":
         """Build columns from record objects, preserving job order."""
-        offsets = np.zeros(len(jobs) + 1, dtype=np.int64)
-        for i, job in enumerate(jobs):
-            offsets[i + 1] = offsets[i] + len(job.node_ids)
-        nodes = np.empty(int(offsets[-1]), dtype=np.int64)
-        for i, job in enumerate(jobs):
-            nodes[offsets[i] : offsets[i + 1]] = job.node_ids
+        n = len(jobs)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter((len(j.node_ids) for j in jobs), np.int64, n),
+            out=offsets[1:],
+        )
         return cls(
-            dispatch_times=np.array(
-                [j.dispatch_time for j in jobs], dtype=float
+            submit_times=np.fromiter((j.submit_time for j in jobs), float, n),
+            dispatch_times=np.fromiter(
+                (j.dispatch_time for j in jobs), float, n
             ),
-            end_times=np.array([j.end_time for j in jobs], dtype=float),
-            user_ids=np.array([j.user_id for j in jobs], dtype=np.int64),
-            num_processors=np.array(
-                [j.num_processors for j in jobs], dtype=np.int64
+            end_times=np.fromiter((j.end_time for j in jobs), float, n),
+            user_ids=np.fromiter((j.user_id for j in jobs), np.int64, n),
+            num_processors=np.fromiter(
+                (j.num_processors for j in jobs), np.int64, n
             ),
-            failed_due_to_node=np.array(
-                [j.failed_due_to_node for j in jobs], dtype=bool
+            failed_due_to_node=np.fromiter(
+                (j.failed_due_to_node for j in jobs), bool, n
             ),
-            job_ids=np.array([j.job_id for j in jobs], dtype=np.int64),
+            job_ids=np.fromiter((j.job_id for j in jobs), np.int64, n),
             node_offsets=offsets,
-            node_ids=nodes,
+            node_ids=np.fromiter(
+                (node for j in jobs for node in j.node_ids),
+                np.int64,
+                int(offsets[-1]),
+            ),
+        )
+
+    def invalid_rows(self) -> np.ndarray:
+        """Mask of the jobs :class:`JobRecord` would reject: every
+        ``__post_init__`` check, evaluated on the columns."""
+        s, d, e = self.submit_times, self.dispatch_times, self.end_times
+        bad = ~(np.isfinite(s) & np.isfinite(d) & np.isfinite(e))
+        bad |= (s < 0) | (d < s) | (e < d) | (self.num_processors < 1)
+        counts = np.diff(self.node_offsets)
+        bad |= counts == 0
+        job_of = np.repeat(np.arange(len(self)), counts)
+        bad[job_of[self.node_ids < 0]] = True
+        # A duplicate shows as equal neighbours once each job's nodes
+        # are sorted; only jobs on several nodes can have one.
+        multi = np.repeat(counts > 1, counts)
+        jobs, nodes = job_of[multi], self.node_ids[multi]
+        order = np.lexsort((nodes, jobs))
+        jobs, nodes = jobs[order], nodes[order]
+        dup = (jobs[1:] == jobs[:-1]) & (nodes[1:] == nodes[:-1])
+        bad[jobs[1:][dup]] = True
+        return bad
+
+    def take(self, order: np.ndarray) -> "JobColumns":
+        """The jobs at the row indices ``order``, in that order."""
+        counts = np.diff(self.node_offsets)[order]
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        # Token k of new job j sits at the old start of job order[j] + k.
+        tokens = np.repeat(self.node_offsets[:-1][order] - offsets[:-1], counts)
+        tokens += np.arange(offsets[-1])
+        return JobColumns(
+            submit_times=self.submit_times[order],
+            dispatch_times=self.dispatch_times[order],
+            end_times=self.end_times[order],
+            user_ids=self.user_ids[order],
+            num_processors=self.num_processors[order],
+            failed_due_to_node=self.failed_due_to_node[order],
+            job_ids=self.job_ids[order],
+            node_offsets=offsets,
+            node_ids=self.node_ids[tokens],
         )
 
 

@@ -160,21 +160,22 @@ def _check_system(ds: SystemDataset, report: ValidationReport) -> None:
             "duplicate log entries or flapping node",
         )
     if ds.has_usage:
-        bad_nodes = [
-            j.job_id
-            for j in ds.jobs
-            if any(n >= ds.num_nodes for n in j.node_ids)
-        ]
-        if bad_nodes:  # pragma: no cover - SystemDataset does not check jobs
+        jobs = ds.job_columns()
+        job_of = np.repeat(np.arange(len(jobs)), np.diff(jobs.node_offsets))
+        bad_jobs = np.unique(job_of[jobs.node_ids >= ds.num_nodes])
+        if bad_jobs.size:
             report.add(
                 Severity.ERROR,
                 sid,
                 "job-node-range",
-                f"jobs {bad_nodes[:5]} reference out-of-range nodes",
+                f"jobs {jobs.job_ids[bad_jobs[:5]].tolist()} reference "
+                "out-of-range nodes",
             )
-        out_of_period = sum(
-            1 for j in ds.jobs if j.end_time < ds.period.start or
-            j.submit_time >= ds.period.end
+        out_of_period = int(
+            np.count_nonzero(
+                (jobs.end_times < ds.period.start)
+                | (jobs.submit_times >= ds.period.end)
+            )
         )
         if out_of_period:
             report.add(
@@ -185,7 +186,7 @@ def _check_system(ds: SystemDataset, report: ValidationReport) -> None:
                 "observation period",
             )
     if ds.has_temperature:
-        temps = np.array([t.celsius for t in ds.temperatures])
+        temps = ds.temperature_columns().celsius
         if temps.size and float(np.ptp(temps)) == 0.0:
             report.add(
                 Severity.WARNING,

@@ -1,5 +1,7 @@
 """Unit tests for dataset containers and the columnar failure table."""
 
+import dataclasses
+
 import pytest
 
 from repro.records.dataset import (
@@ -8,11 +10,14 @@ from repro.records.dataset import (
     FailureTable,
     HardwareGroup,
     SystemDataset,
+    _LazyColumnarSystem,
 )
+from repro.records.environment import TemperatureColumns, TemperatureReading
 from repro.records.failure import FailureRecord
 from repro.records.layout import regular_layout
 from repro.records.taxonomy import Category, HardwareSubtype
 from repro.records.timeutil import ObservationPeriod
+from repro.records.usage import JobColumns, JobRecord
 
 
 def fail(time, node=0, cat=Category.HARDWARE, sub=None, system=20):
@@ -120,6 +125,85 @@ class TestSystemDataset:
     def test_failure_table_cached(self):
         ds = dataset([fail(1.0)])
         assert ds.failure_table is ds.failure_table
+
+
+def job(job_id, submit, nodes):
+    return JobRecord(
+        submit_time=submit,
+        system_id=20,
+        job_id=job_id,
+        dispatch_time=submit,
+        end_time=submit + 1.0,
+        user_id=job_id,
+        num_processors=4,
+        node_ids=tuple(nodes),
+        failed_due_to_node=job_id % 2 == 1,
+    )
+
+
+JOBS = (job(1, 1.0, [0, 2]), job(2, 1.5, [3]), job(3, 4.0, [1, 0, 2]))
+TEMPS = (
+    TemperatureReading(time=1.0, system_id=20, node_id=2, celsius=30.0),
+    TemperatureReading(time=2.0, system_id=20, node_id=0, celsius=45.5),
+)
+
+
+def lazy(failures=(), num_nodes=4, jobs=JOBS, temps=TEMPS, layout=None):
+    return _LazyColumnarSystem.from_columns(
+        system_id=20,
+        group=HardwareGroup.GROUP1,
+        num_nodes=num_nodes,
+        processors_per_node=4,
+        period=ObservationPeriod(0.0, 100.0),
+        failures=tuple(failures),
+        maintenance=(),
+        jobs=JobColumns.from_records(jobs),
+        temperatures=TemperatureColumns.from_records(temps),
+        layout=layout,
+    )
+
+
+class TestLazyColumnarSystem:
+    def test_serves_columns_without_records(self):
+        ds = lazy()
+        assert ds.has_usage and ds.has_temperature
+        assert ds.job_columns().job_ids.tolist() == [1, 2, 3]
+        assert ds.temperature_columns().celsius.tolist() == [30.0, 45.5]
+        assert "_jobs" not in ds.__dict__ and "_temperatures" not in ds.__dict__
+
+    def test_materialises_equal_records(self):
+        ds = lazy()
+        assert list(map(dataclasses.astuple, ds.jobs)) == list(
+            map(dataclasses.astuple, JOBS)
+        )
+        assert ds.temperatures == TEMPS
+
+    def test_runs_dataset_checks(self):
+        with pytest.raises(DatasetError, match="only 4 nodes"):
+            lazy([fail(1.0, node=4)])
+        with pytest.raises(DatasetError, match="outside observation period"):
+            lazy([fail(100.0)])
+        with pytest.raises(DatasetError, match="num_nodes"):
+            lazy(num_nodes=0)
+        with pytest.raises(DatasetError, match="layout"):
+            lazy(layout=regular_layout(8, nodes_per_rack=4))
+
+    def test_sorts_failures_and_maintenance(self):
+        ds = lazy([fail(5.0), fail(1.0, node=2)])
+        assert [f.time for f in ds.failures] == [1.0, 5.0]
+
+    def test_empty_logs(self):
+        ds = lazy(jobs=(), temps=())
+        assert not ds.has_usage and not ds.has_temperature
+        assert ds.jobs == () and ds.temperatures == ()
+
+    def test_replace_rebuilds_columns_from_records(self):
+        ds = lazy()
+        ds.job_columns()
+        clone = dataclasses.replace(ds, jobs=ds.jobs[1:], temperatures=())
+        assert clone.job_columns().job_ids.tolist() == [2, 3]
+        assert not clone.has_temperature
+        assert ds.job_columns().job_ids.tolist() == [1, 2, 3]
 
 
 class TestArchive:

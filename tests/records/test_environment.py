@@ -35,6 +35,11 @@ class TestTemperatureReading:
         with pytest.raises(EnvironmentRecordError):
             reading(time=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_time(self, value):
+        with pytest.raises(EnvironmentRecordError, match="non-finite time"):
+            reading(time=value)
+
 
 class TestSummaries:
     def test_aggregates(self):

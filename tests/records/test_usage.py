@@ -65,6 +65,13 @@ class TestJobRecord:
         with pytest.raises(UsageError):
             job(procs=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["submit", "dispatch", "end"])
+    def test_rejects_non_finite_times(self, field, value):
+        match = f"must be finite, .*{field}_time={value!r}"
+        with pytest.raises(UsageError, match=match):
+            job(**{field: value})
+
     def test_zero_runtime_allowed(self):
         j = job(submit=0.0, dispatch=1.0, end=1.0)
         assert j.runtime_days == 0.0
