@@ -15,10 +15,10 @@ how *fast* the pipeline is, writing the measurements to
 * **analysis** -- one representative window analysis (the Section
   III-A.3 pairwise matrix over group-1), first on cold per-category
   event indices, then warm;
-* **report** -- the full combined report four ways: cold (batched
-  kernels, empty cache), warm (fully memoized), parallel (section pool)
-  and traced (warm run with span collection on).  All four texts are
-  asserted byte-identical before timings are recorded;
+* **report** -- the full combined report three ways: cold (batched
+  kernels, empty cache), warm (fully memoized) and traced (warm run
+  with span collection on).  All three texts are asserted
+  byte-identical before timings are recorded;
 * **telemetry no-op** -- the disabled span+counter fast path, timed
   before ``REPRO_TELEMETRY`` is applied and guarded by
   ``check_perf_regression.py`` so instrumentation stays free when off;
@@ -160,25 +160,16 @@ def run(args: argparse.Namespace) -> dict:
         print(f"cache store:              {timings['cache_store_s']:8.2f} s")
         print(f"warm cache load:          {timings['warm_load_s']:8.2f} s")
 
-        def fresh_archive():
-            # Each report timing starts from a freshly loaded archive so
-            # no analysis cache (or materialized column) leaks between
-            # variants; only the warm timing reuses an instance.
-            loaded = load_cached(config, cache_dir)
-            assert loaded is not None, "cache round-trip failed"
-            return loaded
-
-        cold_archive = fresh_archive()
+        # The cold report starts from a freshly loaded archive, so no
+        # analysis cache (or materialized column) leaks in from the
+        # loads above; the warm and traced runs reuse its instance.
+        cold_archive = load_cached(config, cache_dir)
+        assert cold_archive is not None, "cache round-trip failed"
         timings["report_cold_s"], cold_text = _timed(
             lambda: full_report(cold_archive)
         )
         timings["report_warm_s"], warm_text = _timed(
             lambda: full_report(cold_archive)
-        )
-        parallel_archive = fresh_archive()
-        report_workers = max(workers, 2)
-        timings["report_parallel_s"], parallel_text = _timed(
-            lambda: full_report(parallel_archive, workers=report_workers)
         )
         # Warm report with span collection forced on (scoped trace, so
         # this measures tracing cost no matter what REPRO_TELEMETRY
@@ -188,15 +179,11 @@ def run(args: argparse.Namespace) -> dict:
                 lambda: full_report(cold_archive)
             )
         assert (
-            cold_text == warm_text == parallel_text == traced_text
-        ), "full_report output differs between cache/parallel/trace variants"
+            cold_text == warm_text == traced_text
+        ), "full_report output differs between cache/trace variants"
     print(f"report cold cache:        {timings['report_cold_s']:8.2f} s")
     print(f"report warm cache:        {timings['report_warm_s']:8.2f} s")
     print(f"report warm traced:       {timings['report_traced_s']:8.2f} s")
-    print(
-        f"report parallel ({report_workers} workers): "
-        f"{timings['report_parallel_s']:5.2f} s"
-    )
 
     group1 = archive.group(HardwareGroup.GROUP1)
     timings["analysis_cold_s"], _ = _timed(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from pathlib import Path
 
 from . import telemetry
@@ -29,7 +28,7 @@ from .records.io import load_archive, save_archive
 from .records.validation import validate_archive
 from .simulate.archive import make_archive
 from .simulate.config import ArchiveConfig
-from .core import report as report_mod
+from .core.report import REPORT_SECTIONS, profiled_full_report
 from .prediction.checkpoint import advise
 from .prediction.risk import RiskModel
 
@@ -80,20 +79,6 @@ def _add_archive_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("archive", type=Path, help="archive directory to load")
 
 
-_SECTIONS = {
-    "correlations": lambda a: report_mod.render_correlations(a),
-    "nodes": lambda a: report_mod.render_nodes(a, (18, 19, 20)),
-    "usage": lambda a: report_mod.render_usage(a),
-    "power": lambda a: report_mod.render_power(a),
-    "temperature": lambda a: report_mod.render_temperature(a),
-    "cosmic": lambda a: report_mod.render_cosmic(a),
-    "regression": lambda a: report_mod.render_regression(a),
-    "interarrival": lambda a: report_mod.render_interarrival(a),
-    "downtime": lambda a: report_mod.render_downtime(a),
-    "lifecycle": lambda a: report_mod.render_lifecycle(a),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -111,15 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run every analysis and print the report")
     _add_archive_arg(p)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "render up to N report sections concurrently (default serial; "
-            "output is identical at any worker count)"
-        ),
-    )
     p.add_argument(
         "--profile",
         action="store_true",
@@ -149,7 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("section", help="run one paper section's analysis")
     _add_archive_arg(p)
-    p.add_argument("name", choices=sorted(_SECTIONS), help="section to run")
+    p.add_argument(
+        "name",
+        choices=sorted(name for name, _ in REPORT_SECTIONS),
+        help="section to run",
+    )
 
     p = sub.add_parser("advise", help="checkpoint advice from the risk model")
     _add_archive_arg(p)
@@ -265,24 +245,28 @@ def _dispatch(args: argparse.Namespace) -> int:
         return run_stream_command(args)
     if args.command == "generate":
         config = ArchiveConfig(seed=args.seed, years=args.years, scale=args.scale)
-        t0 = time.perf_counter()
-        if args.no_cache:
-            archive = make_archive(config, workers=args.workers)
-        else:
-            from .simulate.cache import cached_make_archive
+        # Timed through spans (real even without --trace), like the
+        # report profile, so the wall clock stays inside telemetry.
+        with telemetry.ensure_trace():
+            with telemetry.span("generate.archive") as generate_span:
+                if args.no_cache:
+                    archive = make_archive(config, workers=args.workers)
+                else:
+                    from .simulate.cache import cached_make_archive
 
-            archive = cached_make_archive(config, workers=args.workers)
-        generate_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        save_archive(archive, args.output)
-        save_s = time.perf_counter() - t0
+                    archive = cached_make_archive(config, workers=args.workers)
+            with telemetry.span("generate.save") as save_span:
+                save_archive(archive, args.output)
         telemetry.write_manifest(
             args.output / "manifest.json",
             telemetry.build_manifest(
                 "generate",
                 config=config,
                 archive=archive,
-                timings={"generate_s": generate_s, "save_s": save_s},
+                timings={
+                    "generate_s": generate_span.duration,
+                    "save_s": save_span.duration,
+                },
                 extra={
                     "workers": args.workers,
                     "cached": not args.no_cache,
@@ -300,13 +284,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(report.render())
         return 0 if report.ok else 1
     if args.command == "report":
-        from .core.report import profiled_full_report
-
         archive = _load(args.archive)
         # The profiled runner *is* the plain runner plus span-derived
         # timings, so stdout is byte-identical whether or not --profile,
         # --trace or --manifest are set.
-        text, profile = profiled_full_report(archive, workers=args.workers)
+        text, profile = profiled_full_report(archive)
         print(text)
         if args.profile:
             print(profile.render(), file=sys.stderr)
@@ -321,7 +303,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                     archive=archive,
                     timings=timings,
                     extra={
-                        "workers": profile.workers,
                         "archive_path": str(args.archive),
                         "analysis_cache_delta": {
                             "hits": profile.cache_hits,
@@ -332,7 +313,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         return 0
     if args.command == "section":
-        print(_SECTIONS[args.name](_load(args.archive)))
+        render = dict(REPORT_SECTIONS)[args.name]
+        print(render(_load(args.archive), (18, 19, 20)))
         return 0
     if args.command == "evaluate":
         from .prediction.evaluation import EvaluationError, evaluate_risk_model

@@ -18,10 +18,8 @@ dict, so the frozen dataclass itself stays immutable) and serves:
 * arbitrary per-system summaries (usage, temperature) via
   :meth:`AnalysisCache.summary`.
 
-Thread-safety: the memo tables are plain dicts guarded by the GIL.
-Concurrent report sections may occasionally compute the same cell twice
-(both results are identical; last write wins) and the hit/miss counters
-are best-effort, which is acceptable for profiling output.
+The report renders its sections one after another, so every cell is
+computed once and the hit/miss counters are exact.
 
 Events kinds are tuples so they are hashable and order-stable:
 

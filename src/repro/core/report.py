@@ -10,7 +10,6 @@ the systems that support it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -356,9 +355,9 @@ def render_lifecycle(archive: Archive, max_systems: int = 3) -> str:
     return "\n".join(lines)
 
 
-#: Report sections in output order: ``(name, renderer)``.  Every
-#: renderer is independent of the others, so they can run concurrently;
-#: the combined report always joins them in this order.
+#: Report sections in output order: ``(name, renderer)``; the renderer
+#: takes the archive and the Section IV systems.  The report joins them
+#: in this order, and ``repro section NAME`` dispatches through it.
 REPORT_SECTIONS: tuple[
     tuple[str, Callable[[Archive, Sequence[int]], str]], ...
 ] = (
@@ -380,11 +379,8 @@ class ReportProfile:
     """Where a :func:`full_report` run spent its time.
 
     Attributes:
-        section_seconds: per-section wall time, in output order.  Under
-            ``workers > 1`` the sections overlap, so these sum to more
-            than ``total_seconds``.
+        section_seconds: per-section wall time, in output order.
         total_seconds: wall time of the whole report.
-        workers: worker count the report ran with (1 = serial).
         cache_hits: analysis-cache hits during this run (pooled over
             the archive's systems).
         cache_misses: analysis-cache misses during this run.
@@ -393,14 +389,13 @@ class ReportProfile:
 
     section_seconds: tuple[tuple[str, float], ...]
     total_seconds: float
-    workers: int
     cache_hits: int
     cache_misses: int
     cache_entries: int
 
     def render(self) -> str:
         """Human-readable profile table (the ``--profile`` output)."""
-        lines = [f"report profile (workers={self.workers}):"]
+        lines = ["report profile:"]
         for name, seconds in self.section_seconds:
             lines.append(f"  {name:<14s} {seconds:8.3f}s")
         lines.append(f"  {'total':<14s} {self.total_seconds:8.3f}s")
@@ -412,9 +407,9 @@ class ReportProfile:
 
 
 def _run_report(
-    archive: Archive, fig4_systems: Sequence[int], workers: int | None
+    archive: Archive, fig4_systems: Sequence[int]
 ) -> tuple[str, ReportProfile]:
-    """Render every section, timed via telemetry spans.
+    """Render every section in order, timed via telemetry spans.
 
     Each section renders inside a ``report.section`` span under one
     ``report.run`` root; the :class:`ReportProfile` is read back off
@@ -422,41 +417,20 @@ def _run_report(
     two views of the same measurement.  :func:`telemetry.ensure_trace`
     makes the spans real even when telemetry is globally disabled (the
     private trace is discarded; only the durations survive in the
-    profile).  Worker threads get a :func:`telemetry.bind_context` copy
-    of the submitting context, so their section spans nest under the
-    run root instead of surfacing as orphan roots.
+    profile).
     """
-    n_workers = max(1, int(workers) if workers else 1)
     hits0, misses0, _ = cache_stats(archive)
 
     def timed_section(
-        entry: tuple[str, Callable[[Archive, Sequence[int]], str]]
-    ) -> tuple[str, telemetry.Span]:
-        name, render = entry
+        name: str, render: Callable[[Archive, Sequence[int]], str]
+    ) -> tuple[str, tuple[str, float]]:
         with telemetry.span("report.section", section=name) as section_span:
             text = render(archive, fig4_systems)
-        return text, section_span
+        return text, (name, section_span.duration)
 
     with telemetry.ensure_trace():
-        with telemetry.span("report.run", workers=n_workers) as run_span:
-            if n_workers == 1:
-                results = [timed_section(entry) for entry in REPORT_SECTIONS]
-            else:
-                # One context copy per task carries the report.run span
-                # into the pool threads; executor.map yields in
-                # submission order, so the combined text is identical to
-                # the serial run no matter how sections overlap.
-                tasks = [
-                    telemetry.bind_context(timed_section)
-                    for _ in REPORT_SECTIONS
-                ]
-                with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    results = list(
-                        pool.map(
-                            lambda pair: pair[0](pair[1]),
-                            zip(tasks, REPORT_SECTIONS),
-                        )
-                    )
+        with telemetry.span("report.run") as run_span:
+            results = [timed_section(*entry) for entry in REPORT_SECTIONS]
     hits1, misses1, entries = cache_stats(archive)
     run_span.set_attrs(
         cache_hits=hits1 - hits0,
@@ -464,12 +438,8 @@ def _run_report(
         cache_entries=entries,
     )
     profile = ReportProfile(
-        section_seconds=tuple(
-            (name, section_span.duration)
-            for (name, _), (_, section_span) in zip(REPORT_SECTIONS, results)
-        ),
+        section_seconds=tuple(seconds for _, seconds in results),
         total_seconds=run_span.duration,
-        workers=n_workers,
         cache_hits=hits1 - hits0,
         cache_misses=misses1 - misses0,
         cache_entries=entries,
@@ -478,26 +448,20 @@ def _run_report(
 
 
 def full_report(
-    archive: Archive,
-    fig4_systems: Sequence[int] = (18, 19, 20),
-    workers: int | None = None,
+    archive: Archive, fig4_systems: Sequence[int] = (18, 19, 20)
 ) -> str:
     """Run every section and render one combined report.
 
     Args:
         archive: the archive to analyse.
         fig4_systems: systems to run the Section IV per-node analysis on.
-        workers: render up to this many sections concurrently (None or 1
-            = serial).  The output text is identical at any setting.
     """
-    text, _ = _run_report(archive, fig4_systems, workers)
+    text, _ = _run_report(archive, fig4_systems)
     return text
 
 
 def profiled_full_report(
-    archive: Archive,
-    fig4_systems: Sequence[int] = (18, 19, 20),
-    workers: int | None = None,
+    archive: Archive, fig4_systems: Sequence[int] = (18, 19, 20)
 ) -> tuple[str, ReportProfile]:
     """:func:`full_report` plus a :class:`ReportProfile` of the run."""
-    return _run_report(archive, fig4_systems, workers)
+    return _run_report(archive, fig4_systems)

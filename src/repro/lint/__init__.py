@@ -24,8 +24,8 @@ This package proves them with a dependency-free linter built on
     guard; import-time telemetry side effects;
   - **CONC** (:mod:`~repro.lint.rules.conc`) -- concurrency: writes to
     module-level mutable state from functions reachable from the
-    ``full_report`` section pool, via a conservative intra-package
-    call graph (:mod:`~repro.lint.callgraph`).
+    ``repro.stream`` ingest pipeline's thread roots, via a conservative
+    intra-package call graph (:mod:`~repro.lint.callgraph`).
 
 Run it as ``repro lint [paths] --format text|json --baseline FILE``
 (exit 0 = clean, 1 = findings, 2 = usage error) or programmatically via

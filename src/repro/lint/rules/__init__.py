@@ -3,8 +3,8 @@
 * :mod:`~repro.lint.rules.det` -- DET: determinism.
 * :mod:`~repro.lint.rules.cache` -- CACHE: analysis-cache safety.
 * :mod:`~repro.lint.rules.tel` -- TEL: telemetry hygiene.
-* :mod:`~repro.lint.rules.conc` -- CONC: concurrency under the report
-  section pool.
+* :mod:`~repro.lint.rules.conc` -- CONC: concurrency under the stream
+  ingest pipeline's threads.
 """
 
 from __future__ import annotations

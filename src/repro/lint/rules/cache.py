@@ -2,7 +2,7 @@
 
 ``AnalysisCache`` (``repro/core/cache.py``) memoizes window-count grids
 and per-system summaries and hands the *same objects* to every
-consumer, including concurrent report sections.  Two invariants keep
+consumer.  Two invariants keep
 that sound, and each gets a rule:
 
 * **CACHE001** -- a function that consumes cache grids must not mutate

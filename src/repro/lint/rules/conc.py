@@ -1,13 +1,11 @@
 """CONC rule pack: concurrency under the project's thread roots.
 
-``full_report`` renders its sections on a thread pool
-(``core/report.py``), and the streaming ingest pipeline drains a
-bounded queue on the consumer thread while a producer thread feeds it
-(``stream/ingest.py``).  The bit-identity guarantee assumes threaded
-code only shares the per-system ``AnalysisCache`` (GIL-guarded,
-last-write-wins by design) and the lock-guarded telemetry registry.
-Any *other* module-level mutable state written by code a thread root
-can reach is a data race and an ordering hazard.
+The streaming ingest pipeline drains a bounded queue on the consumer
+thread while a producer thread feeds it (``stream/ingest.py``).  The
+bit-identity guarantee assumes the two threads only share the queue and
+the lock-guarded telemetry registry.  Any *other* module-level mutable
+state written by code a thread root can reach is a data race and an
+ordering hazard.
 
 * **CONC001** -- a function reachable from a concurrency root (via the
   conservative intra-package call graph in
@@ -15,11 +13,9 @@ can reach is a data race and an ordering hazard.
   ``global`` rebind, an item/attribute assignment on a module-level
   name, or a mutating method call (``append``/``update``/...) on one.
 
-Roots are discovered statically from two tables: every function
-referenced by a module's ``REPORT_SECTIONS`` table plus the
-``render_*`` functions defined alongside it (the report pool), and
-every function referenced by a ``STREAM_CONSUMER_ROOTS`` table (the
-ingest pipeline's producer/consumer entry points).  Modules under
+Roots are discovered statically: every function referenced by a
+module's ``STREAM_CONSUMER_ROOTS`` table (the ingest pipeline's
+producer/consumer entry points).  Modules under
 ``telemetry/`` are exempt as write *sites* (the registry serialises
 its mutations behind a lock).
 """
@@ -54,10 +50,6 @@ MUTATING_METHODS = frozenset(
     }
 )
 
-#: The table naming the report pool's entry points.
-SECTIONS_TABLE = "REPORT_SECTIONS"
-#: Renderer naming convention rooted alongside the sections table.
-RENDER_PREFIX = "render_"
 #: The table naming the stream ingest pipeline's thread entry points.
 CONSUMER_TABLE = "STREAM_CONSUMER_ROOTS"
 
@@ -195,52 +187,38 @@ def _table_value(ctx: ModuleContext, table_name: str) -> ast.expr | None:
     return table
 
 
-def _pool_roots(contexts: Sequence[ModuleContext]) -> dict[FuncKey, str]:
-    """Concurrency entry points, found statically.
-
-    Maps each root function to a description of the threading context
-    that enters it ("the report section pool" or "the stream consumer
-    loop"); a function rooted by both tables keeps the pool label.
-    """
-    roots: dict[FuncKey, str] = {}
-
-    def add(key: FuncKey, descr: str) -> None:
-        roots.setdefault(key, descr)
-
+def _thread_roots(contexts: Sequence[ModuleContext]) -> list[FuncKey]:
+    """Concurrency entry points, found statically and sorted."""
+    roots: list[FuncKey] = []
     for ctx in contexts:
+        consumers = _table_value(ctx, CONSUMER_TABLE)
+        if consumers is None:
+            continue
         module_defs = {
             stmt.name
             for stmt in ctx.tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        sections = _table_value(ctx, SECTIONS_TABLE)
-        if sections is not None:
-            for name in sorted(names_in(sections) & module_defs):
-                add((ctx.module, name), "the report section pool")
-            for name in sorted(module_defs):
-                if name.startswith(RENDER_PREFIX):
-                    add((ctx.module, name), "the report section pool")
-        consumers = _table_value(ctx, CONSUMER_TABLE)
-        if consumers is not None:
-            for name in sorted(names_in(consumers) & module_defs):
-                add((ctx.module, name), "the stream consumer loop")
-    return roots
+        roots.extend(
+            (ctx.module, name) for name in names_in(consumers) & module_defs
+        )
+    return sorted(roots)
 
 
 @register(
     "CONC001",
     severity=Severity.ERROR,
-    summary="module-level state written by pool-reachable code",
+    summary="module-level state written by thread-reachable code",
     scope="project",
 )
-def check_pool_reachable_global_writes(
+def check_thread_reachable_global_writes(
     contexts: Sequence[ModuleContext],
 ) -> Iterator[Finding]:
-    roots = _pool_roots(contexts)
+    roots = _thread_roots(contexts)
     if not roots:
         return
     graph = build_call_graph(contexts)
-    reachable = graph.reachable_from(sorted(roots))
+    reachable = graph.reachable_from(roots)
     by_module = {ctx.module: ctx for ctx in contexts}
     globals_cache: dict[str, set[str]] = {}
     for key in sorted(reachable):
@@ -254,7 +232,6 @@ def check_pool_reachable_global_writes(
         out = FindingCollector(ctx.relpath)
         path = graph.path_to(key, reachable)
         chain = " -> ".join(f"{m}:{f}" for m, f in path)
-        root_descr = roots.get(path[0], "the report section pool")
         for node, global_name, how in _global_writes(
             info.node, globals_cache[module]
         ):
@@ -264,7 +241,7 @@ def check_pool_reachable_global_writes(
                 node,
                 f"function '{name}' writes module-level state "
                 f"'{global_name}' ({how}) and is reachable from "
-                f"{root_descr} via {chain}; shared mutable state "
+                f"the stream consumer loop via {chain}; shared mutable state "
                 "under concurrency races -- move it into AnalysisCache "
                 "or pass it explicitly",
             )

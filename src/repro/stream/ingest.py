@@ -18,7 +18,7 @@ Wire format to analysis state in three pieces:
 ``consume_loop`` is the entry point of the consumer side and is listed
 in :data:`STREAM_CONSUMER_ROOTS`, which the lint CONC001 rule uses as a
 call-graph root: any module-level state written by code reachable from
-the ingest pipeline is flagged the same way report-pool sections are.
+the ingest pipeline is flagged as a data race.
 """
 
 from __future__ import annotations
@@ -315,9 +315,9 @@ def consume_loop(
     return totals
 
 
-#: Call-graph roots of the consumer side of the ingest pipeline; the
-#: lint CONC001 rule treats these like report-pool sections (module
-#: state written by anything reachable from here is a data race).
+#: Call-graph roots of both sides of the ingest pipeline; the lint
+#: CONC001 rule flags module state written by anything reachable from
+#: here as a data race.
 STREAM_CONSUMER_ROOTS = (consume_loop, produce)
 
 

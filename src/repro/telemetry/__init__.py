@@ -5,7 +5,8 @@ this package turns the toolkit's own runs into the same kind of
 analyzable event stream.  Three dependency-free pieces:
 
 * **spans** (:mod:`repro.telemetry.spans`) -- nested wall-clock spans
-  with thread-safe collection across the report section pool;
+  with thread-safe collection (the stream producer thread opens spans
+  too);
 * **metrics** (:mod:`repro.telemetry.metrics`) -- a counter / gauge /
   histogram registry fed by the caches, kernels and generators;
 * **exporters and manifests** (:mod:`repro.telemetry.export`,
@@ -58,13 +59,11 @@ from .metrics import (
     registry,
     reset_metrics,
     set_metrics_enabled,
-    timer,
 )
 from .spans import (
     NULL_SPAN,
     Span,
     Trace,
-    bind_context,
     current_trace,
     ensure_trace,
     finish_trace,
@@ -137,7 +136,6 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "Trace",
-    "bind_context",
     "build_manifest",
     "configure_from_env",
     "counter_add",
@@ -161,7 +159,6 @@ __all__ = [
     "span",
     "span_records",
     "start_trace",
-    "timer",
     "trace",
     "trace_file_from_env",
     "traced",

@@ -13,16 +13,15 @@ telemetry is disabled.  All instruments accept keyword *labels*
 combination is a separate series, rendered as ``name{k=v,...}`` in
 snapshots.
 
-Thread-safety: one registry lock serialises all mutations.  Call sites
+Thread-safety: one registry lock serialises all mutations, so the
+stream producer thread and the consumer can both record.  Call sites
 are deliberately coarse (per batched-grid call, per cache load, per
-bootstrap run -- never per event), so contention is negligible even
-under the ``full_report`` section pool.
+bootstrap run -- never per event), so contention is negligible.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any
 
 _enabled: bool = False
@@ -190,39 +189,3 @@ def metrics_snapshot() -> dict[str, dict[str, Any]]:
 def reset_metrics() -> None:
     """Clear every series in the global registry (tests, benchmarks)."""
     REGISTRY.reset()
-
-
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-class _Timer:
-    __slots__ = ("_name", "_labels", "_start")
-
-    def __init__(self, name: str, labels: dict[str, Any]) -> None:
-        self._name = name
-        self._labels = labels
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        observe(self._name, time.perf_counter() - self._start, **self._labels)
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
-def timer(name: str, **labels: Any):
-    """Histogram-timer context manager; a shared no-op when disabled."""
-    if not _enabled:
-        return _NULL_TIMER
-    return _Timer(name, labels)

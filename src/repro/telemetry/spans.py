@@ -11,13 +11,9 @@ Design constraints, in order:
    global and returns a shared no-op context manager when no trace is
    active; instrumented call sites never allocate in that case.
 2. **Thread-safe nesting.**  The "current span" lives in a
-   :mod:`contextvars` variable, so each thread (and each
-   :func:`bind_context` task) nests independently; appends to the shared
-   tree are serialised on the trace's lock.  Worker threads spawned by
-   :class:`concurrent.futures.ThreadPoolExecutor` do **not** inherit the
-   submitting thread's context -- wrap the task with
-   :func:`bind_context` at submission time to parent its spans
-   correctly.
+   :mod:`contextvars` variable, so each thread (the stream producer as
+   well as the main thread) nests independently; appends to the shared
+   tree are serialised on the trace's lock.
 3. **Process-local.**  Spans opened inside ``ProcessPoolExecutor``
    workers (``make_archive(..., workers=N)``) die with the worker;
    only the parent process's spans are collected.
@@ -213,28 +209,6 @@ def traced(name: str | None = None, **attrs: Any) -> Callable[[F], F]:
         return wrapper  # type: ignore[return-value]
 
     return decorate
-
-
-def bind_context(fn: Callable) -> Callable:
-    """Bind ``fn`` to a copy of the caller's context for thread pools.
-
-    ``ThreadPoolExecutor`` workers start from an empty context, so spans
-    they open would become trace roots instead of children of the
-    submitting span.  Wrapping each task at submission time carries the
-    submitter's current span across::
-
-        tasks = [bind_context(work) for _ in items]   # one copy per task
-        pool.map(lambda p: p[0](p[1]), zip(tasks, items))
-
-    Each call captures its own :func:`contextvars.copy_context` copy --
-    a single ``Context`` cannot be entered by two threads at once.
-    """
-    ctx = contextvars.copy_context()
-
-    def bound(*args, **kwargs):
-        return ctx.run(fn, *args, **kwargs)
-
-    return bound
 
 
 def tracing() -> bool:

@@ -65,7 +65,6 @@ BAD_CASES = [
         "TEL002",
         [("TEL002", 8), ("TEL002", 9), ("TEL002", 12)],
     ),
-    ("conc_global_bad.py", "CONC", [("CONC001", 9), ("CONC001", 10)]),
     ("conc_stream_bad.py", "CONC", [("CONC001", 9), ("CONC001", 10)]),
 ]
 
@@ -100,7 +99,6 @@ class TestGoodFixtures:
             ("cache_key_good.py", "CACHE002"),
             ("tel_loop_good.py", "TEL001"),
             ("tel_import_good.py", "TEL002"),
-            ("conc_global_good.py", "CONC"),
             ("conc_stream_good.py", "CONC"),
         ],
     )
@@ -121,12 +119,6 @@ class TestFindingShape:
             assert f.line > 0 and f.col >= 0
             assert f.severity.value in ("error", "warning")
             assert "default_rng" in f.message or "random" in f.message
-
-    def test_conc_message_names_the_call_chain(self):
-        (first, _) = lint_fixture("conc_global_bad.py", "CONC")
-        assert "render_demo" in first.message
-        assert "_tally" in first.message
-        assert "report section pool" in first.message
 
     def test_conc_stream_message_names_the_consumer_root(self):
         (first, _) = lint_fixture("conc_stream_bad.py", "CONC")

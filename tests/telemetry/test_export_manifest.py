@@ -64,8 +64,7 @@ class TestMetricsExport:
         telemetry.enable_metrics()
         telemetry.counter_add("a.count", 2, kind="x")
         telemetry.gauge_set("b.level", 1.5)
-        with telemetry.timer("c.time"):
-            pass
+        telemetry.observe("c.time", 0.25)
         text = telemetry.render_metrics()
         assert "a.count{kind=x} = 2" in text
         assert "b.level = 1.5" in text
@@ -75,6 +74,7 @@ class TestMetricsExport:
         snap = json.loads(path.read_text())
         assert snap["counters"]["a.count{kind=x}"] == 2
         assert snap["histograms"]["c.time"]["count"] == 1
+        assert snap["histograms"]["c.time"]["max"] == 0.25
 
     def test_render_empty(self):
         assert "(no metrics recorded)" in telemetry.render_metrics(

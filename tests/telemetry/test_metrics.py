@@ -39,24 +39,6 @@ class TestRegistry:
         telemetry.reset_metrics()
         assert telemetry.registry().counter_value("n", k="a") == 0
 
-    def test_histogram_timer(self):
-        telemetry.enable_metrics()
-        for _ in range(3):
-            with telemetry.timer("op", stage="x"):
-                pass
-        summary = telemetry.metrics_snapshot()["histograms"]["op{stage=x}"]
-        assert summary["count"] == 3
-        assert summary["min"] >= 0.0
-        assert summary["max"] >= summary["min"]
-
-    def test_timer_disabled_is_shared_noop(self):
-        t1 = telemetry.timer("op")
-        t2 = telemetry.timer("op")
-        assert t1 is t2
-        with t1:
-            pass
-        assert telemetry.metrics_snapshot()["histograms"] == {}
-
 
 class TestCacheWorkload:
     """Counters must match a hand-computed cache workload exactly."""

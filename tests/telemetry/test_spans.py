@@ -1,8 +1,6 @@
-"""Span collection: nesting, threading, error status, no-op fast path."""
+"""Span collection: nesting, error status, no-op fast path."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -115,52 +113,3 @@ class TestNesting:
         with telemetry.trace() as tr:
             with telemetry.ensure_trace() as ensured:
                 assert ensured is tr
-
-
-class TestThreadPool:
-    def test_bound_tasks_nest_under_submitter(self):
-        n_tasks = 8
-
-        def task(i):
-            with telemetry.span("task", index=i):
-                with telemetry.span("task.child", index=i):
-                    pass
-            return i
-
-        with telemetry.trace() as tr:
-            with telemetry.span("root"):
-                bound = [telemetry.bind_context(task) for _ in range(n_tasks)]
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    results = list(
-                        pool.map(lambda p: p[0](p[1]), zip(bound, range(n_tasks)))
-                    )
-        assert results == list(range(n_tasks))
-        assert [r.name for r in tr.roots] == ["root"]  # no orphan roots
-        (root,) = tr.roots
-        assert len(root.children) == n_tasks
-        # no interleaving corruption: every task span holds exactly its
-        # own child, and indices pair up
-        assert sorted(c.attrs["index"] for c in root.children) == list(
-            range(n_tasks)
-        )
-        for child in root.children:
-            assert child.name == "task"
-            (grandchild,) = child.children
-            assert grandchild.name == "task.child"
-            assert grandchild.attrs["index"] == child.attrs["index"]
-
-    def test_unbound_tasks_become_roots(self):
-        # Documents why bind_context exists: without it, pool threads
-        # start from an empty context and their spans surface as roots.
-        def task(i):
-            with telemetry.span("orphan", index=i):
-                pass
-
-        with telemetry.trace() as tr:
-            with telemetry.span("root"):
-                with ThreadPoolExecutor(max_workers=2) as pool:
-                    list(pool.map(task, range(3)))
-        names = sorted(r.name for r in tr.roots)
-        assert names == ["orphan", "orphan", "orphan", "root"]
-        (root,) = [r for r in tr.roots if r.name == "root"]
-        assert root.children == []

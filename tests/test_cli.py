@@ -27,6 +27,12 @@ class TestParser:
         assert args.scale == 1.0
         assert args.years == 9.0
 
+    def test_report_has_no_workers_option(self):
+        # The report renders its sections serially; only generation
+        # takes a worker count.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "/tmp/x", "--workers", "2"])
+
 
 class TestCommands:
     def test_generate(self, tmp_path, capsys):
@@ -161,6 +167,7 @@ class TestTelemetryCli:
         assert manifest["timings_s"]["report_total_s"] > 0
         assert manifest["timings_s"]["section.power_s"] >= 0
         assert manifest["archive"]["analysis_cache"]["misses"] > 0
+        assert "workers" not in manifest
 
     def test_generate_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "arch"
@@ -185,6 +192,7 @@ class TestTelemetryCli:
         assert len(manifest["config"]["digest"]) == 64
         assert manifest["archive"]["total_failures"] > 0
         assert set(manifest["timings_s"]) == {"generate_s", "save_s"}
+        assert all(s > 0 for s in manifest["timings_s"].values())
 
     def test_trace_file_env_export(
         self, archive_dir, tmp_path, capsys, monkeypatch
