@@ -31,7 +31,7 @@ import numpy as np
 from ..core.windows import Scope
 from ..records.dataset import SystemDataset
 from ..records.timeutil import ObservationPeriod, Span
-from .risk import RecentFailure, RiskModel, RiskModelError
+from .risk import SCOPE_CODES, RiskModel, RiskModelError
 
 
 class EvaluationError(ValueError):
@@ -91,14 +91,13 @@ class RiskEvaluation:
     recall_top_decile: float
 
 
-def _node_events(ds: SystemDataset) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per-node sorted (times, category codes) of the system's failures."""
+def _node_events(ds: SystemDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, category codes, bounds) of the failures grouped by node:
+    node ``k``'s, in time order, are rows ``bounds[k]:bounds[k + 1]``."""
     table = ds.failure_table
-    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for node in np.unique(table.node_ids):
-        mask = table.node_ids == node
-        out[int(node)] = (table.times[mask], table.category_codes[mask])
-    return out
+    order = np.argsort(table.node_ids, kind="stable")
+    bounds = np.searchsorted(table.node_ids[order], np.arange(ds.num_nodes + 1))
+    return table.times[order], table.category_codes[order], bounds
 
 
 def evaluate_risk_model(
@@ -122,9 +121,6 @@ def evaluate_risk_model(
     if not (0.1 <= train_fraction <= 0.9):
         raise EvaluationError("train_fraction must be in [0.1, 0.9]")
 
-    from ..records.taxonomy import all_categories
-
-    cats = list(all_categories())
     train_views = []
     for ds in systems:
         split = ds.period.start + train_fraction * ds.period.length
@@ -134,40 +130,37 @@ def evaluate_risk_model(
     except RiskModelError as exc:
         raise EvaluationError(f"cannot fit on the training split: {exc}") from exc
 
-    predictions: list[float] = []
-    labels: list[int] = []
+    predictions: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
     h_days = horizon.days
     for ds in systems:
         split = ds.period.start + train_fraction * ds.period.length
         test_start, test_end = split, ds.period.end
         if test_end - test_start < 2 * h_days:
             continue
-        events = _node_events(ds)
+        times, codes, bounds = _node_events(ds)
         n_windows = int((test_end - test_start - h_days) // h_days)
         starts = test_start + h_days * np.arange(n_windows)
-        for node in range(ds.num_nodes):
-            times, cat_codes = events.get(node, (np.empty(0), np.empty(0)))
-            lo = np.searchsorted(times, starts - h_days, side="left")
-            mid = np.searchsorted(times, starts, side="left")
-            hi = np.searchsorted(times, starts + h_days, side="left")
-            for w in range(n_windows):
-                recent = [
-                    RecentFailure(
-                        age_days=float(starts[w] - times[i]),
-                        category=cats[int(cat_codes[i])],
-                        scope=Scope.NODE,
-                    )
-                    for i in range(int(lo[w]), int(mid[w]))
-                ]
-                predictions.append(model.score(recent))
-                labels.append(int(hi[w] > mid[w]))
+        # Node-major (node, window) instances: each scores the node's
+        # failures in [start - h, start), labelled by one in [start, start + h).
+        edges = np.stack((starts - h_days, starts, starts + h_days))
+        lo, mid, hi = np.stack([
+            bounds[k] + np.searchsorted(times[bounds[k]:bounds[k + 1]], edges)
+            for k in range(ds.num_nodes)
+        ], axis=1).reshape(3, -1)
+        lengths = mid - lo
+        events = np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+        ages = np.repeat(np.tile(starts, ds.num_nodes), lengths) - times[events]
+        scopes = np.full(events.size, SCOPE_CODES[Scope.NODE])
+        predictions.append(model.score_batch(lengths, ages, scopes, codes[events]))
+        labels.append(hi > mid)
 
-    if len(predictions) < 100:
+    p = np.concatenate(predictions) if predictions else np.empty(0)
+    if p.size < 100:
         raise EvaluationError(
             "fewer than 100 evaluation instances; use a longer record"
         )
-    p = np.asarray(predictions)
-    y = np.asarray(labels, dtype=float)
+    y = np.concatenate(labels).astype(float)
     base_rate = float(y.mean())
     if base_rate == 0.0:
         raise EvaluationError("no failures in the held-out period")

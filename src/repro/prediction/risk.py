@@ -13,7 +13,8 @@ archive by running the paper's own conditional-probability analyses
 failing within a horizon given the recent failure history of the node,
 its rack and its system.  Probabilities combine under an independent-
 hazard approximation: each recent event contributes the excess hazard
-implied by its measured conditional probability.
+implied by its measured conditional probability.  All scoring goes
+through one batch kernel, :meth:`RiskModel.score_batch`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..records.dataset import SystemDataset
+import numpy as np
+from numpy.typing import ArrayLike
+
+from ..records.dataset import FailureTable, SystemDataset
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import Span
 from ..core.correlations import (
@@ -34,6 +38,10 @@ from ..core.windows import Scope
 
 class RiskModelError(ValueError):
     """Raised on invalid risk-model construction or queries."""
+
+
+#: Scope code of each scope, as :meth:`RiskModel.score_batch` takes it.
+SCOPE_CODES = {Scope.NODE: 0, Scope.RACK: 1, Scope.SYSTEM: 2}
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +61,7 @@ class RecentFailure:
     scope: Scope
 
     def __post_init__(self) -> None:
-        if self.age_days < 0:
+        if not (self.age_days >= 0):
             raise RiskModelError(f"age_days must be >= 0, got {self.age_days}")
 
 
@@ -71,6 +79,11 @@ class RiskModel:
     horizon: Span
     baseline: float
     conditional: Mapping[tuple[Scope, Category], float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name, p in [("baseline", self.baseline), *self.conditional.items()]:
+            if not (0.0 <= p <= 1.0):
+                raise RiskModelError(f"{name} probability must be in [0, 1], got {p}")
 
     @classmethod
     def fit(
@@ -100,39 +113,54 @@ class RiskModel:
                     conditional[(scope, cat)] = est.value
         return cls(horizon=horizon, baseline=base, conditional=conditional)
 
-    def _excess_hazard(self, event: RecentFailure) -> float:
-        """Excess hazard contributed by one recent event.
+    def score_batch(
+        self, lengths: ArrayLike, ages: ArrayLike, scopes: ArrayLike, codes: ArrayLike
+    ) -> np.ndarray:
+        """P(failure within the horizon) for each of many recent histories.
 
-        The measured conditional probability p_c implies a total hazard
-        ``-ln(1 - p_c)`` over the horizon following the trigger; the
-        baseline accounts for ``-ln(1 - p_b)`` of it.  Events older than
-        the horizon contribute nothing (their measured window has
-        passed); younger events contribute the remaining fraction of
-        their window, assuming uniform hazard within it.
+        History ``i`` is the next ``lengths[i]`` entries of the flat
+        ``ages`` (days), ``scopes`` (:data:`SCOPE_CODES`) and ``codes``
+        (:func:`all_categories` order).  An event's measured ``p_c``
+        implies a hazard ``-ln(1 - p_c)`` over the horizon after it, of
+        which the baseline accounts for ``-ln(1 - p_b)``.  Events add the
+        excess, times the unexpired fraction of their window, to the
+        baseline hazard in history order; unfitted ones add nothing.
         """
-        p_c = self.conditional.get((event.scope, event.category))
-        if p_c is None:
-            return 0.0
-        horizon_days = self.horizon.days
-        if event.age_days >= horizon_days:
-            return 0.0
-        h_total = -math.log(max(1.0 - p_c, 1e-12))
-        h_base = -math.log(max(1.0 - self.baseline, 1e-12))
-        excess = max(h_total - h_base, 0.0)
-        remaining = 1.0 - event.age_days / horizon_days
-        return excess * remaining
+        lengths = np.asarray(lengths, dtype=np.int64)
+        ages = np.asarray(ages, dtype=float)
+        scopes = np.asarray(scopes, dtype=np.int64)
+        codes = np.asarray(codes, dtype=np.int64)
+        if not ages.shape == scopes.shape == codes.shape == (lengths.sum(),):
+            raise RiskModelError("history arrays must hold sum(lengths) events")
+        base = -math.log(max(1.0 - self.baseline, 1e-12))
+        categories = all_categories()
+        excess = np.zeros((len(SCOPE_CODES), len(categories)))
+        for scope, row in SCOPE_CODES.items():
+            for code, category in enumerate(categories):
+                p_c = self.conditional.get((scope, category))
+                if p_c is not None:
+                    excess[row, code] = max(-math.log(max(1.0 - p_c, 1e-12)) - base, 0.0)
+        h_days = self.horizon.days
+        remaining = np.where(ages >= h_days, 0.0, 1.0 - ages / h_days)
+        # Zero-padded (instance, slot) matrix behind a baseline column; the
+        # cumulative sum adds each row left to right, one slot at a time.
+        padded = np.zeros((lengths.size, 1 + int(lengths.max(initial=0))))
+        padded[:, 0] = base
+        padded[:, 1:][np.arange(padded.shape[1] - 1) < lengths[:, None]] = (
+            excess[scopes, codes] * remaining
+        )
+        hazards = np.cumsum(padded, axis=1)[:, -1]
+        # libm's exp, not numpy's SIMD one, which may differ in the last ulp.
+        return np.array([1.0 - math.exp(-h) for h in hazards.tolist()])
 
     def score(self, recent: Sequence[RecentFailure] = ()) -> float:
-        """P(the node fails within the horizon), given recent history.
-
-        With no recent events this is the baseline.  Multiple events
-        combine additively in hazard space (independent contributions),
-        so the result is always a valid probability in (0, 1).
-        """
-        hazard = -math.log(max(1.0 - self.baseline, 1e-12))
-        for event in recent:
-            hazard += self._excess_hazard(event)
-        return 1.0 - math.exp(-hazard)
+        """P(the node fails within the horizon), given recent history."""
+        return float(self.score_batch(
+            [len(recent)],
+            [event.age_days for event in recent],
+            [SCOPE_CODES[event.scope] for event in recent],
+            [FailureTable.category_code(event.category) for event in recent],
+        )[0])
 
     def rank_factors(self) -> list[tuple[Scope, Category, float]]:
         """Trigger types ranked by factor over baseline (descending).

@@ -9,8 +9,9 @@ rules and (optionally) writes periodic checkpoints.
 
 The risk model is the same model :meth:`RiskModel.fit` produces from a
 batch archive -- its baseline and conditional probabilities come from
-the identical pooled counts, just accumulated online -- so a fully
-replayed archive yields the same scores the batch fit would.
+the identical pooled counts, just accumulated online -- and scores go
+through its batch kernel, so a fully replayed archive yields the same
+scores the batch fit would.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.windows import Counts, Scope, ZERO_COUNTS
-from ..prediction.risk import RiskModel
+from ..prediction.risk import SCOPE_CODES, RiskModel
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import Span
 from ..telemetry import counter_add, gauge_set, span as tel_span
@@ -123,30 +124,8 @@ def risk_model_from_state(
     return RiskModel(horizon=horizon, baseline=baseline, conditional=conditional)
 
 
-_SCOPE_ROWS = (Scope.NODE, Scope.RACK, Scope.SYSTEM)
-
 #: Category code -> rank of the category's name (the history sort key).
 _NAME_RANK = np.argsort(np.argsort([c.value for c in all_categories()]))
-
-
-def _excess_hazards(model: RiskModel) -> tuple[float, np.ndarray]:
-    """``model``'s baseline hazard and ``[scope row, category code]``
-    excess hazards.
-
-    The same ``math.log`` calls as :meth:`RiskModel._excess_hazard`,
-    made once per scoring call instead of once per event; categories
-    without a fitted probability contribute ``0.0``.
-    """
-    base = -math.log(max(1.0 - model.baseline, 1e-12))
-    categories = all_categories()
-    excess = np.zeros((len(_SCOPE_ROWS), len(categories)))
-    for row, scope in enumerate(_SCOPE_ROWS):
-        for code, category in enumerate(categories):
-            p_c = model.conditional.get((scope, category))
-            if p_c is not None:
-                h_total = -math.log(max(1.0 - p_c, 1e-12))
-                excess[row, code] = max(h_total - base, 0.0)
-    return base, excess
 
 
 def node_risks(
@@ -165,8 +144,9 @@ def node_risks(
     rack event are scored -- every other node shares the same ambient
     (system-events-only) score, which carries no ranking information.
     Results sort by descending score, then node id; ``limit`` keeps the
-    per-batch refresh bounded.  Scores equal :meth:`RiskModel.score` of
-    each node's history bit for bit.
+    per-batch refresh bounded.  All candidates score in one
+    :meth:`RiskModel.score_batch` call, histories in (time, node,
+    category name) order.
     """
     try:
         system = state.systems[system_id]
@@ -204,29 +184,23 @@ def node_risks(
         candidates = np.unique(n)
     else:
         candidates = np.flatnonzero(np.isin(rack_of, rack_of[n]))
-    # Scope of every (candidate, event) pair, as a row of ``excess``.
+    # Each candidate's history: every recent event, scoped relative to it.
     own = candidates[:, None] == n
-    scope_row = np.where(own, 0, 2)
+    scopes = np.where(own, SCOPE_CODES[Scope.NODE], SCOPE_CODES[Scope.SYSTEM])
     if rack_of is not None:
-        scope_row[~own & (rack_of[candidates][:, None] == rack_of[n])] = 1
-    age = np.maximum(now - t, 0.0)
-    remaining = np.where(age >= horizon_days, 0.0, 1.0 - age / horizon_days)
-    base, excess = _excess_hazards(model)
-    contrib = excess[scope_row, c] * remaining
-    # Left to right from the baseline hazard, as RiskModel.score adds.
-    hazards = np.cumsum(
-        np.concatenate((np.full((candidates.size, 1), base), contrib), axis=1),
-        axis=1,
-    )[:, -1]
+        scopes[~own & (rack_of[candidates][:, None] == rack_of[n])] = SCOPE_CODES[Scope.RACK]
+    scores = model.score_batch(
+        np.full(candidates.size, t.size),
+        np.tile(np.maximum(now - t, 0.0), candidates.size),
+        scopes.ravel(),
+        np.tile(c, candidates.size),
+    )
     risks = [
         NodeRisk(
-            system_id=system_id,
-            node_id=node,
-            score=1.0 - math.exp(-hazard),
-            recent_own=recent_own,
+            system_id=system_id, node_id=node, score=score, recent_own=recent_own
         )
-        for node, hazard, recent_own in zip(
-            candidates.tolist(), hazards.tolist(), own.sum(axis=1).tolist()
+        for node, score, recent_own in zip(
+            candidates.tolist(), scores.tolist(), own.sum(axis=1).tolist()
         )
     ]
     risks.sort(key=lambda r: (-r.score, r.node_id))

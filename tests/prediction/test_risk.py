@@ -1,10 +1,22 @@
 """Tests for the follow-up-failure risk model."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.windows import Scope
-from repro.prediction.risk import RecentFailure, RiskModel, RiskModelError
+from repro.prediction.risk import (
+    SCOPE_CODES,
+    RecentFailure,
+    RiskModel,
+    RiskModelError,
+)
+from repro.records.dataset import FailureTable
 from repro.records.taxonomy import Category
+from repro.records.timeutil import Span
+from tests.prediction.reference_risk import reference_score
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +89,107 @@ class TestScore:
     def test_rejects_negative_age(self):
         with pytest.raises(RiskModelError):
             RecentFailure(-1.0, Category.HARDWARE, Scope.NODE)
+
+    def test_rejects_nan_age(self):
+        with pytest.raises(RiskModelError):
+            RecentFailure(math.nan, Category.HARDWARE, Scope.NODE)
+
+    def test_infinitely_old_event_is_baseline(self, model):
+        ancient = RecentFailure(math.inf, Category.NETWORK, Scope.NODE)
+        assert model.score([ancient]) == model.score()
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("baseline", [math.nan, 1.5, -0.1, math.inf])
+    def test_rejects_bad_baseline(self, baseline):
+        with pytest.raises(RiskModelError):
+            RiskModel(horizon=Span.WEEK, baseline=baseline)
+
+    @pytest.mark.parametrize("p", [math.nan, 1.01, -1e-9])
+    def test_rejects_bad_conditional(self, p):
+        with pytest.raises(RiskModelError):
+            RiskModel(
+                horizon=Span.WEEK,
+                baseline=0.1,
+                conditional={(Scope.NODE, Category.HARDWARE): p},
+            )
+
+    def test_accepts_closed_unit_interval(self):
+        model = RiskModel(
+            horizon=Span.WEEK,
+            baseline=0.0,
+            conditional={(Scope.RACK, Category.NETWORK): 1.0},
+        )
+        assert model.score() == 0.0
+        assert 0.0 < model.score([RecentFailure(0.0, Category.NETWORK, Scope.RACK)]) < 1.0
+
+
+class TestScoreBatch:
+    def test_rejects_mismatched_lengths(self, model):
+        with pytest.raises(RiskModelError):
+            model.score_batch([2], [0.0], [0], [0])
+
+    def test_no_instances(self, model):
+        assert model.score_batch([], [], [], []).size == 0
+
+
+def _flatten(histories):
+    events = [event for history in histories for event in history]
+    return (
+        [len(history) for history in histories],
+        [event.age_days for event in events],
+        [SCOPE_CODES[event.scope] for event in events],
+        [FailureTable.category_code(event.category) for event in events],
+    )
+
+
+@st.composite
+def models(draw):
+    """Models with any subset of (scope, category) probabilities fitted."""
+    keys = [(scope, cat) for scope in Scope for cat in Category]
+    fitted = draw(st.lists(st.sampled_from(keys), unique=True))
+    probability = st.floats(0.0, 1.0, allow_nan=False)
+    return RiskModel(
+        horizon=draw(st.sampled_from(list(Span))),
+        baseline=draw(probability),
+        conditional={key: draw(probability) for key in fitted},
+    )
+
+
+@st.composite
+def histories(draw, horizon_days):
+    age = st.one_of(
+        st.just(0.0),
+        st.just(horizon_days),
+        st.floats(0.0, 2.0 * horizon_days, allow_nan=False),
+    )
+    event = st.builds(
+        RecentFailure,
+        age,
+        st.sampled_from(list(Category)),
+        st.sampled_from(list(Scope)),
+    )
+    return draw(st.lists(st.lists(event, max_size=8), max_size=12))
+
+
+class TestKernelMatchesReference:
+    """The batch kernel equals the per-event reference loop with ``==``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_models_and_ragged_histories(self, data):
+        model = data.draw(models())
+        batch = data.draw(histories(model.horizon.days))
+        want = [reference_score(model, history) for history in batch]
+        assert model.score_batch(*_flatten(batch)).tolist() == want
+        assert [model.score(history) for history in batch] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fitted_model(self, model, data):
+        batch = data.draw(histories(model.horizon.days))
+        want = [reference_score(model, history) for history in batch]
+        assert model.score_batch(*_flatten(batch)).tolist() == want
 
 
 class TestRanking:

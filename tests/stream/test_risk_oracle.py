@@ -1,11 +1,12 @@
 """The vectorised risk refresh against the per-event reference scorer.
 
 ``reference_node_risks`` is the straightforward scorer: it builds each
-candidate node's :class:`RecentFailure` history and asks
-:meth:`RiskModel.score`.  The streaming consumer scores with a
-vectorised equivalent; these tests replay the medium fixture through
-both and require every per-batch risk list and every alert to be equal
-with ``==`` -- bit-identical scores, not approximately equal ones.
+candidate node's :class:`RecentFailure` history and scores it with the
+per-event loop in ``tests/prediction/reference_risk.py``, which shares
+no code with :meth:`RiskModel.score_batch`.  The streaming consumer
+scores through that batch kernel; these tests replay the medium fixture
+through both and require every per-batch risk list and every alert to be
+equal with ``==`` -- bit-identical scores, not approximately equal ones.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.stream import (
     risk_model_from_state,
 )
 from repro.stream.state import ANY_CODE
+from tests.prediction.reference_risk import reference_score
 
 
 def reference_node_risks(
@@ -36,7 +38,7 @@ def reference_node_risks(
     system_id: int,
     limit: int | None = None,
 ) -> list[NodeRisk]:
-    """One :meth:`RiskModel.score` call per candidate node."""
+    """One per-event reference score per candidate node."""
     system = state.systems[system_id]
     now = system.clock.high
     if now == -math.inf or now == math.inf:
@@ -87,7 +89,7 @@ def reference_node_risks(
             NodeRisk(
                 system_id=system_id,
                 node_id=node,
-                score=model.score(history),
+                score=reference_score(model, history),
                 recent_own=own,
             )
         )
