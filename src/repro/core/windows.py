@@ -22,7 +22,7 @@ Nearly every figure of the paper compares two probabilities:
 Everything here is expressed over time-sorted event streams
 (:class:`~repro.records.dataset.EventIndex`), so the same engine serves
 failures, failure subsets (by category or subtype) and maintenance
-events.  One gather kernel, :func:`window_scope_hits`, decides window
+events.  One gather kernel, :func:`segment_hits`, decides window
 membership for the batch grids and the stream alike.
 """
 
@@ -241,14 +241,17 @@ def conditional_counts_batch(
     return grid
 
 
-#: Most target events :func:`window_scope_hits` gathers at once; larger
-#: requests split the triggers in halves until each half fits.
+#: Most target entries :func:`segment_hits` gathers at once; larger
+#: requests split the pairs in halves until each half fits.
 GATHER_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True, slots=True)
 class ScopeHits:
-    """Per-trigger window outcomes, indexed ``[span, target, trigger]``.
+    """Per-trigger window outcomes, indexed ``[span, ...]``.
+
+    :func:`segment_hits` indexes them ``[span, pair]`` and
+    :func:`window_scope_hits` ``[span, target, trigger]``.
 
     Attributes:
         own: whether the trigger's own node has a target event in
@@ -264,6 +267,9 @@ class ScopeHits:
     system: np.ndarray
     rack: np.ndarray | None
 
+    def __iter__(self):
+        return iter((self.own, self.system, self.rack))
+
 
 def window_scope_hits(
     trig_t: np.ndarray,
@@ -274,26 +280,16 @@ def window_scope_hits(
     rack_of: np.ndarray | None = None,
     wide: Sequence[bool] | None = None,
 ) -> ScopeHits:
-    """NODE, RACK and SYSTEM window hits of every trigger in one gather.
+    """NODE, RACK and SYSTEM window hits of every trigger against every
+    target stream, indexed ``[span, target, trigger]``.
 
-    The one window kernel: the batch grids, the analysis cache and
-    incremental (stream) resolution all count through it.  For each
-    ``(target, trigger)`` pair, the segment ``(t, t + longest]`` of the
-    time-sorted target stream is located with one ``searchsorted`` per
-    side, and all segments are flattened into one array with
-    ``np.repeat`` index arithmetic.  Every span and scope derives from
-    that array:
-
-    * a shorter span keeps the entries with ``T <= t + days``, the same
-      float comparison ``searchsorted(T, t + days, "right")`` makes, so
-      every span gets exactly its own ``(t, t + days]`` window;
-    * NODE: entries on the trigger's own node;
-    * SYSTEM: distinct other nodes, via ``np.unique`` over
-      ``pair * num_nodes + node``;
-    * RACK: the SYSTEM keys whose node shares the trigger's rack.
-
-    Censoring is left to the caller, which masks the per-trigger
-    results.  Triggers need not be sorted.
+    The segment locator in front of :func:`segment_hits`, the one window
+    kernel: for each ``(target, trigger)`` pair, the segment
+    ``(t, t + longest]`` of the time-sorted target stream is located
+    with one ``searchsorted`` per side, and one :func:`segment_hits`
+    call resolves every pair, span and scope.  Censoring is left to the
+    caller, which masks the per-trigger results.  Triggers need not be
+    sorted.
 
     Args:
         trig_t / trig_n: trigger times and nodes.
@@ -306,15 +302,9 @@ def window_scope_hits(
             (default: every target).
     """
     n_trig = int(trig_t.size)
-    n_spans = len(span_days)
-    shape = (n_spans, len(targets), n_trig)
-    hits = ScopeHits(
-        own=np.zeros(shape, dtype=bool),
-        system=np.zeros(shape, dtype=np.int64),
-        rack=np.zeros(shape, dtype=np.int64) if rack_of is not None else None,
-    )
-    if not n_trig or not n_spans or not targets:
-        return hits
+    n_targets = len(targets)
+    if not n_trig or not len(span_days) or not n_targets:
+        return _no_hits(len(span_days), (n_targets, n_trig), rack_of)
     ends = trig_t + max(span_days)
     lo, hi, offset = [], [], 0
     for times, _ in targets:
@@ -322,56 +312,161 @@ def window_scope_hits(
         hi.append(np.searchsorted(times, ends, side="right") + offset)
         offset += int(times.size)
     # Pair p = target * n_trig + trigger: the flat index of hits.*[k].
-    lo = np.concatenate(lo)
-    lengths = np.concatenate(hi) - lo
-    if lengths.sum() > GATHER_CHUNK and n_trig > 1:
-        # Bound the gather's memory: resolve each half of the triggers.
-        first, second = (
-            window_scope_hits(
-                trig_t[part], trig_n[part], targets, span_days, num_nodes,
-                rack_of, wide,
+    hits = segment_hits(
+        np.concatenate(lo),
+        np.concatenate(hi),
+        np.tile(trig_t, n_targets),
+        np.tile(trig_n, n_targets),
+        np.concatenate([times for times, _ in targets]),
+        np.concatenate([nodes for _, nodes in targets]),
+        span_days,
+        num_nodes,
+        rack_of,
+        None if wide is None else np.repeat(np.asarray(wide, dtype=bool), n_trig),
+    )
+    shape = (len(span_days), n_targets, n_trig)
+    return ScopeHits(
+        *(None if a is None else a.reshape(shape) for a in hits)
+    )
+
+
+def _no_hits(
+    n_spans: int, shape: tuple[int, ...], rack_of: np.ndarray | None
+) -> ScopeHits:
+    shape = (n_spans, *shape)
+    return ScopeHits(
+        own=np.zeros(shape, dtype=bool),
+        system=np.zeros(shape, dtype=np.int64),
+        rack=np.zeros(shape, dtype=np.int64) if rack_of is not None else None,
+    )
+
+
+def segment_hits(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    trig_t: np.ndarray,
+    trig_n: np.ndarray,
+    times: np.ndarray,
+    nodes: np.ndarray,
+    span_days: Sequence[float],
+    num_nodes: int,
+    rack_of: np.ndarray | None = None,
+    wide: np.ndarray | None = None,
+) -> ScopeHits:
+    """NODE, RACK and SYSTEM window hits of many (trigger, segment)
+    pairs in one gather, indexed ``[span, pair]``.
+
+    The one window kernel: the batch grids, the analysis cache and the
+    stream all count through it.  Pair ``p`` is a trigger at
+    ``trig_t[p]`` on node ``trig_n[p]`` and the segment
+    ``lo[p]:hi[p]`` of the flat target arrays ``times`` / ``nodes``:
+    time-sorted entries with ``T > t`` that cover ``(t, t + days]`` for
+    every span whose result the caller reads.  Segments of one pair
+    never mix systems, so several systems resolve in one call when
+    their node (and rack) ids are offset apart.
+
+    All segments are flattened into one array with ``np.repeat`` index
+    arithmetic; a span keeps the entries with ``T <= t + days``, the
+    float comparison ``searchsorted(T, t + days, "right")`` makes.
+    Because segments are time-sorted, whether a node has an entry in a
+    span's window is decided by its *first* entry:
+
+    * NODE: the pair's first entry on the trigger's own node;
+    * SYSTEM: one stable sort of the other-node entries by
+      ``pair * num_nodes + node`` puts each (pair, node) group's first
+      entry at its head; a span counts the heads with
+      ``T <= t + days``;
+    * RACK: the SYSTEM heads whose node shares the trigger's rack.
+
+    Args:
+        lo / hi: per pair, the segment bounds in ``times`` / ``nodes``.
+        trig_t / trig_n: per pair, the trigger time and node.
+        times / nodes: flat target entries; node ids below
+            ``num_nodes``.
+        span_days: window lengths.
+        num_nodes: node id bound.
+        rack_of: node -> rack mapping; enables RACK results.
+        wide: per pair, whether to compute SYSTEM/RACK results
+            (default: every pair).
+    """
+    n_pairs = int(lo.size)
+    lengths = hi - lo
+    if n_pairs > 1 and lengths.sum() > GATHER_CHUNK:
+        # Bound the gather's memory: resolve each half of the pairs.
+        halves = [
+            segment_hits(
+                lo[part], hi[part], trig_t[part], trig_n[part], times, nodes,
+                span_days, num_nodes, rack_of,
+                None if wide is None else wide[part],
             )
-            for part in (slice(None, n_trig // 2), slice(n_trig // 2, None))
-        )
+            for part in (slice(None, n_pairs // 2), slice(n_pairs // 2, None))
+        ]
         return ScopeHits(
             *(
-                None if a is None else np.concatenate((a, b), axis=2)
-                for a, b in (
-                    (first.own, second.own),
-                    (first.system, second.system),
-                    (first.rack, second.rack),
-                )
+                None if a is None else np.concatenate((a, b), axis=1)
+                for a, b in zip(*halves)
             )
         )
-    pair = np.repeat(np.arange(lo.size), lengths)
-    trig = pair % n_trig
-    # Entry j of pair p's segment is target index lo[p] + j - start[p].
-    start = np.cumsum(lengths) - lengths
-    idx = np.arange(pair.size) + (lo - start)[pair]
-    seg_t = np.concatenate([times for times, _ in targets])[idx]
-    seg_n = np.concatenate([nodes for _, nodes in targets])[idx]
-    t_own = trig_t[trig]
-    same = seg_n == trig_n[trig]
-    other = ~same
+    hits = _no_hits(len(span_days), (n_pairs,), rack_of)
+    if not n_pairs or not len(span_days):
+        return hits
+    pair = np.repeat(np.arange(n_pairs), lengths)
+    idx = concat_ranges(lo, hi)
+    seg_t = times[idx]
+    seg_n = nodes[idx]
+    del idx
+    same = seg_n == trig_n[pair]
+    first_own = np.full(n_pairs, np.inf)
+    own_pair = pair[same]
+    head = _run_heads(own_pair)
+    first_own[own_pair[head]] = seg_t[same][head]
+    del own_pair, head
+    other = np.logical_not(same, out=same)
     if wide is not None:
-        other &= np.repeat(np.asarray(wide, dtype=bool), n_trig)[pair]
-    keys = pair * np.int64(num_nodes) + seg_n
-    own, system, rack = (
-        None if a is None else a.reshape(n_spans, -1)
-        for a in (hits.own, hits.system, hits.rack)
-    )
+        other &= wide[pair]
+    keys = pair[other]
+    del pair
+    keys *= num_nodes
+    keys += seg_n[other]
+    first_t = seg_t[other]
+    del seg_t, seg_n, other
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = _run_heads(keys)
+    keys = keys[head]
+    first_t = first_t[order][head]
+    del order, head
+    hit_pair = keys // num_nodes
+    head_trig_t = trig_t[hit_pair]
+    in_rack = None
+    if rack_of is not None:
+        in_rack = rack_of[keys % num_nodes] == rack_of[trig_n[hit_pair]]
+    del keys
     for k, days in enumerate(span_days):
-        inside = seg_t <= t_own + days
-        own[k, pair[same & inside]] = True
-        distinct = np.unique(keys[other & inside])
-        hit_pair = distinct // num_nodes
-        system[k] = np.bincount(hit_pair, minlength=lo.size)
-        if rack is not None:
-            in_rack = rack_of[distinct % num_nodes] == rack_of[
-                trig_n[hit_pair % n_trig]
-            ]
-            rack[k] = np.bincount(hit_pair[in_rack], minlength=lo.size)
+        hits.own[k] = first_own <= trig_t + days
+        inside = first_t <= head_trig_t + days
+        hits.system[k] = np.bincount(hit_pair[inside], minlength=n_pairs)
+        if in_rack is not None:
+            inside &= in_rack
+            hits.rack[k] = np.bincount(hit_pair[inside], minlength=n_pairs)
     return hits
+
+
+def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The index ranges ``lo[i]:hi[i]``, concatenated (``np.repeat``
+    arithmetic: entry ``j`` of range ``i`` is ``lo[i] + j``)."""
+    lengths = hi - lo
+    idx = np.arange(int(lengths.sum()))
+    idx += np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+    return idx
+
+
+def _run_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal sorted keys."""
+    head = np.empty(sorted_keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    return head
 
 
 def baseline_counts_batch(

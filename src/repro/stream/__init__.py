@@ -23,8 +23,6 @@ from .analysis import (
     OnlineAnalysis,
     StreamAnalysisError,
     node_risks,
-    pooled_baseline,
-    pooled_conditional,
     risk_model_from_state,
 )
 from .events import (
@@ -61,10 +59,10 @@ from .state import (
     BatchStats,
     CheckpointInfo,
     Checkpointer,
+    EventStore,
     StreamAnalysisConfig,
     StreamAnalysisState,
     StreamStateError,
-    StreamingEventIndex,
     SystemStreamState,
     latest_checkpoint_sequence,
     load_checkpoint,
@@ -85,6 +83,7 @@ __all__ = [
     "CheckpointInfo",
     "Checkpointer",
     "EquivalenceReport",
+    "EventStore",
     "EventConsumer",
     "IngestError",
     "IngestPipeline",
@@ -100,7 +99,6 @@ __all__ = [
     "StreamEvent",
     "StreamEventError",
     "StreamStateError",
-    "StreamingEventIndex",
     "SystemStreamState",
     "WatermarkClock",
     "archive_event_id",
@@ -111,8 +109,6 @@ __all__ = [
     "latest_checkpoint_sequence",
     "load_checkpoint",
     "node_risks",
-    "pooled_baseline",
-    "pooled_conditional",
     "produce",
     "render_alerts",
     "replay_and_verify",

@@ -154,7 +154,7 @@ class CategoryBurstRule(AlertRule):
         label = "any" if self.category is None else self.category.value
         for system_id in sorted(stats.touched):
             system = analysis.state.systems[system_id]
-            store = system.stores.get(code)
+            store = system.store(code)
             if store is None or not len(store):
                 continue
             now = system.clock.high

@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ..core.windows import Counts, Scope, ZERO_COUNTS
+from ..core.windows import Scope, concat_ranges
 from ..prediction.risk import SCOPE_CODES, RiskModel
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import Span
 from ..telemetry import counter_add, gauge_set, span as tel_span
 from .events import StreamEvent
 from .state import (
-    ANY_CODE,
     BatchStats,
     Checkpointer,
     StreamAnalysisState,
@@ -55,38 +55,6 @@ class NodeRisk:
     recent_own: int
 
 
-def pooled_conditional(
-    state: StreamAnalysisState,
-    scope: Scope,
-    trigger: Category | None,
-    target: Category | None,
-    span: Span,
-) -> Counts:
-    """Conditional counts pooled across systems (streaming counterpart
-    of :func:`repro.core.correlations.pooled_conditional`).
-
-    Systems without a layout are skipped at RACK scope, matching the
-    batch helper.
-    """
-    total = ZERO_COUNTS
-    for system_id in sorted(state.systems):
-        system = state.systems[system_id]
-        if scope is Scope.RACK and system.rack_of is None:
-            continue
-        total = total + system.counts(scope, trigger, target, span)
-    return total
-
-
-def pooled_baseline(
-    state: StreamAnalysisState, target: Category | None, span: Span
-) -> Counts:
-    """Baseline counts pooled across systems."""
-    total = ZERO_COUNTS
-    for system_id in sorted(state.systems):
-        total = total + state.systems[system_id].baseline(target, span)
-    return total
-
-
 def risk_model_from_state(
     state: StreamAnalysisState, horizon: Span = Span.WEEK
 ) -> RiskModel:
@@ -107,7 +75,7 @@ def risk_model_from_state(
     any_rack = any(
         state.systems[sid].rack_of is not None for sid in state.systems
     )
-    baseline = pooled_baseline(state, None, horizon).estimate().value
+    baseline = state.pooled_baseline(None, horizon).estimate().value
     conditional: dict[tuple[Scope, Category], float] = {}
     for scope in (Scope.NODE, Scope.RACK, Scope.SYSTEM):
         if scope is Scope.RACK and not any_rack:
@@ -117,7 +85,7 @@ def risk_model_from_state(
                 continue
             if scope is not Scope.NODE and None not in state.config.wide_targets:
                 continue  # pragma: no cover - default config always tracks ANY
-            counts = pooled_conditional(state, scope, category, None, horizon)
+            counts = state.pooled_conditional(scope, category, None, horizon)
             estimate = counts.estimate()
             if estimate.defined:
                 conditional[(scope, category)] = estimate.value
@@ -131,80 +99,95 @@ _NAME_RANK = np.argsort(np.argsort([c.value for c in all_categories()]))
 def node_risks(
     state: StreamAnalysisState,
     model: RiskModel,
-    system_id: int,
+    system_ids: Sequence[int],
     limit: int | None = None,
-) -> list[NodeRisk]:
-    """Score nodes of one system against the trailing horizon window.
+) -> dict[int, list[NodeRisk]]:
+    """Score the nodes of each system against the trailing horizon window.
 
-    "Now" is the system's stream high-water mark (never the wall
+    "Now" is each system's stream high-water mark (never the wall
     clock), and the recent-failure history feeding the scorer is read
     from the streaming per-category stores: a node's own events score at
     NODE scope, its rack peers' events at RACK scope and the rest of
     the system at SYSTEM scope.  Only nodes with at least one own or
     rack event are scored -- every other node shares the same ambient
     (system-events-only) score, which carries no ranking information.
-    Results sort by descending score, then node id; ``limit`` keeps the
-    per-batch refresh bounded.  All candidates score in one
-    :meth:`RiskModel.score_batch` call, histories in (time, node,
-    category name) order.
+    Each system's results sort by descending score, then node id;
+    ``limit`` keeps the per-batch refresh bounded.  Every candidate of
+    every system scores in one :meth:`RiskModel.score_batch` call,
+    histories in (time, node, category name) order.
     """
+    risks: dict[int, list[NodeRisk]] = {system_id: [] for system_id in system_ids}
     try:
-        system = state.systems[system_id]
+        systems = [state.systems[system_id] for system_id in risks]
     except KeyError as exc:
-        raise StreamAnalysisError(f"unknown system {system_id}") from exc
-    now = system.clock.high
-    if now == -math.inf or now == math.inf:
-        return []
-    horizon_days = model.horizon.days
-    rack_of = system.rack_of
-    # Recent (time, node, category) events straight from the streaming
-    # per-category stores; events without a category (never tracked
-    # beyond the ANY store) carry no risk information and are skipped.
-    times, nodes, codes = [], [], []
-    for code in sorted(system.stores):
-        if code == ANY_CODE:
-            continue
-        store = system.stores[code]
-        lo = int(np.searchsorted(store.times, now - horizon_days, side="right"))
-        if lo < store.times.size:
-            times.append(store.times[lo:])
-            nodes.append(store.nodes[lo:])
-            codes.append(np.full(store.times.size - lo, code))
-    if not times:
-        return []
-    t = np.concatenate(times)
-    n = np.concatenate(nodes)
-    c = np.concatenate(codes)
+        raise StreamAnalysisError(f"unknown system {exc.args[0]}") from exc
+    systems = [s for s in systems if math.isfinite(s.clock.high)]
+    if not systems:
+        return risks
+    now = np.array([system.clock.high for system in systems])
+    # Recent (system, time, node, category) events; events without a
+    # category (never tracked beyond the ANY store) carry no risk
+    # information and are skipped.
+    owner, t, n, c = state.category_history(systems, now - model.horizon.days)
+    if not t.size:
+        return risks
     # Hazards accumulate in (time, node, category name) order.
-    order = np.lexsort((_NAME_RANK[c], n, t))
-    t, n, c = t[order], n[order], c[order]
+    order = np.lexsort((_NAME_RANK[c], n, t, owner))
+    owner, t, n, c = owner[order], t[order], n[order], c[order]
+    history = np.searchsorted(owner, np.arange(len(systems) + 1))
     # Score the nodes the recent history can differentiate: nodes with
     # their own events plus their rack peers.
-    if rack_of is None:
-        candidates = np.unique(n)
-    else:
-        candidates = np.flatnonzero(np.isin(rack_of, rack_of[n]))
-    # Each candidate's history: every recent event, scoped relative to it.
-    own = candidates[:, None] == n
-    scopes = np.where(own, SCOPE_CODES[Scope.NODE], SCOPE_CODES[Scope.SYSTEM])
-    if rack_of is not None:
-        scopes[~own & (rack_of[candidates][:, None] == rack_of[n])] = SCOPE_CODES[Scope.RACK]
-    scores = model.score_batch(
-        np.full(candidates.size, t.size),
-        np.tile(np.maximum(now - t, 0.0), candidates.size),
-        scopes.ravel(),
-        np.tile(c, candidates.size),
-    )
-    risks = [
-        NodeRisk(
-            system_id=system_id, node_id=node, score=score, recent_own=recent_own
-        )
-        for node, score, recent_own in zip(
-            candidates.tolist(), scores.tolist(), own.sum(axis=1).tolist()
-        )
+    racks = state.node_racks
+    candidates = np.flatnonzero(np.isin(racks, racks[n]))
+    index = np.array([system.index for system in systems])
+    position = np.full(len(state.node_offsets) - 1, -1)
+    position[index] = np.arange(len(systems))
+    cand_owner = position[
+        np.searchsorted(state.node_offsets, candidates, side="right") - 1
     ]
-    risks.sort(key=lambda r: (-r.score, r.node_id))
-    return risks if limit is None else risks[:limit]
+    # Each candidate's history: every recent event of its system, scoped
+    # relative to it.
+    lo, hi = history[cand_owner], history[cand_owner + 1]
+    lengths = hi - lo
+    events = concat_ranges(lo, hi)
+    node = np.repeat(candidates, lengths)
+    own = n[events] == node
+    scopes = np.where(own, SCOPE_CODES[Scope.NODE], SCOPE_CODES[Scope.SYSTEM])
+    scopes[~own & (racks[n[events]] == racks[node])] = SCOPE_CODES[Scope.RACK]
+    scores = model.score_batch(
+        lengths,
+        np.maximum(now[owner[events]] - t[events], 0.0),
+        scopes,
+        c[events],
+    )
+    recent_own = np.bincount(
+        np.repeat(np.arange(candidates.size), lengths)[own],
+        minlength=candidates.size,
+    )
+    local = candidates - state.node_offsets[index[cand_owner]]
+    # Per system: descending score, then node id, then the limit.
+    order = np.lexsort((local, -scores, cand_owner))
+    rank = np.arange(order.size) - np.searchsorted(
+        cand_owner[order], cand_owner[order]
+    )
+    if limit is not None:
+        order = order[rank < limit]
+    for i, node_id, score, own_count in zip(
+        cand_owner[order].tolist(),
+        local[order].tolist(),
+        scores[order].tolist(),
+        recent_own[order].tolist(),
+    ):
+        system_id = systems[i].system_id
+        risks[system_id].append(
+            NodeRisk(
+                system_id=system_id,
+                node_id=node_id,
+                score=score,
+                recent_own=own_count,
+            )
+        )
+    return risks
 
 
 class OnlineAnalysis:
@@ -276,10 +259,9 @@ class OnlineAnalysis:
             model = risk_model_from_state(self.state, self.risk_horizon)
         except StreamAnalysisError:  # pragma: no cover - defensive
             return
-        for system_id in sorted(stats.touched):
-            self.latest_risks[system_id] = node_risks(
-                self.state, model, system_id, limit=self.risk_limit
-            )
+        self.latest_risks.update(
+            node_risks(self.state, model, sorted(stats.touched), limit=self.risk_limit)
+        )
 
     def _emit_lag(self, stats: BatchStats) -> None:
         for system_id in sorted(stats.touched):

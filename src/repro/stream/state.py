@@ -11,8 +11,8 @@ events stream in, with three guarantees:
   :func:`repro.core.windows.baseline_counts_batch` *exactly* (integer
   equality, not approximation).  Window membership
   ``t < T <= t + span.days`` is decided by the one gather kernel,
-  :func:`repro.core.windows.window_scope_hits`, which the batch grids
-  run on too; censoring is the same elementwise
+  :func:`repro.core.windows.segment_hits`, which the batch grids run
+  on too; censoring is the same elementwise
   ``t + span.days <= period.end`` comparison, and baseline tiling uses
   the same ``floor((t - start) / span.days)`` slot arithmetic.
 * **Monotone finalisation** -- a trigger's window ``(t, t + span]`` is
@@ -29,7 +29,15 @@ events stream in, with three guarantees:
   :meth:`StreamAnalysisState.digest` as an uninterrupted run
   (already-applied events deduplicate, already-final events drop as
   late).  Checkpoints contain no wall-clock timestamps, so rewriting
-  the same state yields byte-identical payloads.
+  the same state yields byte-identical payloads; a checkpoint holding
+  state no stream could produce (unsorted or out-of-period stores, node
+  ids or baseline keys out of range, a pointer past its store,
+  successes above trials) is refused at load time.
+
+Every system's stores and counters live in columns shared by all
+systems (:class:`StreamAnalysisState`), so one micro-batch costs a
+fixed number of array operations -- and one kernel call -- however
+many systems it touches.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..core.windows import Counts, Scope, window_scope_hits
+from ..core.windows import Counts, Scope, ScopeHits, concat_ranges, segment_hits
 from ..records.dataset import Archive
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import ALL_SPANS, ObservationPeriod, Span, count_windows
@@ -198,206 +206,84 @@ class BatchStats:
         self.touched |= other.touched
 
 
-class StreamingEventIndex:
-    """Incremental counterpart of :class:`repro.records.dataset.EventIndex`.
+@dataclass(frozen=True, slots=True)
+class EventStore:
+    """One time-sorted event selection of one system (read-only view).
 
-    Keeps one event selection time-sorted (``times`` / ``nodes``) under
-    streaming insertion.  Arrivals are buffered and merged into the
-    sorted arrays in one pass when the arrays are next read (once per
-    micro-batch).  An arrival lands after every stored event of the same
-    time and after earlier arrivals of that time -- the order per-event
-    ``bisect_right`` insertion builds, which checkpoints and the state
-    digest record.
+    Entries of equal time keep their arrival order: an arrival lands
+    after every stored event of the same time and after earlier arrivals
+    of that time -- the order per-event ``bisect_right`` insertion
+    builds, which checkpoints and the state digest record.
     """
 
-    __slots__ = ("_times", "_nodes", "_pending")
-
-    def __init__(
-        self, times: np.ndarray | None = None, nodes: np.ndarray | None = None
-    ) -> None:
-        self._times = np.array(() if times is None else times, dtype=float)
-        self._nodes = np.array(() if nodes is None else nodes, dtype=np.int64)
-        self._pending: list[tuple[float, int]] = []
+    times: np.ndarray
+    nodes: np.ndarray
 
     def __len__(self) -> int:
-        return int(self._times.size) + len(self._pending)
-
-    def add(self, time: float, node: int) -> None:
-        """Queue one event for the next merge."""
-        self._pending.append((time, node))
-
-    def _merge(self) -> None:
-        new_t = np.array([t for t, _ in self._pending], dtype=float)
-        new_n = np.array([n for _, n in self._pending], dtype=np.int64)
-        self._pending.clear()
-        order = np.argsort(new_t, kind="stable")
-        new_t, new_n = new_t[order], new_n[order]
-        if not self._times.size or new_t[0] >= self._times[-1]:
-            # In-order arrivals (the common case) append.
-            self._times = np.concatenate((self._times, new_t))
-            self._nodes = np.concatenate((self._nodes, new_n))
-            return
-        # ``np.insert`` keeps equal positions in the order given.
-        at = np.searchsorted(self._times, new_t, side="right")
-        self._times = np.insert(self._times, at, new_t)
-        self._nodes = np.insert(self._nodes, at, new_n)
-
-    @property
-    def times(self) -> np.ndarray:
-        """Time-sorted event times (read-only use)."""
-        if self._pending:
-            self._merge()
-        return self._times
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Node ids aligned with :attr:`times` (read-only use)."""
-        if self._pending:
-            self._merge()
-        return self._nodes
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(times, nodes)`` snapshot for checkpointing."""
-        return self.times.copy(), self.nodes.copy()
+        return int(self.times.size)
 
 
-def _due_prefix(times: np.ndarray, days: float, watermark: float) -> int:
-    """Length of the prefix with ``t + days < watermark`` (final windows).
+def _bisect_right(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Per query, ``lo + searchsorted(values[lo:hi], x, "right")``.
 
-    ``searchsorted`` on ``watermark - days`` lands within a float ulp of
-    the boundary; the scalar walk then enforces the *exact* elementwise
-    predicate the correctness argument needs.
+    One vectorised binary search over many sorted slices of ``values``
+    (binary lifting: each step advances past a run of entries ``<= x``),
+    making the same ``values[i] <= x`` comparisons as ``searchsorted``.
     """
-    n = int(times.size)
-    if watermark == math.inf:
-        return n
-    pos = int(np.searchsorted(times, watermark - days, side="left"))
-    while pos > 0 and not (times[pos - 1] + days < watermark):
-        pos -= 1
-    while pos < n and times[pos] + days < watermark:
-        pos += 1
-    return pos
-
-
-def _row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Integer sums of ``values`` over the blocks ``bounds[r]:bounds[r+1]``."""
-    totals = np.zeros(
-        (*values.shape[:-1], values.shape[-1] + 1), dtype=np.int64
-    )
-    np.cumsum(values, axis=-1, out=totals[..., 1:])
-    return totals[..., bounds[1:]] - totals[..., bounds[:-1]]
-
-
-def _window_slot(t: float, start: float, days: float, n_windows: int) -> int:
-    """Tiled-window index of ``t`` (same arithmetic as ``window_index``)."""
-    if t < start:
-        return -1
-    idx = math.floor((t - start) / days)
-    if idx < 0 or idx >= n_windows:
-        return -1
-    return int(idx)
+    lo = np.array(lo, dtype=np.int64)
+    if not lo.size or not values.size:
+        return lo
+    step = 1 << int((hi - lo).max()).bit_length()
+    while step:
+        probe = lo + step
+        go = probe <= hi
+        go &= values[np.minimum(probe, hi) - 1] <= x
+        np.copyto(lo, probe, where=go)
+        step >>= 1
+    return lo
 
 
 class SystemStreamState:
-    """One system's incremental stores, counters and watermark."""
+    """One system's shape, watermark, dedup window and dispositions.
+
+    Its event stores, resolution pointers and counters live in the
+    owning :class:`StreamAnalysisState`'s shared columns, at position
+    ``index``; the accessors here read them.
+    """
 
     def __init__(
         self,
+        owner: "StreamAnalysisState",
+        index: int,
         system_id: int,
         num_nodes: int,
         period: ObservationPeriod,
         rack_of: np.ndarray | None,
-        config: StreamAnalysisConfig,
     ) -> None:
         if num_nodes < 1:
             raise StreamStateError(f"num_nodes must be >= 1, got {num_nodes}")
+        if rack_of is not None:
+            rack_of = np.asarray(rack_of, dtype=np.int64)
+            if rack_of.shape != (num_nodes,) or rack_of.min() < 0:
+                raise StreamStateError(
+                    "rack_of must map every node of the system to a rack "
+                    "id >= 0"
+                )
+        self._owner = owner
+        self.index = index
         self.system_id = system_id
         self.num_nodes = num_nodes
         self.period = period
-        self.config = config
-        if rack_of is not None:
-            rack_of = np.asarray(rack_of, dtype=np.int64)
-            if rack_of.shape != (num_nodes,):
-                raise StreamStateError(
-                    "rack_of must map every node of the system to a rack"
-                )
-            self._rack_sizes = np.bincount(
-                rack_of, minlength=int(rack_of.max()) + 1
-            )
-        else:
-            self._rack_sizes = None
         self.rack_of = rack_of
-        self.clock = WatermarkClock(config.lateness_days)
+        self.config = owner.config
+        self.n_windows = {
+            span.value: count_windows(period, span) for span in self.config.spans
+        }
+        self.clock = WatermarkClock(self.config.lateness_days)
         self.stats = BatchStats()
         self.seen: dict[str, float] = {}
-        self._codes = [selection_code(s) for s in config.selections]
-        self._wide_codes = [selection_code(s) for s in config.wide_targets]
-        self.stores: dict[int, StreamingEventIndex] = {
-            code: StreamingEventIndex() for code in self._codes
-        }
-        # (span value, days, tiled windows) per span, in config order.
-        self._tiles = [
-            (span.value, span.days, count_windows(period, span))
-            for span in config.spans
-        ]
-        self._span_days = [days for _, days, _ in self._tiles]
-        self.n_windows = {sv: n for sv, _, n in self._tiles}
-        self.resolved: dict[tuple[int, str], int] = {}
-        self.cond: dict[tuple[str, int, int, str], list[int]] = {}
-        for tc in self._codes:
-            for span in config.spans:
-                self.resolved[(tc, span.value)] = 0
-        for tc in self._codes:
-            for gc in self._codes:
-                for span in config.spans:
-                    self.cond[(Scope.NODE.value, tc, gc, span.value)] = [0, 0]
-        wide_scopes = [Scope.SYSTEM] + ([Scope.RACK] if rack_of is not None else [])
-        for scope in wide_scopes:
-            for tc in self._codes:
-                for gc in self._wide_codes:
-                    for span in config.spans:
-                        self.cond[(scope.value, tc, gc, span.value)] = [0, 0]
-        self.base_keys: dict[tuple[int, str], set[int]] = {
-            (gc, span.value): set()
-            for gc in self._codes
-            for span in config.spans
-        }
-
-    # ------------------------------------------------------------------
-    # ingestion
-
-    def observe(self, event: StreamEvent) -> str:
-        """Apply one event; returns its disposition."""
-        if event.kind != KIND_FAILURE:
-            return "ignored"
-        if event.node_id >= self.num_nodes or not self.period.contains(
-            event.time
-        ):
-            return "invalid"
-        if event.time < self.clock.watermark:
-            return "late"
-        if event.event_id in self.seen:
-            return "duplicate"
-        self.clock.admit(event.time)
-        self.seen[event.event_id] = event.time
-        code = (
-            selection_code(event.category)
-            if event.category is not None
-            else None
-        )
-        for store_code in (ANY_CODE, code):
-            if store_code is None or store_code not in self.stores:
-                continue
-            self.stores[store_code].add(event.time, event.node_id)
-            for sv, days, n_windows in self._tiles:
-                slot = _window_slot(
-                    event.time, self.period.start, days, n_windows
-                )
-                if slot >= 0:
-                    self.base_keys[(store_code, sv)].add(
-                        event.node_id * n_windows + slot
-                    )
-        return "accepted"
 
     def prune_seen(self) -> None:
         """Drop dedup entries below the watermark (no longer admissible)."""
@@ -408,99 +294,49 @@ class SystemStreamState:
         for key in dead:
             del self.seen[key]
 
-    def seal(self) -> None:
-        """End-of-stream: resolve every pending window."""
-        self.clock.seal()
-        self.prune_seen()
-        self.resolve()
-
-    # ------------------------------------------------------------------
-    # window resolution
-
-    def resolve(self) -> None:
-        """Advance every (trigger, span) pointer up to the watermark."""
-        watermark = self.clock.watermark
-        if watermark == -math.inf:
-            return
-        due = {
-            (tc, sv): _due_prefix(self.stores[tc].times, days, watermark)
-            for tc in self._codes
-            for sv, days, _ in self._tiles
-        }
-        if due != self.resolved:
-            self._resolve_range(due)
-            self.resolved.update(due)
-
-    def _resolve_range(self, due: dict[tuple[int, str], int]) -> None:
-        """Fold the triggers between the old and ``due`` pointers into
-        every counter cell.
-
-        Each trigger store with newly final triggers contributes one row
-        -- the union of its spans' ranges -- to a single trigger batch,
-        which one :func:`~repro.core.windows.window_scope_hits` gather
-        resolves against every target store, span and scope.
-        """
-        keys = [[(tc, sv) for sv, _, _ in self._tiles] for tc in self._codes]
-        start = np.array([[self.resolved[key] for key in row] for row in keys])
-        end = np.array([[due[key] for key in row] for row in keys])
-        rows = np.flatnonzero((end > start).any(axis=1))
-        ranges = []
-        for r in rows:
-            first = int(start[r][end[r] > start[r]].min())
-            ranges.append((self.stores[self._codes[r]], first, int(end[r].max())))
-        trig_t = np.concatenate([store.times[lo:hi] for store, lo, hi in ranges])
-        trig_n = np.concatenate([store.nodes[lo:hi] for store, lo, hi in ranges])
-        position = np.concatenate([np.arange(lo, hi) for _, lo, hi in ranges])
-        bounds = np.cumsum([0] + [hi - lo for _, lo, hi in ranges])
-        code_of = rows[np.repeat(np.arange(rows.size), np.diff(bounds))]
-        # alive[k]: the triggers newly final at span k whose window is
-        # complete -- the batch kernel's elementwise censoring predicate.
-        alive = (
-            (start[code_of].T <= position)
-            & (position < end[code_of].T)
-            & (trig_t + np.array(self._span_days)[:, None] <= self.period.end)
-        )
-        wide = [
-            self.num_nodes > 1 and gc in self._wide_codes for gc in self._codes
-        ]
-        hits = window_scope_hits(
-            trig_t,
-            trig_n,
-            [(self.stores[gc].times, self.stores[gc].nodes) for gc in self._codes],
-            self._span_days,
-            self.num_nodes,
-            self.rack_of,
-            wide,
-        )
-        n_alive = _row_sums(alive, bounds).tolist()
-        alive = alive[:, None, :]
-        own = _row_sums(hits.own & alive, bounds).tolist()
-        system = _row_sums(np.where(alive, hits.system, 0), bounds).tolist()
-        if hits.rack is not None:
-            peers = self._rack_sizes[self.rack_of[trig_n]] - 1
-            rack_trials = _row_sums(
-                np.where(alive[:, 0], peers, 0), bounds
-            ).tolist()
-            rack = _row_sums(np.where(alive, hits.rack, 0), bounds).tolist()
-        for k, (sv, _, _) in enumerate(self._tiles):
-            for g, gc in enumerate(self._codes):
-                for r, tc in enumerate(self._codes[i] for i in rows):
-                    cell = self.cond[(Scope.NODE.value, tc, gc, sv)]
-                    cell[0] += own[k][g][r]
-                    cell[1] += n_alive[k][r]
-                    if not wide[g]:
-                        continue
-                    cell = self.cond[(Scope.SYSTEM.value, tc, gc, sv)]
-                    cell[0] += system[k][g][r]
-                    cell[1] += n_alive[k][r] * (self.num_nodes - 1)
-                    if hits.rack is None:
-                        continue
-                    cell = self.cond[(Scope.RACK.value, tc, gc, sv)]
-                    cell[0] += rack[k][g][r]
-                    cell[1] += rack_trials[k][r]
-
     # ------------------------------------------------------------------
     # reads
+
+    def store(self, code: int) -> EventStore | None:
+        """The event store of one selection code (``None`` if untracked)."""
+        owner = self._owner
+        position = owner._code_index.get(code)
+        if position is None:
+            return None
+        block = self.index * len(owner._codes) + position
+        lo, hi = owner._bounds[block], owner._bounds[block + 1]
+        # A view of the shared column: read-only, or a caller's write
+        # would corrupt the state.
+        times = owner._times[lo:hi]
+        times.flags.writeable = False
+        return EventStore(times, owner._nodes[lo:hi] - owner._node_base[self.index])
+
+    @property
+    def stores(self) -> dict[int, EventStore]:
+        """Every tracked selection code's event store."""
+        return {code: self.store(code) for code in self._owner._codes}
+
+    @property
+    def resolved(self) -> dict[tuple[int, str], int]:
+        """Resolution pointer of each (trigger code, span value)."""
+        owner = self._owner
+        first = self.index * len(owner._codes)
+        done = owner._resolved[first : first + len(owner._codes)].tolist()
+        return {
+            (code, span.value): done[i][k]
+            for i, code in enumerate(owner._codes)
+            for k, span in enumerate(self.config.spans)
+        }
+
+    def conditional_cells(self, scope: Scope) -> np.ndarray | None:
+        """The ``[trigger, target, span, (successes, trials)]`` counters at
+        one scope (a writable view; ``None`` for RACK without a layout)."""
+        owner = self._owner
+        if scope is Scope.NODE:
+            return owner._node_cells[self.index]
+        if scope is Scope.RACK and self.rack_of is None:
+            return None
+        return owner._wide_cells[self.index, _WIDE_SCOPES.index(scope)]
 
     def counts(
         self,
@@ -510,25 +346,26 @@ class SystemStreamState:
         span: Span,
     ) -> Counts:
         """Resolved conditional counts of one grid cell."""
-        key = (
-            scope.value,
-            selection_code(trigger),
-            selection_code(target),
-            span.value,
+        cells = self.conditional_cells(scope)
+        cell = self._owner._cell(
+            scope, selection_code(trigger), selection_code(target), span.value
         )
-        try:
-            cell = self.cond[key]
-        except KeyError as exc:
+        if cells is None or cell is None:
             raise StreamStateError(
                 f"cell {scope}/{trigger}/{target}/{span} is not tracked by "
                 "this configuration"
-            ) from exc
-        return Counts(cell[0], cell[1])
+            )
+        successes, trials = cells[cell].tolist()
+        return Counts(successes, trials)
 
     def baseline(self, target: Category | None, span: Span) -> Counts:
         """Tiled-window baseline counts for one (target, span) cell."""
-        keys = self.base_keys[(selection_code(target), span.value)]
-        return Counts(len(keys), self.num_nodes * self.n_windows[span.value])
+        owner = self._owner
+        cell = owner._base_cell(self.index, selection_code(target), span.value)
+        lo, hi = np.searchsorted(
+            owner._base_keys, owner._base_bounds[cell : cell + 2]
+        ).tolist()
+        return Counts(hi - lo, self.num_nodes * self.n_windows[span.value])
 
     def conditional_grid(self, scope: Scope) -> list[list[list[Counts]]]:
         """The trigger x target x span grid at one scope (batch layout)."""
@@ -564,6 +401,22 @@ class SystemStreamState:
         analytical state is bit-identical -- the digest compares
         analytical state only.
         """
+        names = [_code_name(code) for code in self._owner._codes]
+        wide_names = [_code_name(code) for code in self._owner._wide_codes]
+        span_values = [span.value for span in self.config.spans]
+        cond = []
+        for scope in (Scope.NODE, *_WIDE_SCOPES):
+            cells = self.conditional_cells(scope)
+            if cells is None:
+                continue
+            targets = names if scope is Scope.NODE else wide_names
+            values = cells.tolist()
+            cond.extend(
+                [scope.value, tc, gc, sv, *values[i][j][k]]
+                for i, tc in enumerate(names)
+                for j, gc in enumerate(targets)
+                for k, sv in enumerate(span_values)
+            )
         meta = {
             "system_id": self.system_id,
             "num_nodes": self.num_nodes,
@@ -577,10 +430,7 @@ class SystemStreamState:
                 [_code_name(tc), sv, done]
                 for (tc, sv), done in self.resolved.items()
             ],
-            "cond": [
-                [scope, _code_name(tc), _code_name(gc), sv, cell[0], cell[1]]
-                for (scope, tc, gc, sv), cell in self.cond.items()
-            ],
+            "cond": cond,
         }
         if include_stats:
             meta["stats"] = {
@@ -594,82 +444,95 @@ class SystemStreamState:
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Array state, keyed for the checkpoint ``.npz`` payload."""
+        owner = self._owner
         prefix = f"s{self.system_id}"
         arrays: dict[str, np.ndarray] = {}
         if self.rack_of is not None:
             arrays[f"{prefix}.rack"] = self.rack_of
-        for code in self._codes:
-            times, nodes = self.stores[code].to_arrays()
-            arrays[f"{prefix}.k.{_code_name(code)}.times"] = times
-            arrays[f"{prefix}.k.{_code_name(code)}.nodes"] = nodes
-        for (code, sv), keys in self.base_keys.items():
-            arrays[f"{prefix}.b.{_code_name(code)}.{sv}"] = np.array(
-                sorted(keys), dtype=np.int64
-            )
+        keys = owner._base_keys
+        for code in owner._codes:
+            name = _code_name(code)
+            store = self.store(code)
+            arrays[f"{prefix}.k.{name}.times"] = store.times
+            arrays[f"{prefix}.k.{name}.nodes"] = store.nodes
+            for span in self.config.spans:
+                cell = owner._base_cell(self.index, code, span.value)
+                lo, hi = owner._base_bounds[cell : cell + 2]
+                arrays[f"{prefix}.b.{name}.{span.value}"] = (
+                    keys[np.searchsorted(keys, lo) : np.searchsorted(keys, hi)] - lo
+                )
         return arrays
 
-    @classmethod
-    def from_payload(
-        cls,
-        meta: Mapping,
-        arrays: Mapping[str, np.ndarray],
-        config: StreamAnalysisConfig,
-    ) -> "SystemStreamState":
-        system_id = int(meta["system_id"])
-        prefix = f"s{system_id}"
-        rack_of = arrays[f"{prefix}.rack"] if meta["has_rack"] else None
-        state = cls(
-            system_id=system_id,
-            num_nodes=int(meta["num_nodes"]),
-            period=ObservationPeriod(
-                _hex_float(meta["period"][0]), _hex_float(meta["period"][1])
-            ),
-            rack_of=rack_of,
-            config=config,
-        )
-        state.clock.high = _hex_float(meta["high"])
-        stats = meta["stats"]
-        state.stats.accepted = int(stats["accepted"])
-        state.stats.late = int(stats["late"])
-        state.stats.duplicate = int(stats["duplicate"])
-        state.stats.ignored = int(stats["ignored"])
-        state.stats.invalid = int(stats["invalid"])
-        state.seen = {key: _hex_float(t) for key, t in meta["seen"]}
-        for name, sv, done in meta["resolved"]:
-            key = (_name_code(name), sv)
-            if key not in state.resolved:
-                raise StreamStateError(
-                    f"checkpoint resolution pointer {name}/{sv} does not "
-                    "match the configuration"
-                )
-            state.resolved[key] = int(done)
-        for scope, tc_name, gc_name, sv, successes, trials in meta["cond"]:
-            key = (scope, _name_code(tc_name), _name_code(gc_name), sv)
-            if key not in state.cond:
-                raise StreamStateError(
-                    f"checkpoint cell {scope}/{tc_name}/{gc_name}/{sv} does "
-                    "not match the configuration"
-                )
-            state.cond[key] = [int(successes), int(trials)]
-        for code in state._codes:
-            name = _code_name(code)
-            state.stores[code] = StreamingEventIndex(
-                arrays[f"{prefix}.k.{name}.times"],
-                arrays[f"{prefix}.k.{name}.nodes"],
-            )
-            for span in config.spans:
-                state.base_keys[(code, span.value)] = {
-                    int(k) for k in arrays[f"{prefix}.b.{name}.{span.value}"]
-                }
-        return state
+
+#: The wide scopes, in ``_wide_cells`` order.
+_WIDE_SCOPES = (Scope.SYSTEM, Scope.RACK)
 
 
 class StreamAnalysisState:
-    """All systems' incremental state, plus checkpoint orchestration."""
+    """All systems' incremental state in shared columns, plus checkpoint
+    orchestration.
+
+    Every system has one *block* per tracked selection, ordered by
+    (system index, selection); the flat ``_times`` / ``_nodes`` columns
+    hold every block's time-sorted events, with node ids offset into one
+    node space (and rack ids into one rack space; a node of a system
+    without a layout is its own rack).  A micro-batch therefore costs a
+    fixed number of array operations however many systems it touches:
+    one insert, one baseline-key merge, one due count, one
+    :func:`~repro.core.windows.segment_hits` gather and one fold into
+    the int64 counters.
+    """
 
     def __init__(self, config: StreamAnalysisConfig | None = None) -> None:
         self.config = config if config is not None else StreamAnalysisConfig()
         self.systems: dict[int, SystemStreamState] = {}
+        self._order: list[SystemStreamState] = []
+        self._codes = [selection_code(s) for s in self.config.selections]
+        self._code_index = {code: i for i, code in enumerate(self._codes)}
+        self._wide_codes = [selection_code(s) for s in self.config.wide_targets]
+        self._wide_index = {code: i for i, code in enumerate(self._wide_codes)}
+        # Target selection -> its wide-grid column (-1: NODE grid only).
+        self._wide_slot = np.array(
+            [self._wide_index.get(code, -1) for code in self._codes],
+            dtype=np.int64,
+        )
+        self._span_index = {
+            span.value: k for k, span in enumerate(self.config.spans)
+        }
+        self._span_days = np.array([span.days for span in self.config.spans])
+        # Event category -> its store's position (uncategorised or
+        # untracked categories feed the ANY store only).
+        self._store_of = {
+            category: self._code_index[code]
+            for category, code in _CATEGORY_CODES.items()
+            if code in self._code_index
+        }
+        self._any = self._code_index.get(ANY_CODE)
+        n_codes, n_spans = len(self._codes), len(self.config.spans)
+        # Event columns and block bounds: block b is _bounds[b]:_bounds[b+1].
+        self._times = np.empty(0)
+        self._nodes = np.empty(0, dtype=np.int64)
+        self._bounds = np.zeros(1, dtype=np.int64)
+        # Resolution pointers per (block, span), relative to the block.
+        self._resolved = np.zeros((0, n_spans), dtype=np.int64)
+        # (successes, trials) counters.
+        self._node_cells = np.zeros((0, n_codes, n_codes, n_spans, 2), dtype=np.int64)
+        self._wide_cells = np.zeros(
+            (0, len(_WIDE_SCOPES), n_codes, len(self._wide_codes), n_spans, 2),
+            dtype=np.int64,
+        )
+        # Baseline (node, tile) keys: the (block, span) cell c owns the
+        # key range _base_bounds[c]:_base_bounds[c+1]; sorted and unique.
+        self._base_keys = np.empty(0, dtype=np.int64)
+        self._base_bounds = np.zeros(1, dtype=np.int64)
+        # Per system: node range, period and tiles.
+        self._node_base = np.zeros(1, dtype=np.int64)
+        self._start = np.empty(0)
+        self._end = np.empty(0)
+        self._n_windows = np.zeros((0, n_spans), dtype=np.int64)
+        # Per node (offset ids): rack id and rack peers (rack size - 1).
+        self._rack = np.empty(0, dtype=np.int64)
+        self._peers = np.empty(0, dtype=np.int64)
 
     def register_system(
         self,
@@ -684,17 +547,62 @@ class StreamAnalysisState:
             if (
                 existing.num_nodes != num_nodes
                 or existing.period != period
+                or (existing.rack_of is None) != (rack_of is None)
+                or (
+                    rack_of is not None
+                    and not np.array_equal(existing.rack_of, rack_of)
+                )
             ):
                 raise StreamStateError(
                     f"system {system_id} already registered with different "
-                    "shape"
+                    "shape or rack layout"
                 )
             return existing
-        state = SystemStreamState(
-            system_id, num_nodes, period, rack_of, self.config
+        system = SystemStreamState(
+            self, len(self._order), system_id, num_nodes, period, rack_of
         )
-        self.systems[system_id] = state
-        return state
+        self.systems[system_id] = system
+        self._order.append(system)
+        self._grow(system)
+        return system
+
+    def _grow(self, system: SystemStreamState) -> None:
+        """Append one system's blocks, counters and node columns."""
+        n_codes = len(self._codes)
+        self._bounds = np.append(self._bounds, np.repeat(self._bounds[-1], n_codes))
+        self._resolved = np.concatenate(
+            (self._resolved, np.zeros((n_codes, self._resolved.shape[1]), np.int64))
+        )
+        self._node_cells = np.concatenate(
+            (self._node_cells, np.zeros((1, *self._node_cells.shape[1:]), np.int64))
+        )
+        self._wide_cells = np.concatenate(
+            (self._wide_cells, np.zeros((1, *self._wide_cells.shape[1:]), np.int64))
+        )
+        n_windows = np.array(
+            [system.n_windows[span.value] for span in self.config.spans],
+            dtype=np.int64,
+        )
+        self._base_bounds = np.append(
+            self._base_bounds,
+            self._base_bounds[-1]
+            + np.cumsum(np.tile(system.num_nodes * n_windows, n_codes)),
+        )
+        self._node_base = np.append(
+            self._node_base, self._node_base[-1] + system.num_nodes
+        )
+        self._start = np.append(self._start, system.period.start)
+        self._end = np.append(self._end, system.period.end)
+        self._n_windows = np.concatenate((self._n_windows, n_windows[None]))
+        if system.rack_of is None:
+            racks = np.arange(system.num_nodes, dtype=np.int64)
+            peers = np.zeros(system.num_nodes, dtype=np.int64)
+        else:
+            racks = system.rack_of
+            peers = np.bincount(racks)[racks] - 1
+        first_rack = int(self._rack.max()) + 1 if self._rack.size else 0
+        self._rack = np.concatenate((self._rack, racks + first_rack))
+        self._peers = np.concatenate((self._peers, peers))
 
     def register_archive(self, archive: Archive) -> None:
         """Register every system of an archive (metadata only)."""
@@ -703,41 +611,268 @@ class StreamAnalysisState:
                 ds.system_id, ds.num_nodes, ds.period, ds.rack_of
             )
 
+    # ------------------------------------------------------------------
+    # cell addressing
+
+    def _cell(
+        self, scope: Scope, trigger: int, target: int, span: str
+    ) -> tuple[int, int, int] | None:
+        """``[trigger, target, span]`` position of the conditional cell of
+        two selection codes and a span value (``None`` if untracked)."""
+        targets = self._code_index if scope is Scope.NODE else self._wide_index
+        position = (
+            self._code_index.get(trigger),
+            targets.get(target),
+            self._span_index.get(span),
+        )
+        return None if None in position else position
+
+    def _base_cell(self, index: int, target: int, span: str) -> int:
+        """Baseline key-space cell of system ``index``'s (target code,
+        span value)."""
+        position = self._code_index.get(target)
+        k = self._span_index.get(span)
+        if position is None or k is None:
+            raise StreamStateError(
+                f"baseline {_code_name(target)}/{span} is not tracked by this "
+                "configuration"
+            )
+        return (index * len(self._codes) + position) * len(self._span_days) + k
+
+    # ------------------------------------------------------------------
+    # ingestion
+
     def ingest(self, events: Iterable[StreamEvent]) -> BatchStats:
         """Apply one micro-batch, then resolve newly-final windows."""
         stats = BatchStats()
+        systems = self.systems
+        store_of = self._store_of
+        index: list[int] = []
+        times: list[float] = []
+        nodes: list[int] = []
+        stores: list[int] = []
         for event in events:
-            system = self.systems.get(event.system_id)
+            system = systems.get(event.system_id)
             if system is None:
                 stats.unknown_system += 1
                 continue
-            disposition = system.observe(event)
-            if disposition == "accepted":
-                stats.accepted += 1
-                system.stats.accepted += 1
-                stats.touched.add(event.system_id)
-            elif disposition == "late":
-                stats.late += 1
-                system.stats.late += 1
-            elif disposition == "duplicate":
-                stats.duplicate += 1
-                system.stats.duplicate += 1
-            elif disposition == "ignored":
+            if event.kind != KIND_FAILURE:
                 stats.ignored += 1
                 system.stats.ignored += 1
-            else:
+                continue
+            t = event.time
+            if event.node_id >= system.num_nodes or not system.period.contains(t):
                 stats.invalid += 1
                 system.stats.invalid += 1
-        for system_id in sorted(stats.touched):
-            system = self.systems[system_id]
-            system.prune_seen()
-            system.resolve()
+                continue
+            if t < system.clock.watermark:
+                stats.late += 1
+                system.stats.late += 1
+                continue
+            if event.event_id in system.seen:
+                stats.duplicate += 1
+                system.stats.duplicate += 1
+                continue
+            system.clock.admit(t)
+            system.seen[event.event_id] = t
+            stats.accepted += 1
+            system.stats.accepted += 1
+            stats.touched.add(event.system_id)
+            index.append(system.index)
+            times.append(t)
+            nodes.append(event.node_id)
+            stores.append(store_of.get(event.category, -1))
+        if index:
+            self._insert(
+                np.array(index, dtype=np.int64),
+                np.array(times, dtype=float),
+                np.array(nodes, dtype=np.int64),
+                np.array(stores, dtype=np.int64),
+            )
+            touched = [systems[system_id] for system_id in sorted(stats.touched)]
+            for system in touched:
+                system.prune_seen()
+            self._resolve(touched)
+        self._gauge_pending()
         return stats
+
+    def _insert(
+        self,
+        index: np.ndarray,
+        times: np.ndarray,
+        nodes: np.ndarray,
+        stores: np.ndarray,
+    ) -> None:
+        """Insert admitted events into their blocks and baseline keys."""
+        n_codes = len(self._codes)
+        nodes = nodes + self._node_base[index]
+        parts = []
+        if self._any is not None:
+            parts.append((index * n_codes + self._any, times, nodes))
+        has = stores >= 0
+        parts.append((index[has] * n_codes + stores[has], times[has], nodes[has]))
+        block, times, nodes = (np.concatenate(column) for column in zip(*parts))
+        # Arrival order within (block, time): two stable sorts.
+        order = np.argsort(times, kind="stable")
+        order = order[np.argsort(block[order], kind="stable")]
+        block, times, nodes = block[order], times[order], nodes[order]
+        at = _bisect_right(
+            self._times, self._bounds[block], self._bounds[block + 1], times
+        )
+        # ``np.insert`` keeps equal positions in the order given.
+        self._times = np.insert(self._times, at, times)
+        self._nodes = np.insert(self._nodes, at, nodes)
+        self._bounds[1:] += np.cumsum(
+            np.bincount(block, minlength=self._bounds.size - 1)
+        )
+        # Baseline keys node * n_windows + tile, the arithmetic of
+        # ``window_index``, offset into each (block, span) cell.
+        system = block // n_codes
+        start = self._start[system][:, None]
+        n_windows = self._n_windows[system]
+        tile = np.floor((times[:, None] - start) / self._span_days).astype(np.int64)
+        valid = (times[:, None] >= start) & (tile >= 0) & (tile < n_windows)
+        cell = block[:, None] * self._span_days.size + np.arange(self._span_days.size)
+        keys = self._base_bounds[cell] + (
+            (nodes - self._node_base[system])[:, None] * n_windows + tile
+        )
+        keys = np.unique(keys[valid])
+        at = np.searchsorted(self._base_keys, keys)
+        fresh = at == self._base_keys.size
+        fresh[~fresh] = self._base_keys[at[~fresh]] != keys[~fresh]
+        self._base_keys = np.insert(self._base_keys, at[fresh], keys[fresh])
+
+    def _resolve(self, systems: list[SystemStreamState]) -> None:
+        """Fold every newly final (trigger, span) of ``systems`` into the
+        counters and advance the resolution pointers.
+
+        A trigger's window ``(t, t + days]`` is final once
+        ``t + days < watermark``; stores are time-sorted, so the final
+        triggers of a (block, span) are a prefix, found by counting the
+        predicate over the unresolved tail.  All newly final triggers
+        then resolve in one :func:`segment_hits` gather against every
+        store of their own system.
+        """
+        n_codes, n_spans = len(self._codes), self._span_days.size
+        index = np.array([system.index for system in systems], dtype=np.int64)
+        watermark = np.array([system.clock.watermark for system in systems])
+        blocks = (index[:, None] * n_codes + np.arange(n_codes)).ravel()
+        first = self._bounds[blocks][:, None]
+        done = first + self._resolved[blocks]
+        end = np.broadcast_to(self._bounds[blocks + 1][:, None], done.shape)
+        # The exact due prefix of each (block, span): count the final
+        # entries of the unresolved tail.
+        tail = concat_ranges(done.ravel(), end.ravel())
+        cell = np.repeat(np.arange(done.size), (end - done).ravel())
+        final = self._times[tail] + np.tile(self._span_days, blocks.size)[cell] < (
+            np.repeat(watermark, n_codes * n_spans)[cell]
+        )
+        due = done + np.bincount(cell[final], minlength=done.size).reshape(
+            done.shape
+        )
+        newly = concat_ranges(done.ravel(), due.ravel())
+        self._resolved[blocks] = due - first
+        if not newly.size:
+            return
+        span_of = np.repeat(np.tile(np.arange(n_spans), blocks.size), (due - done).ravel())
+        # alive[k, i]: trigger i is newly final at span k and uncensored.
+        trig, column = np.unique(newly, return_inverse=True)
+        alive = np.zeros((n_spans, trig.size), dtype=bool)
+        alive[span_of, column] = True
+        block = np.searchsorted(self._bounds, trig, side="right") - 1
+        system = block // n_codes
+        trig_t = self._times[trig]
+        # Censoring: the batch kernel's elementwise ``t + days <= end``.
+        alive &= trig_t + self._span_days[:, None] <= self._end[system]
+        keep = alive.any(axis=0)
+        alive, block, system, trig_t = alive[:, keep], block[keep], system[keep], trig_t[keep]
+        trig_n = self._nodes[trig[keep]]
+        longest = np.where(alive, self._span_days[:, None], -np.inf).max(axis=0)
+        # Pairs: each trigger against every store of its system.
+        target = np.arange(n_codes)
+        pair_block = (system[:, None] * n_codes + target).ravel()
+        pair_t = np.repeat(trig_t, n_codes)
+        lo = self._bounds[pair_block]
+        hi = self._bounds[pair_block + 1]
+        # Each pair's segment (t, t + longest alive span] in its store.
+        located = _bisect_right(
+            self._times,
+            np.concatenate((lo, lo)),
+            np.concatenate((hi, hi)),
+            np.concatenate((pair_t, pair_t + np.repeat(longest, n_codes))),
+        )
+        wide_slot = np.tile(self._wide_slot, trig_t.size)
+        hits = segment_hits(
+            located[: lo.size],
+            located[lo.size :],
+            pair_t,
+            np.repeat(trig_n, n_codes),
+            self._times,
+            self._nodes,
+            self._span_days,
+            int(self._node_base[-1]),
+            self._rack,
+            wide_slot >= 0,
+        )
+        self._fold(hits, alive, block, trig_n, wide_slot)
+
+    def _fold(
+        self,
+        hits: ScopeHits,
+        alive: np.ndarray,
+        block: np.ndarray,
+        trig_n: np.ndarray,
+        wide_slot: np.ndarray,
+    ) -> None:
+        """Add resolved pair hits to the (successes, trials) counters.
+
+        Pair ``p`` is trigger ``p // n_codes`` against its system's store
+        ``p % n_codes``.  A system without a layout adds nothing at RACK
+        scope: each of its nodes is its own rack, with no rack peers to
+        hit or to count as trials.
+        """
+        n_codes, n_spans = len(self._codes), self._span_days.size
+        trig = np.repeat(np.arange(block.size), n_codes)
+        live = alive[:, trig]
+        span = np.arange(n_spans)[:, None]
+        block = block[trig]
+        # NODE cell [system, trigger, target, span]; the block numbers
+        # (system, trigger) pairs.
+        cells = ((block * n_codes + np.tile(np.arange(n_codes), trig.size // n_codes))
+                 * n_spans + span)[live]
+        node = self._node_cells.reshape(-1, 2)
+        np.add.at(node[:, 0], cells, hits.own[live])
+        np.add.at(node[:, 1], cells, 1)
+        # Wide cell [system, scope, trigger, wide target, span].
+        live &= wide_slot >= 0
+        system = block // n_codes
+        wide = self._wide_cells.reshape(-1, 2)
+        for row, successes, trials in (
+            (0, hits.system, np.diff(self._node_base)[system] - 1),
+            (1, hits.rack, self._peers[trig_n][trig]),
+        ):
+            cells = (
+                (((system * len(_WIDE_SCOPES) + row) * n_codes + block % n_codes)
+                 * len(self._wide_codes) + wide_slot) * n_spans + span
+            )[live]
+            np.add.at(wide[:, 0], cells, successes[live])
+            np.add.at(wide[:, 1], cells, np.broadcast_to(trials, live.shape)[live])
+
+    def _gauge_pending(self) -> None:
+        """``stream.pending_triggers``: per span, stored triggers not yet
+        resolved (0 everywhere once the stream is finalised)."""
+        pending = (np.diff(self._bounds)[:, None] - self._resolved).sum(axis=0)
+        for span, count in zip(self.config.spans, pending.tolist()):
+            gauge_set("stream.pending_triggers", count, span=span.value)
 
     def finalize(self) -> None:
         """End-of-stream: resolve every pending window of every system."""
-        for system_id in sorted(self.systems):
-            self.systems[system_id].seal()
+        for system in self._order:
+            system.clock.seal()
+            system.prune_seen()
+        if self._order:
+            self._resolve(self._order)
+        self._gauge_pending()
 
     def watermarks(self) -> dict[int, float]:
         """Current per-system watermarks (``-inf`` before any event)."""
@@ -745,6 +880,90 @@ class StreamAnalysisState:
             system_id: self.systems[system_id].clock.watermark
             for system_id in sorted(self.systems)
         }
+
+    # ------------------------------------------------------------------
+    # pooled reads
+
+    def pooled_conditional(
+        self,
+        scope: Scope,
+        trigger: Category | None,
+        target: Category | None,
+        span: Span,
+    ) -> Counts:
+        """Conditional counts of one cell summed over every system
+        (streaming counterpart of
+        :func:`repro.core.correlations.pooled_conditional`; systems
+        without a layout hold no RACK counts, as the batch helper skips
+        them)."""
+        cell = self._cell(
+            scope, selection_code(trigger), selection_code(target), span.value
+        )
+        if cell is None:
+            raise StreamStateError(
+                f"cell {scope}/{trigger}/{target}/{span} is not tracked by "
+                "this configuration"
+            )
+        if scope is Scope.NODE:
+            cells = self._node_cells
+        else:
+            cells = self._wide_cells[:, _WIDE_SCOPES.index(scope)]
+        successes, trials = cells[(slice(None), *cell)].sum(axis=0).tolist()
+        return Counts(successes, trials)
+
+    def pooled_baseline(self, target: Category | None, span: Span) -> Counts:
+        """Baseline counts of one (target, span) summed over every system."""
+        if not self._order:
+            return Counts(0, 0)
+        code = selection_code(target)
+        cells = np.array(
+            [self._base_cell(s.index, code, span.value) for s in self._order]
+        )
+        hits = np.searchsorted(self._base_keys, self._base_bounds[cells + 1])
+        hits -= np.searchsorted(self._base_keys, self._base_bounds[cells])
+        k = self._span_index[span.value]
+        trials = self._n_windows[:, k] * np.diff(self._node_base)
+        return Counts(int(hits.sum()), int(trials.sum()))
+
+    def category_history(
+        self, systems: list[SystemStreamState], since: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every category-store event of ``systems[i]`` after ``since[i]``.
+
+        Returns ``(position in systems, times, offset node ids, category
+        codes)``, grouped by system.  The ANY store is left out: events
+        without a category carry no category information.
+        """
+        n_codes = len(self._codes)
+        stored = np.array(
+            [i for i, code in enumerate(self._codes) if code != ANY_CODE],
+            dtype=np.int64,
+        )
+        index = np.array([system.index for system in systems], dtype=np.int64)
+        blocks = (index[:, None] * n_codes + stored).ravel()
+        hi = self._bounds[blocks + 1]
+        lo = _bisect_right(
+            self._times, self._bounds[blocks], hi, np.repeat(since, stored.size)
+        )
+        entries = concat_ranges(lo, hi)
+        position = np.repeat(np.arange(blocks.size) // stored.size, hi - lo)
+        codes = np.repeat(
+            np.tile(np.array(self._codes, dtype=np.int64)[stored], index.size),
+            hi - lo,
+        )
+        return position, self._times[entries], self._nodes[entries], codes
+
+    @property
+    def node_offsets(self) -> np.ndarray:
+        """Offset of each system's node ids in the shared node space, by
+        system index (one trailing entry: the node count)."""
+        return self._node_base
+
+    @property
+    def node_racks(self) -> np.ndarray:
+        """Rack id of every node of the shared node space (a node of a
+        system without a layout is its own rack)."""
+        return self._rack
 
     # ------------------------------------------------------------------
     # checkpoint payload
@@ -783,6 +1002,114 @@ class StreamAnalysisState:
             hasher.update(key.encode())
             hasher.update(np.ascontiguousarray(arrays[key]).tobytes())
         return hasher.hexdigest()
+
+    def _restore(self, systems_meta: list, arrays: Mapping[str, np.ndarray]) -> None:
+        """Rebuild every system from checkpoint meta and arrays, rejecting
+        state no stream could have produced."""
+        times, nodes, keys = [], [], []
+        for meta in systems_meta:
+            system_id = int(meta["system_id"])
+            if system_id in self.systems:
+                raise StreamStateError(f"checkpoint repeats system {system_id}")
+            prefix = f"s{system_id}"
+            system = self.register_system(
+                system_id,
+                int(meta["num_nodes"]),
+                ObservationPeriod(
+                    _hex_float(meta["period"][0]), _hex_float(meta["period"][1])
+                ),
+                arrays[f"{prefix}.rack"] if meta["has_rack"] else None,
+            )
+            system.clock.high = _hex_float(meta["high"])
+            stats = meta["stats"]
+            system.stats.accepted = int(stats["accepted"])
+            system.stats.late = int(stats["late"])
+            system.stats.duplicate = int(stats["duplicate"])
+            system.stats.ignored = int(stats["ignored"])
+            system.stats.invalid = int(stats["invalid"])
+            system.seen = {key: _hex_float(t) for key, t in meta["seen"]}
+            sizes = []
+            for code in self._codes:
+                name = _code_name(code)
+                t = np.asarray(arrays[f"{prefix}.k.{name}.times"], dtype=float)
+                n = np.asarray(arrays[f"{prefix}.k.{name}.nodes"], dtype=np.int64)
+                _check_store(system, name, t, n)
+                times.append(t)
+                nodes.append(n + self._node_base[system.index])
+                sizes.append(t.size)
+                for span in self.config.spans:
+                    k = np.asarray(
+                        arrays[f"{prefix}.b.{name}.{span.value}"], dtype=np.int64
+                    )
+                    bound = system.num_nodes * system.n_windows[span.value]
+                    if k.size and (
+                        k[0] < 0 or k[-1] >= bound or np.any(np.diff(k) <= 0)
+                    ):
+                        raise StreamStateError(
+                            f"checkpoint baseline keys {prefix}.b.{name}."
+                            f"{span.value} are not sorted unique keys below "
+                            f"{bound}"
+                        )
+                    cell = self._base_cell(system.index, code, span.value)
+                    keys.append(k + self._base_bounds[cell])
+            first = system.index * len(self._codes)
+            for name, sv, done in meta["resolved"]:
+                tc = self._code_index.get(_name_code(name))
+                k = self._span_index.get(sv)
+                if tc is None or k is None:
+                    raise StreamStateError(
+                        f"checkpoint resolution pointer {name}/{sv} does not "
+                        "match the configuration"
+                    )
+                done = int(done)
+                if not 0 <= done <= sizes[tc]:
+                    raise StreamStateError(
+                        f"checkpoint resolution pointer {name}/{sv}={done} "
+                        f"lies outside its store of {sizes[tc]} events"
+                    )
+                self._resolved[first + tc, k] = done
+            for scope_name, tc_name, gc_name, sv, successes, trials in meta["cond"]:
+                scope = Scope(scope_name)
+                cells = system.conditional_cells(scope)
+                cell = self._cell(
+                    scope, _name_code(tc_name), _name_code(gc_name), sv
+                )
+                if cells is None or cell is None:
+                    raise StreamStateError(
+                        f"checkpoint cell {scope_name}/{tc_name}/{gc_name}/{sv} "
+                        "does not match the configuration"
+                    )
+                successes, trials = int(successes), int(trials)
+                if not 0 <= successes <= trials:
+                    raise StreamStateError(
+                        f"checkpoint cell {scope_name}/{tc_name}/{gc_name}/{sv} "
+                        f"holds impossible counts {successes}/{trials}"
+                    )
+                cells[cell] = (successes, trials)
+            self._bounds[first + 1 :] = self._bounds[first] + np.cumsum(sizes)
+        if times:
+            self._times = np.concatenate(times)
+            self._nodes = np.concatenate(nodes)
+            self._base_keys = np.concatenate(keys)
+
+
+def _check_store(
+    system: SystemStreamState, name: str, times: np.ndarray, nodes: np.ndarray
+) -> None:
+    """Reject a checkpointed store no stream could have produced."""
+    label = f"checkpoint store s{system.system_id}.k.{name}"
+    if times.shape != nodes.shape or times.ndim != 1:
+        raise StreamStateError(f"{label}: times and nodes differ in shape")
+    if not times.size:
+        return
+    if np.any(np.diff(times) < 0) or np.isnan(times).any():
+        raise StreamStateError(f"{label}: times are not sorted")
+    if not (system.period.start <= times[0] and times[-1] < system.period.end):
+        raise StreamStateError(f"{label}: times fall outside the period")
+    if nodes.min() < 0 or nodes.max() >= system.num_nodes:
+        raise StreamStateError(
+            f"{label}: node ids outside 0..{system.num_nodes - 1}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -832,7 +1159,7 @@ def write_checkpoint(
     meta_path, npz_path = _checkpoint_paths(directory, sequence)
     with tel_span("stream.checkpoint", sequence=sequence):
         meta_path.write_text(
-            json.dumps(state._meta_payload(), sort_keys=True, indent=1)
+            json.dumps(state._meta_payload(), sort_keys=True)
         )
         with open(npz_path, "wb") as handle:
             np.savez(handle, **state._array_payload())
@@ -885,11 +1212,7 @@ def load_checkpoint(
                 "configuration"
             )
         state = StreamAnalysisState(restored_config)
-        for system_meta in meta["systems"]:
-            system = SystemStreamState.from_payload(
-                system_meta, arrays, restored_config
-            )
-            state.systems[system.system_id] = system
+        state._restore(meta["systems"], arrays)
     except StreamStateError:
         raise
     except (OSError, EOFError, zipfile.BadZipFile, LookupError, TypeError,

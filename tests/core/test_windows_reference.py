@@ -150,7 +150,11 @@ def percell_conditional(
 
 events_strategy = st.lists(
     st.tuples(
-        st.floats(0.0, 119.5, allow_nan=False),
+        # Quarter-day times make ties and ``T == t + span`` common.
+        st.one_of(
+            st.floats(0.0, 119.5, allow_nan=False),
+            st.integers(0, 4 * 119).map(lambda q: q / 4.0),
+        ),
         st.integers(0, NUM_NODES - 1),
     ),
     min_size=0,
@@ -301,3 +305,125 @@ class TestGatherKernelAgainstReference:
                         num_nodes=NUM_NODES,
                     )
                 )
+
+
+@st.composite
+def system_strategy(draw):
+    """One system for the cross-system gather: its node count (1-node
+    systems included), an optional rack layout, quarter-day target
+    streams (ties are common), triggers and a ``wide`` mask."""
+    num_nodes = draw(st.integers(1, 5))
+    rack_of = draw(
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.integers(0, 2), min_size=num_nodes, max_size=num_nodes
+            ).map(lambda racks: np.array(racks, dtype=np.int64)),
+        )
+    )
+    quarter_days = st.tuples(
+        st.integers(0, 4 * 40).map(lambda q: q / 4.0),
+        st.integers(0, num_nodes - 1),
+    )
+    n_targets = draw(st.integers(1, 3))
+    targets = [
+        to_arrays(draw(st.lists(quarter_days, max_size=12)))
+        for _ in range(n_targets)
+    ]
+    trig = draw(st.lists(quarter_days, max_size=8))
+    wide = draw(st.lists(st.booleans(), min_size=n_targets, max_size=n_targets))
+    return num_nodes, rack_of, targets, trig, wide
+
+
+def naive_pair_hits(t0, n0, times, nodes, days, rack_of):
+    """Brute-force (own, system, rack) hits of one trigger against one
+    target stream: distinct nodes with an event in ``(t0, t0 + days]``."""
+    hit = {n for t, n in zip(times.tolist(), nodes.tolist()) if t0 < t <= t0 + days}
+    others = hit - {n0}
+    in_rack = {n for n in others if rack_of is not None and rack_of[n] == rack_of[n0]}
+    return n0 in hit, len(others), len(in_rack)
+
+
+class TestSegmentHitsAcrossSystems:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        systems=st.lists(system_strategy(), min_size=1, max_size=4),
+        chunk=st.sampled_from([windows.GATHER_CHUNK, 1, 4]),
+    )
+    def test_one_call_equals_one_window_scope_hits_per_system(
+        self, systems, chunk
+    ):
+        """The stream's layout: every system's targets concatenated into
+        one flat array, node ids and rack ids offset apart (a node of a
+        system without a layout is its own rack), one call for all.
+        Every pair must match a brute-force count, and each system's
+        pairs one ``window_scope_hits`` call."""
+        span_days = [span.days for span in ALL_SPANS]
+        times, nodes, racks = [], [], []
+        lo, hi, trig_t, trig_n, wide_pairs = [], [], [], [], []
+        expected = []  # per pair and span: brute-force (own, system, rack)
+        offset = node_base = rack_base = 0
+        for num_nodes, rack_of, targets, trig, wide in systems:
+            tt = np.array([t for t, _ in trig], dtype=float)
+            tn = np.array([n for _, n in trig], dtype=np.int64)
+            for (gt, gn), is_wide in zip(targets, wide):
+                expected.extend(
+                    [
+                        naive_pair_hits(t0, n0, gt, gn, days, rack_of)
+                        for days in span_days
+                    ]
+                    for t0, n0 in trig
+                )
+                lo.append(np.searchsorted(gt, tt, side="right") + offset)
+                hi.append(
+                    np.searchsorted(gt, tt + max(span_days), side="right")
+                    + offset
+                )
+                trig_t.append(tt)
+                trig_n.append(tn + node_base)
+                wide_pairs.append(np.full(tt.size, is_wide))
+                times.append(gt)
+                nodes.append(gn + node_base)
+                offset += gt.size
+            layout = np.arange(num_nodes) if rack_of is None else rack_of
+            racks.append(layout + rack_base)
+            node_base += num_nodes
+            rack_base += int(layout.max()) + 1
+        with mock.patch.object(windows, "GATHER_CHUNK", chunk):
+            hits = windows.segment_hits(
+                np.concatenate(lo),
+                np.concatenate(hi),
+                np.concatenate(trig_t),
+                np.concatenate(trig_n),
+                np.concatenate(times),
+                np.concatenate(nodes),
+                span_days,
+                node_base,
+                np.concatenate(racks),
+                np.concatenate(wide_pairs),
+            )
+        wide_pairs = np.concatenate(wide_pairs)
+        for p, per_span in enumerate(expected):
+            for k, (own, system, rack) in enumerate(per_span):
+                assert hits.own[k, p] == own
+                assert hits.system[k, p] == (system if wide_pairs[p] else 0)
+                assert hits.rack[k, p] == (rack if wide_pairs[p] else 0)
+        first = 0
+        for num_nodes, rack_of, targets, trig, wide in systems:
+            tt = np.array([t for t, _ in trig], dtype=float)
+            tn = np.array([n for _, n in trig], dtype=np.int64)
+            want = window_scope_hits(
+                tt, tn, targets, span_days, num_nodes, rack_of, wide
+            )
+            pairs = slice(first, first + tt.size * len(targets))
+            first = pairs.stop
+            shape = want.own.shape
+            assert np.array_equal(hits.own[:, pairs].reshape(shape), want.own)
+            assert np.array_equal(
+                hits.system[:, pairs].reshape(shape), want.system
+            )
+            rack = hits.rack[:, pairs].reshape(shape)
+            if rack_of is None:
+                assert not rack.any()
+            else:
+                assert np.array_equal(rack, want.rack)

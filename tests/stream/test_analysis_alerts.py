@@ -191,7 +191,7 @@ class TestNodeRisks:
     def _risky_system(self, consumer):
         for system_id in sorted(consumer.state.systems):
             model = consumer.risk_model()
-            risks = node_risks(consumer.state, model, system_id)
+            risks = node_risks(consumer.state, model, [system_id])[system_id]
             if risks:
                 return system_id, model, risks
         pytest.fail("no system had recent failures to score")
@@ -205,8 +205,8 @@ class TestNodeRisks:
     def test_limit_caps_results(self, live_consumer):
         system_id, model, risks = self._risky_system(live_consumer)
         capped = node_risks(
-            live_consumer.state, model, system_id, limit=1
-        )
+            live_consumer.state, model, [system_id], limit=1
+        )[system_id]
         assert len(capped) == 1
         assert capped[0] == risks[0]
 
@@ -215,4 +215,4 @@ class TestNodeRisks:
         replay_archive(tiny_archive, consumer, batch_size=128)
         model = consumer.risk_model()
         system_id = sorted(consumer.state.systems)[0]
-        assert node_risks(consumer.state, model, system_id) == []
+        assert node_risks(consumer.state, model, [system_id]) == {system_id: []}

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core.windows import Scope
 from repro.stream import (
     OnlineAnalysis,
     StreamAnalysisConfig,
@@ -92,13 +93,11 @@ class TestReplayEquivalence:
         # Sanity-check the verifier itself: corrupt one streaming cell
         # and the sweep must notice.
         system_id = sorted(replayed.state.systems)[0]
-        system = replayed.state.systems[system_id]
-        key = next(iter(system.cond))
-        original = list(system.cond[key])
-        system.cond[key][0] += 1
+        cells = replayed.state.systems[system_id].conditional_cells(Scope.NODE)
+        cells[0, 0, 0, 0] += 1
         try:
             report = verify_equivalence(medium_archive, replayed.state)
             assert not report.ok
             assert len(report.mismatches) == 1
         finally:
-            system.cond[key][:] = original
+            cells[0, 0, 0, 0] -= 1

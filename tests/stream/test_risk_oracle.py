@@ -159,7 +159,9 @@ class TestRiskRefreshOracle:
 
     def test_unlimited_ranking_identical(self, fast):
         model = risk_model_from_state(fast.state)
-        for system_id in sorted(fast.state.systems):
-            got = node_risks(fast.state, model, system_id)
+        system_ids = sorted(fast.state.systems)
+        every = node_risks(fast.state, model, system_ids)
+        for system_id in system_ids:
+            got = every[system_id]
             assert got == reference_node_risks(fast.state, model, system_id)
             assert got

@@ -3,26 +3,30 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.windows import Scope
+from repro import telemetry
+from repro.core.windows import Scope, segment_hits
 from repro.records.taxonomy import Category
 from repro.records.timeutil import ObservationPeriod, Span
 from repro.stream import (
+    ANY_CODE,
     CHECKPOINT_VERSION,
     OnlineAnalysis,
     StreamAnalysisConfig,
     StreamAnalysisState,
     StreamEvent,
     StreamStateError,
-    StreamingEventIndex,
     latest_checkpoint_sequence,
     load_checkpoint,
     write_checkpoint,
 )
+from repro.stream.state import selection_code
 
 
 def _state(lateness: float = 0.0) -> StreamAnalysisState:
@@ -94,6 +98,20 @@ class TestDispositions:
         with pytest.raises(StreamStateError):
             state.register_system(0, 8, ObservationPeriod(0.0, 100.0), None)
 
+    def test_register_system_checks_rack_layout(self):
+        period = ObservationPeriod(0.0, 100.0)
+        state = StreamAnalysisState()
+        state.register_system(0, 4, period, np.array([0, 0, 1, 1]))
+        state.register_system(0, 4, period, [0, 0, 1, 1])  # same layout
+        state.register_system(1, 4, period, None)
+        for system_id, rack_of in (
+            (0, np.array([0, 1, 1, 1])),  # a different layout
+            (0, None),  # the layout dropped
+            (1, np.array([0, 0, 1, 1])),  # a layout added
+        ):
+            with pytest.raises(StreamStateError, match="rack layout"):
+                state.register_system(system_id, 4, period, rack_of)
+
 
 class TestEventStore:
     @settings(max_examples=80, deadline=None)
@@ -102,7 +120,8 @@ class TestEventStore:
             st.lists(
                 st.tuples(
                     st.integers(0, 12).map(lambda q: q / 4.0),
-                    st.integers(0, 5),
+                    st.integers(0, 3),
+                    st.integers(0, 1),
                 ),
                 max_size=12,
             ),
@@ -110,18 +129,29 @@ class TestEventStore:
         )
     )
     def test_batch_merge_equals_per_event_bisect_insertion(self, batches):
-        store = StreamingEventIndex()
-        times: list[float] = []
-        nodes: list[int] = []
+        # Two systems share the flat store columns; each system's stores
+        # must hold exactly what per-event bisect insertion builds.
+        state = _state(lateness=100.0)
+        state.register_system(1, 4, ObservationPeriod(0.0, 100.0), None)
+        expected = {0: ([], []), 1: ([], [])}
+        count = 0
         for batch in batches:
-            for t, n in batch:
-                store.add(t, n)
+            events = []
+            for t, n, system in batch:
+                events.append(_event(t, node=n, eid=f"e{count}", system=system))
+                count += 1
+                times, nodes = expected[system]
                 pos = bisect_right(times, t)
                 times.insert(pos, t)
                 nodes.insert(pos, n)
-            assert len(store) == len(times)
-            assert store.times.tolist() == times
-            assert store.nodes.tolist() == nodes
+            state.ingest(events)
+            for system, (times, nodes) in expected.items():
+                for code in (ANY_CODE, selection_code(Category.HARDWARE)):
+                    store = state.systems[system].store(code)
+                    assert not store.times.flags.writeable  # shared column
+                    assert len(store) == len(times)
+                    assert store.times.tolist() == times
+                    assert store.nodes.tolist() == nodes
 
 
 class TestCounters:
@@ -150,6 +180,17 @@ class TestCounters:
         day2 = state2.systems[0].counts(Scope.NODE, None, None, Span.DAY)
         assert day2.successes == 0  # just past the closed boundary
 
+    def test_window_ending_at_the_watermark_stays_open(self):
+        state = _state()
+        # Watermark 2.0 after the first batch: t=1's day window (1, 2]
+        # ends exactly there, so an event at t=2 can still arrive.
+        state.ingest([_event(1.0), _event(2.0, node=1)])
+        state.ingest([_event(2.0, node=2)])
+        state.finalize()
+        day = state.systems[0].counts(Scope.SYSTEM, None, None, Span.DAY)
+        # Trigger t=1 sees nodes 1 and 2; the t=2 triggers see nothing.
+        assert (day.successes, day.trials) == (2, 9)
+
     def test_censoring_excludes_windows_past_period_end(self):
         state = _state()
         # Period ends at 100: a trigger at t=99 has no complete week
@@ -169,6 +210,71 @@ class TestCounters:
         # Two distinct (node, day-window) keys; 4 nodes x 100 windows.
         assert base.successes == 2
         assert base.trials == 400
+
+
+class TestBatchResolution:
+    def test_one_gather_per_ingest_across_systems(self):
+        state = _state()
+        for system_id in (1, 2):
+            state.register_system(
+                system_id, 4, ObservationPeriod(0.0, 100.0), None
+            )
+        state.ingest(
+            [_event(1.0, system=s, eid=f"a{s}") for s in (0, 1, 2)]
+        )
+        with mock.patch(
+            "repro.stream.state.segment_hits", wraps=segment_hits
+        ) as gather:
+            # Every system's day window after t=1 becomes final at once.
+            stats = state.ingest(
+                [_event(3.0, system=s, eid=f"b{s}") for s in (0, 1, 2)]
+            )
+            assert stats.touched == {0, 1, 2}
+            assert gather.call_count == 1
+            state.finalize()
+            assert gather.call_count == 2
+        for system in state.systems.values():
+            day = system.counts(Scope.NODE, None, None, Span.DAY)
+            assert (day.successes, day.trials) == (0, 2)
+
+    def test_pending_triggers_gauge_drains_on_finalize(self):
+        telemetry.reset_metrics()
+        telemetry.set_metrics_enabled(True)
+        try:
+            state = _state()
+            state.ingest([_event(1.0), _event(2.0, node=1), _event(20.0)])
+            gauges = telemetry.metrics_snapshot()["gauges"]
+            # Each event sits in the any and the hardware store.  At
+            # watermark 20 only t=20's day and week windows are open,
+            # but every month window is.
+            assert gauges["stream.pending_triggers{span=day}"] == 2
+            assert gauges["stream.pending_triggers{span=week}"] == 2
+            assert gauges["stream.pending_triggers{span=month}"] == 6
+            state.finalize()
+            gauges = telemetry.metrics_snapshot()["gauges"]
+            for span in state.config.spans:
+                assert gauges[f"stream.pending_triggers{{span={span.value}}}"] == 0
+        finally:
+            telemetry.set_metrics_enabled(False)
+            telemetry.reset_metrics()
+
+
+def _rewrite_checkpoint(directory, sequence, edit_meta=None, edit_arrays=None):
+    """Apply ``edit_meta`` / ``edit_arrays`` to one written checkpoint."""
+    import json
+
+    meta_path = directory / f"ckpt-{sequence:06d}.meta.json"
+    npz_path = directory / f"ckpt-{sequence:06d}.state.npz"
+    if edit_meta is not None:
+        payload = json.loads(meta_path.read_text())
+        edit_meta(payload["systems"][0])
+        meta_path.write_text(json.dumps(payload))
+    if edit_arrays is not None:
+        with np.load(npz_path) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        edit_arrays(arrays)
+        with open(npz_path, "wb") as handle:
+            np.savez(handle, **arrays)
 
 
 class TestCheckpointFiles:
@@ -265,6 +371,58 @@ class TestCheckpointFiles:
         meta_a = (a / "ckpt-000001.meta.json").read_bytes()
         meta_b = (b / "ckpt-000001.meta.json").read_bytes()
         assert meta_a == meta_b
+
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        state = _state(lateness=5.0)
+        state.ingest([_event(1.0), _event(2.0, node=3), _event(30.0, node=1)])
+        return tmp_path, write_checkpoint(state, tmp_path).sequence
+
+    def _rejects(self, written, match, edit_meta=None, edit_arrays=None):
+        directory, sequence = written
+        load_checkpoint(directory)  # intact before the edit
+        _rewrite_checkpoint(directory, sequence, edit_meta, edit_arrays)
+        with pytest.raises(StreamStateError, match=match):
+            load_checkpoint(directory)
+
+    def test_pointer_past_store_rejected(self, written):
+        def edit(system):
+            system["resolved"][0][2] = 4  # the any store holds 3 events
+
+        self._rejects(written, "outside its store", edit_meta=edit)
+
+    def test_successes_above_trials_rejected(self, written):
+        def edit(system):
+            cell = system["cond"][0]
+            cell[4] = cell[5] + 1
+
+        self._rejects(written, "impossible counts", edit_meta=edit)
+
+    def test_unsorted_store_rejected(self, written):
+        def edit(arrays):
+            arrays["s0.k.any.times"] = arrays["s0.k.any.times"][::-1].copy()
+
+        self._rejects(written, "not sorted", edit_arrays=edit)
+
+    def test_node_beyond_system_rejected(self, written):
+        def edit(arrays):
+            arrays["s0.k.any.nodes"][-1] = 4  # the system has 4 nodes
+
+        self._rejects(written, "node ids", edit_arrays=edit)
+
+    def test_store_outside_period_rejected(self, written):
+        def edit(arrays):
+            arrays["s0.k.any.times"][-1] = 100.0  # the period is [0, 100)
+
+        self._rejects(written, "outside the period", edit_arrays=edit)
+
+    def test_baseline_key_beyond_tiles_rejected(self, written):
+        def edit(arrays):
+            # 4 nodes x 100 day tiles: keys lie below 400.
+            arrays["s0.b.any.day"][-1] = 400
+
+        self._rejects(written, "baseline keys", edit_arrays=edit)
 
 
 class TestConfig:
