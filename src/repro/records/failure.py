@@ -9,6 +9,7 @@ hardware maintenance by factors of 30-100X).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .taxonomy import (
@@ -49,10 +50,16 @@ class FailureRecord:
     downtime_hours: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise RecordError(f"failure time must be finite, got {self.time!r}")
         if self.time < 0:
             raise RecordError(f"failure time must be >= 0, got {self.time}")
         if self.node_id < 0:
             raise RecordError(f"node_id must be >= 0, got {self.node_id}")
+        if not math.isfinite(self.downtime_hours):
+            raise RecordError(
+                f"downtime_hours must be finite, got {self.downtime_hours!r}"
+            )
         if self.downtime_hours < 0:
             raise RecordError(
                 f"downtime_hours must be >= 0, got {self.downtime_hours}"
@@ -105,10 +112,18 @@ class MaintenanceRecord:
     duration_hours: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise RecordError(
+                f"maintenance time must be finite, got {self.time!r}"
+            )
         if self.time < 0:
             raise RecordError(f"maintenance time must be >= 0, got {self.time}")
         if self.node_id < 0:
             raise RecordError(f"node_id must be >= 0, got {self.node_id}")
+        if not math.isfinite(self.duration_hours):
+            raise RecordError(
+                f"duration_hours must be finite, got {self.duration_hours!r}"
+            )
         if self.duration_hours < 0:
             raise RecordError(
                 f"duration_hours must be >= 0, got {self.duration_hours}"

@@ -24,19 +24,29 @@ formatting used to quantise times, which could reorder records tied on
 the rounded key and silently re-attach per-record flags (e.g.
 ``hardware_related``) to the wrong rows after a round trip.
 
-The two bulk logs load column-wise: :func:`read_jobs` and
-:func:`read_temperatures` return :class:`~repro.records.usage.JobColumns`
-/ :class:`~repro.records.environment.TemperatureColumns`, checked with
-every record invariant and sorted the way the records sort, and
+The three bulk logs are parsed by numpy's C reader (``np.loadtxt``,
+whose floats come from ``PyOS_string_to_double``, the routine behind
+``float()``).  :func:`read_jobs` and :func:`read_temperatures` return
+:class:`~repro.records.usage.JobColumns` /
+:class:`~repro.records.environment.TemperatureColumns`, checked with
+every record invariant and in the order the records sort in, and
 :func:`load_archive` wraps them in the same lazily materialised dataset
-the archive cache returns.  The smaller tables load as records.  Every
-reader rejects short and long rows, and a record invariant broken by a
-row is raised as an :class:`ArchiveIOError` naming the file and row.
+the archive cache returns; :func:`read_failures` builds its records
+straight from the parsed columns.  When the C reader rejects a table, or
+a parsed row breaks a record invariant, the per-row record reader
+(``csv.reader``, one record per row) reads the table again: it raises
+the row's exact error, or loads spellings only Python accepts, such as
+``1_000``.  The smaller tables load through the per-row reader only.
+Every reader rejects short and long rows, and a record invariant broken
+by a row is raised as an :class:`ArchiveIOError` naming the file and
+row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -55,7 +65,7 @@ from .layout import LayoutError, MachineLayout, NodePlacement
 from .taxonomy import Subtype, TaxonomyError, parse_category, parse_subtype
 from .timeutil import ObservationPeriod, TimeError
 from .usage import JobColumns, JobRecord, UsageError
-from ..telemetry import span
+from ..telemetry import counter_add, span
 
 
 class ArchiveIOError(ValueError):
@@ -187,21 +197,6 @@ def _read_records(path: Path, header: list[str], build, *args) -> list:
     ]
 
 
-def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
-    """The fields of a CSV file's data rows, one list per column."""
-    flat = _read_fields(path, header)
-    width = len(header)
-    return [flat[k::width] for k in range(width)]
-
-
-def _float_column(values: list[str]) -> np.ndarray:
-    return np.fromiter(map(float, values), float, len(values))
-
-
-def _int_column(values: list[str]) -> np.ndarray:
-    return np.fromiter(map(int, values), np.int64, len(values))
-
-
 _INT64 = range(-(2**63), 2**63)
 
 
@@ -216,33 +211,81 @@ def _check_int64(path: Path, row_no: int, row: dict[str, str], fields) -> None:
             )
 
 
-def _checked_columns(
-    path: Path, header: list[str], system_id: int, parse, build, int_fields
-):
-    """A file's columns converted by ``parse`` and checked with their
-    ``invalid_rows()``.
+#: Bytes that keep a file off the C reader: its number parsers skip the
+#: ASCII file, group, record and unit separators as whitespace, which
+#: ``int()`` and ``float()`` reject.
+_C_UNSAFE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
-    ``parse`` raises ValueError or OverflowError on a field it cannot
-    convert.  On any rejection, the rows from the first suspect one on
-    are rebuilt as records with ``build`` and their ``int_fields``
-    range-checked, so the error raised is the one reading the file record
-    by record would raise.
-    """
-    columns = _read_columns(path, header)
+
+def _c_parse(source, dtype, delimiter: str, **options) -> np.ndarray | None:
+    """``np.loadtxt`` of ``source`` as a 1-D array, or ``None`` if the C
+    reader rejects it.  ``comments=None``: a ``#`` is data, as in CSV."""
     try:
-        parsed = parse(columns)
-    except (ValueError, OverflowError):
-        start = 0
-    else:
-        bad = parsed.invalid_rows()
-        if not bad.any():
-            return parsed
-        start = int(np.argmax(bad))
-    for i in range(start, len(columns[0])):
-        row = dict(zip(header, (column[i] for column in columns)))
-        _build(build, path, i + 2, row, system_id)
-        _check_int64(path, i + 2, row, int_fields)
-    raise AssertionError(f"{path}: columns rejected rows that all load as records")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy < 2 parses "1.0" in an integer column, with this warning.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(
+                source,
+                dtype=dtype,
+                delimiter=delimiter,
+                comments=None,
+                ndmin=1,
+                **options,
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _c_table(path: Path, header: list[str], dtype: list) -> np.ndarray | None:
+    """The data rows of a CSV file parsed by numpy's C reader, one
+    ``dtype`` field per column, or ``None`` where the per-row reader must
+    read the file instead.
+
+    The C reader only sees ASCII files whose first line is exactly the
+    header (its integer parser misreads some non-ASCII characters as
+    digits).  Like ``csv.reader`` it skips empty lines, splits quoted
+    fields, and rejects short, long and whitespace-only rows; its numbers
+    are what ``int()`` and ``float()`` return, and it rejects what they
+    reject -- or more, such as ``1_000``.  So every table it returns, the
+    per-row reader reads as the same values.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ArchiveIOError(f"missing archive file {path}") from None
+    head = ",".join(header).encode()
+    if not (
+        data.startswith(head)
+        and data[len(head) : len(head) + 1] in (b"\n", b"\r", b"")
+        and data.isascii()
+        and not any(sep in data for sep in _C_UNSAFE)
+    ):
+        return None
+    return _c_parse(path, dtype, ",", quotechar='"', skiprows=1)
+
+
+def _record_columns(path: Path, header: list[str], build, system_id: int, kind):
+    """A bulk table the C reader left, read by the per-row record reader:
+    its exact error, or ``kind`` columns of its records, in file order."""
+    counter_add("records.load_fallback", 1, table=path.stem)
+    return kind.from_records(_read_records(path, header, build, system_id))
+
+
+def _record_order(*keys: np.ndarray) -> np.ndarray | None:
+    """The stable sort of rows by ``keys`` (primary key first), or
+    ``None`` if the rows are in that order already: an O(n) check, so a
+    file the writer produced is never sorted."""
+    tied = None
+    for key in keys:
+        before, after = key[:-1], key[1:]
+        descending = before > after
+        if tied is not None:
+            descending &= tied
+        if descending.any():
+            return np.lexsort(keys[::-1])
+        tied = before == after if tied is None else tied & (before == after)
+    return None
 
 
 def write_failures(path: Path, failures: Sequence[FailureRecord]) -> None:
@@ -262,12 +305,14 @@ def write_failures(path: Path, failures: Sequence[FailureRecord]) -> None:
             )
 
 
+def _subtype(token: str) -> Subtype | None:
+    return parse_subtype(token) if token else None
+
+
 def _failure_record(
     path: Path, i: int, row: dict[str, str], system_id: int
 ) -> FailureRecord:
-    subtype: Subtype | None = None
-    if row["subtype"]:
-        subtype = parse_subtype(row["subtype"])
+    subtype = _subtype(row["subtype"])
     return FailureRecord(
         time=_parse_float(path, i, "time", row["time"]),
         system_id=system_id,
@@ -280,8 +325,37 @@ def _failure_record(
     )
 
 
+_FAILURES_DTYPE = list(
+    zip(_FAILURES_HEADER, [float, np.int64, object, object, float])
+)
+
+
+def _parsed_each(parse, tokens: np.ndarray) -> list:
+    """``parse`` of every token, called once per distinct token."""
+    tokens = tokens.tolist()
+    parsed = {token: parse(token) for token in dict.fromkeys(tokens)}
+    return list(map(parsed.__getitem__, tokens))
+
+
 def read_failures(path: Path, system_id: int) -> list[FailureRecord]:
-    """Read a ``failures.csv`` file for one system."""
+    """Read a ``failures.csv`` file for one system, in file order."""
+    table = _c_table(path, _FAILURES_HEADER, _FAILURES_DTYPE)
+    if table is not None:
+        try:
+            return list(
+                map(
+                    FailureRecord,
+                    table["time"].tolist(),
+                    repeat(system_id),
+                    table["node_id"].tolist(),
+                    _parsed_each(parse_category, table["category"]),
+                    _parsed_each(_subtype, table["subtype"]),
+                    table["downtime_hours"].tolist(),
+                )
+            )
+        except _RECORD_ERRORS:
+            pass
+    counter_add("records.load_fallback", 1, table=path.stem)
     return _read_records(path, _FAILURES_HEADER, _failure_record, system_id)
 
 
@@ -324,24 +398,36 @@ def read_maintenance(path: Path, system_id: int) -> list[MaintenanceRecord]:
     )
 
 
+def _write_rows(path: Path, header: list[str], row: str, *columns) -> None:
+    """Write a CSV file of ``row.format`` over ``columns``, as
+    ``csv.writer`` writes fields that need no quoting."""
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map((row + "\r\n").format, *columns))
+
+
 def write_jobs(path: Path, jobs: Sequence[JobRecord]) -> None:
     """Write a usage log to ``jobs.csv`` format."""
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_JOBS_HEADER)
-        for j in sorted(jobs):
-            w.writerow(
-                [
-                    j.job_id,
-                    _fmt(j.submit_time),
-                    _fmt(j.dispatch_time),
-                    _fmt(j.end_time),
-                    j.user_id,
-                    j.num_processors,
-                    ";".join(str(n) for n in j.node_ids),
-                    int(j.failed_due_to_node),
-                ]
-            )
+    _write_job_columns(path, JobColumns.from_records(sorted(jobs)))
+
+
+def _write_job_columns(path: Path, jobs: JobColumns) -> None:
+    """Write a job log, in record order, to ``jobs.csv`` format."""
+    offsets = jobs.node_offsets.tolist()
+    nodes = list(map(str, jobs.node_ids.tolist()))
+    _write_rows(
+        path,
+        _JOBS_HEADER,
+        "{},{!r},{!r},{!r},{},{},{},{}",
+        jobs.job_ids.tolist(),
+        jobs.submit_times.tolist(),
+        jobs.dispatch_times.tolist(),
+        jobs.end_times.tolist(),
+        jobs.user_ids.tolist(),
+        jobs.num_processors.tolist(),
+        [";".join(nodes[a:b]) for a, b in zip(offsets, offsets[1:])],
+        jobs.failed_due_to_node.astype(np.int64).tolist(),
+    )
 
 
 def _job_record(
@@ -353,7 +439,7 @@ def _job_record(
     node_ids = tuple(
         _parse_int(path, i, "node_ids", tok) for tok in raw_nodes.split(";")
     )
-    return JobRecord(
+    job = JobRecord(
         submit_time=_parse_float(path, i, "submit_time", row["submit_time"]),
         system_id=system_id,
         job_id=_parse_int(path, i, "job_id", row["job_id"]),
@@ -370,31 +456,49 @@ def _job_record(
             path, i, "failed_due_to_node", row["failed_due_to_node"]
         ),
     )
+    _check_int64(path, i, row, ("job_id", "user_id", "num_processors", "node_ids"))
+    return job
 
 
-def _parse_job_columns(columns: list[list[str]]) -> JobColumns:
-    job_id, submit, dispatch, end, user, nprocs, node_lists, failed = columns
-    n = len(job_id)
-    if not set(failed) <= {"0", "1"}:
-        raise ValueError("failed_due_to_node is not 0 or 1")
+_JOBS_DTYPE = list(
+    zip(
+        _JOBS_HEADER,
+        [np.int64, float, float, float, np.int64, np.int64, object, object],
+    )
+)
+
+
+def _job_columns(table: np.ndarray) -> JobColumns | None:
+    """The columns of C-parsed jobs, or ``None`` if a flag or node list
+    is not one the per-row reader accepts."""
+    flags = table["failed_due_to_node"]
+    failed = flags == "1"
+    if not (failed | (flags == "0")).all():
+        return None
     # Job i owns count(";") + 1 tokens of the joined lists, so an empty
-    # list or entry is an empty token, which int() rejects.
-    tokens = ";".join(node_lists).split(";") if n else []
+    # list or entry is an empty field, which the C reader rejects.
+    node_lists = table["node_ids"].tolist()
+    n = len(node_lists)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(
         np.fromiter(map(str.count, node_lists, repeat(";")), np.int64, n) + 1,
         out=offsets[1:],
     )
+    nodes = _c_parse(io.StringIO(";".join(node_lists)), np.int64, ";")
+    # One line of fields, or the count is off: a token's newline would
+    # start a second row.
+    if nodes is None or nodes.shape != (offsets[-1],):
+        return None
     return JobColumns(
-        submit_times=_float_column(submit),
-        dispatch_times=_float_column(dispatch),
-        end_times=_float_column(end),
-        user_ids=_int_column(user),
-        num_processors=_int_column(nprocs),
-        failed_due_to_node=np.fromiter(map("1".__eq__, failed), bool, n),
-        job_ids=_int_column(job_id),
+        submit_times=table["submit_time"].copy(),
+        dispatch_times=table["dispatch_time"].copy(),
+        end_times=table["end_time"].copy(),
+        user_ids=table["user_id"].copy(),
+        num_processors=table["num_processors"].copy(),
+        failed_due_to_node=failed,
+        job_ids=table["job_id"].copy(),
         node_offsets=offsets,
-        node_ids=_int_column(tokens),
+        node_ids=nodes,
     )
 
 
@@ -404,61 +508,74 @@ def read_jobs(path: Path, system_id: int) -> JobColumns:
     Every check a :class:`JobRecord` runs is run on the columns, and a
     rejected row raises the record path's error for it.
     """
-    jobs = _checked_columns(
-        path,
-        _JOBS_HEADER,
-        system_id,
-        _parse_job_columns,
-        _job_record,
-        ("job_id", "user_id", "num_processors", "node_ids"),
-    )
-    # JobRecord orders by (submit_time, system_id, job_id); lexsort is
-    # stable and keys on its last key first.
-    return jobs.take(np.lexsort((jobs.job_ids, jobs.submit_times)))
+    table = _c_table(path, _JOBS_HEADER, _JOBS_DTYPE)
+    jobs = None if table is None else _job_columns(table)
+    if jobs is None or jobs.invalid_rows().any():
+        jobs = _record_columns(
+            path, _JOBS_HEADER, _job_record, system_id, JobColumns
+        )
+    # JobRecord orders by (submit_time, system_id, job_id).
+    order = _record_order(jobs.submit_times, jobs.job_ids)
+    return jobs if order is None else jobs.take(order)
 
 
 def write_temperatures(path: Path, readings: Sequence[TemperatureReading]) -> None:
     """Write temperature readings to ``temperatures.csv`` format."""
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_TEMPERATURES_HEADER)
-        for r in sorted(readings):
-            w.writerow([_fmt(r.time), r.node_id, _fmt(r.celsius)])
+    _write_temperature_columns(
+        path, TemperatureColumns.from_records(sorted(readings))
+    )
+
+
+def _write_temperature_columns(path: Path, temps: TemperatureColumns) -> None:
+    """Write a temperature log, in record order, to ``temperatures.csv``."""
+    _write_rows(
+        path,
+        _TEMPERATURES_HEADER,
+        "{!r},{},{!r}",
+        temps.times.tolist(),
+        temps.node_ids.tolist(),
+        temps.celsius.tolist(),
+    )
 
 
 def _temperature_record(
     path: Path, i: int, row: dict[str, str], system_id: int
 ) -> TemperatureReading:
-    return TemperatureReading(
+    reading = TemperatureReading(
         time=_parse_float(path, i, "time", row["time"]),
         system_id=system_id,
         node_id=_parse_int(path, i, "node_id", row["node_id"]),
         celsius=_parse_float(path, i, "celsius", row["celsius"]),
     )
+    _check_int64(path, i, row, ("node_id",))
+    return reading
 
 
-def _parse_temperature_columns(columns: list[list[str]]) -> TemperatureColumns:
-    time, node, celsius = columns
-    return TemperatureColumns(
-        times=_float_column(time),
-        node_ids=_int_column(node),
-        celsius=_float_column(celsius),
-    )
+_TEMPERATURES_DTYPE = list(zip(_TEMPERATURES_HEADER, [float, np.int64, float]))
 
 
 def read_temperatures(path: Path, system_id: int) -> TemperatureColumns:
     """Read a ``temperatures.csv`` file for one system, as columns in
     record order, checked like :func:`read_jobs`."""
-    temps = _checked_columns(
-        path,
-        _TEMPERATURES_HEADER,
-        system_id,
-        _parse_temperature_columns,
-        _temperature_record,
-        ("node_id",),
-    )
+    table = _c_table(path, _TEMPERATURES_HEADER, _TEMPERATURES_DTYPE)
+    temps = None
+    if table is not None:
+        temps = TemperatureColumns(
+            times=table["time"].copy(),
+            node_ids=table["node_id"].copy(),
+            celsius=table["celsius"].copy(),
+        )
+    if temps is None or temps.invalid_rows().any():
+        temps = _record_columns(
+            path,
+            _TEMPERATURES_HEADER,
+            _temperature_record,
+            system_id,
+            TemperatureColumns,
+        )
     # TemperatureReading orders by (time, system_id, node_id, celsius).
-    return temps.take(np.lexsort((temps.celsius, temps.node_ids, temps.times)))
+    order = _record_order(temps.times, temps.node_ids, temps.celsius)
+    return temps if order is None else temps.take(order)
 
 
 def write_layout(path: Path, layout: MachineLayout) -> None:
@@ -523,6 +640,14 @@ def save_archive(archive: Archive, root: Path | str) -> None:
         _save_archive(archive, root)
 
 
+def _log_columns(ds, memo: str, kind, log: str):
+    """A dataset's memoised ``memo`` columns, else transient ``kind``
+    columns of its (sorted) ``log`` records: writing must not leave a
+    second copy of the log memoised on a record-built dataset."""
+    columns = vars(ds).get(memo)
+    return kind.from_records(getattr(ds, log)) if columns is None else columns
+
+
 def _save_archive(archive: Archive, root: Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     with (root / "systems.csv").open("w", newline="") as fh:
@@ -546,9 +671,16 @@ def _save_archive(archive: Archive, root: Path) -> None:
         write_failures(sysdir / "failures.csv", ds.failures)
         write_maintenance(sysdir / "maintenance.csv", ds.maintenance)
         if ds.has_usage:
-            write_jobs(sysdir / "jobs.csv", ds.jobs)
+            _write_job_columns(
+                sysdir / "jobs.csv", _log_columns(ds, "_job_columns", JobColumns, "jobs")
+            )
         if ds.has_temperature:
-            write_temperatures(sysdir / "temperatures.csv", ds.temperatures)
+            _write_temperature_columns(
+                sysdir / "temperatures.csv",
+                _log_columns(
+                    ds, "_temperature_columns", TemperatureColumns, "temperatures"
+                ),
+            )
         if ds.layout is not None:
             write_layout(sysdir / "layout.csv", ds.layout)
 

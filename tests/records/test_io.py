@@ -227,6 +227,18 @@ class TestRowErrors:
     def test_maintenance_row(self, tmp_path: Path):
         self._raises("maintenance", "1.0,0,1,-2.0", tmp_path, RecordError)
 
+    def test_failure_time_not_finite(self, tmp_path: Path):
+        self._raises("failures", "inf,0,HW,,1.0", tmp_path, RecordError)
+
+    def test_failure_downtime_not_finite(self, tmp_path: Path):
+        self._raises("failures", "1.0,0,HW,,inf", tmp_path, RecordError)
+
+    def test_maintenance_time_not_finite(self, tmp_path: Path):
+        self._raises("maintenance", "nan,0,1,2.0", tmp_path, RecordError)
+
+    def test_maintenance_duration_not_finite(self, tmp_path: Path):
+        self._raises("maintenance", "1.0,0,1,nan", tmp_path, RecordError)
+
     def test_neutron_row(self, tmp_path: Path):
         self._raises("neutrons", "1.0,-5.0", tmp_path, EnvironmentRecordError)
 

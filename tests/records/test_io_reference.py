@@ -1,18 +1,23 @@
-"""Reference-reader tests for the columnar CSV loader.
+"""Reference-reader tests for the C-parsed CSV loader.
 
-``read_jobs`` / ``read_temperatures`` parse a whole file column-wise and
-check and sort the columns with numpy.  This module keeps the per-row
-readers they replaced -- ``csv.DictReader``, one record per row, records
+``read_jobs`` / ``read_temperatures`` parse a whole file column-wise with
+numpy's C reader and check and sort the columns with numpy;
+``read_failures`` builds its records from C-parsed columns.  This module
+keeps per-row readers -- ``csv.DictReader``, one record per row, records
 sorted with ``sorted()`` the way :class:`SystemDataset` sorts them -- as
 the oracle, and checks the loader against it on random tables
 (hypothesis): same columns, same materialised records, and on a bad
-table the same error type and message.
+table the same error type and message.  The spelling tests write the
+numbers the way people and other tools do (padding, quotes, underscores,
+other notations, other digits, other line ends), where the C reader and
+``float()``/``int()`` could part ways.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -20,20 +25,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.records.dataset import SystemDataset
 from repro.records.environment import (
     EnvironmentRecordError,
     TemperatureColumns,
     TemperatureReading,
 )
+from repro.records.failure import FailureRecord, RecordError
 from repro.records.io import (
     ArchiveIOError,
     load_archive,
+    read_failures,
     read_jobs,
     read_temperatures,
+    save_archive,
     write_jobs,
     write_temperatures,
 )
+from repro.records.taxonomy import TaxonomyError, parse_category, parse_subtype
 from repro.records.usage import JobColumns, JobRecord, UsageError
 
 SYSTEM_ID = 20
@@ -50,6 +60,7 @@ JOBS_HEADER = [
     "failed_due_to_node",
 ]
 TEMPERATURES_HEADER = ["time", "node_id", "celsius"]
+FAILURES_HEADER = ["time", "node_id", "category", "subtype", "downtime_hours"]
 
 
 # --- the oracle: per-row readers ------------------------------------------
@@ -161,6 +172,28 @@ def reference_read_temperatures(
         except EnvironmentRecordError as exc:
             raise ArchiveIOError(f"{path}:{i}: {exc}") from exc
         _int64(path, i, row, ("node_id",))
+    return out
+
+
+def reference_read_failures(path: Path, system_id: int) -> list[FailureRecord]:
+    out = []
+    for i, row in enumerate(reference_rows(path, FAILURES_HEADER), start=2):
+        try:
+            subtype = parse_subtype(row["subtype"]) if row["subtype"] else None
+            out.append(
+                FailureRecord(
+                    time=_float(path, i, "time", row["time"]),
+                    system_id=system_id,
+                    node_id=_int(path, i, "node_id", row["node_id"]),
+                    category=parse_category(row["category"]),
+                    subtype=subtype,
+                    downtime_hours=_float(
+                        path, i, "downtime_hours", row["downtime_hours"]
+                    ),
+                )
+            )
+        except (RecordError, TaxonomyError) as exc:
+            raise ArchiveIOError(f"{path}:{i}: {exc}") from exc
     return out
 
 
@@ -541,3 +574,283 @@ class TestLoaderRaisesLikeOracle:
         with pytest.raises(ArchiveIOError, match=f"^{path}:4: "):
             read_temperatures(path, SYSTEM_ID)
 
+
+# --- spellings ------------------------------------------------------------
+
+# int() and float() read these as 0-9; the C reader does not.
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+# Decimals longer than a double holds, so parsing them must round.
+long_decimals = st.from_regex(r"\A[0-9]{1,3}\.[0-9]{16,40}\Z")
+
+
+def _underscored(token: str) -> str:
+    """``token`` with an underscore between its first two adjacent digits."""
+    for k in range(len(token) - 1):
+        if token[k].isdigit() and token[k + 1].isdigit():
+            return f"{token[: k + 1]}_{token[k + 1 :]}"
+    return token
+
+
+@st.composite
+def respelled(draw, token: str, integer: bool, percent: int) -> str:
+    """``token`` or, ``percent`` times in a hundred, another spelling of
+    it -- of the same value or not, one ``int()``/``float()`` accept or
+    not."""
+    if draw(st.integers(0, 99)) >= percent:
+        return token
+    variants = [
+        f" {token}",
+        f"{token}\t ",
+        f"\xa0{token}",
+        _underscored(token),
+        token.translate(ARABIC_INDIC_DIGITS),
+        # numpy's C parsers read these two wrongly: it skips the ASCII
+        # unit separator as whitespace and takes U+01FE for a digit.
+        f"{token}\x1f",
+        f"\u01fe{token}",
+        "nan(1)",
+        "\ufeff" + token,
+    ]
+    if integer:
+        variants += [
+            f"+{token}",
+            f"0{token}",
+            f"{token}.0",
+            f"{token}e0",
+            str(2**63),
+            str(-(2**63)),
+        ]
+    else:
+        variants += [
+            str(Decimal(float(token))),  # the exact binary value, in full
+            token.upper(),
+            draw(long_decimals),
+        ]
+    return draw(st.sampled_from(variants))
+
+
+@st.composite
+def spelled_job_rows(draw, percent: int) -> list[str]:
+    submit = draw(st.floats(0, 1e6))
+    dispatch = submit + draw(st.floats(0, 10))
+    end = dispatch + draw(st.floats(0, 10))
+    nodes = draw(
+        st.lists(
+            st.integers(0, NUM_NODES - 1), min_size=1, max_size=4, unique=True
+        )
+    )
+    return [
+        draw(respelled(str(draw(st.integers(0, 5))), True, percent)),
+        draw(respelled(repr(submit), False, percent)),
+        draw(respelled(repr(dispatch), False, percent)),
+        draw(respelled(repr(end), False, percent)),
+        draw(respelled(str(draw(st.integers(0, 3))), True, percent)),
+        draw(respelled(str(draw(st.integers(1, 16))), True, percent)),
+        ";".join([draw(respelled(str(node), True, percent)) for node in nodes]),
+        draw(respelled(draw(st.sampled_from("01")), True, percent)),
+    ]
+
+
+@st.composite
+def spelled_temperature_rows(draw, percent: int) -> list[str]:
+    return [
+        draw(respelled(repr(draw(st.floats(0, 1e6))), False, percent)),
+        draw(respelled(str(draw(st.integers(0, NUM_NODES - 1))), True, percent)),
+        draw(respelled(repr(draw(st.floats(-50, 150))), False, percent)),
+    ]
+
+
+CATEGORY_SUBTYPES = [
+    ("HW", ["", "MEM", "CPU"]),
+    ("SW", ["", "OS", "PFS"]),
+    ("ENV", ["", "UPS"]),
+    ("NET", ["SWITCH"]),
+    ("HUMAN", [""]),
+    ("UNDET", [""]),
+]
+BAD_CATEGORY_SUBTYPES = [("NOPE", [""]), ("HW", ["OS"]), ("UNDET", ["MEM"])]
+
+
+@st.composite
+def spelled_failure_rows(draw, percent: int) -> list[str]:
+    category, subtypes = draw(st.sampled_from(CATEGORY_SUBTYPES))
+    if draw(st.integers(0, 99)) < percent:
+        category, subtypes = draw(st.sampled_from(BAD_CATEGORY_SUBTYPES))
+    return [
+        draw(respelled(repr(draw(st.floats(0, 1e6))), False, percent)),
+        draw(respelled(str(draw(st.integers(0, NUM_NODES - 1))), True, percent)),
+        draw(st.sampled_from([category, category.lower(), f" {category} "])),
+        draw(st.sampled_from(subtypes)),
+        draw(respelled(repr(draw(st.floats(0, 100))), False, percent)),
+    ]
+
+
+@st.composite
+def spelled_text(draw, header: list[str], rows: list[list[str]]) -> str:
+    """``rows`` as CSV text with one line end (LF, CRLF or bare CR),
+    random quoting, blank lines and, now and then, a whitespace-only
+    line, a ``# x`` line or a byte order mark."""
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(header)]
+    for row in rows:
+        while draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "", "", "", "", "", " ", "# x"])))
+        lines.append(
+            ",".join(f'"{f}"' if draw(st.integers(0, 3)) == 0 else f for f in row)
+        )
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    if draw(st.integers(0, 19)) == 0:
+        text = "\ufeff" + text
+    return text
+
+
+def check_records_against_oracle(path: Path) -> None:
+    """``read_failures`` raises what the oracle raises, or returns its
+    records, every field equal."""
+    try:
+        records = reference_read_failures(path, SYSTEM_ID)
+    except ArchiveIOError:
+        assert_same_error(reference_read_failures, read_failures, path)
+        return
+    assert as_tuples(read_failures(path, SYSTEM_ID)) == as_tuples(records)
+
+
+# --- fallback counter -----------------------------------------------------
+
+
+@pytest.fixture()
+def metrics():
+    telemetry.reset_metrics()
+    telemetry.enable_metrics()
+    yield telemetry.registry()
+    telemetry.set_metrics_enabled(False)
+    telemetry.reset_metrics()
+
+
+def fallbacks(registry) -> float:
+    return sum(
+        value
+        for key, value in registry.snapshot()["counters"].items()
+        if key.startswith("records.load_fallback")
+    )
+
+
+SPELLING_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.large_base_example, HealthCheck.too_slow],
+)
+
+
+class TestSpellingsMatchOracle:
+    @SPELLING_SETTINGS
+    @given(data=st.data())
+    def test_jobs(self, tmp_path_factory, data):
+        percent = data.draw(st.sampled_from([0, 3, 30]))
+        rows = data.draw(st.lists(spelled_job_rows(percent), max_size=6))
+        path = fresh_dir(tmp_path_factory) / "jobs.csv"
+        path.write_bytes(data.draw(spelled_text(JOBS_HEADER, rows)).encode())
+        check_against_oracle(
+            reference_read_jobs, read_jobs, JobColumns.from_records, path
+        )
+
+    @SPELLING_SETTINGS
+    @given(data=st.data())
+    def test_temperatures(self, tmp_path_factory, data):
+        percent = data.draw(st.sampled_from([0, 3, 30]))
+        rows = data.draw(st.lists(spelled_temperature_rows(percent), max_size=6))
+        path = fresh_dir(tmp_path_factory) / "temperatures.csv"
+        path.write_bytes(
+            data.draw(spelled_text(TEMPERATURES_HEADER, rows)).encode()
+        )
+        check_against_oracle(
+            reference_read_temperatures,
+            read_temperatures,
+            TemperatureColumns.from_records,
+            path,
+        )
+
+    @SPELLING_SETTINGS
+    @given(data=st.data())
+    def test_failures(self, tmp_path_factory, data):
+        percent = data.draw(st.sampled_from([0, 3, 30]))
+        rows = data.draw(st.lists(spelled_failure_rows(percent), max_size=6))
+        path = fresh_dir(tmp_path_factory) / "failures.csv"
+        path.write_bytes(data.draw(spelled_text(FAILURES_HEADER, rows)).encode())
+        check_records_against_oracle(path)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(value=st.floats(min_value=0.0, allow_infinity=False))
+    def test_repr_of_any_float(self, tmp_path_factory, metrics, value):
+        """The C reader reads every ``repr`` back as ``float()`` does."""
+        path = fresh_dir(tmp_path_factory) / "failures.csv"
+        path.write_text(f"{','.join(FAILURES_HEADER)}\n{value!r},0,HW,,{value!r}\n")
+        before = fallbacks(metrics)
+        [record] = read_failures(path, SYSTEM_ID)
+        assert fallbacks(metrics) == before
+        assert repr(record.time) == repr(record.downtime_hours) == repr(value)
+        check_records_against_oracle(path)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1_000", "1.0", "1e3", str(2**63), "nan(1)", "\u0661", " 7 ", '"7"'],
+    )
+    def test_integer_column_spellings(self, tmp_path, token):
+        path = tmp_path / "temperatures.csv"
+        path.write_text(f"time,node_id,celsius\n1.0,{token},25.0\n")
+        check_against_oracle(
+            reference_read_temperatures,
+            read_temperatures,
+            TemperatureColumns.from_records,
+            path,
+        )
+
+    def test_hash_row_is_a_short_row(self, tmp_path):
+        """``np.loadtxt``'s default ``comments='#'`` would skip this row;
+        ``csv.reader`` reports it as a short row."""
+        path = tmp_path / "temperatures.csv"
+        path.write_text("time,node_id,celsius\n1.0,0,25.0\n# x\n2.0,0,25.0\n")
+        assert_same_error(reference_read_temperatures, read_temperatures, path)
+        with pytest.raises(ArchiveIOError, match=f"^{path}:3: short row$"):
+            read_temperatures(path, SYSTEM_ID)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, tmp_path, eol):
+        path = tmp_path / "failures.csv"
+        rows = [",".join(FAILURES_HEADER), "2.5,1,HW,MEM,1.5", "", "1.0,3,SW,,0.0"]
+        path.write_bytes((eol.join(rows) + eol).encode())
+        assert [f.node_id for f in read_failures(path, SYSTEM_ID)] == [1, 3]
+        check_records_against_oracle(path)
+
+
+class TestFallbackCounter:
+    def test_python_only_spelling_loads_through_the_fallback(
+        self, tmp_path, metrics
+    ):
+        path = tmp_path / "jobs.csv"
+        rows = [
+            JOBS_HEADER,
+            ["1_000", "1.0", "1.5", "2.5", "1", "4", "3;5", "0"],
+            ["7", "0.5", "1.0", "1.0", "2", "8", "1", "1"],
+        ]
+        path.write_text("\n".join(map(",".join, rows)) + "\n")
+        got = read_jobs(path, SYSTEM_ID)
+        assert_columns_equal(
+            got,
+            JobColumns.from_records(sorted(reference_read_jobs(path, SYSTEM_ID))),
+        )
+        assert got.job_ids.tolist() == [7, 1000]
+        assert metrics.counter_value("records.load_fallback", table="jobs") == 1
+        assert fallbacks(metrics) == 1
+
+    def test_saved_archive_loads_without_fallback(
+        self, tiny_archive, tmp_path, metrics
+    ):
+        save_archive(tiny_archive, tmp_path / "arch")
+        load_archive(tmp_path / "arch")
+        assert fallbacks(metrics) == 0
