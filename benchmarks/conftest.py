@@ -18,7 +18,7 @@ from repro.simulate.cache import cached_make_archive
 from repro.simulate.config import small_config
 
 #: Benchmark archive parameters, shared by EXPERIMENTS.md and
-#: ``bench_perf.py``.  Like the test fixtures' seeds, the benchmark seed
+#: ``perfbench/``.  Like the test fixtures' seeds, the benchmark seed
 #: is re-picked whenever ``repro.simulate.failures.GENERATOR_VERSION``
 #: bumps: the stream change produces a different, equally valid
 #: realisation, and the suite asserts paper *shapes* on one realisation.

@@ -27,7 +27,7 @@ from .records.dataset import Archive
 from .records.io import load_archive, save_archive
 from .records.validation import validate_archive
 from .simulate.archive import make_archive
-from .simulate.config import ArchiveConfig
+from .simulate.config import ArchiveConfig, ConfigError
 from .core.report import REPORT_SECTIONS, profiled_full_report
 from .prediction.checkpoint import advise
 from .prediction.risk import RiskModel
@@ -43,15 +43,6 @@ def _add_generate(sub: argparse._SubParsersAction) -> None:
         type=float,
         default=1.0,
         help="node-count scale factor (1.0 = full LANL size)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for generation (default serial; output is "
-            "identical at any worker count)"
-        ),
     )
     p.add_argument(
         "--no-cache",
@@ -244,17 +235,20 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         return run_stream_command(args)
     if args.command == "generate":
-        config = ArchiveConfig(seed=args.seed, years=args.years, scale=args.scale)
+        try:
+            config = ArchiveConfig(seed=args.seed, years=args.years, scale=args.scale)
+        except ConfigError as exc:
+            raise SystemExit(f"error: {exc}")
         # Timed through spans (real even without --trace), like the
         # report profile, so the wall clock stays inside telemetry.
         with telemetry.ensure_trace():
             with telemetry.span("generate.archive") as generate_span:
                 if args.no_cache:
-                    archive = make_archive(config, workers=args.workers)
+                    archive = make_archive(config)
                 else:
                     from .simulate.cache import cached_make_archive
 
-                    archive = cached_make_archive(config, workers=args.workers)
+                    archive = cached_make_archive(config)
             with telemetry.span("generate.save") as save_span:
                 save_archive(archive, args.output)
         telemetry.write_manifest(
@@ -268,7 +262,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                     "save_s": save_span.duration,
                 },
                 extra={
-                    "workers": args.workers,
                     "cached": not args.no_cache,
                     "output": str(args.output),
                 },

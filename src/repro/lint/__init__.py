@@ -1,8 +1,8 @@
 """``repro.lint`` -- project-specific AST-based static analysis.
 
-The reproduction's headline guarantees (bit-identical reports across
-worker counts, config-hash-keyed archive caching, telemetry-off byte
-identity) are *statically checkable* properties of the source tree.
+The reproduction's headline guarantees (bit-identical reports from a
+seed, config-hash-keyed archive caching, telemetry-off byte identity)
+are *statically checkable* properties of the source tree.
 This package proves them with a dependency-free linter built on
 :mod:`ast`:
 

@@ -258,34 +258,20 @@ def _generate_system(
     )
 
 
-def _system_job(
-    spec: SystemSpec, config: ArchiveConfig, flux_per_day: np.ndarray
-) -> SystemDataset:
-    """Generate one system from scratch (the unit of worker parallelism).
-
-    Every RNG stream is derived by *name* from ``config.seed``
-    (``system-{sid}/usage`` and friends), so a worker constructing its
-    own :class:`RngStreams` draws exactly the values the serial path
-    would: archives are identical at any worker count by construction.
-    """
-    return generate_system(spec, config, RngStreams(config.seed), flux_per_day)
-
-
-def make_archive(
-    config: ArchiveConfig | None = None, *, workers: int | None = None
-) -> Archive:
+def make_archive(config: ArchiveConfig | None = None) -> Archive:
     """Generate a complete archive from a configuration.
 
     With no argument, generates the full-scale LANL-like archive (ten
     systems plus system 8, nine years); pass
     :func:`~repro.simulate.config.small_config` output for quick runs.
 
+    Every system draws from its own :class:`RngStreams` of
+    ``config.seed``, with streams derived by *name*
+    (``system-{sid}/usage`` and friends), so one system's values never
+    depend on the systems generated before it.
+
     Args:
         config: archive configuration (defaults to the full catalogue).
-        workers: number of worker processes to generate systems in.
-            ``None``, 0 or 1 generate serially; higher values fan the
-            per-system work out over a process pool.  The output is
-            identical at any worker count (see :func:`_system_job`).
     """
     config = config or ArchiveConfig()
     with span(
@@ -293,7 +279,6 @@ def make_archive(
         seed=config.seed,
         years=config.years,
         scale=config.scale,
-        workers=int(workers) if workers else 1,
     ) as root:
         streams = RngStreams(config.seed)
         with span("simulate.neutrons"):
@@ -304,30 +289,10 @@ def make_archive(
             )
         specs = config.scaled_systems()
         root.set_attrs(systems=len(specs))
-        if workers and workers > 1 and len(specs) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            from itertools import repeat
-
-            # Per-system spans and counters happen inside the worker
-            # processes and are not collected; only this parent span
-            # (and the pooled totals below) survive a parallel run.
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(specs))
-            ) as pool:
-                systems = list(
-                    pool.map(
-                        _system_job, specs, repeat(config), repeat(flux_per_day)
-                    )
-                )
-            counter_add(
-                "simulate.events",
-                sum(len(ds.failures) for ds in systems),
-                hazard="all_parallel",
-            )
-        else:
-            systems = [
-                _system_job(spec, config, flux_per_day) for spec in specs
-            ]
+        systems = [
+            generate_system(spec, config, RngStreams(config.seed), flux_per_day)
+            for spec in specs
+        ]
         archive = Archive(systems, neutron_series=neutron_readings)
         counter_add("simulate.archives", 1)
         if tracing():

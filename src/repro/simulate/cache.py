@@ -336,7 +336,6 @@ def store_cached(
 def cached_make_archive(
     config: ArchiveConfig | None = None,
     *,
-    workers: int | None = None,
     directory: Path | None = None,
     refresh: bool = False,
 ) -> Archive:
@@ -344,9 +343,6 @@ def cached_make_archive(
 
     Args:
         config: archive configuration (defaults to the full catalogue).
-        workers: worker processes for a cache-miss generation (the
-            output -- and therefore the cache entry -- is identical at
-            any worker count).
         directory: cache directory override (default :func:`cache_dir`).
         refresh: regenerate and overwrite even on a hit.
     """
@@ -359,6 +355,6 @@ def cached_make_archive(
     counter_add(
         "archive_cache.requests", 1, result="refresh" if refresh else "cold"
     )
-    archive = make_archive(config, workers=workers)
+    archive = make_archive(config)
     store_cached(config, archive, directory)
     return archive

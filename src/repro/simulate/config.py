@@ -20,6 +20,7 @@ Two levels of configuration exist:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from ..records.dataset import HardwareGroup
@@ -91,8 +92,8 @@ class SystemSpec:
 
         Used to produce laptop-sized archives for tests and quick runs.
         """
-        if scale <= 0:
-            raise ConfigError(f"scale must be positive, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ConfigError(f"scale must be positive and finite, got {scale}")
         return replace(self, num_nodes=max(2, round(self.num_nodes * scale)))
 
 
@@ -670,10 +671,10 @@ class ArchiveConfig:
     neutron_sample_interval_days: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.years <= 0:
-            raise ConfigError(f"years must be positive, got {self.years}")
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.years) and self.years > 0):
+            raise ConfigError(f"years must be positive and finite, got {self.years}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
         if not self.systems:
             raise ConfigError("at least one system spec is required")
         if len({s.system_id for s in self.systems}) != len(self.systems):

@@ -15,12 +15,12 @@ analyzable event stream.  Three dependency-free pieces:
 
 Everything is **off by default** and every instrumented call site
 fast-paths to a no-op on one module-global check; the CI perf gate
-(`benchmarks/check_perf_regression.py`) asserts the disabled overhead
-stays negligible.  Enable via:
+(`benchmarks/perf_gate.py`) asserts the disabled overhead stays
+negligible.  Enable via:
 
 * environment -- ``REPRO_TELEMETRY=trace`` / ``metrics`` / ``all``
   (comma-separable), plus ``REPRO_TRACE_FILE=/path/trace.jsonl`` for
-  the JSONL export (honoured by the CLI and ``bench_perf.py``);
+  the JSONL export (honoured by the CLI);
 * CLI -- ``repro report --trace/--metrics-out/--manifest`` and
   ``repro generate --trace``;
 * code -- :func:`start_trace` / :func:`trace` and

@@ -9,8 +9,7 @@ Three views of one run, for three audiences:
   (``REPRO_TRACE_FILE``) that downstream analysis -- including this
   repo's own tooling -- can mine the way the paper mines failure logs;
 * :func:`write_metrics_json` -- a flat snapshot of the metrics registry
-  (``--metrics-out``, and the ``metrics`` section of
-  ``BENCH_PERF.json``).
+  (``--metrics-out``).
 """
 
 from __future__ import annotations

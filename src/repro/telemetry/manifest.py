@@ -81,8 +81,7 @@ def build_manifest(
     """Assemble a run manifest.
 
     Args:
-        command: the producing command (``"generate"``, ``"report"``,
-            ``"bench_perf"``, ...).
+        command: the producing command (``"generate"``, ``"report"``).
         config: the :class:`~repro.simulate.config.ArchiveConfig` the
             run used, if any -- adds seed/years/scale and the cache
             digest.

@@ -14,9 +14,6 @@ Design constraints, in order:
    :mod:`contextvars` variable, so each thread (the stream producer as
    well as the main thread) nests independently; appends to the shared
    tree are serialised on the trace's lock.
-3. **Process-local.**  Spans opened inside ``ProcessPoolExecutor``
-   workers (``make_archive(..., workers=N)``) die with the worker;
-   only the parent process's spans are collected.
 
 Collection is explicit: activate a trace with :func:`start_trace` /
 :func:`trace` (or ``REPRO_TELEMETRY=trace`` via

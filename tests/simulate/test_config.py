@@ -44,8 +44,9 @@ class TestSystemSpec:
         assert tiny.num_nodes == 2  # floor
 
     def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            LANL_SYSTEMS[0].scaled(0.0)
+        for scale in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError):
+                LANL_SYSTEMS[0].scaled(scale)
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ConfigError):
@@ -123,9 +124,11 @@ class TestArchiveConfig:
             ArchiveConfig(systems=(spec, spec))
 
     def test_rejects_bad_years(self):
-        with pytest.raises(ConfigError):
-            ArchiveConfig(years=0.0)
+        for years in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError):
+                ArchiveConfig(years=years)
 
     def test_rejects_bad_scale(self):
-        with pytest.raises(ConfigError):
-            ArchiveConfig(scale=-1.0)
+        for scale in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError):
+                ArchiveConfig(scale=scale)

@@ -1,8 +1,6 @@
-"""Worker-count determinism and the on-disk archive cache.
+"""The on-disk archive cache.
 
-The parallel generation path must be a pure optimisation: the archive
-produced with N workers is bit-identical to the serial one, and an
-archive served from the cache is bit-identical to a fresh generation.
+An archive served from the cache is bit-identical to a fresh generation.
 The cache key must cover *every* configuration field (plus the generator
 version), and a damaged cache entry must be regenerated, never raised.
 """
@@ -64,27 +62,6 @@ def _archive_state(archive: Archive):
 @pytest.fixture
 def config() -> ArchiveConfig:
     return small_config(seed=11, years=1.5, scale=0.03)
-
-
-class TestWorkerDeterminism:
-    def test_two_workers_identical_to_serial(self, config):
-        serial = make_archive(config)
-        parallel = make_archive(config, workers=2)
-        assert _archive_state(parallel) == _archive_state(serial)
-
-    def test_worker_count_does_not_matter(self, config):
-        a3 = make_archive(config, workers=3)
-        a5 = make_archive(config, workers=5)
-        assert _archive_state(a3) == _archive_state(a5)
-
-    def test_workers_one_and_zero_mean_serial(self, config):
-        serial = make_archive(config)
-        assert _archive_state(make_archive(config, workers=1)) == (
-            _archive_state(serial)
-        )
-        assert _archive_state(make_archive(config, workers=0)) == (
-            _archive_state(serial)
-        )
 
 
 class TestCacheRoundTrip:

@@ -27,11 +27,12 @@ class TestParser:
         assert args.scale == 1.0
         assert args.years == 9.0
 
-    def test_report_has_no_workers_option(self):
-        # The report renders its sections serially; only generation
-        # takes a worker count.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["report", "/tmp/x", "--workers", "2"])
+    def test_no_command_has_a_workers_option(self):
+        # Reports render their sections serially and generation runs in
+        # one process, so no command takes a worker count.
+        for command in ("report", "generate"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "/tmp/x", "--workers", "2"])
 
 
 class TestCommands:
@@ -84,6 +85,11 @@ class TestCommands:
     def test_missing_archive(self, tmp_path):
         with pytest.raises(SystemExit, match="does not exist"):
             main(["report", str(tmp_path / "nope")])
+
+    def test_generate_rejects_nan_years(self, tmp_path):
+        with pytest.raises(SystemExit, match="^error: years must be positive"):
+            main(["generate", str(tmp_path / "arch"), "--years", "nan"])
+        assert not (tmp_path / "arch").exists()
 
 
 class TestNewCommands:
