@@ -60,6 +60,12 @@ _CATEGORY_CODES: dict[Category, int] = {c: i for i, c in enumerate(all_categorie
 _SUBTYPE_CODES: dict[Subtype, int] = {s: i for i, s in enumerate(all_subtypes())}
 _NO_SUBTYPE = -1
 
+#: The column class and instance-dict memo key of each bulk log.
+_LOG_COLUMNS = {
+    "jobs": (JobColumns, "_job_columns"),
+    "temperatures": (TemperatureColumns, "_temperature_columns"),
+}
+
 
 class EventIndex:
     """One event stream in time order, for windowed lookups.
@@ -246,7 +252,7 @@ class SystemDataset:
             object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
 
     def _check_consistency(self) -> None:
-        """Check the scalars, failures, maintenance and layout."""
+        """Check the scalars, the node ids of every log, and the layout."""
         if self.num_nodes < 1:
             raise DatasetError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.processors_per_node < 1:
@@ -274,6 +280,13 @@ class SystemDataset:
                 raise DatasetError(
                     f"maintenance record {m!r} inconsistent with system "
                     f"{self.system_id} ({self.num_nodes} nodes)"
+                )
+        for log in _LOG_COLUMNS:
+            nodes = self.log_columns(log).node_ids
+            if nodes.size and int(nodes.max()) >= self.num_nodes:
+                raise DatasetError(
+                    f"{log} log references node {int(nodes.max())} but system "
+                    f"{self.system_id} has only {self.num_nodes} nodes"
                 )
         if self.layout is not None:
             placed = set(self.layout.node_ids)
@@ -319,19 +332,26 @@ class SystemDataset:
         np.add.at(counts, self.failure_table.node_ids, 1)
         return counts
 
+    def log_columns(self, log: str) -> JobColumns | TemperatureColumns:
+        """The ``"jobs"`` or ``"temperatures"`` log as columns, without
+        memoizing them: the memoized columns if there are any, else
+        transient ones built from the records.  Writers and checks use
+        it, so they leave no second copy of a log on a record-built
+        dataset and materialize no records on a column-backed one.
+        """
+        kind, memo = _LOG_COLUMNS[log]
+        cols = self.__dict__.get(memo)
+        return kind.from_records(getattr(self, log)) if cols is None else cols
+
     def job_columns(self) -> JobColumns:
         """The job log as :class:`JobColumns` (built once, then memoized).
 
         A manual instance-dict memo rather than a ``cached_property``:
         :class:`_LazyColumnarSystem` pre-fills the ``_job_columns`` key
-        with its loaded columns, so they are served without materializing
+        with its columns, so they are served without materializing
         records, and its ``jobs`` setter clears the key.
         """
-        cols = self.__dict__.get("_job_columns")
-        if cols is None:
-            cols = JobColumns.from_records(self.jobs)
-            self.__dict__["_job_columns"] = cols
-        return cols
+        return self.__dict__.setdefault("_job_columns", self.log_columns("jobs"))
 
     def temperature_columns(self) -> TemperatureColumns:
         """The temperature log as :class:`TemperatureColumns` (memoized).
@@ -340,21 +360,24 @@ class SystemDataset:
         key and its ``temperatures`` setter clears it, as with
         :meth:`job_columns`.
         """
-        cols = self.__dict__.get("_temperature_columns")
-        if cols is None:
-            cols = TemperatureColumns.from_records(self.temperatures)
-            self.__dict__["_temperature_columns"] = cols
-        return cols
+        return self.__dict__.setdefault(
+            "_temperature_columns", self.log_columns("temperatures")
+        )
 
     @property
     def has_usage(self) -> bool:
         """True if a job log is available (systems 8 and 20 at LANL)."""
-        return len(self.jobs) > 0
+        return self._has_log("jobs")
 
     @property
     def has_temperature(self) -> bool:
         """True if temperature readings are available (system 20 at LANL)."""
-        return len(self.temperatures) > 0
+        return self._has_log("temperatures")
+
+    def _has_log(self, log: str) -> bool:
+        # Memoized columns answer without materializing records.
+        cols = self.__dict__.get(_LOG_COLUMNS[log][1])
+        return len(getattr(self, log) if cols is None else cols) > 0
 
     @property
     def has_layout(self) -> bool:
@@ -370,8 +393,9 @@ class _LazyColumnarSystem(SystemDataset):
     :meth:`job_columns` and :meth:`temperature_columns` serve them
     directly, and the record tuples materialise only on first access to
     ``jobs`` / ``temperatures`` (the properties shadow the dataclass
-    fields).  Both the CSV loader and the archive cache build these, so
-    ``repro report DIR`` and a warm cache load never create a job or
+    fields).  The generator (:func:`~repro.simulate.archive.make_archive`),
+    the CSV loader and the archive cache all build these, so generating,
+    caching, saving and loading an archive never create a job or
     temperature record.
 
     The properties have setters (storing straight into the instance
@@ -393,9 +417,10 @@ class _LazyColumnarSystem(SystemDataset):
         """Build a dataset from the record fields plus the two column logs.
 
         ``fields`` are all the other dataclass fields.  Runs every
-        :class:`SystemDataset` check except those on jobs and
-        temperatures, whose columns the caller has checked and sorted
-        the way :class:`SystemDataset` sorts records.
+        :class:`SystemDataset` check except the per-record ones on jobs
+        and temperatures: the caller has checked those columns
+        (``invalid_rows``) and put them in record order
+        (``in_record_order``).
         """
         ds = cls.unchecked(jobs=jobs, temperatures=temperatures, **fields)
         ds._check_consistency()
@@ -475,16 +500,6 @@ class _LazyColumnarSystem(SystemDataset):
     def temperatures(self, value) -> None:
         self.__dict__.pop("_temperature_columns", None)
         self.__dict__["_temperatures"] = tuple(value)
-
-    @property
-    def has_usage(self) -> bool:
-        """Job-log presence without materialising the record tuple."""
-        return len(self.job_columns()) > 0
-
-    @property
-    def has_temperature(self) -> bool:
-        """Temperature presence without materialising the record tuple."""
-        return len(self.temperature_columns()) > 0
 
 
 class Archive:

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .timeutil import ObservationPeriod, Span, window_index
+from .usage import record_order
 
 
 class EnvironmentRecordError(ValueError):
@@ -107,6 +108,21 @@ class TemperatureColumns:
         bad = ~np.isfinite(t) | (t < 0) | (self.node_ids < 0)
         bad |= ~(np.isfinite(c) & (c >= CELSIUS_MIN) & (c <= CELSIUS_MAX))
         return bad
+
+    def check(self) -> None:
+        """Raise :class:`EnvironmentRecordError` if a sample breaks a
+        :class:`TemperatureReading` invariant."""
+        bad = np.flatnonzero(self.invalid_rows())
+        if bad.size:
+            raise EnvironmentRecordError(
+                f"{bad.size} invalid temperature samples, the first at row {bad[0]}"
+            )
+
+    def in_record_order(self) -> "TemperatureColumns":
+        """These samples in the order their records sort in: a log belongs
+        to one system, so by ``(time, node_id, celsius)``."""
+        order = record_order(self.times, self.node_ids, self.celsius)
+        return self if order is None else self.take(order)
 
     def take(self, order: np.ndarray) -> "TemperatureColumns":
         """The samples at the row indices ``order``, in that order."""

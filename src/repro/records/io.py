@@ -272,22 +272,6 @@ def _record_columns(path: Path, header: list[str], build, system_id: int, kind):
     return kind.from_records(_read_records(path, header, build, system_id))
 
 
-def _record_order(*keys: np.ndarray) -> np.ndarray | None:
-    """The stable sort of rows by ``keys`` (primary key first), or
-    ``None`` if the rows are in that order already: an O(n) check, so a
-    file the writer produced is never sorted."""
-    tied = None
-    for key in keys:
-        before, after = key[:-1], key[1:]
-        descending = before > after
-        if tied is not None:
-            descending &= tied
-        if descending.any():
-            return np.lexsort(keys[::-1])
-        tied = before == after if tied is None else tied & (before == after)
-    return None
-
-
 def write_failures(path: Path, failures: Sequence[FailureRecord]) -> None:
     """Write a failure log to ``failures.csv`` format."""
     with path.open("w", newline="") as fh:
@@ -514,9 +498,7 @@ def read_jobs(path: Path, system_id: int) -> JobColumns:
         jobs = _record_columns(
             path, _JOBS_HEADER, _job_record, system_id, JobColumns
         )
-    # JobRecord orders by (submit_time, system_id, job_id).
-    order = _record_order(jobs.submit_times, jobs.job_ids)
-    return jobs if order is None else jobs.take(order)
+    return jobs.in_record_order()
 
 
 def write_temperatures(path: Path, readings: Sequence[TemperatureReading]) -> None:
@@ -573,9 +555,7 @@ def read_temperatures(path: Path, system_id: int) -> TemperatureColumns:
             system_id,
             TemperatureColumns,
         )
-    # TemperatureReading orders by (time, system_id, node_id, celsius).
-    order = _record_order(temps.times, temps.node_ids, temps.celsius)
-    return temps if order is None else temps.take(order)
+    return temps.in_record_order()
 
 
 def write_layout(path: Path, layout: MachineLayout) -> None:
@@ -640,14 +620,6 @@ def save_archive(archive: Archive, root: Path | str) -> None:
         _save_archive(archive, root)
 
 
-def _log_columns(ds, memo: str, kind, log: str):
-    """A dataset's memoised ``memo`` columns, else transient ``kind``
-    columns of its (sorted) ``log`` records: writing must not leave a
-    second copy of the log memoised on a record-built dataset."""
-    columns = vars(ds).get(memo)
-    return kind.from_records(getattr(ds, log)) if columns is None else columns
-
-
 def _save_archive(archive: Archive, root: Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     with (root / "systems.csv").open("w", newline="") as fh:
@@ -671,15 +643,10 @@ def _save_archive(archive: Archive, root: Path) -> None:
         write_failures(sysdir / "failures.csv", ds.failures)
         write_maintenance(sysdir / "maintenance.csv", ds.maintenance)
         if ds.has_usage:
-            _write_job_columns(
-                sysdir / "jobs.csv", _log_columns(ds, "_job_columns", JobColumns, "jobs")
-            )
+            _write_job_columns(sysdir / "jobs.csv", ds.log_columns("jobs"))
         if ds.has_temperature:
             _write_temperature_columns(
-                sysdir / "temperatures.csv",
-                _log_columns(
-                    ds, "_temperature_columns", TemperatureColumns, "temperatures"
-                ),
+                sysdir / "temperatures.csv", ds.log_columns("temperatures")
             )
         if ds.layout is not None:
             write_layout(sysdir / "layout.csv", ds.layout)

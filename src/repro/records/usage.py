@@ -103,6 +103,22 @@ class JobRecord:
         return self.runtime_days * self.num_processors
 
 
+def record_order(*keys: np.ndarray) -> np.ndarray | None:
+    """The stable sort of rows by ``keys`` (primary key first), or
+    ``None`` if the rows are in that order already: an O(n) check, so
+    columns built in record order are never sorted."""
+    tied = None
+    for key in keys:
+        before, after = key[:-1], key[1:]
+        descending = before > after
+        if tied is not None:
+            descending &= tied
+        if descending.any():
+            return np.lexsort(keys[::-1])
+        tied = before == after if tied is None else tied & (before == after)
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class JobColumns:
     """A job log as parallel numpy columns (one row per job).
@@ -190,6 +206,20 @@ class JobColumns:
         dup = (jobs[1:] == jobs[:-1]) & (nodes[1:] == nodes[:-1])
         bad[jobs[1:][dup]] = True
         return bad
+
+    def check(self) -> None:
+        """Raise :class:`UsageError` if a job breaks a :class:`JobRecord`
+        invariant."""
+        bad = np.flatnonzero(self.invalid_rows())
+        if bad.size:
+            first = int(self.job_ids[bad[0]])
+            raise UsageError(f"{bad.size} invalid jobs, the first with job_id {first}")
+
+    def in_record_order(self) -> "JobColumns":
+        """These jobs in the order their records sort in: a log belongs to
+        one system, so by ``(submit_time, job_id)``."""
+        order = record_order(self.submit_times, self.job_ids)
+        return self if order is None else self.take(order)
 
     def take(self, order: np.ndarray) -> "JobColumns":
         """The jobs at the row indices ``order``, in that order."""

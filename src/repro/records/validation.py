@@ -161,16 +161,6 @@ def _check_system(ds: SystemDataset, report: ValidationReport) -> None:
         )
     if ds.has_usage:
         jobs = ds.job_columns()
-        job_of = np.repeat(np.arange(len(jobs)), np.diff(jobs.node_offsets))
-        bad_jobs = np.unique(job_of[jobs.node_ids >= ds.num_nodes])
-        if bad_jobs.size:
-            report.add(
-                Severity.ERROR,
-                sid,
-                "job-node-range",
-                f"jobs {jobs.job_ids[bad_jobs[:5]].tolist()} reference "
-                "out-of-range nodes",
-            )
         out_of_period = int(
             np.count_nonzero(
                 (jobs.end_times < ds.period.start)

@@ -27,7 +27,7 @@ from .neutrons import NeutronModel, NeutronModelError, daily_flux, generate_neut
 from .power import StressorEvent, StressorTraces, generate_stressors
 from .rng import RngStreams, StreamError
 from .temperature import generate_temperatures
-from .usage import JobDraft, UsageTraces, generate_usage
+from .usage import UsageTraces, generate_usage
 
 __all__ = [
     "ArchiveConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "COSMIC_SYSTEMS",
     "EffectSizes",
     "FIG4_SYSTEMS",
-    "JobDraft",
     "LANL_SYSTEMS",
     "NeutronModel",
     "NeutronModelError",

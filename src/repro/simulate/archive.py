@@ -15,17 +15,23 @@ for each system of the configured catalogue:
 Every component draws from its own named RNG stream, so archives are
 bit-reproducible from ``config.seed`` and components can be re-tuned
 without perturbing each other.
+
+The job and temperature logs are built as checked columns in record
+order, so each system becomes a column-backed dataset
+(:class:`~repro.records.dataset._LazyColumnarSystem`) without a job or
+temperature record being built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..records.dataset import Archive, SystemDataset
+from ..records.dataset import Archive, SystemDataset, _LazyColumnarSystem
+from ..records.environment import TemperatureColumns
 from ..records.failure import MaintenanceRecord
 from ..records.layout import MachineLayout, regular_layout
 from ..records.timeutil import DAYS_PER_YEAR, ObservationPeriod
-from ..records.usage import JobRecord
+from ..records.usage import JobColumns
 from ..telemetry import counter_add, span, tracing
 from .config import ArchiveConfig, SystemSpec, small_config
 from .failures import simulate_failures
@@ -68,12 +74,11 @@ def _organic_maintenance(
 
 def _resolve_job_failures(
     usage: UsageTraces,
-    spec: SystemSpec,
     failure_times_by_node: list[np.ndarray],
     config: ArchiveConfig,
     rng: np.random.Generator,
-) -> list[JobRecord]:
-    """Convert job drafts to records, marking node-caused job failures.
+) -> JobColumns:
+    """The job log of the usage traces, marking node-caused job failures.
 
     A job failed due to a node failure iff one of its nodes recorded an
     outage strictly inside the job's ``(dispatch, end]`` run interval --
@@ -83,7 +88,7 @@ def _resolve_job_failures(
     """
     n_jobs = usage.n_jobs
     if n_jobs == 0:
-        return []
+        return JobColumns.from_records(())
     offsets = usage.job_node_offsets
     sizes = np.diff(offsets)
     pair_job = np.repeat(np.arange(n_jobs, dtype=np.int64), sizes)
@@ -125,29 +130,18 @@ def _resolve_job_failures(
             extra[eligible] = draws < p_extra[eligible]
             failed |= extra
 
-    sid = spec.system_id
-    ppn = usage.processors_per_node
-    failed_l = failed.tolist()
-    submit_l = usage.job_submit.tolist()
-    dispatch_l = dispatch.tolist()
-    end_l = end.tolist()
-    users_l = usage.job_user.tolist()
-    nodes_l = pair_node.tolist()
-    offsets_l = offsets.tolist()
-    return [
-        JobRecord(
-            submit_time=submit_l[j],
-            system_id=sid,
-            job_id=j,
-            dispatch_time=dispatch_l[j],
-            end_time=end_l[j],
-            user_id=users_l[j],
-            num_processors=(offsets_l[j + 1] - offsets_l[j]) * ppn,
-            node_ids=tuple(nodes_l[offsets_l[j] : offsets_l[j + 1]]),
-            failed_due_to_node=failed_l[j],
-        )
-        for j in range(n_jobs)
-    ]
+    # Job j is the j-th submitted: ids follow the submit-time order.
+    return JobColumns(
+        submit_times=usage.job_submit,
+        dispatch_times=dispatch,
+        end_times=end,
+        user_ids=usage.job_user,
+        num_processors=sizes * usage.processors_per_node,
+        failed_due_to_node=failed,
+        job_ids=np.arange(n_jobs, dtype=np.int64),
+        node_offsets=offsets,
+        node_ids=pair_node,
+    )
 
 
 def generate_system(
@@ -213,10 +207,10 @@ def _generate_system(
             stressors.events,
         )
         if spec.has_temperature
-        else []
+        else TemperatureColumns.from_records(())
     )
 
-    jobs: list[JobRecord] = []
+    jobs = JobColumns.from_records(())
     if usage is not None:
         # Per-node failure-time arrays: failures are time-sorted, so a
         # stable sort by node yields sorted per-node blocks directly.
@@ -233,7 +227,6 @@ def _generate_system(
                 failure_times[int(f_nodes[sel[0]])] = f_times[sel]
         jobs = _resolve_job_failures(
             usage,
-            spec,
             failure_times,
             config,
             streams.get(f"system-{sid}/job-failures"),
@@ -244,7 +237,10 @@ def _generate_system(
     counter_add("simulate.events", len(maintenance), hazard="maintenance")
     counter_add("simulate.events", len(temperatures), hazard="temperature")
     counter_add("simulate.events", len(jobs), hazard="job")
-    return SystemDataset(
+    # The checks a JobRecord or TemperatureReading would run, on the columns.
+    jobs.check()
+    temperatures.check()
+    return _LazyColumnarSystem.from_columns(
         system_id=sid,
         group=spec.group,
         num_nodes=spec.num_nodes,
@@ -252,8 +248,8 @@ def _generate_system(
         period=period,
         failures=failures,
         maintenance=tuple(maintenance),
-        jobs=tuple(jobs),
-        temperatures=tuple(temperatures),
+        jobs=jobs.in_record_order(),
+        temperatures=temperatures.in_record_order(),
         layout=layout,
     )
 

@@ -15,11 +15,11 @@ disk:
 * entries are pickles written atomically (temp file + ``os.replace``),
   so a crashed or concurrent writer can never leave a half-written
   entry in place;
-* the bulky job and temperature logs are stored as flat numpy columns
-  and decoded into the same lazily materialised dataset the CSV loader
-  returns (:class:`~repro.records.dataset._LazyColumnarSystem`), so a
-  warm load costs a few array reads instead of unpickling hundreds of
-  thousands of record objects;
+* the bulky job and temperature logs are stored as the flat numpy
+  columns the generator builds them as, and decoded into the same
+  lazily materialised dataset the generator and the CSV loader return
+  (:class:`~repro.records.dataset._LazyColumnarSystem`), so neither a
+  store nor a warm load touches a job or temperature record;
 * loads are corruption-tolerant for the *specific* I/O and
   deserialization errors a bad entry can raise (see ``_LOAD_ERRORS`` /
   ``_DECODE_ERRORS``): such an entry is treated as a miss (and deleted
@@ -153,19 +153,18 @@ def cache_path(config: ArchiveConfig, directory: Path | None = None) -> Path:
 # --- columnar payload ------------------------------------------------------
 #
 # An archive's bulk is its job and temperature logs: hundreds of
-# thousands of small record objects whose one-by-one unpickling costs as
-# much as regenerating them.  The cache therefore stores those two logs
-# as flat numpy columns and materialises the record tuples lazily on
-# first access -- a warm load deserialises a handful of arrays, and
-# analyses that never touch ``ds.jobs`` / ``ds.temperatures`` (most of
-# them: the window engine runs off the failure log) never pay for them.
+# thousands of rows, which the generator builds as numpy columns.  The
+# cache stores those columns as they are, and a decoded dataset
+# materialises the record tuples lazily on first access -- a store or a
+# warm load moves a handful of arrays, and analyses that never touch
+# ``ds.jobs`` / ``ds.temperatures`` (most of them: the window engine
+# runs off the failure log) never pay for records.
 
 
 def _encode_system(ds: SystemDataset) -> dict:
     """Reduce one system to a columnar cache payload."""
-    # Transient columns: job_columns() would memoize them on ``ds``.
-    jobs = JobColumns.from_records(ds.jobs)
-    temps = TemperatureColumns.from_records(ds.temperatures)
+    jobs = ds.log_columns("jobs")
+    temps = ds.log_columns("temperatures")
     return {
         "system_id": ds.system_id,
         "group": ds.group,

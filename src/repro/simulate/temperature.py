@@ -19,11 +19,10 @@ generator therefore:
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
-from ..records.environment import TemperatureReading
+from ..records.environment import TemperatureColumns
 from ..records.taxonomy import EnvironmentSubtype, HardwareSubtype
 from .config import ArchiveConfig, SystemSpec
 from .power import StressorEvent
@@ -34,8 +33,10 @@ def generate_temperatures(
     config: ArchiveConfig,
     rng: np.random.Generator,
     stressor_events: tuple[StressorEvent, ...],
-) -> list[TemperatureReading]:
-    """Generate the periodic sensor samples for one system.
+) -> TemperatureColumns:
+    """Generate the periodic sensor samples for one system, as columns
+    sorted by ``(time, node_id)`` (each node's sample times are
+    distinct, so that is the order the records sort in).
 
     Args:
         spec: the system (conventionally one with ``has_temperature``).
@@ -92,7 +93,7 @@ def generate_temperatures(
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
     flat_times = all_times[keep]
-    node_idx = np.repeat(np.arange(n), lengths)
+    node_idx = np.repeat(np.arange(n, dtype=np.int64), lengths)
 
     noise = rng.normal(0.0, effects.temp_noise_c, flat_times.size)
     temps = (
@@ -119,12 +120,8 @@ def generate_temperatures(
 
     np.clip(temps, -50.0, 150.0, out=temps)
     order = np.lexsort((node_idx, flat_times))
-    return list(
-        map(
-            TemperatureReading,
-            flat_times[order].tolist(),
-            repeat(spec.system_id),
-            node_idx[order].tolist(),
-            temps[order].tolist(),
-        )
+    return TemperatureColumns(
+        times=flat_times[order],
+        node_ids=node_idx[order],
+        celsius=temps[order],
     )

@@ -15,9 +15,9 @@ rely on:
   runtimes.
 
 Because failures are generated *after* usage (the hazard model consumes
-the usage arrays), this module emits lightweight :class:`JobDraft`
-objects; the archive builder later converts them to
-:class:`~repro.records.usage.JobRecord` once node-failure overlap (the
+the usage arrays), this module emits the job log as the arrays of
+:class:`UsageTraces`; the archive builder later turns them into
+:class:`~repro.records.usage.JobColumns` once node-failure overlap (the
 ``failed_due_to_node`` flag) can be resolved.
 """
 
@@ -25,24 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .config import ArchiveConfig, SystemSpec
-
-
-@dataclass(frozen=True, slots=True)
-class JobDraft:
-    """A generated job before failure-overlap resolution."""
-
-    job_id: int
-    submit_time: float
-    dispatch_time: float
-    end_time: float
-    user_id: int
-    num_processors: int
-    node_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -51,10 +37,8 @@ class UsageTraces:
 
     Jobs are stored as parallel arrays (sorted by submit time): the
     failure-overlap resolution in the archive builder and the hazard
-    model both work on whole columns, so materialising one
-    :class:`JobDraft` object per job would only be constructor overhead
-    on the generation hot path.  :attr:`drafts` builds the object view
-    lazily for callers that want per-job records.
+    model both work on whole columns, and the archive builder turns the
+    arrays into the dataset's job columns without a per-job object.
 
     Attributes:
         job_submit: ``(J,)`` submit times.
@@ -89,29 +73,6 @@ class UsageTraces:
     @property
     def n_jobs(self) -> int:
         return int(self.job_submit.size)
-
-    @cached_property
-    def drafts(self) -> tuple[JobDraft, ...]:
-        """Object view of the job log, built on first access."""
-        submit_l = self.job_submit.tolist()
-        dispatch_l = self.job_dispatch.tolist()
-        end_l = self.job_end.tolist()
-        users_l = self.job_user.tolist()
-        nodes_l = self.job_nodes.tolist()
-        offsets_l = self.job_node_offsets.tolist()
-        ppn = self.processors_per_node
-        return tuple(
-            JobDraft(
-                job_id=j,
-                submit_time=submit_l[j],
-                dispatch_time=dispatch_l[j],
-                end_time=end_l[j],
-                user_id=users_l[j],
-                num_processors=(offsets_l[j + 1] - offsets_l[j]) * ppn,
-                node_ids=tuple(nodes_l[offsets_l[j] : offsets_l[j + 1]]),
-            )
-            for j in range(self.n_jobs)
-        )
 
 
 #: Mean nodes per job implied by the geometric size distribution below;

@@ -102,6 +102,22 @@ class TestSystemDataset:
         with pytest.raises(DatasetError):
             dataset([fail(150.0)])
 
+    def test_rejects_job_node_out_of_range(self):
+        with pytest.raises(DatasetError, match="jobs log references node 99999"):
+            dataset(jobs=(job(1, 1.0, [0]), job(2, 2.0, [1, 99999])))
+
+    def test_rejects_temperature_node_out_of_range(self):
+        far = TemperatureReading(time=1.0, system_id=20, node_id=88888, celsius=25.0)
+        with pytest.raises(
+            DatasetError, match="temperatures log references node 88888"
+        ):
+            dataset(temperatures=(far,))
+
+    def test_range_check_memoizes_no_columns(self):
+        ds = dataset(jobs=JOBS, temperatures=TEMPS)
+        assert "_job_columns" not in vars(ds)
+        assert "_temperature_columns" not in vars(ds)
+
     def test_rejects_inconsistent_layout(self):
         with pytest.raises(DatasetError):
             dataset([], num_nodes=4, layout=regular_layout(6))
@@ -187,6 +203,10 @@ class TestLazyColumnarSystem:
             lazy(num_nodes=0)
         with pytest.raises(DatasetError, match="layout"):
             lazy(layout=regular_layout(8, nodes_per_rack=4))
+        with pytest.raises(DatasetError, match="jobs log references node 3"):
+            lazy(num_nodes=3)
+        with pytest.raises(DatasetError, match="temperatures log references node 2"):
+            lazy(num_nodes=2, jobs=())
 
     def test_sorts_failures_and_maintenance(self):
         ds = lazy([fail(5.0), fail(1.0, node=2)])

@@ -6,6 +6,7 @@ import pytest
 from repro.records.environment import (
     EnvironmentRecordError,
     NeutronReading,
+    TemperatureColumns,
     TemperatureReading,
     monthly_neutron_averages,
     summarize_temperatures,
@@ -39,6 +40,30 @@ class TestTemperatureReading:
     def test_rejects_non_finite_time(self, value):
         with pytest.raises(EnvironmentRecordError, match="non-finite time"):
             reading(time=value)
+
+
+class TestTemperatureColumns:
+    READINGS = [reading(2.0, 1), reading(1.0, 3), reading(2.0, 0, 30.0), reading(2.0, 0)]
+
+    def test_in_record_order_sorts_like_records(self):
+        cols = TemperatureColumns.from_records(self.READINGS).in_record_order()
+        want = TemperatureColumns.from_records(sorted(self.READINGS))
+        for name in ("times", "node_ids", "celsius"):
+            assert np.array_equal(getattr(cols, name), getattr(want, name))
+
+    def test_in_record_order_keeps_sorted_columns(self):
+        cols = TemperatureColumns.from_records(sorted(self.READINGS))
+        assert cols.in_record_order() is cols
+
+    def test_check_raises_record_error(self):
+        cols = TemperatureColumns.from_records(self.READINGS)
+        cols.check()
+        cols.celsius[2] = float("nan")
+        with pytest.raises(
+            EnvironmentRecordError,
+            match="^1 invalid temperature samples, the first at row 2$",
+        ):
+            cols.check()
 
 
 class TestSummaries:

@@ -118,6 +118,27 @@ class TestMalformedInput:
         with pytest.raises(ArchiveIOError, match="short row"):
             read_failures(p, system_id=1)
 
+    @pytest.mark.parametrize(
+        "sid, log, field, node", [(8, "jobs", 6, 99999), (20, "temperatures", 1, 88888)]
+    )
+    def test_log_node_out_of_range(
+        self, tiny_archive: Archive, tmp_path: Path, sid, log, field, node
+    ):
+        root = tmp_path / "arch"
+        save_archive(tiny_archive, root)
+        path = root / f"system-{sid}" / f"{log}.csv"
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        row[field] = str(node)
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        match = (
+            f"^inconsistent data for system {sid}: {log} log references node "
+            f"{node} but system {sid} has only {tiny_archive[sid].num_nodes} nodes$"
+        )
+        with pytest.raises(ArchiveIOError, match=match):
+            load_archive(root)
+
     def test_corrupt_systems_csv(self, tiny_archive: Archive, tmp_path: Path):
         root = tmp_path / "arch"
         save_archive(tiny_archive, root)

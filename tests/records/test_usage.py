@@ -1,11 +1,13 @@
 """Unit and property tests for job records and usage summaries."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.records.timeutil import ObservationPeriod
 from repro.records.usage import (
+    JobColumns,
     JobRecord,
     UsageError,
     heaviest_users,
@@ -75,6 +77,35 @@ class TestJobRecord:
     def test_zero_runtime_allowed(self):
         j = job(submit=0.0, dispatch=1.0, end=1.0)
         assert j.runtime_days == 0.0
+
+
+class TestJobColumns:
+    JOBS = [
+        job(job_id=0, submit=1.0, nodes=(0, 1)),
+        job(job_id=2, submit=0.5, nodes=(2,)),
+        job(job_id=1, submit=1.0, nodes=(3, 0, 4)),
+    ]
+
+    def test_in_record_order_sorts_like_records(self):
+        cols = JobColumns.from_records(self.JOBS).in_record_order()
+        want = JobColumns.from_records(sorted(self.JOBS))
+        assert cols.job_ids.tolist() == [2, 0, 1]
+        for name in ("submit_times", "job_ids", "node_offsets", "node_ids"):
+            assert np.array_equal(getattr(cols, name), getattr(want, name))
+
+    def test_in_record_order_keeps_sorted_columns(self):
+        cols = JobColumns.from_records(sorted(self.JOBS))
+        assert cols.in_record_order() is cols
+
+    def test_check_passes_valid_jobs(self):
+        JobColumns.from_records(self.JOBS).check()
+
+    def test_check_raises_usage_error(self):
+        cols = JobColumns.from_records(self.JOBS)
+        cols.end_times[2] = -1.0
+        cols.node_ids[0] = 1
+        with pytest.raises(UsageError, match="^2 invalid jobs, the first with job_id 0$"):
+            cols.check()
 
 
 class TestNodeUsage:

@@ -103,15 +103,6 @@ class TestValidation:
             for ds in loaded
         )
 
-    def test_job_on_missing_node_errors(self):
-        """SystemDataset accepts a job on a node the system lacks."""
-        jobs = [job(7, [1, 10]), job(8, [2]), job(9, [12, 3, 11])]
-        report = validate_archive(Archive([system([fail(1.0)], jobs=jobs)]))
-        assert not report.ok
-        [finding] = [f for f in report if f.check == "job-node-range"]
-        assert finding.severity is Severity.ERROR
-        assert finding.message == "jobs [7, 9] reference out-of-range nodes"
-
     def test_job_outside_period_warns(self):
         jobs = [job(1, [0]), job(2, [1], submit=400.0, end=401.0)]
         report = validate_archive(Archive([system([fail(1.0)], jobs=jobs)]))

@@ -1,10 +1,36 @@
 """Tests for end-to-end archive generation."""
 
+import hashlib
+from pathlib import Path
+
+import pytest
 
 from repro.records.dataset import HardwareGroup
+from repro.records.io import save_archive
 from repro.records.taxonomy import Category
 from repro.records.validation import validate_archive
 from repro.simulate.archive import quick_archive
+
+#: sha256 of the CSV tree ``save_archive(quick_archive(seed))`` writes
+#: (see :func:`tree_digest`).  A change here means the generator's
+#: output changed: that needs a ``GENERATOR_VERSION`` bump, new digests
+#: and a note on why.
+PINNED_TREES = {
+    7: "de5635b6e99c7256c7b3731afb802041dd74e634bdff82bec3f8140b315779b7",
+    46: "dbdad75872db24645bb98b558b90eaa7b1a2d834a9082fdd9762685b306c4e68",
+    97: "651372242bb3dbea7f9eac54acd671e1ad0d4e98bc8425dfcbd5050bca85abf2",
+}
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over every file under ``root``, in path order: each file's
+    relative path, a NUL byte, then its bytes."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(root).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 class TestMakeArchive:
@@ -27,6 +53,11 @@ class TestMakeArchive:
             assert len(a[sid].failures) == len(b[sid].failures)
             for fa, fb in zip(a[sid].failures[:20], b[sid].failures[:20]):
                 assert fa == fb and fa.category == fb.category
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_TREES))
+    def test_saved_bytes_pinned(self, seed, tmp_path):
+        save_archive(quick_archive(seed), tmp_path)
+        assert tree_digest(tmp_path) == PINNED_TREES[seed]
 
     def test_seed_changes_output(self):
         a = quick_archive(seed=1, years=1.0, scale=0.02)

@@ -41,7 +41,7 @@ class TestGenerateTemperatures:
         readings = generate_temperatures(
             spec(), config(), np.random.default_rng(1), ()
         )
-        nodes = {r.node_id for r in readings}
+        nodes = set(readings.node_ids.tolist())
         assert nodes == set(range(10))
 
     def test_sampling_cadence(self):
@@ -57,7 +57,7 @@ class TestGenerateTemperatures:
         readings = generate_temperatures(
             spec(), cfg, np.random.default_rng(3), ()
         )
-        temps = np.array([r.celsius for r in readings])
+        temps = readings.celsius
         assert 15.0 < temps.mean() < 40.0
         assert temps.std() < 10.0
 
@@ -73,11 +73,10 @@ class TestGenerateTemperatures:
             spec(), cfg, np.random.default_rng(4), ()
         )
         def max_at(readings, node):
-            return max(
-                r.celsius
-                for r in readings
-                if r.node_id == node and 29.9 <= r.time <= 30.6
-            )
+            t = readings.times
+            return readings.celsius[
+                (readings.node_ids == node) & (29.9 <= t) & (t <= 30.6)
+            ].max()
         # The excursion node gets hotter than its no-event twin run.
         assert max_at(hot, 2) > max_at(cold, 2) + 5.0
         # A different node is unaffected (identical RNG stream).
@@ -94,17 +93,17 @@ class TestGenerateTemperatures:
         cold = generate_temperatures(
             spec(), cfg, np.random.default_rng(5), ()
         )
-        hot_mean = np.mean(
-            [r.celsius for r in hot if 29.9 <= r.time <= 30.6]
-        )
-        cold_mean = np.mean(
-            [r.celsius for r in cold if 29.9 <= r.time <= 30.6]
-        )
+        def mean_in_window(readings):
+            t = readings.times
+            return readings.celsius[(29.9 <= t) & (t <= 30.6)].mean()
+
+        hot_mean = mean_in_window(hot)
+        cold_mean = mean_in_window(cold)
         assert hot_mean > cold_mean + 2.0
 
     def test_readings_sorted(self):
         readings = generate_temperatures(
             spec(), config(), np.random.default_rng(6), ()
         )
-        times = [r.time for r in readings]
+        times = readings.times.tolist()
         assert times == sorted(times)
