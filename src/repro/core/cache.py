@@ -15,7 +15,8 @@ dict, so the frozen dataclass itself stays immutable) and serves:
   both answers the current query and pre-pays its neighbours;
 * event indexes for *kinds* beyond the failure log (currently the
   maintenance log, for Section VII-A.2);
-* arbitrary per-system summaries (usage, temperature) via
+* arbitrary per-system summaries (usage, temperature, the
+  inter-arrival and repair-time distribution fits) via
   :meth:`AnalysisCache.summary`.
 
 The report renders its sections one after another, so every cell is
@@ -30,6 +31,7 @@ Events kinds are tuples so they are hashable and order-stable:
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -85,7 +87,11 @@ class AnalysisCache:
     """
 
     def __init__(self, ds: SystemDataset) -> None:
-        self._ds = ds
+        # The dataset holds its cache in its instance dict; a strong
+        # reference back would make each dataset a reference cycle that
+        # only the cyclic collector frees, so a dropped archive (and its
+        # memoized fits) would linger until the next full collection.
+        self._ds_ref = weakref.ref(ds)
         self._indices: dict[Kind, EventIndex] = {}
         self._counts: dict[tuple, Counts] = {}
         self._summaries: dict[Hashable, object] = {}
@@ -105,6 +111,10 @@ class AnalysisCache:
         if misses:
             self.misses += misses
             counter_add("analysis_cache.misses", misses)
+
+    @property
+    def _ds(self) -> SystemDataset:
+        return self._ds_ref()
 
     @property
     def entries(self) -> int:

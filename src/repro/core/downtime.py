@@ -11,6 +11,7 @@ alongside the failure rates.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -20,6 +21,7 @@ from ..records.dataset import SystemDataset
 from ..records.taxonomy import Category, all_categories
 from ..stats.descriptive import SampleSummary, summarize
 from ..stats.distfit import DistFitError, DistributionFit, best_fit
+from .cache import get_cache
 
 
 class DowntimeAnalysisError(ValueError):
@@ -48,35 +50,53 @@ class RepairTimeResult:
 
 
 def _repair_hours(
-    systems: Sequence[SystemDataset], category: Category | None
+    ds: SystemDataset, category: Category | None
 ) -> np.ndarray:
-    hours = [
-        f.downtime_hours
-        for ds in systems
-        for f in ds.failures
-        if f.downtime_hours > 0 and (category is None or f.category is category)
-    ]
-    return np.asarray(hours, dtype=float)
+    """One system's positive repair hours, memoized on its own cache."""
+    return get_cache(ds).summary(
+        ("repair_hours", category),
+        lambda: np.asarray(
+            [
+                f.downtime_hours
+                for f in ds.failures
+                if f.downtime_hours > 0
+                and (category is None or f.category is category)
+            ],
+            dtype=float,
+        ),
+    )
+
+
+def _fit_or_none(hours: np.ndarray) -> DistributionFit | None:
+    try:
+        return best_fit(hours)
+    except DistFitError:
+        return None
 
 
 def repair_times(
     systems: Sequence[SystemDataset],
     category: Category | None = None,
 ) -> RepairTimeResult:
-    """Repair-time statistics for one category (or all failures)."""
+    """Repair-time statistics for one category (or all failures).
+
+    The pooled fit is memoized on the first system's cache under the
+    sha256 of the pooled sample's bytes: a content key cannot go stale,
+    whichever systems are pooled.
+    """
     if not systems:
         raise DowntimeAnalysisError("need at least one system")
-    hours = _repair_hours(systems, category)
+    hours = np.concatenate([_repair_hours(ds, category) for ds in systems])
     if hours.size == 0:
         raise DowntimeAnalysisError(
             f"no repair times recorded for {category or 'any category'}"
         )
     fitted = None
-    if hours.size >= 8 and np.ptp(hours) > 0:
-        try:
-            fitted = best_fit(hours)
-        except DistFitError:
-            fitted = None
+    if hours.size >= 8:
+        digest = hashlib.sha256(hours.tobytes()).hexdigest()
+        fitted = get_cache(systems[0]).summary(
+            ("repair_fit", category, digest), lambda: _fit_or_none(hours)
+        )
     return RepairTimeResult(
         category=category, summary=summarize(hours), fitted=fitted
     )

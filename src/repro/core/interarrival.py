@@ -24,6 +24,7 @@ import numpy as np
 from ..records.dataset import SystemDataset
 from ..stats.correlation import CorrelationError, autocorrelation
 from ..stats.distfit import DistFitError, DistributionFit, fit_all
+from .cache import get_cache
 
 
 class InterArrivalError(ValueError):
@@ -108,7 +109,11 @@ def fit_interarrival_model(
     """Fit the classical inter-arrival model for one system (or node)."""
     gaps = interarrival_times(ds, node_id=node_id)
     try:
-        fits = fit_all(gaps)
+        # ``fit_all`` is looked up at call time, so a traced (wrapped)
+        # one still times every miss.
+        fits = get_cache(ds).summary(
+            ("interarrival_fits", node_id), lambda: tuple(fit_all(gaps))
+        )
     except DistFitError as exc:
         raise InterArrivalError(str(exc)) from exc
     best = fits[0]
@@ -131,7 +136,7 @@ def fit_interarrival_model(
     return InterArrivalModel(
         system_id=ds.system_id,
         n_gaps=int(gaps.size),
-        fits=tuple(fits),
+        fits=fits,
         best=best,
         mean_gap_days=float(gaps.mean()),
         clustered=clustered,

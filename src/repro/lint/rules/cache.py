@@ -187,6 +187,25 @@ def _resolve_key_expr(
     return latest if latest is not None else key
 
 
+def _cache_owner(receiver: ast.AST) -> set[str]:
+    """The parameter that selects the cache itself, if any.
+
+    Only the bare-name argument of a ``get_cache(...)`` receiver (``ds``
+    in ``get_cache(ds).summary(...)``) is keyed by the receiver and
+    need not appear in the key tuple.  A name used any other way in the
+    receiver -- ``systems`` in ``get_cache(systems[0])`` -- selects one
+    cache but does not key what the compute reads from the rest of it.
+    """
+    if (
+        isinstance(receiver, ast.Call)
+        and ast.unparse(receiver.func).rpartition(".")[2] == "get_cache"
+        and len(receiver.args) == 1
+        and isinstance(receiver.args[0], ast.Name)
+    ):
+        return {receiver.args[0].id}
+    return set()
+
+
 @register(
     "CACHE002",
     severity=Severity.ERROR,
@@ -213,10 +232,7 @@ def check_memo_key_covers_params(ctx: ModuleContext) -> Iterator[Finding]:
             used = _collected_names(compute.body) & params
             lambda_params = {a.arg for a in compute.args.args}
             used -= lambda_params
-            # Parameters that select the cache itself (e.g. ``ds`` in
-            # ``get_cache(ds).summary(...)``) are keyed by the receiver
-            # and need not appear in the explicit key tuple.
-            used -= _collected_names(_resolve_key_expr(fn, node.func.value))
+            used -= _cache_owner(_resolve_key_expr(fn, node.func.value))
             keyed = _collected_names(key_expr)
             missing = sorted(used - keyed)
             if missing:

@@ -281,7 +281,18 @@ class SystemDataset:
                     f"maintenance record {m!r} inconsistent with system "
                     f"{self.system_id} ({self.num_nodes} nodes)"
                 )
-        for log in _LOG_COLUMNS:
+        for log, (_, memo) in _LOG_COLUMNS.items():
+            # Columns carry no system id; records, when the log is held
+            # as records, must all belong to this system.
+            if memo not in self.__dict__:
+                foreign = {r.system_id for r in getattr(self, log)}
+                foreign.discard(self.system_id)
+                if foreign:
+                    raise DatasetError(
+                        f"{log} log holds records of system(s) "
+                        f"{sorted(foreign)} in dataset of system "
+                        f"{self.system_id}"
+                    )
             nodes = self.log_columns(log).node_ids
             if nodes.size and int(nodes.max()) >= self.num_nodes:
                 raise DatasetError(

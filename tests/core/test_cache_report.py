@@ -8,7 +8,10 @@ reports.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.core.cache import (
     pooled_conditional_grid,
     split_kind,
 )
+from repro.core.interarrival import fit_interarrival_model
 from repro.core.report import REPORT_SECTIONS, full_report, profiled_full_report
 from repro.core.windows import Scope, WindowAnalysisError
 from repro.records.taxonomy import Category, HardwareSubtype
@@ -53,6 +57,23 @@ class TestAnalysisCache:
         assert isinstance(cache, AnalysisCache)
         assert get_cache(ds) is cache
         assert get_cache(_fresh(group1[1])) is not cache
+
+    def test_dropped_dataset_is_freed_without_the_cycle_collector(
+        self, tiny_archive
+    ):
+        # The cache refers back to its dataset weakly, so dropping the
+        # last reference frees the dataset and its memo at once instead
+        # of at the next full collection.
+        ds = dataclasses.replace(next(iter(tiny_archive)))
+        get_cache(ds).baseline(fail_kind(), Span.WEEK)
+        fit_interarrival_model(ds)
+        dead = weakref.ref(ds)
+        gc.disable()
+        try:
+            del ds
+            assert dead() is None
+        finally:
+            gc.enable()
 
     def test_baseline_matches_direct_and_hits_on_reuse(self, group1):
         ds = _fresh(group1[0])

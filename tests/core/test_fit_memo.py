@@ -1,0 +1,163 @@
+"""The inter-arrival and repair-time fits are memoized per dataset.
+
+``fit_interarrival_model`` keeps its fits on the system's
+:class:`~repro.core.cache.AnalysisCache`; ``repair_times`` keeps each
+system's repair hours on that system's cache and the pooled fit on the
+first system's, keyed by the pooled sample's sha256.  A memo hit must
+serve the same fits a fresh fit would, and only the same dataset
+objects may hit: a freshly loaded archive starts cold.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.core import downtime, interarrival
+from repro.core.cache import get_cache
+from repro.core.downtime import repair_times
+from repro.core.interarrival import InterArrivalError, fit_interarrival_model
+from repro.core.report import full_report
+from repro.records.dataset import Archive, HardwareGroup, SystemDataset
+from repro.records.failure import FailureRecord
+from repro.records.io import load_archive, save_archive
+from repro.records.taxonomy import Category
+from repro.records.timeutil import ObservationPeriod
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Counts of ``fit_all`` / ``best_fit`` calls made by the analyses."""
+    calls = {"fit_all": 0, "best_fit": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(interarrival, "fit_all")
+    counting(downtime, "best_fit")
+    return calls
+
+
+def system(system_id, times, hours, num_nodes=4):
+    return SystemDataset(
+        system_id=system_id,
+        group=HardwareGroup.GROUP1,
+        num_nodes=num_nodes,
+        processors_per_node=4,
+        period=ObservationPeriod(0.0, 400.0),
+        failures=tuple(
+            FailureRecord(
+                time=t,
+                system_id=system_id,
+                node_id=i % num_nodes,
+                category=Category.HARDWARE,
+                downtime_hours=h,
+            )
+            for i, (t, h) in enumerate(zip(times, hours))
+        ),
+    )
+
+
+def varied_system(system_id, seed, n=40):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, 399.0, n))
+    return system(system_id, times, rng.gamma(0.8, 3.0, n) + 0.1)
+
+
+def tiny_copy(archive):
+    """The archive's systems as new dataset objects, with cold caches."""
+    return Archive(
+        [dataclasses.replace(ds) for ds in archive], archive.neutron_series
+    )
+
+
+class TestInterArrivalMemo:
+    def test_second_fit_hits(self, fit_calls):
+        ds = varied_system(1, seed=1)
+        first = fit_interarrival_model(ds)
+        second = fit_interarrival_model(ds)
+        assert fit_calls["fit_all"] == 1
+        assert second.fits is first.fits
+        assert second.best == first.best
+
+    def test_nodes_have_their_own_entries(self, fit_calls):
+        ds = varied_system(1, seed=2, n=120)
+        whole = fit_interarrival_model(ds)
+        node = fit_interarrival_model(ds, node_id=0)
+        assert fit_calls["fit_all"] == 2
+        assert node.n_gaps < whole.n_gaps
+
+    def test_equal_gaps_raise_the_typed_error(self):
+        # Every positive gap is 2 days: no family can be fitted, and the
+        # failure must surface as InterArrivalError, not a scipy error.
+        ds = system(1, [2.0 * i for i in range(30)], [1.0] * 30)
+        with pytest.raises(InterArrivalError, match="zero spread"):
+            fit_interarrival_model(ds)
+
+
+class TestRepairFitMemo:
+    def test_second_call_hits(self, fit_calls):
+        systems = [varied_system(1, seed=3), varied_system(2, seed=4)]
+        first = repair_times(systems, Category.HARDWARE)
+        second = repair_times(systems, Category.HARDWARE)
+        assert fit_calls["best_fit"] == 1
+        assert second.fitted is first.fitted
+        assert second == first
+
+    def test_changed_repair_time_changes_the_pooled_key(self, fit_calls):
+        a, b = varied_system(1, seed=5), varied_system(2, seed=6)
+        first = repair_times([a, b])
+        changed = list(b.failures)
+        changed[0] = dataclasses.replace(
+            changed[0], downtime_hours=changed[0].downtime_hours + 5.0
+        )
+        b2 = dataclasses.replace(b, failures=tuple(changed))
+        second = repair_times([a, b2])
+        assert fit_calls["best_fit"] == 2
+        keys = [k for k in get_cache(a)._summaries if k[0] == "repair_fit"]
+        assert len(keys) == 2 and keys[0][2] != keys[1][2]
+        assert second.fitted != first.fitted
+
+    def test_equal_repair_times_fit_nothing(self, fit_calls):
+        ds = system(1, [float(i) for i in range(20)], [4.0] * 20)
+        result = repair_times([ds])
+        assert result.fitted is None
+        assert result.mttr_hours == pytest.approx(4.0)
+
+
+class TestReportMemo:
+    def test_second_report_fits_nothing(self, tiny_archive, fit_calls):
+        archive = tiny_copy(tiny_archive)
+        first = full_report(archive)
+        cold = dict(fit_calls)
+        assert cold["fit_all"] > 0 and cold["best_fit"] > 0
+        second = full_report(archive)
+        assert fit_calls == cold
+        assert second == first
+
+    def test_fresh_load_misses(self, tiny_archive, tmp_path, fit_calls):
+        save_archive(tiny_archive, tmp_path / "archive")
+        first = full_report(load_archive(tmp_path / "archive"))
+        cold = dict(fit_calls)
+        again = full_report(load_archive(tmp_path / "archive"))
+        assert fit_calls == {name: 2 * n for name, n in cold.items()}
+        assert again == first
+
+    def test_system_with_equal_gaps_does_not_kill_the_report(self, tiny_archive):
+        # The system with the most failures is fitted first; all of its
+        # gaps are exactly half a day.
+        n = max(len(ds.failures) for ds in tiny_archive) + 10
+        flat = system(99, [0.5 * i for i in range(n)], [1.0] * n)
+        archive = Archive(
+            [*tiny_copy(tiny_archive), flat], tiny_archive.neutron_series
+        )
+        text = full_report(archive)
+        assert "system 99: sample has zero spread" in text

@@ -59,6 +59,7 @@ BAD_CASES = [
         [("CACHE001", 10), ("CACHE001", 11), ("CACHE001", 17)],
     ),
     ("cache_key_bad.py", "CACHE002", [("CACHE002", 9)]),
+    ("cache_owner_bad.py", "CACHE002", [("CACHE002", 8)]),
     ("tel_loop_bad.py", "TEL001", [("TEL001", 9), ("TEL001", 12)]),
     (
         "tel_import_bad.py",
@@ -97,6 +98,7 @@ class TestGoodFixtures:
             ("det_truthiness_good.py", "DET004"),
             ("cache_mutation_good.py", "CACHE001"),
             ("cache_key_good.py", "CACHE002"),
+            ("cache_owner_good.py", "CACHE002"),
             ("tel_loop_good.py", "TEL001"),
             ("tel_import_good.py", "TEL002"),
             ("conc_stream_good.py", "CONC"),

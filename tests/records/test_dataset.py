@@ -113,6 +113,20 @@ class TestSystemDataset:
         ):
             dataset(temperatures=(far,))
 
+    def test_rejects_job_of_another_system(self):
+        foreign = dataclasses.replace(job(4, 5.0, [1]), system_id=99)
+        with pytest.raises(
+            DatasetError, match=r"jobs log holds records of system\(s\) \[99\]"
+        ):
+            dataset(jobs=(*JOBS, foreign))
+
+    def test_rejects_temperature_of_another_system(self):
+        foreign = TemperatureReading(time=1.0, system_id=77, node_id=0, celsius=25.0)
+        with pytest.raises(
+            DatasetError, match=r"temperatures log holds records of system\(s\) \[77\]"
+        ):
+            dataset(temperatures=(*TEMPS, foreign))
+
     def test_range_check_memoizes_no_columns(self):
         ds = dataset(jobs=JOBS, temperatures=TEMPS)
         assert "_job_columns" not in vars(ds)

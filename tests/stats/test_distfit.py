@@ -61,6 +61,17 @@ class TestFitFamily:
         with pytest.raises(DistFitError):
             fit_family(np.array([1.0, 2.0]), "weibull")
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rejects_zero_spread(self, family):
+        # Every family, not only those whose solver happens to fail: a
+        # lognormal would otherwise "fit" sigma = 1e-16.
+        with pytest.raises(DistFitError, match="zero spread"):
+            fit_family(np.full(20, 2.5), family)
+
+    def test_fit_all_rejects_zero_spread(self):
+        with pytest.raises(DistFitError, match="zero spread"):
+            fit_all(np.full(20, 2.5))
+
 
 class TestModelSelection:
     def test_fit_all_sorted_by_aic(self):
