@@ -84,7 +84,8 @@ class InterArrivalModel:
             (decreasing hazard) -- the classical signature of failure
             clustering, which must agree with Section III.
         daily_acf: autocorrelation of the daily failure-count series up
-            to 14 lags (None when the series is degenerate).
+            to 14 lags (None when the series is degenerate).  A tuple,
+            not an array, so the generated ``==`` and ``hash`` work.
     """
 
     system_id: int
@@ -93,7 +94,7 @@ class InterArrivalModel:
     best: DistributionFit
     mean_gap_days: float
     clustered: bool
-    daily_acf: np.ndarray | None
+    daily_acf: tuple[float, ...] | None
 
     def fit_for(self, family: str) -> DistributionFit:
         """Look up one family's fit."""
@@ -130,7 +131,9 @@ def fit_interarrival_model(
         n_days = int(np.ceil(ds.period.length))
         series = np.bincount(days, minlength=n_days).astype(float)
         try:
-            acf = autocorrelation(series, min(14, series.size - 1))
+            acf = tuple(
+                autocorrelation(series, min(14, series.size - 1)).tolist()
+            )
         except CorrelationError:
             acf = None
     return InterArrivalModel(
@@ -169,7 +172,7 @@ def render_interarrival_report(model: InterArrivalModel) -> str:
         + ("CLUSTER (decreasing hazard)" if model.clustered else
            "do not show decreasing hazard")
     )
-    if model.daily_acf is not None and model.daily_acf.size > 1:
+    if model.daily_acf is not None and len(model.daily_acf) > 1:
         lines.append(
             "daily-count autocorrelation (lags 1..7): "
             + " ".join(f"{v:+.2f}" for v in model.daily_acf[1:8])

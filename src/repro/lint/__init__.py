@@ -11,7 +11,7 @@ This package proves them with a dependency-free linter built on
   and location, per-line ``# repro: noqa RULE`` suppressions, and a
   committed JSON baseline for grandfathered findings
   (:mod:`~repro.lint.baseline`);
-* four rule packs:
+* three rule packs:
 
   - **DET** (:mod:`~repro.lint.rules.det`) -- determinism: unseeded RNG
     construction outside ``simulate/rng.py``, wall-clock reads outside
@@ -21,11 +21,7 @@ This package proves them with a dependency-free linter built on
     ``AnalysisCache`` grids; memo keys that omit a parameter;
   - **TEL** (:mod:`~repro.lint.rules.tel`) -- telemetry hygiene:
     registry mutators inside loops that bypass the no-op fast-path
-    guard; import-time telemetry side effects;
-  - **CONC** (:mod:`~repro.lint.rules.conc`) -- concurrency: writes to
-    module-level mutable state from functions reachable from the
-    ``repro.stream`` ingest pipeline's thread roots, via a conservative
-    intra-package call graph (:mod:`~repro.lint.callgraph`).
+    guard; import-time telemetry side effects.
 
 Run it as ``repro lint [paths] --format text|json --baseline FILE``
 (exit 0 = clean, 1 = findings, 2 = usage error) or programmatically via

@@ -64,7 +64,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="RULE",
         help=(
             "restrict to rule IDs or packs (repeatable; e.g. --select "
-            "DET --select CONC001)"
+            "DET --select TEL001)"
         ),
     )
     parser.add_argument(
@@ -118,8 +118,7 @@ def _list_rules() -> str:
     lines = ["registered rules:"]
     for rule in all_rules():
         lines.append(
-            f"  {rule.id:<9s} [{rule.severity.value:<7s}] "
-            f"({rule.scope}) {rule.summary}"
+            f"  {rule.id:<9s} [{rule.severity.value:<7s}] {rule.summary}"
         )
     return "\n".join(lines)
 
@@ -175,8 +174,8 @@ def lint_main(argv: list[str] | None = None) -> int:
         prog="repro-lint",
         description=(
             "AST-based invariant checker for the hpcfail reproduction: "
-            "determinism (DET), cache safety (CACHE), telemetry "
-            "hygiene (TEL) and concurrency (CONC) rules"
+            "determinism (DET), cache safety (CACHE) and telemetry "
+            "hygiene (TEL) rules"
         ),
     )
     add_lint_arguments(parser)

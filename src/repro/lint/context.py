@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: ``# repro: noqa`` / ``# repro: noqa DET001,CONC001`` suppression
+#: ``# repro: noqa`` / ``# repro: noqa DET001,TEL001`` suppression
 #: comments.  A bare ``noqa`` suppresses every rule on that line; a
 #: rule list suppresses only those IDs.
 _NOQA_RE = re.compile(

@@ -6,8 +6,7 @@
    order never depends on filesystem enumeration);
 2. parse each into a :class:`~repro.lint.context.ModuleContext`
    (syntax errors become ``E000`` findings rather than crashes);
-3. run every module-scope rule per file and every project-scope rule
-   once over the whole set;
+3. run every rule on every file;
 4. drop findings suppressed by ``# repro: noqa`` comments;
 5. subtract the baseline, reporting what is new -- and which baseline
    entries have gone stale.
@@ -111,7 +110,7 @@ def lint_file(
     rules: Sequence[Rule] | None = None,
     root: Path | None = None,
 ) -> list[Finding]:
-    """Convenience wrapper: module-scope rules over a single file."""
+    """Convenience wrapper: the rules over a single file."""
     result = run_lint([Path(path)], rules=rules, root=root)
     return result.findings
 
@@ -146,11 +145,8 @@ def run_lint(
             findings.append(_syntax_finding(relpath, exc))
 
     for rule in rules:
-        if rule.scope == "module":
-            for ctx in contexts:
-                findings.extend(rule.check(ctx))
-        else:
-            findings.extend(rule.check(contexts))
+        for ctx in contexts:
+            findings.extend(rule.check(ctx))
 
     by_relpath = {ctx.relpath: ctx for ctx in contexts}
     kept: list[Finding] = []

@@ -13,11 +13,8 @@ from typing import Callable, Iterable, Sequence
 from .context import ModuleContext
 from .findings import Finding, Severity
 
-#: A module-scope checker: one file in, findings out.
+#: A rule's checker: one file in, findings out.
 ModuleChecker = Callable[[ModuleContext], Iterable[Finding]]
-#: A project-scope checker: the whole analyzed file set in, findings
-#: out (used by rules that need a cross-module call graph).
-ProjectChecker = Callable[[Sequence[ModuleContext]], Iterable[Finding]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,8 +24,7 @@ class Rule:
     id: str
     severity: Severity
     summary: str
-    scope: str  # "module" | "project"
-    check: ModuleChecker | ProjectChecker
+    check: ModuleChecker
 
     @property
     def pack(self) -> str:
@@ -44,11 +40,8 @@ def register(
     *,
     severity: Severity,
     summary: str,
-    scope: str = "module",
 ):
     """Class/function decorator registering a checker under ``rule_id``."""
-    if scope not in ("module", "project"):
-        raise ValueError(f"unknown rule scope {scope!r}")
 
     def decorator(check):
         if rule_id in _REGISTRY:
@@ -57,7 +50,6 @@ def register(
             id=rule_id,
             severity=severity,
             summary=summary,
-            scope=scope,
             check=check,
         )
         return check

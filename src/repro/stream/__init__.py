@@ -2,7 +2,7 @@
 
 The streaming subsystem mirrors the batch window engine incrementally:
 events flow from a pluggable source (archive replay, JSONL tail,
-synthetic live feed) through a bounded queue into
+synthetic live feed) through one synchronous ingest loop into
 :class:`StreamAnalysisState`, which maintains the same conditional /
 baseline count grids :mod:`repro.core.windows` computes in batch --
 with an exactness guarantee (see :func:`verify_equivalence`), versioned
@@ -40,9 +40,7 @@ from .ingest import (
     IngestPipeline,
     archive_event_id,
     archive_source,
-    consume_loop,
     jsonl_source,
-    produce,
     synthetic_source,
 )
 from .replay import (
@@ -103,13 +101,11 @@ __all__ = [
     "WatermarkClock",
     "archive_event_id",
     "archive_source",
-    "consume_loop",
     "failure_event",
     "jsonl_source",
     "latest_checkpoint_sequence",
     "load_checkpoint",
     "node_risks",
-    "produce",
     "render_alerts",
     "replay_and_verify",
     "replay_archive",

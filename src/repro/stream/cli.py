@@ -161,13 +161,21 @@ def add_stream_arguments(parser: argparse.ArgumentParser) -> None:
         "--capacity",
         type=int,
         default=1024,
-        help="bounded-queue capacity (default 1024)",
+        help=(
+            "buffer capacity: the largest due backlog of a paced (--speed) "
+            "or followed (--follow) source that drop-oldest and reject "
+            "keep (default 1024)"
+        ),
     )
     parser.add_argument(
         "--policy",
         choices=[policy.value for policy in BackpressurePolicy],
         default=BackpressurePolicy.BLOCK.value,
-        help="backpressure policy when the queue is full (default block)",
+        help=(
+            "for a due backlog over --capacity: block keeps it whole, "
+            "drop-oldest keeps the newest events, reject the oldest "
+            "(default block)"
+        ),
     )
     parser.add_argument(
         "--live-nodes",

@@ -1,34 +1,34 @@
-"""Bounded-queue ingestion pipeline with pluggable sources.
+"""Ingestion pipeline with pluggable sources, in one synchronous loop.
 
 Wire format to analysis state in three pieces:
 
-* **sources** -- generators of :class:`~repro.stream.events.StreamEvent`:
+* **sources** -- iterables of :class:`~repro.stream.events.StreamEvent`:
   :func:`archive_source` (replay a generated archive in timestamp
   order), :func:`jsonl_source` (read/tail a JSONL event log) and
   :func:`synthetic_source` (a live feed driven by the simulator's
   cascade hazard state, for soak-testing consumers without an archive);
-* **queue** -- :class:`BoundedQueue`, a small thread-safe buffer between
-  the producer and the consumer with three backpressure policies:
-  ``block`` (lossless, producer waits), ``drop-oldest`` (bounded lag,
-  oldest events discarded) and ``reject`` (newest events discarded);
-* **pipeline** -- :class:`IngestPipeline` runs the producer on a
-  thread and drains the queue in micro-batches through
-  :func:`consume_loop` on the calling thread.
+  a :class:`ClockedSource` (a paced feed, a followed log) says which
+  events are due at each turn;
+* **queue** -- :class:`BoundedQueue`, a plain buffer of one turn's due
+  events with three backpressure policies for a backlog larger than its
+  capacity: ``block`` (lossless, keeps everything), ``drop-oldest``
+  (keeps the newest events) and ``reject`` (keeps the oldest);
+* **pipeline** -- :class:`IngestPipeline` runs one loop on the calling
+  thread: each turn takes the events due now, applies the policy, and
+  hands them to the consumer in micro-batches.
 
-``consume_loop`` is the entry point of the consumer side and is listed
-in :data:`STREAM_CONSUMER_ROOTS`, which the lint CONC001 rule uses as a
-call-graph root: any module-level state written by code reachable from
-the ingest pipeline is flagged as a data race.
+Only a clocked source can have a backlog: any other source is read on
+demand, no more than the buffer holds, so it never loses an event.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from collections import deque
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -47,18 +47,18 @@ class IngestError(ValueError):
 
 
 class BackpressurePolicy(enum.Enum):
-    """What :meth:`BoundedQueue.put` does when the queue is full."""
+    """What :class:`BoundedQueue` does with a backlog over capacity."""
 
-    BLOCK = "block"            # wait for space (lossless)
-    DROP_OLDEST = "drop-oldest"  # evict the oldest queued event
-    REJECT = "reject"          # discard the incoming event
+    BLOCK = "block"            # keep everything (lossless)
+    DROP_OLDEST = "drop-oldest"  # keep the newest ``capacity`` events
+    REJECT = "reject"          # keep the oldest ``capacity`` events
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
 
 class BoundedQueue:
-    """A small thread-safe event buffer with configurable backpressure.
+    """An event buffer that applies a backpressure policy on overflow.
 
     Attributes:
         dropped_oldest: events evicted under ``drop-oldest``.
@@ -75,70 +75,51 @@ class BoundedQueue:
         self.capacity = capacity
         self.policy = policy
         self._items: deque[StreamEvent] = deque()
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-        self._closed = False
         self.dropped_oldest = 0
         self.rejected = 0
 
-    def put(self, event: StreamEvent) -> bool:
-        """Enqueue one event; returns False when it was not enqueued."""
-        with self._lock:
-            if self._closed:
-                return False
-            if len(self._items) >= self.capacity:
-                if self.policy is BackpressurePolicy.BLOCK:
-                    while len(self._items) >= self.capacity and not self._closed:
-                        self._not_full.wait()
-                    if self._closed:
-                        return False
-                elif self.policy is BackpressurePolicy.DROP_OLDEST:
-                    self._items.popleft()
-                    self.dropped_oldest += 1
-                else:
-                    self.rejected += 1
-                    return False
-            self._items.append(event)
-            self._not_empty.notify()
-            return True
+    def extend(self, events: Iterable[StreamEvent]) -> None:
+        """Buffer ``events``; the policy trims what exceeds ``capacity``."""
+        items = self._items
+        items.extend(events)
+        excess = len(items) - self.capacity
+        if excess <= 0 or self.policy is BackpressurePolicy.BLOCK:
+            return
+        if self.policy is BackpressurePolicy.DROP_OLDEST:
+            for _ in range(excess):
+                items.popleft()
+            self.dropped_oldest += excess
+        else:
+            for _ in range(excess):
+                items.pop()
+            self.rejected += excess
 
-    def get_batch(self, max_events: int) -> list[StreamEvent] | None:
-        """Up to ``max_events`` queued events; ``None`` at end of stream.
-
-        Blocks until at least one event is available or the queue is
-        closed and drained.
-        """
+    def get_batch(self, max_events: int) -> list[StreamEvent]:
+        """The oldest ``max_events`` buffered events (fewer if drained)."""
         if max_events < 1:
             raise IngestError(f"max_events must be >= 1, got {max_events}")
-        with self._lock:
-            while not self._items and not self._closed:
-                self._not_empty.wait()
-            if not self._items:
-                return None
-            batch = []
-            while self._items and len(batch) < max_events:
-                batch.append(self._items.popleft())
-            self._not_full.notify_all()
-            return batch
-
-    def close(self) -> None:
-        """Stop accepting events and wake every waiter."""
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
+        items = self._items
+        return [items.popleft() for _ in range(min(max_events, len(items)))]
 
     def depth(self) -> int:
-        """Current queue occupancy."""
-        with self._lock:
-            return len(self._items)
+        """Current buffer occupancy."""
+        return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` was called."""
-        with self._lock:
-            return self._closed
+
+class ClockedSource:
+    """A source with a clock: ``turns`` yields the events due at each turn.
+
+    :class:`IngestPipeline` applies its backpressure policy to each
+    turn, so a backlog that builds up while the consumer is busy is
+    bounded.  Iterating the source itself yields the events one by one.
+    """
+
+    def __init__(self, turns: Iterable[list[StreamEvent]]) -> None:
+        self.turns = turns
+
+    def __iter__(self) -> Iterator[StreamEvent]:
+        for turn in self.turns:
+            yield from turn
 
 
 # ----------------------------------------------------------------------
@@ -170,34 +151,48 @@ def jsonl_source(
     path: Path | str,
     follow: bool = False,
     poll_seconds: float = 0.2,
-    stop: threading.Event | None = None,
-    on_error: Callable[[str, StreamEventError], None] | None = None,
-) -> Iterator[StreamEvent]:
+) -> Iterable[StreamEvent]:
     """Read (and optionally tail) a JSONL event log.
 
-    With ``follow=True`` the source keeps polling for appended lines
-    until ``stop`` is set, like ``tail -f``.  Malformed lines are
-    skipped (reported through ``on_error`` when given) so one corrupt
-    record cannot wedge a live pipeline.
+    With ``follow=True`` the source is a :class:`ClockedSource`: each
+    turn hands over the lines present up to EOF, and it polls every
+    ``poll_seconds`` while none are, like ``tail -f``; it never ends on
+    its own.  Malformed lines are skipped and counted in
+    ``stream.source_errors``, so one corrupt record cannot wedge a live
+    pipeline.
     """
-    path = Path(path)
+    if follow:
+        return ClockedSource(_tail_jsonl(Path(path), poll_seconds))
+    return _read_jsonl(Path(path))
+
+
+def _read_jsonl(path: Path) -> Iterator[StreamEvent]:
+    with open(path, "r", encoding="utf-8") as handle:
+        yield from _parse_lines(handle)
+
+
+def _tail_jsonl(
+    path: Path, poll_seconds: float
+) -> Iterator[list[StreamEvent]]:
     with open(path, "r", encoding="utf-8") as handle:
         while True:
-            line = handle.readline()
-            if line:
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    yield StreamEvent.from_json_line(text)
-                except StreamEventError as exc:
-                    counter_add("stream.source_errors", 1, source="jsonl")
-                    if on_error is not None:
-                        on_error(text, exc)
-                continue
-            if not follow or (stop is not None and stop.is_set()):
-                return
-            time.sleep(poll_seconds)
+            turn = list(_parse_lines(handle))
+            if turn:
+                yield turn
+            else:
+                time.sleep(poll_seconds)
+
+
+def _parse_lines(handle) -> Iterator[StreamEvent]:
+    """The events of the lines from the handle's position to EOF."""
+    for line in handle:
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            yield StreamEvent.from_json_line(text)
+        except StreamEventError:
+            counter_add("stream.source_errors", 1, source="jsonl")
 
 
 def synthetic_source(
@@ -264,65 +259,8 @@ class EventConsumer(Protocol):
         ...
 
 
-def produce(source: Iterable[StreamEvent], queue: BoundedQueue) -> int:
-    """Feed a source into the queue; returns events offered.
-
-    Stops early when the queue is closed (consumer-side shutdown).
-    """
-    offered = 0
-    for event in source:
-        if queue.closed:
-            break
-        offered += 1
-        queue.put(event)
-    return offered
-
-
-def consume_loop(
-    queue: BoundedQueue,
-    consumer: EventConsumer,
-    batch_size: int = 256,
-    max_events: int | None = None,
-) -> BatchStats:
-    """Drain the queue through ``consumer`` until end-of-stream.
-
-    Runs on the calling thread; one iteration pulls up to
-    ``batch_size`` events and hands them to the consumer as a single
-    micro-batch.  ``max_events`` stops the loop after that many events
-    were delivered (used to force mid-stream shutdowns in tests and the
-    CI checkpoint/restore cycle).  Per-batch telemetry: queue depth
-    gauge, processed-event counters and a span per batch.
-    """
-    if batch_size < 1:
-        raise IngestError(f"batch_size must be >= 1, got {batch_size}")
-    totals = BatchStats()
-    delivered = 0
-    while True:
-        limit = batch_size
-        if max_events is not None:
-            remaining = max_events - delivered
-            if remaining <= 0:
-                break
-            limit = min(limit, remaining)
-        batch = queue.get_batch(limit)
-        if batch is None:
-            break
-        delivered += len(batch)
-        with tel_span("stream.batch", events=len(batch)):
-            stats = consumer.process_batch(batch)
-        totals.merge(stats)
-        gauge_set("stream.queue_depth", queue.depth())
-    return totals
-
-
-#: Call-graph roots of both sides of the ingest pipeline; the lint
-#: CONC001 rule flags module state written by anything reachable from
-#: here as a data race.
-STREAM_CONSUMER_ROOTS = (consume_loop, produce)
-
-
 class IngestPipeline:
-    """Producer thread + bounded queue + consumer loop, wired together."""
+    """Source, buffer and consumer, driven by one synchronous loop."""
 
     def __init__(
         self,
@@ -333,6 +271,8 @@ class IngestPipeline:
         batch_size: int = 256,
         max_events: int | None = None,
     ) -> None:
+        if batch_size < 1:
+            raise IngestError(f"batch_size must be >= 1, got {batch_size}")
         self.source = source
         self.consumer = consumer
         self.queue = BoundedQueue(capacity=capacity, policy=policy)
@@ -340,33 +280,52 @@ class IngestPipeline:
         self.max_events = max_events
 
     def run(self) -> BatchStats:
-        """Run the pipeline to completion; returns pooled batch stats."""
-        producer = threading.Thread(
-            target=self._produce, name="stream-producer", daemon=True
-        )
+        """Run the pipeline to completion; returns pooled batch stats.
+
+        ``max_events`` stops the loop after that many events were
+        delivered (used to force mid-stream shutdowns in tests and the
+        CI checkpoint/restore cycle); the source is not read further.
+        Per-batch telemetry: queue depth gauge and a span per batch.
+        """
+        totals = BatchStats()
+        remaining = self.max_events
         with tel_span(
             "stream.pipeline",
             policy=self.queue.policy.value,
             capacity=self.queue.capacity,
         ):
-            producer.start()
-            try:
-                totals = consume_loop(
-                    self.queue,
-                    self.consumer,
-                    batch_size=self.batch_size,
-                    max_events=self.max_events,
-                )
-            finally:
-                # Early exit (max_events) must release a blocked producer.
-                self.queue.close()
-                producer.join()
+            batches = self._batches()
+            while remaining is None or remaining > 0:
+                batch = next(batches, None)
+                if batch is None:
+                    break
+                if remaining is not None:
+                    batch = batch[:remaining]
+                    remaining -= len(batch)
+                with tel_span("stream.batch", events=len(batch)):
+                    stats = self.consumer.process_batch(batch)
+                totals.merge(stats)
+                gauge_set("stream.queue_depth", self.queue.depth())
         counter_add("stream.queue_dropped", self.queue.dropped_oldest)
         counter_add("stream.queue_rejected", self.queue.rejected)
         return totals
 
-    def _produce(self) -> None:
-        try:
-            produce(self.source, self.queue)
-        finally:
-            self.queue.close()
+    def _batches(self) -> Iterator[list[StreamEvent]]:
+        """Micro-batches of each turn's due events, after the policy."""
+        queue = self.queue
+        for due in self._turns():
+            queue.extend(due)
+            while queue.depth():
+                yield queue.get_batch(self.batch_size)
+
+    def _turns(self) -> Iterable[list[StreamEvent]]:
+        """The source's events, one list per turn.
+
+        A clocked source says what is due; any other source is read on
+        demand, never more than the buffer holds, so it never overflows.
+        """
+        if isinstance(self.source, ClockedSource):
+            return self.source.turns
+        events = iter(self.source)
+        size = min(self.batch_size, self.queue.capacity)
+        return iter(lambda: list(islice(events, size)), [])

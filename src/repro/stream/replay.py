@@ -1,8 +1,8 @@
 """Archive replay and the replay-vs-batch equivalence proof.
 
 :func:`replay_archive` feeds a generated archive through a stream
-consumer in micro-batches (optionally paced to wall time with a
-time-acceleration factor), and :func:`verify_equivalence` proves the
+consumer in micro-batches, :class:`Pacer` releases any source's events
+on an accelerated wall clock, and :func:`verify_equivalence` proves the
 central correctness property of the streaming subsystem: after a full
 replay, every streaming conditional/baseline count grid equals the
 batch :func:`repro.core.windows.conditional_counts_batch` /
@@ -28,12 +28,12 @@ from ..records.dataset import Archive, SystemDataset
 from ..telemetry import span as tel_span
 from .analysis import OnlineAnalysis
 from .events import StreamEvent
-from .ingest import archive_source
+from .ingest import ClockedSource, IngestPipeline, archive_source
 from .state import BatchStats, StreamAnalysisConfig, StreamAnalysisState
 
 
 class Pacer:
-    """Maps event-time gaps to wall-clock sleeps for accelerated replay.
+    """Releases a source's events on an accelerated wall clock.
 
     ``speed`` is the acceleration factor in simulated days per wall
     second: ``speed=30`` plays one simulated month per second.  Pacing
@@ -46,25 +46,44 @@ class Pacer:
         if speed <= 0:
             raise ValueError(f"speed must be positive, got {speed}")
         self.speed = speed
-        self._origin_wall: float | None = None
-        self._origin_event: float | None = None
 
-    def pace(self, event_time: float) -> None:
-        """Sleep until ``event_time`` is due on the accelerated clock."""
-        now = time.monotonic()  # repro: noqa DET002 - replay pacing only
-        if self._origin_wall is None or self._origin_event is None:
-            self._origin_wall = now
-            self._origin_event = event_time
-            return
-        due = self._origin_wall + (event_time - self._origin_event) / self.speed
-        if due > now:
-            time.sleep(due - now)
+    def paced(self, source: Iterable[StreamEvent]) -> ClockedSource:
+        """Wrap a source so each turn hands over every event now due.
 
-    def paced(self, source: Iterable[StreamEvent]) -> Iterator[StreamEvent]:
-        """Wrap a source so events are yielded on the accelerated clock."""
-        for event in source:
-            self.pace(event.time)
-            yield event
+        A clocked source's own turns are paced one by one, so a followed
+        log is not polled while events it already handed over are due.
+        """
+        arrivals = (
+            source.turns if isinstance(source, ClockedSource) else (source,)
+        )
+        return ClockedSource(self._due_turns(arrivals))
+
+    def _due_turns(
+        self, arrivals: Iterable[Iterable[StreamEvent]]
+    ) -> Iterator[list[StreamEvent]]:
+        origin: tuple[float, float] | None = None  # (wall, event time)
+
+        def due(event: StreamEvent) -> float:
+            wall, start = origin
+            return wall + (event.time - start) / self.speed
+
+        for arrived in arrivals:
+            events = iter(arrived)
+            pending = next(events, None)
+            if origin is None and pending is not None:
+                # The first event is due at once; it anchors both clocks.
+                origin = (time.monotonic(), pending.time)  # repro: noqa DET002
+            while pending is not None:
+                now = time.monotonic()  # repro: noqa DET002 - pacing only
+                if due(pending) > now:
+                    # Sleep only when nothing is due.
+                    time.sleep(due(pending) - now)
+                    now = max(time.monotonic(), due(pending))  # repro: noqa DET002
+                turn = []
+                while pending is not None and due(pending) <= now:
+                    turn.append(pending)
+                    pending = next(events, None)
+                yield turn
 
 
 @dataclass
@@ -79,43 +98,31 @@ def replay_archive(
     archive: Archive,
     consumer: OnlineAnalysis,
     batch_size: int = 256,
-    speed: float | None = None,
     max_events: int | None = None,
     finalize: bool = True,
 ) -> ReplayResult:
     """Drive an archive's failure log through a stream consumer.
 
-    Synchronous (no queue thread): events arrive in timestamp order in
-    micro-batches of ``batch_size``, exactly as the bounded-queue
-    pipeline would deliver them from an in-order source.
-    ``max_events`` truncates the replay (simulating a mid-stream kill);
-    ``finalize=False`` leaves pending windows unresolved so the run can
-    be checkpointed and resumed.
+    One :class:`IngestPipeline` run over :func:`archive_source` whose
+    buffer holds one micro-batch: events arrive in timestamp order in
+    micro-batches of exactly ``batch_size``.  ``max_events`` truncates
+    the replay (simulating a mid-stream kill); ``finalize=False`` leaves
+    pending windows unresolved so the run can be checkpointed and
+    resumed.
     """
     consumer.state.register_archive(archive)
-    source: Iterable[StreamEvent] = archive_source(archive)
-    if speed is not None:
-        source = Pacer(speed).paced(source)
-    totals = BatchStats()
-    batches = 0
-    batch: list[StreamEvent] = []
-    delivered = 0
+    batches_before = consumer.batches
     with tel_span("stream.replay", batch_size=batch_size):
-        for event in source:
-            if max_events is not None and delivered >= max_events:
-                break
-            batch.append(event)
-            delivered += 1
-            if len(batch) >= batch_size:
-                totals.merge(consumer.process_batch(batch))
-                batches += 1
-                batch = []
-        if batch:
-            totals.merge(consumer.process_batch(batch))
-            batches += 1
+        stats = IngestPipeline(
+            archive_source(archive),
+            consumer,
+            capacity=batch_size,
+            batch_size=batch_size,
+            max_events=max_events,
+        ).run()
         if finalize:
             consumer.finalize()
-    return ReplayResult(stats=totals, batches=batches)
+    return ReplayResult(stats=stats, batches=consumer.batches - batches_before)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Tests for the classical inter-arrival analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,17 @@ class TestFitModel:
         assert model.daily_acf[0] == pytest.approx(1.0)
         # Cascades make failures cluster: short-lag autocorrelation of
         # the daily count series is positive.
-        assert model.daily_acf[1:4].mean() > 0
+        assert np.mean(model.daily_acf[1:4]) > 0
+
+    def test_models_compare_by_value(self, medium_archive):
+        first = fit_interarrival_model(medium_archive[18])
+        second = fit_interarrival_model(medium_archive[18])
+        assert first == second
+        assert hash(first) == hash(second)
+        changed = dataclasses.replace(
+            first, daily_acf=(*first.daily_acf[:-1], first.daily_acf[-1] + 0.5)
+        )
+        assert changed != first
 
     def test_fit_for_lookup(self, medium_archive):
         model = fit_interarrival_model(medium_archive[18])

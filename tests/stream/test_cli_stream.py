@@ -19,7 +19,10 @@ def archive_dir(tiny_archive, tmp_path_factory):
 
 
 def _digest(capsys) -> str:
-    out = capsys.readouterr().out
+    return _digest_in(capsys.readouterr().out)
+
+
+def _digest_in(out: str) -> str:
     for line in out.splitlines():
         if line.startswith("state digest: "):
             return line.split(": ", 1)[1]
@@ -156,6 +159,39 @@ class TestStreamCli:
         first = _digest(capsys)
         assert main(args) == 0
         assert _digest(capsys) == first
+
+    @pytest.mark.parametrize("policy", ["drop-oldest", "reject"])
+    def test_lossy_policy_replays_every_archive_event(
+        self, archive_dir, tiny_archive, capsys, policy
+    ):
+        # An archive is read on demand: a small buffer bounds the
+        # read-ahead, so no policy may drop or reject an event.
+        args = ["stream", "--archive", str(archive_dir), "--risk-top", "0"]
+        assert main(args) == 0
+        reference = _digest(capsys)
+        assert main(args + ["--policy", policy, "--capacity", "16"]) == 0
+        out = capsys.readouterr().out
+        assert f"accepted {tiny_archive.total_failures()} " in out
+        assert "queue:" not in out
+        assert _digest_in(out) == reference
+
+    def test_lossy_policy_keeps_every_live_event(self, capsys):
+        args = [
+            "stream",
+            "--source", "live",
+            "--live-nodes", "16",
+            "--live-days", "90",
+            "--seed", "1",
+            "--risk-top", "0",
+        ]
+        assert main(args) == 0
+        reference = _digest(capsys)
+        lossy = args + ["--policy", "drop-oldest", "--capacity", "8"]
+        for _ in range(2):
+            assert main(lossy) == 0
+            out = capsys.readouterr().out
+            assert "queue:" not in out
+            assert _digest_in(out) == reference
 
     def test_usage_errors(self, archive_dir, tmp_path):
         with pytest.raises(SystemExit):
