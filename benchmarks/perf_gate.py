@@ -39,6 +39,7 @@ RUNS = {"session": ("session", 0), "stream": ("stream", 0), "stream-traced": ("s
 #: in seconds).  The gate times ``telemetry_noop_s`` itself.
 GUARDED = {
     "session_op_s": ("session", ("op_s",), SLACK_S),
+    "session_setup_s": ("session", ("setup_s",), SLACK_S),
     "stream_op_s": ("stream", ("op_s",), 0.0),
     "checkpoint_roundtrip_s": (
         "stream-traced",

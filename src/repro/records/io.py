@@ -249,6 +249,11 @@ def _c_table(path: Path, header: list[str], dtype: list) -> np.ndarray | None:
     are what ``int()`` and ``float()`` return, and it rejects what they
     reject -- or more, such as ``1_000``.  So every table it returns, the
     per-row reader reads as the same values.
+
+    The file is read once: the C reader parses the bytes the gate
+    passed, through the same text layer (universal newlines) as an
+    opened file, so a file that changes between the two cannot slip
+    past the gate.
     """
     try:
         data = path.read_bytes()
@@ -262,7 +267,8 @@ def _c_table(path: Path, header: list[str], dtype: list) -> np.ndarray | None:
         and not any(sep in data for sep in _C_UNSAFE)
     ):
         return None
-    return _c_parse(path, dtype, ",", quotechar='"', skiprows=1)
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+    return _c_parse(text, dtype, ",", quotechar='"', skiprows=1)
 
 
 def _record_columns(path: Path, header: list[str], build, system_id: int, kind):

@@ -24,6 +24,8 @@ temperature record being built.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 from ..records.dataset import Archive, SystemDataset, _LazyColumnarSystem
@@ -40,6 +42,11 @@ from .power import generate_stressors
 from .rng import RngStreams
 from .temperature import generate_temperatures
 from .usage import UsageTraces, generate_usage
+
+
+#: A failure record's sort key: the fields its ordering compares, in
+#: order, so sorting by it gives the order ``sorted(records)`` gives.
+_RECORD_ORDER = attrgetter("time", "system_id", "node_id")
 
 
 def _rack_mapping(layout: MachineLayout | None, num_nodes: int) -> np.ndarray | None:
@@ -190,7 +197,7 @@ def _generate_system(
         flux_per_day,
         stressors,
     )
-    failures = tuple(sorted([*organic, *stressors.failures]))
+    failures = tuple(sorted([*organic, *stressors.failures], key=_RECORD_ORDER))
 
     maintenance = [
         *stressors.maintenance,

@@ -19,7 +19,9 @@ disk:
   columns the generator builds them as, and decoded into the same
   lazily materialised dataset the generator and the CSV loader return
   (:class:`~repro.records.dataset._LazyColumnarSystem`), so neither a
-  store nor a warm load touches a job or temperature record;
+  store nor a warm load touches a job or temperature record; the
+  failure and maintenance logs are stored as columns too, and decoded
+  back into the same record tuples;
 * loads are corruption-tolerant for the *specific* I/O and
   deserialization errors a bad entry can raise (see ``_LOAD_ERRORS`` /
   ``_DECODE_ERRORS``): such an entry is treated as a miss (and deleted
@@ -41,10 +43,14 @@ import json
 import os
 import pickle
 import tempfile
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from ..records.dataset import Archive, SystemDataset, _LazyColumnarSystem
 from ..records.environment import TemperatureColumns
+from ..records.failure import FailureRecord, MaintenanceRecord
 from ..records.usage import JobColumns
 from ..telemetry import counter_add, span
 from .archive import make_archive
@@ -52,9 +58,9 @@ from .config import ArchiveConfig
 from .failures import GENERATOR_VERSION
 
 _MAGIC = "hpcfail-archive"
-#: Bump when the pickle payload layout changes (not the archive schema:
-#: record-class changes already change unpickling behaviour).
-_FORMAT_VERSION = 2
+#: Bump when the pickle payload layout changes.  Format 3 stores the
+#: failure and maintenance logs as columns instead of pickled records.
+_FORMAT_VERSION = 3
 
 #: What a corrupted/foreign/stale pickle read can legitimately raise:
 #: I/O failures, every documented unpickling error (UnpicklingError,
@@ -150,7 +156,7 @@ def cache_path(config: ArchiveConfig, directory: Path | None = None) -> Path:
     return (directory or cache_dir()) / f"{config_digest(config)}.pkl"
 
 
-# --- columnar payload ------------------------------------------------------
+# --- columnar payload (format 3) -------------------------------------------
 #
 # An archive's bulk is its job and temperature logs: hundreds of
 # thousands of rows, which the generator builds as numpy columns.  The
@@ -159,6 +165,76 @@ def cache_path(config: ArchiveConfig, directory: Path | None = None) -> Path:
 # warm load moves a handful of arrays, and analyses that never touch
 # ``ds.jobs`` / ``ds.temperatures`` (most of them: the window engine
 # runs off the failure log) never pay for records.
+#
+# The failure and maintenance logs are records on a dataset, but they
+# are stored as columns as well: pickling a frozen slotted dataclass
+# runs a Python ``__getstate__`` per record, which made most of a
+# store's time.  Failures keep their time, node and downtime as float64
+# / int64 columns and their category and subtype as small-int codes
+# into a table of the enum members (``None`` for no subtype) that
+# occur; maintenance keeps time, node, the hardware flag and duration.
+# Decoding rebuilds the records in stored (sorted) order, with the same
+# float values and the same enum members.
+
+
+def _codes(values) -> tuple[list, np.ndarray]:
+    """The distinct ``values`` in first-seen order, and each value's
+    index in that table."""
+    table: dict = {}
+    codes = [table.setdefault(v, len(table)) for v in values]
+    return list(table), np.array(codes, dtype=np.int16)
+
+
+def _encode_failures(failures) -> dict:
+    n = len(failures)
+    categories, category_codes = _codes(f.category for f in failures)
+    subtypes, subtype_codes = _codes(f.subtype for f in failures)
+    return {
+        "time": np.fromiter((f.time for f in failures), float, n),
+        "node": np.fromiter((f.node_id for f in failures), np.int64, n),
+        "category": category_codes,
+        "categories": categories,
+        "subtype": subtype_codes,
+        "subtypes": subtypes,
+        "downtime": np.fromiter((f.downtime_hours for f in failures), float, n),
+    }
+
+
+def _decode_failures(cols: dict, system_id: int) -> tuple[FailureRecord, ...]:
+    return tuple(
+        map(
+            FailureRecord,
+            cols["time"].tolist(),
+            repeat(system_id),
+            cols["node"].tolist(),
+            map(cols["categories"].__getitem__, cols["category"].tolist()),
+            map(cols["subtypes"].__getitem__, cols["subtype"].tolist()),
+            cols["downtime"].tolist(),
+        )
+    )
+
+
+def _encode_maintenance(maintenance) -> dict:
+    n = len(maintenance)
+    return {
+        "time": np.fromiter((m.time for m in maintenance), float, n),
+        "node": np.fromiter((m.node_id for m in maintenance), np.int64, n),
+        "hardware": np.fromiter((m.hardware_related for m in maintenance), bool, n),
+        "duration": np.fromiter((m.duration_hours for m in maintenance), float, n),
+    }
+
+
+def _decode_maintenance(cols: dict, system_id: int) -> tuple[MaintenanceRecord, ...]:
+    return tuple(
+        map(
+            MaintenanceRecord,
+            cols["time"].tolist(),
+            repeat(system_id),
+            cols["node"].tolist(),
+            cols["hardware"].tolist(),
+            cols["duration"].tolist(),
+        )
+    )
 
 
 def _encode_system(ds: SystemDataset) -> dict:
@@ -172,8 +248,8 @@ def _encode_system(ds: SystemDataset) -> dict:
         "processors_per_node": ds.processors_per_node,
         "period": ds.period,
         "layout": ds.layout,
-        "failures": ds.failures,
-        "maintenance": ds.maintenance,
+        "failure_cols": _encode_failures(ds.failures),
+        "maintenance_cols": _encode_maintenance(ds.maintenance),
         "job_cols": {
             "submit": jobs.submit_times,
             "job_id": jobs.job_ids,
@@ -197,15 +273,16 @@ def _decode_system(payload: dict) -> SystemDataset:
     # The payload was checked when the original dataset was built.
     c = payload["job_cols"]
     t = payload["temp_cols"]
+    sid = payload["system_id"]
     return _LazyColumnarSystem.unchecked(
-        system_id=payload["system_id"],
+        system_id=sid,
         group=payload["group"],
         num_nodes=payload["num_nodes"],
         processors_per_node=payload["processors_per_node"],
         period=payload["period"],
         layout=payload["layout"],
-        failures=payload["failures"],
-        maintenance=payload["maintenance"],
+        failures=_decode_failures(payload["failure_cols"], sid),
+        maintenance=_decode_maintenance(payload["maintenance_cols"], sid),
         jobs=JobColumns(
             submit_times=c["submit"],
             dispatch_times=c["dispatch"],

@@ -19,11 +19,15 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..records.taxonomy import Category
-from .config import EffectSizes, N_CATEGORIES
+from .config import CATEGORY_INDEX, EffectSizes, N_CATEGORIES
+
+_HW = CATEGORY_INDEX[Category.HARDWARE]
+_SW = CATEGORY_INDEX[Category.SOFTWARE]
 
 
 def sample_downtime(
@@ -76,15 +80,14 @@ class CascadeState:
             if rack_of.shape != (num_nodes,):
                 raise ValueError("rack_of must map every node to a rack")
             self._rack_of = rack_of
-            self._num_racks = int(rack_of.max()) + 1
             counts = np.bincount(rack_of)
             max_rack = int(counts.max())
-            self._rack_members = [
-                np.flatnonzero(rack_of == r) for r in range(self._num_racks)
-            ]
+            # Each node's rack (itself included), as a slice where the
+            # rack is a run of consecutive node ids.
+            members = [_as_slice(np.flatnonzero(rack_of == r)) for r in range(counts.size)]
+            self._rack_members = [members[r] for r in rack_of.tolist()]
         else:
             self._rack_of = None
-            self._num_racks = 0
             max_rack = 1
             self._rack_members = []
         # Guard against a supercritical cascade: per trigger category, the
@@ -107,36 +110,57 @@ class CascadeState:
         """Advance the state by one day."""
         self.boost *= self._decay
 
-    def absorb(self, failure_nodes: np.ndarray, failure_cats: np.ndarray) -> None:
+    def absorb(self, failure_nodes: Sequence[int], failure_cats: Sequence[int]) -> None:
         """Add the cascade contributions of one day's failures.
 
         Args:
-            failure_nodes: node index of each failure (int array).
+            failure_nodes: node index of each failure (ints).
             failure_cats: category index (0..5) of each failure.
         """
-        nodes = np.asarray(failure_nodes, dtype=np.int64)
-        cats = np.asarray(failure_cats, dtype=np.int64)
-        if nodes.size == 0:
+        nodes_l = list(map(int, failure_nodes))
+        cats_l = list(map(int, failure_cats))
+        if len(nodes_l) <= 1:
+            if nodes_l:
+                self._absorb_one(nodes_l[0], cats_l[0])
             return
         # A day rarely sees more than a handful of failures, so sparse
         # per-failure row updates beat dense (N, 6) count matrices.
-        nodes_l = nodes.tolist()
-        cats_l = cats.tolist()
         # Same-node boosts: each failure adds its trigger row to its node.
         for node, cat in zip(nodes_l, cats_l):
             self.boost[node] += self._node_matrix[cat]
         # Same-system boosts: every node receives the system-wide total.
         # (The origin node's own small extra contribution is negligible
         # against its same-node term and is deliberately not subtracted.)
-        cat_totals = np.bincount(cats, minlength=N_CATEGORIES).astype(float)
+        cat_totals = np.bincount(cats_l, minlength=N_CATEGORIES).astype(float)
         self.boost += cat_totals @ self._system_matrix
         # Same-rack boosts: rack neighbours minus the origin node, so a
         # failure boosts its *neighbours*, not (again) its own node.
         if self._rack_of is not None:
             for node, cat in zip(nodes_l, cats_l):
                 row = self._rack_matrix[cat]
-                self.boost[self._rack_members[self._rack_of[node]]] += row
+                self.boost[self._rack_members[node]] += row
                 self.boost[node] -= row
+
+    def _absorb_one(self, node: int, cat: int) -> None:
+        """:meth:`absorb` of a single failure, with the same additions in
+        the same order.  The system term is the trigger's row itself: a
+        one-hot count vector times the matrix adds only exact zeros to it.
+        """
+        boost = self.boost
+        boost[node] += self._node_matrix[cat]
+        boost += self._system_matrix[cat]
+        if self._rack_of is not None:
+            row = self._rack_matrix[cat]
+            boost[self._rack_members[node]] += row
+            boost[node] -= row
+
+
+def _as_slice(index: np.ndarray) -> slice | np.ndarray:
+    """``index`` as the equivalent slice if it is a run of consecutive
+    integers (indexing by either touches the same elements)."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
 
 @dataclass
@@ -181,23 +205,33 @@ class StressorState:
     * ``thermal`` decays with :attr:`EffectSizes.cascade_decay_days`
       (fast: a fan failure's temperature excursion is short, Figure 13).
 
+    The channels live in two ``(N, 6)`` arrays laid out like the day's
+    hazard: ``slow`` holds ``hw`` in the hardware column and ``sw`` in the
+    software column, ``fast`` holds ``thermal`` in the hardware column,
+    and every other column is zero.  ``hw``, ``sw`` and ``thermal`` are
+    column views of them.  The simulator adds ``slow`` and then ``fast``
+    to its hazard: that adds ``hw`` then ``thermal`` to each hardware
+    hazard and ``sw`` to each software hazard, as separate column adds
+    would, and a zero everywhere else, which changes no value.
+
     The relative sizes of the channels also steer conditional subtype
     mixes: a hardware failure sampled while ``hw`` dominates the node's
     hazard draws its component from the power-conditioned mix.
     """
 
     def __init__(self, num_nodes: int, effects: EffectSizes) -> None:
-        self.hw = np.zeros(num_nodes)
-        self.sw = np.zeros(num_nodes)
-        self.thermal = np.zeros(num_nodes)
+        self.slow = np.zeros((num_nodes, N_CATEGORIES))
+        self.fast = np.zeros((num_nodes, N_CATEGORIES))
+        self.hw = self.slow[:, _HW]
+        self.sw = self.slow[:, _SW]
+        self.thermal = self.fast[:, _HW]
         self._slow_decay = math.exp(-1.0 / effects.stressor_decay_days)
         self._fast_decay = math.exp(-1.0 / effects.cascade_decay_days)
 
     def decay(self) -> None:
         """Advance the state by one day."""
-        self.hw *= self._slow_decay
-        self.sw *= self._slow_decay
-        self.thermal *= self._fast_decay
+        self.slow *= self._slow_decay
+        self.fast *= self._fast_decay
 
     def apply(self, entries: list[tuple[np.ndarray, float, float, float]]) -> None:
         """Apply a day's scheduled boost additions."""

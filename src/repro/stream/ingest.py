@@ -155,11 +155,13 @@ def jsonl_source(
     """Read (and optionally tail) a JSONL event log.
 
     With ``follow=True`` the source is a :class:`ClockedSource`: each
-    turn hands over the lines present up to EOF, and it polls every
-    ``poll_seconds`` while none are, like ``tail -f``; it never ends on
-    its own.  Malformed lines are skipped and counted in
-    ``stream.source_errors``, so one corrupt record cannot wedge a live
-    pipeline.
+    turn hands over the complete lines present up to EOF, and it polls
+    every ``poll_seconds`` while none are, like ``tail -f``; it never
+    ends on its own.  A last line without its newline is one its writer
+    has not finished: it is held back until the newline arrives.  A
+    plain read parses a final line without a newline as it stands.
+    Malformed lines are skipped and counted in ``stream.source_errors``,
+    so one corrupt record cannot wedge a live pipeline.
     """
     if follow:
         return ClockedSource(_tail_jsonl(Path(path), poll_seconds))
@@ -175,17 +177,22 @@ def _tail_jsonl(
     path: Path, poll_seconds: float
 ) -> Iterator[list[StreamEvent]]:
     with open(path, "r", encoding="utf-8") as handle:
+        unfinished = ""
         while True:
-            turn = list(_parse_lines(handle))
+            lines = handle.readlines()
+            if lines:
+                lines[0] = unfinished + lines[0]
+                unfinished = "" if lines[-1].endswith("\n") else lines.pop()
+            turn = list(_parse_lines(lines))
             if turn:
                 yield turn
             else:
                 time.sleep(poll_seconds)
 
 
-def _parse_lines(handle) -> Iterator[StreamEvent]:
-    """The events of the lines from the handle's position to EOF."""
-    for line in handle:
+def _parse_lines(lines: Iterable[str]) -> Iterator[StreamEvent]:
+    """The events of ``lines`` (an open file reads to EOF)."""
+    for line in lines:
         text = line.strip()
         if not text:
             continue

@@ -1,6 +1,10 @@
 """Round-trip and failure-injection tests for archive I/O."""
 
+import contextlib
 import dataclasses
+import os
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,31 @@ from repro.records.io import (
 )
 from repro.records.taxonomy import TaxonomyError
 from repro.records.usage import UsageError
+
+
+#: Paths opened while :func:`opened_files` is active (audit hooks cannot
+#: be removed, so the one hook installed records only inside it).
+_OPENED: list[str] | None = None
+_HOOKED = False
+
+
+def _record_open(event: str, args: tuple) -> None:
+    if event == "open" and _OPENED is not None and not isinstance(args[0], int):
+        _OPENED.append(os.fsdecode(args[0]))
+
+
+@contextlib.contextmanager
+def opened_files():
+    """The paths of the files opened inside the block, in order."""
+    global _OPENED, _HOOKED
+    if not _HOOKED:
+        sys.addaudithook(_record_open)
+        _HOOKED = True
+    _OPENED = opened = []
+    try:
+        yield opened
+    finally:
+        _OPENED = None
 
 
 class TestRoundTrip:
@@ -51,6 +80,17 @@ class TestRoundTrip:
                     map(dataclasses.astuple, getattr(orig, log))
                 ), log
         assert loaded.neutron_series == tiny_archive.neutron_series
+
+    def test_each_bulk_file_is_read_once(self, tiny_archive: Archive, tmp_path: Path):
+        """The C reader parses the bytes its gate checked: no second read."""
+        save_archive(tiny_archive, tmp_path / "arch")
+        bulk = ("failures.csv", "jobs.csv", "temperatures.csv")
+        files = sorted(str(p) for p in (tmp_path / "arch").rglob("*.csv") if p.name in bulk)
+        with opened_files() as opened:
+            load_archive(tmp_path / "arch")
+        counts = Counter(p for p in opened if Path(p).name in bulk)
+        assert sorted(counts) == files
+        assert set(counts.values()) == {1}
 
     def test_save_is_deterministic(self, tiny_archive: Archive, tmp_path: Path):
         save_archive(tiny_archive, tmp_path / "a")

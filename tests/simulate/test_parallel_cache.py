@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro import telemetry
 from repro.records.dataset import Archive
 from repro.simulate.archive import make_archive
 from repro.simulate.cache import (
@@ -77,6 +78,29 @@ class TestCacheRoundTrip:
         cached = load_cached(config, tmp_path)
         assert cached is not None
         assert _archive_state(cached) == _archive_state(make_archive(config))
+
+    def test_warm_failure_and_maintenance_logs_equal_cold(self, config, tmp_path):
+        """Format 3 stores both logs as columns; decoding must give back
+        the same records: exact floats, the same enum members."""
+        cold = cached_make_archive(config, directory=tmp_path)
+        warm = load_cached(config, tmp_path)
+        assert warm is not None
+        for ds in cold:
+            other = warm[ds.system_id]
+            assert isinstance(other.failures, tuple)
+            assert other.failures == ds.failures
+            assert other.maintenance == ds.maintenance
+            for a, b in zip(ds.failures, other.failures):
+                assert float(a.time).hex() == b.time.hex()
+                assert float(a.downtime_hours).hex() == b.downtime_hours.hex()
+                assert (a.system_id, a.node_id) == (b.system_id, b.node_id)
+                assert a.category is b.category and a.subtype is b.subtype
+            for a, b in zip(ds.maintenance, other.maintenance):
+                assert float(a.time).hex() == b.time.hex()
+                assert float(a.duration_hours).hex() == b.duration_hours.hex()
+                assert (a.system_id, a.node_id) == (b.system_id, b.node_id)
+                assert a.hardware_related is b.hardware_related
+        assert sum(len(ds.maintenance) for ds in cold) > 0
 
     def test_refresh_regenerates(self, config, tmp_path):
         cached_make_archive(config, directory=tmp_path)
@@ -209,6 +233,32 @@ class TestCacheCorruptionTolerance:
         with open(cache_path(config, tmp_path), "wb") as fh:
             pickle.dump({"magic": "something-else"}, fh)
         assert load_cached(config, tmp_path) is None
+
+    def test_format_2_entry_is_a_counted_stale_miss(self, config, tmp_path):
+        """An entry of the previous payload format (pickled records) is
+        thrown away and counted, then regenerated."""
+        archive = self._prime(config, tmp_path)
+        path = cache_path(config, tmp_path)
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["format"] = 2
+        for system, ds in zip(payload["archive"]["systems"], archive):
+            del system["failure_cols"], system["maintenance_cols"]
+            system["failures"], system["maintenance"] = ds.failures, ds.maintenance
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+        telemetry.reset_metrics()
+        telemetry.set_metrics_enabled(True)
+        try:
+            assert load_cached(config, tmp_path) is None
+            counters = telemetry.metrics_snapshot()["counters"]
+        finally:
+            telemetry.set_metrics_enabled(False)
+            telemetry.reset_metrics()
+        assert counters["archive_cache.abandoned{error=none,stage=stale}"] == 1
+        assert not path.exists()
+        again = cached_make_archive(config, directory=tmp_path)
+        assert _archive_state(again) == _archive_state(archive)
 
     def test_wrong_digest_rejected(self, config, tmp_path):
         """An entry renamed to the wrong key must not be served."""

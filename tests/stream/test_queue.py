@@ -8,6 +8,7 @@ import signal
 
 import pytest
 
+from repro import telemetry
 from repro.stream import (
     BackpressurePolicy,
     BatchStats,
@@ -238,6 +239,33 @@ class TestFollowedLog:
             assert next(turns) == [_event(i) for i in range(5)]
             self._write(path, [_event(5), _event(6)], mode="a")
             assert next(turns) == [_event(5), _event(6)]
+
+    def test_an_unfinished_line_waits_for_its_newline(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        self._write(path, [_event(0), _event(1)])
+        line = _event(2).to_json_line() + "\n"
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line[:10])
+        telemetry.reset_metrics()
+        telemetry.set_metrics_enabled(True)
+        try:
+            turns = iter(jsonl_source(path, follow=True, poll_seconds=0.01).turns)
+            with deadline(10):
+                assert next(turns) == [_event(0), _event(1)]
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write(line[10:])
+                self._write(path, [_event(3)], mode="a")
+                assert next(turns) == [_event(2), _event(3)]
+            counters = telemetry.metrics_snapshot()["counters"]
+            assert not any(k.startswith("stream.source_errors") for k in counters)
+        finally:
+            telemetry.set_metrics_enabled(False)
+            telemetry.reset_metrics()
+
+    def test_a_plain_read_parses_a_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(_event(0).to_json_line(), encoding="utf-8")
+        assert list(jsonl_source(path)) == [_event(0)]
 
     def test_max_events_returns_without_a_full_batch(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -19,6 +19,7 @@ BASELINE = {
     "seconds": gate.SECONDS,
     "metrics": {
         "session_op_s": 0.5,
+        "session_setup_s": 3.0,
         "stream_op_s": 1.0,
         "checkpoint_roundtrip_s": 0.1,
         "telemetry_noop_s": NOOP_S,
@@ -44,11 +45,12 @@ def _results() -> dict:
     }
 
 
-def test_guards_the_four_quantities_at_2x():
+def test_guards_the_five_quantities_at_2x():
     assert gate.FACTOR == 2.0
     slacks = {name: slack for name, (_, _, slack) in gate.GUARDED.items()}
     assert slacks == {
         "session_op_s": 0.05,
+        "session_setup_s": 0.05,
         "stream_op_s": 0.0,
         "checkpoint_roundtrip_s": 0.05,
         "telemetry_noop_s": 0.05,
@@ -63,6 +65,7 @@ def test_guards_the_four_quantities_at_2x():
     "name, run, metric, at_bound",
     [
         ("session_op_s", "session", "op_s", 2 * 0.5 + 0.05),
+        ("session_setup_s", "session", "setup_s", 2 * 3.0 + 0.05),
         ("stream_op_s", "stream", "op_s", 2 * 1.0),
         ("checkpoint_roundtrip_s", "stream-traced", "stream.restore_s", 0.25 - 0.06),
         ("telemetry_noop_s", None, None, 2 * NOOP_S + 0.05),
