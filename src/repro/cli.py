@@ -8,7 +8,7 @@ Subcommands:
 * ``section`` -- run one paper section's analysis;
 * ``advise`` -- checkpoint-interval advice from an archive's risk model;
 * ``lint`` -- run the project's AST-based invariant checker
-  (determinism / cache-safety / telemetry / concurrency rule packs);
+  (determinism / cache-safety / telemetry rule packs);
 * ``stream`` -- online failure-log ingestion: replay an archive (or
   tail a JSONL log, or run a synthetic live feed) through the
   incremental analysis state with checkpoint/restore, alerts and

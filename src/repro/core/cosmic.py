@@ -15,9 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from ..records.dataset import Archive, SystemDataset
-from ..records.environment import monthly_neutron_averages
+from ..records.environment import monthly_means
 from ..records.taxonomy import HardwareSubtype
 from ..records.timeutil import Span, count_windows, window_index
+from ..records.usage import sorted_distinct
 from ..stats.correlation import CorrelationError, CorrelationResult, pearson, spearman
 
 
@@ -67,7 +68,7 @@ def monthly_failure_probability(
     keys = nodes[valid] * np.int64(n_months) + idx[valid]
     probs = np.zeros(n_months)
     if keys.size:
-        uniq = np.unique(keys)
+        uniq = sorted_distinct(keys)
         months = uniq % n_months
         np.add.at(probs, months, 1.0)
     return probs / ds.num_nodes
@@ -81,7 +82,7 @@ def neutron_correlation(
     """Figure 14 for one system/subtype: monthly probability vs flux."""
     if not archive.neutron_series:
         raise CosmicAnalysisError("the archive carries no neutron series")
-    flux = monthly_neutron_averages(archive.neutron_series, ds.period)
+    flux = monthly_means(*archive.neutron_columns, ds.period)
     prob = monthly_failure_probability(ds, subtype)
     keep = ~np.isnan(flux)
     flux, prob = flux[keep], prob[keep]

@@ -125,10 +125,15 @@ def downtime_share_by_category(
     A category can dominate downtime without dominating counts (few but
     long outages) -- the distinction operators budget by.
     """
-    totals = {cat: 0.0 for cat in all_categories()}
-    for ds in systems:
-        for f in ds.failures:
-            totals[f.category] += f.downtime_hours
+    # Each category's positive hours, system after system in record order,
+    # added left to right from 0.0 as a loop over the failures would (a
+    # zero-hour outage adds exactly nothing).
+    totals = {
+        cat: float(np.cumsum(np.concatenate(
+            [[0.0], *(_repair_hours(ds, cat) for ds in systems)]
+        ))[-1])
+        for cat in all_categories()
+    }
     grand = sum(totals.values())
     if grand <= 0:
         raise DowntimeAnalysisError("no downtime recorded")

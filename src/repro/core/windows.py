@@ -36,6 +36,7 @@ import numpy as np
 
 from ..records.dataset import EventIndex
 from ..records.timeutil import ObservationPeriod, Span, count_windows, window_index
+from ..records.usage import run_heads, sorted_distinct
 from ..stats.proportion import (
     ProportionEstimate,
     TwoSampleResult,
@@ -418,7 +419,7 @@ def segment_hits(
     same = seg_n == trig_n[pair]
     first_own = np.full(n_pairs, np.inf)
     own_pair = pair[same]
-    head = _run_heads(own_pair)
+    head = run_heads(own_pair)
     first_own[own_pair[head]] = seg_t[same][head]
     del own_pair, head
     other = np.logical_not(same, out=same)
@@ -432,7 +433,7 @@ def segment_hits(
     del seg_t, seg_n, other
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    head = _run_heads(keys)
+    head = run_heads(keys)
     keys = keys[head]
     first_t = first_t[order][head]
     del order, head
@@ -459,14 +460,6 @@ def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     idx = np.arange(int(lengths.sum()))
     idx += np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
     return idx
-
-
-def _run_heads(sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal sorted keys."""
-    head = np.empty(sorted_keys.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-    return head
 
 
 def baseline_counts_batch(
@@ -500,7 +493,7 @@ def baseline_counts_batch(
         subset = np.asarray(node_subset, dtype=np.int64)
         if subset.size == 0:
             raise WindowAnalysisError("node_subset must be non-empty")
-        n_nodes_at_risk = int(np.unique(subset).size)
+        n_nodes_at_risk = int(sorted_distinct(subset).size)
     grid: list[list[Counts]] = []
     for target in targets:
         times, nodes = target.times, target.nodes
@@ -514,7 +507,7 @@ def baseline_counts_batch(
             valid = idx >= 0
             keys = nodes[valid] * np.int64(n_windows) + idx[valid]
             row.append(
-                Counts(int(np.unique(keys).size), n_nodes_at_risk * n_windows)
+                Counts(int(sorted_distinct(keys).size), n_nodes_at_risk * n_windows)
             )
         grid.append(row)
     return grid

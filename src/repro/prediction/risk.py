@@ -142,16 +142,23 @@ class RiskModel:
                     excess[row, code] = max(-math.log(max(1.0 - p_c, 1e-12)) - base, 0.0)
         h_days = self.horizon.days
         remaining = np.where(ages >= h_days, 0.0, 1.0 - ages / h_days)
-        # Zero-padded (instance, slot) matrix behind a baseline column; the
-        # cumulative sum adds each row left to right, one slot at a time.
-        padded = np.zeros((lengths.size, 1 + int(lengths.max(initial=0))))
-        padded[:, 0] = base
-        padded[:, 1:][np.arange(padded.shape[1] - 1) < lengths[:, None]] = (
-            excess[scopes, codes] * remaining
-        )
-        hazards = np.cumsum(padded, axis=1)[:, -1]
+        # An empty history scores the baseline alone.  The rest go through
+        # a zero-padded (instance, slot) matrix behind a baseline column;
+        # the cumulative sum adds each row left to right, one slot at a
+        # time, and the padding after a history adds exactly nothing.
         # libm's exp, not numpy's SIMD one, which may differ in the last ulp.
-        return np.array([1.0 - math.exp(-h) for h in hazards.tolist()])
+        scores = np.full(lengths.size, 1.0 - math.exp(-base))
+        held = np.flatnonzero(lengths)
+        if held.size:
+            sizes = lengths[held]
+            padded = np.zeros((held.size, 1 + int(sizes.max())))
+            padded[:, 0] = base
+            padded[:, 1:][np.arange(padded.shape[1] - 1) < sizes[:, None]] = (
+                excess[scopes, codes] * remaining
+            )
+            hazards = np.cumsum(padded, axis=1)[:, -1]
+            scores[held] = [1.0 - math.exp(-h) for h in hazards.tolist()]
+        return scores
 
     def score(self, recent: Sequence[RecentFailure] = ()) -> float:
         """P(the node fails within the horizon), given recent history."""

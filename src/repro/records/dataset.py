@@ -22,7 +22,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .environment import NeutronReading, TemperatureColumns, TemperatureReading
+from .environment import (
+    NeutronReading,
+    TemperatureColumns,
+    TemperatureReading,
+    neutron_columns,
+)
 from .failure import FailureRecord, MaintenanceRecord
 from .layout import MachineLayout
 from .taxonomy import (
@@ -552,6 +557,18 @@ class Archive:
     def group(self, group: HardwareGroup) -> list[SystemDataset]:
         """All systems belonging to one hardware group, by ascending id."""
         return [ds for ds in self if ds.group is group]
+
+    @property
+    def neutron_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``neutron_series`` as read-only (times, counts per minute)
+        float arrays, built once per series."""
+        cached = self.__dict__.get("_neutron_columns")
+        if cached is None or cached[0] is not self.neutron_series:
+            columns = neutron_columns(self.neutron_series)
+            for column in columns:
+                column.flags.writeable = False
+            cached = self._neutron_columns = (self.neutron_series, *columns)
+        return cached[1], cached[2]
 
     @property
     def system_ids(self) -> tuple[int, ...]:

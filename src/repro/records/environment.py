@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .timeutil import ObservationPeriod, Span, window_index
+from .timeutil import ObservationPeriod, Span, count_windows, window_index
 from .usage import record_order
 
 
@@ -272,6 +272,15 @@ class NeutronReading:
             )
 
 
+def neutron_columns(
+    readings: Sequence[NeutronReading],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The readings' times and counts per minute, as float arrays."""
+    times = np.array([r.time for r in readings], dtype=float)
+    counts = np.array([r.counts_per_minute for r in readings], dtype=float)
+    return times, counts
+
+
 def monthly_neutron_averages(
     readings: Sequence[NeutronReading],
     period: ObservationPeriod,
@@ -283,18 +292,22 @@ def monthly_neutron_averages(
     Returns:
         Array of length ``count_windows(period, MONTH)``.
     """
-    from .timeutil import count_windows  # local import avoids cycle confusion
+    return monthly_means(*neutron_columns(readings), period)
 
+
+def monthly_means(
+    times: np.ndarray, values: np.ndarray, period: ObservationPeriod
+) -> np.ndarray:
+    """Mean of ``values`` per tiled month of ``period`` (NaN where a
+    month holds no sample), binned by ``times``."""
     n_months = count_windows(period, Span.MONTH)
-    if not readings:
+    if not times.size:
         return np.full(n_months, np.nan)
-    times = np.array([r.time for r in readings], dtype=float)
-    counts = np.array([r.counts_per_minute for r in readings], dtype=float)
     idx = window_index(times, period, Span.MONTH)
     sums = np.zeros(n_months)
     nums = np.zeros(n_months)
     valid = idx >= 0
-    np.add.at(sums, idx[valid], counts[valid])
+    np.add.at(sums, idx[valid], values[valid])
     np.add.at(nums, idx[valid], 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = sums / nums

@@ -253,42 +253,45 @@ def coerce_subtype(value: "Subtype | str") -> Subtype:
     return value
 
 
+#: Human-readable label of every category and subtype.
+_LABELS: dict[enum.Enum, str] = {
+    Category.ENVIRONMENT: "Environment",
+    Category.HARDWARE: "Hardware",
+    Category.HUMAN: "Human error",
+    Category.NETWORK: "Network",
+    Category.SOFTWARE: "Software",
+    Category.UNDETERMINED: "Undetermined",
+    HardwareSubtype.MEMORY: "Memory DIMM",
+    HardwareSubtype.CPU: "CPU",
+    HardwareSubtype.NODE_BOARD: "Node board",
+    HardwareSubtype.POWER_SUPPLY: "Power supply",
+    HardwareSubtype.FAN: "Fan",
+    HardwareSubtype.MSC_BOARD: "MSC board",
+    HardwareSubtype.MIDPLANE: "Midplane",
+    HardwareSubtype.DISK: "Disk",
+    HardwareSubtype.NIC: "NIC",
+    HardwareSubtype.OTHER_HW: "Other hardware",
+    SoftwareSubtype.DST: "Distributed storage (DST)",
+    SoftwareSubtype.PFS: "Parallel file system (PFS)",
+    SoftwareSubtype.CFS: "Cluster file system (CFS)",
+    SoftwareSubtype.OS: "Operating system",
+    SoftwareSubtype.PATCH_INSTALL: "Patch installation",
+    SoftwareSubtype.OTHER_SW: "Other software",
+    EnvironmentSubtype.POWER_OUTAGE: "Power outage",
+    EnvironmentSubtype.POWER_SPIKE: "Power spike",
+    EnvironmentSubtype.UPS: "UPS",
+    EnvironmentSubtype.CHILLER: "Chillers",
+    EnvironmentSubtype.OTHER_ENV: "Other environment",
+    NetworkSubtype.SWITCH: "Network switch",
+    NetworkSubtype.CABLE: "Network cable",
+    NetworkSubtype.NIC_SW: "NIC software",
+    NetworkSubtype.OTHER_NET: "Other network",
+}
+
+
 def format_label(kind: "Category | Subtype") -> str:
     """Human-readable label used in rendered tables and figures."""
-    labels: dict[enum.Enum, str] = {
-        Category.ENVIRONMENT: "Environment",
-        Category.HARDWARE: "Hardware",
-        Category.HUMAN: "Human error",
-        Category.NETWORK: "Network",
-        Category.SOFTWARE: "Software",
-        Category.UNDETERMINED: "Undetermined",
-        HardwareSubtype.MEMORY: "Memory DIMM",
-        HardwareSubtype.CPU: "CPU",
-        HardwareSubtype.NODE_BOARD: "Node board",
-        HardwareSubtype.POWER_SUPPLY: "Power supply",
-        HardwareSubtype.FAN: "Fan",
-        HardwareSubtype.MSC_BOARD: "MSC board",
-        HardwareSubtype.MIDPLANE: "Midplane",
-        HardwareSubtype.DISK: "Disk",
-        HardwareSubtype.NIC: "NIC",
-        HardwareSubtype.OTHER_HW: "Other hardware",
-        SoftwareSubtype.DST: "Distributed storage (DST)",
-        SoftwareSubtype.PFS: "Parallel file system (PFS)",
-        SoftwareSubtype.CFS: "Cluster file system (CFS)",
-        SoftwareSubtype.OS: "Operating system",
-        SoftwareSubtype.PATCH_INSTALL: "Patch installation",
-        SoftwareSubtype.OTHER_SW: "Other software",
-        EnvironmentSubtype.POWER_OUTAGE: "Power outage",
-        EnvironmentSubtype.POWER_SPIKE: "Power spike",
-        EnvironmentSubtype.UPS: "UPS",
-        EnvironmentSubtype.CHILLER: "Chillers",
-        EnvironmentSubtype.OTHER_ENV: "Other environment",
-        NetworkSubtype.SWITCH: "Network switch",
-        NetworkSubtype.CABLE: "Network cable",
-        NetworkSubtype.NIC_SW: "NIC software",
-        NetworkSubtype.OTHER_NET: "Other network",
-    }
     try:
-        return labels[kind]
+        return _LABELS[kind]
     except KeyError as exc:  # pragma: no cover - guard
         raise TaxonomyError(f"no label for {kind!r}") from exc

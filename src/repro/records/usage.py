@@ -119,6 +119,24 @@ def record_order(*keys: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def run_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal sorted keys."""
+    head = np.empty(sorted_keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    return head
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending: ``np.unique``'s
+    result from a sort and a neighbour compare.  numpy 2 serves
+    ``np.unique`` on integers through a hash table, which costs far more
+    than the sort on the key arrays of this package."""
+    ordered = np.sort(keys, axis=None)
+    del keys  # a temporary argument is freed before the mask and result
+    return ordered[run_heads(ordered)]
+
+
 @dataclass(frozen=True, slots=True)
 class JobColumns:
     """A job log as parallel numpy columns (one row per job).

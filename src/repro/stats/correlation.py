@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtr
 
 
 class CorrelationError(ValueError):
@@ -58,6 +58,34 @@ def _validate_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x, y
 
 
+def two_sided_t_p(t: float, dof: float) -> float:
+    """Two-sided Student-t p-value of ``t`` on ``dof`` degrees of freedom.
+
+    The ``stdtr`` ufunc behind scipy.stats' Student-t survival function,
+    called directly: the same value, without the distribution front end.
+    """
+    return 2.0 * float(stdtr(dof, -abs(t)))
+
+
+def midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a finite 1-D array, ties sharing their mean rank.
+
+    scipy.stats' default ``average`` ranking: a tie group whose first
+    sorted position is ``k`` (0-based) and which holds ``c`` values
+    ranks ``k + 1 + (c - 1) / 2``.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    head = np.empty(x.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    counts = np.diff(first, append=x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
 def _t_test_for_r(r: float, n: int, alpha: float) -> CorrelationResult:
     if not (0.0 < alpha < 1.0):
         raise CorrelationError(f"alpha must be in (0, 1), got {alpha}")
@@ -66,7 +94,7 @@ def _t_test_for_r(r: float, n: int, alpha: float) -> CorrelationResult:
     if abs(r) >= 1.0:
         return CorrelationResult(r, n, float("inf"), 0.0, True, alpha)
     t = r * math.sqrt(dof / (1.0 - r * r))
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), dof))
+    p = two_sided_t_p(t, dof)
     return CorrelationResult(r, n, t, p, p < alpha, alpha)
 
 
@@ -95,8 +123,8 @@ def spearman(x: np.ndarray, y: np.ndarray, alpha: float = 0.05) -> CorrelationRe
     distributions of Section V; exposed so analyses can report both.
     """
     x, y = _validate_pairs(x, y)
-    rx = _scipy_stats.rankdata(x)
-    ry = _scipy_stats.rankdata(y)
+    rx = midranks(x)
+    ry = midranks(y)
     if np.ptp(rx) == 0 or np.ptp(ry) == 0:
         raise CorrelationError("correlation undefined for a constant input")
     rxc = rx - rx.mean()

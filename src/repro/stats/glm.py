@@ -28,8 +28,9 @@ from typing import Sequence
 
 import numpy as np
 from scipy import optimize as _opt
-from scipy import stats as _scipy_stats
 from scipy.special import gammaln
+
+from .proportion import two_sided_normal_p
 
 
 class GLMError(ValueError):
@@ -228,7 +229,7 @@ def _coefficients(
     for name, b, se in zip(["(Intercept)", *names], beta, ses):
         if se > 0:
             z = b / se
-            p = 2.0 * float(_scipy_stats.norm.sf(abs(z)))
+            p = two_sided_normal_p(z)
         else:
             z, p = float("nan"), 1.0
         rows.append(Coefficient(name, float(b), float(se), z, p))

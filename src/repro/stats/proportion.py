@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr, ndtri
 
 
 class ProportionError(ValueError):
@@ -44,7 +44,16 @@ def _z_for(confidence: float) -> float:
     function of one float, and every interval asks for it)."""
     if not (0.0 < confidence < 1.0):
         raise ProportionError(f"confidence must be in (0, 1), got {confidence}")
-    return float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    return float(ndtri(0.5 + confidence / 2.0))
+
+
+def two_sided_normal_p(z: float) -> float:
+    """Two-sided standard-normal p-value of ``z``, ``2 * P(Z >= |z|)``.
+
+    The ``ndtr`` ufunc behind scipy.stats' normal survival function,
+    called directly: the same value, without the distribution front end.
+    """
+    return 2.0 * float(ndtr(-abs(z)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +202,7 @@ def two_sample_z_test(
         return TwoSampleResult(float("nan"), 1.0, False, alpha, factor)
     se = math.sqrt(pooled * (1 - pooled) * (1 / trials1 + 1 / trials2))
     z = (p1 - p2) / se
-    p_value = 2.0 * float(_scipy_stats.norm.sf(abs(z)))
+    p_value = two_sided_normal_p(z)
     return TwoSampleResult(z, p_value, p_value < alpha, alpha, factor)
 
 

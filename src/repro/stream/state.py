@@ -57,6 +57,7 @@ from ..core.windows import Counts, Scope, ScopeHits, concat_ranges, segment_hits
 from ..records.dataset import Archive
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import ALL_SPANS, ObservationPeriod, Span, count_windows
+from ..records.usage import sorted_distinct
 from ..telemetry import counter_add, gauge_set, span as tel_span
 from .events import KIND_FAILURE, StreamEvent, WatermarkClock
 
@@ -736,7 +737,7 @@ class StreamAnalysisState:
         keys = self._base_bounds[cell] + (
             (nodes - self._node_base[system])[:, None] * n_windows + tile
         )
-        keys = np.unique(keys[valid])
+        keys = sorted_distinct(keys[valid])
         at = np.searchsorted(self._base_keys, keys)
         fresh = at == self._base_keys.size
         fresh[~fresh] = self._base_keys[at[~fresh]] != keys[~fresh]

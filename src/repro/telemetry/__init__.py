@@ -5,8 +5,7 @@ this package turns the toolkit's own runs into the same kind of
 analyzable event stream.  Three dependency-free pieces:
 
 * **spans** (:mod:`repro.telemetry.spans`) -- nested wall-clock spans
-  with thread-safe collection (the stream producer thread opens spans
-  too);
+  collected into one trace tree;
 * **metrics** (:mod:`repro.telemetry.metrics`) -- a counter / gauge /
   histogram registry fed by the caches, kernels and generators;
 * **exporters and manifests** (:mod:`repro.telemetry.export`,

@@ -13,15 +13,13 @@ telemetry is disabled.  All instruments accept keyword *labels*
 combination is a separate series, rendered as ``name{k=v,...}`` in
 snapshots.
 
-Thread-safety: one registry lock serialises all mutations, so the
-stream producer thread and the consumer can both record.  Call sites
-are deliberately coarse (per batched-grid call, per cache load, per
-bootstrap run -- never per event), so contention is negligible.
+The registry takes no lock: nothing in the package records from a
+second thread.  Call sites are deliberately coarse (per batched-grid
+call, per cache load, per bootstrap run -- never per event).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 _enabled: bool = False
@@ -93,62 +91,53 @@ def _series_name(key: tuple) -> str:
 
 
 class MetricsRegistry:
-    """Thread-safe store of counter/gauge/histogram series."""
+    """Store of counter/gauge/histogram series."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: dict[tuple, float] = {}
         self._gauges: dict[tuple, float] = {}
         self._histograms: dict[tuple, _Histogram] = {}
 
     def counter_add(self, name: str, value: float = 1.0, **labels: Any) -> None:
         key = _series(name, labels)
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + value
+        self._counters[key] = self._counters.get(key, 0) + value
 
     def gauge_set(self, name: str, value: float, **labels: Any) -> None:
-        key = _series(name, labels)
-        with self._lock:
-            self._gauges[key] = value
+        self._gauges[_series(name, labels)] = value
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         key = _series(name, labels)
-        with self._lock:
-            hist = self._histograms.get(key)
-            if hist is None:
-                hist = self._histograms[key] = _Histogram()
-            hist.update(value)
+        hist = self._histograms.get(key)
+        if hist is None:
+            hist = self._histograms[key] = _Histogram()
+        hist.update(value)
 
     def counter_value(self, name: str, **labels: Any) -> float:
         """Current value of one counter series (0 if never incremented)."""
-        with self._lock:
-            return self._counters.get(_series(name, labels), 0)
+        return self._counters.get(_series(name, labels), 0)
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """A JSON-ready copy: ``{"counters": ..., "gauges": ..., "histograms": ...}``.
 
         Series are sorted by rendered name so snapshots diff cleanly.
         """
-        with self._lock:
-            return {
-                "counters": {
-                    _series_name(k): v
-                    for k, v in sorted(self._counters.items())
-                },
-                "gauges": {
-                    _series_name(k): v for k, v in sorted(self._gauges.items())
-                },
-                "histograms": {
-                    _series_name(k): h.summary()
-                    for k, h in sorted(self._histograms.items())
-                },
-            }
+        return {
+            "counters": {
+                _series_name(k): v for k, v in sorted(self._counters.items())
+            },
+            "gauges": {
+                _series_name(k): v for k, v in sorted(self._gauges.items())
+            },
+            "histograms": {
+                _series_name(k): h.summary()
+                for k, h in sorted(self._histograms.items())
+            },
+        }
 
     def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
+        self._counters.clear()
+        self._gauges.clear()
+        self._histograms.clear()
 
 
 #: The process-wide registry all module-level helpers write to.

@@ -1,4 +1,4 @@
-"""Structured tracing: nested wall-clock spans with thread-safe collection.
+"""Structured tracing: nested wall-clock spans collected into a tree.
 
 A :class:`Span` records one timed operation (name, attributes, start
 time, duration, owning thread); spans opened inside another span become
@@ -10,10 +10,11 @@ Design constraints, in order:
 1. **Zero overhead when disabled.**  :func:`span` checks one module
    global and returns a shared no-op context manager when no trace is
    active; instrumented call sites never allocate in that case.
-2. **Thread-safe nesting.**  The "current span" lives in a
-   :mod:`contextvars` variable, so each thread (the stream producer as
-   well as the main thread) nests independently; appends to the shared
-   tree are serialised on the trace's lock.
+2. **Nesting without bookkeeping at call sites.**  The "current span"
+   lives in a :mod:`contextvars` variable, so a span finds its parent
+   itself.  Collection takes no lock: nothing in the package opens
+   spans from a second thread.  Each span still records the name of
+   its thread, a field of the JSONL trace format.
 
 Collection is explicit: activate a trace with :func:`start_trace` /
 :func:`trace` (or ``REPRO_TELEMETRY=trace`` via
@@ -46,8 +47,8 @@ class Span:
         start_perf: monotonic start (``time.perf_counter()``), the
             ordering/duration clock.
         duration: seconds from enter to exit; ``None`` while open.
-        children: spans opened while this one was current, start-ordered
-            per thread.
+        children: spans opened while this one was current, in start
+            order.
         thread: name of the thread that opened the span.
         status: ``"open"``, ``"ok"`` or ``"error"`` (exited via an
             exception).
@@ -99,11 +100,9 @@ class Trace:
     def __init__(self, name: str = "run") -> None:
         self.name = name
         self.roots: list[Span] = []
-        self._lock = threading.Lock()
 
     def _attach(self, parent: Span | None, span: Span) -> None:
-        with self._lock:
-            (self.roots if parent is None else parent.children).append(span)
+        (self.roots if parent is None else parent.children).append(span)
 
 
 class _NullSpan:

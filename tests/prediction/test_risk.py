@@ -130,7 +130,8 @@ class TestScoreBatch:
             model.score_batch([2], [0.0], [0], [0])
 
     def test_no_instances(self, model):
-        assert model.score_batch([], [], [], []).size == 0
+        scores = model.score_batch([], [], [], [])
+        assert scores.dtype == float and scores.tolist() == []
 
 
 def _flatten(histories):
@@ -157,7 +158,7 @@ def models(draw):
 
 
 @st.composite
-def histories(draw, horizon_days):
+def histories(draw, horizon_days, min_events=0, max_events=8):
     age = st.one_of(
         st.just(0.0),
         st.just(horizon_days),
@@ -169,7 +170,9 @@ def histories(draw, horizon_days):
         st.sampled_from(list(Category)),
         st.sampled_from(list(Scope)),
     )
-    return draw(st.lists(st.lists(event, max_size=8), max_size=12))
+    return draw(st.lists(
+        st.lists(event, min_size=min_events, max_size=max_events), max_size=12
+    ))
 
 
 class TestKernelMatchesReference:
@@ -188,6 +191,33 @@ class TestKernelMatchesReference:
     @given(data=st.data())
     def test_fitted_model(self, model, data):
         batch = data.draw(histories(model.horizon.days))
+        want = [reference_score(model, history) for history in batch]
+        assert model.score_batch(*_flatten(batch)).tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_history_empty(self, data):
+        model = data.draw(models())
+        batch = data.draw(histories(model.horizon.days, max_events=0))
+        want = [reference_score(model, history) for history in batch]
+        assert model.score_batch(*_flatten(batch)).tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_no_history_empty(self, data):
+        model = data.draw(models())
+        batch = data.draw(histories(model.horizon.days, min_events=1))
+        want = [reference_score(model, history) for history in batch]
+        assert model.score_batch(*_flatten(batch)).tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_empty_and_held_histories_mixed(self, data):
+        model = data.draw(models())
+        held = data.draw(histories(model.horizon.days, min_events=1))
+        batch = data.draw(st.permutations(
+            held + [[]] * data.draw(st.integers(1, 12))
+        ))
         want = [reference_score(model, history) for history in batch]
         assert model.score_batch(*_flatten(batch)).tolist() == want
 

@@ -12,6 +12,7 @@ from repro.records.usage import (
     UsageError,
     heaviest_users,
     node_usage_summaries,
+    sorted_distinct,
     user_usage_summaries,
 )
 
@@ -204,3 +205,22 @@ class TestUserUsage:
     def test_heaviest_users_rejects_bad_k(self):
         with pytest.raises(UsageError):
             heaviest_users([], k=0)
+
+
+class TestSortedDistinct:
+    """The sort-based distinct helper equals ``np.unique`` with ``==``."""
+
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=200))
+    def test_matches_unique(self, values):
+        keys = np.array(values, dtype=np.int64)
+        got = sorted_distinct(keys)
+        assert got.dtype == keys.dtype
+        assert got.tolist() == np.unique(keys).tolist()
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
+    def test_matches_unique_with_repeats_and_2d(self, values):
+        keys = np.array(values * 2, dtype=np.int64).reshape(2, -1)
+        assert sorted_distinct(keys).tolist() == np.unique(keys).tolist()
+
+    def test_empty(self):
+        assert sorted_distinct(np.empty(0, dtype=np.int64)).size == 0
