@@ -182,7 +182,16 @@ def fit_joint_regression(ds: SystemDataset) -> JointRegressionResult:
     ``util`` (negative) significant in both models at 99%; ``max_temp``
     significant only in the Poisson model and only in the full fit;
     everything else insignificant.
+
+    The result is memoized on the system's analysis cache: the fits are
+    made once per dataset.
     """
+    return get_cache(ds).summary(
+        ("joint_regression",), lambda: _joint_regression(ds)
+    )
+
+
+def _joint_regression(ds: SystemDataset) -> JointRegressionResult:
     design = build_design_matrix(ds)
     pois = fit_poisson(design.X, design.y, names=list(design.names))
     nb = fit_negative_binomial(design.X, design.y, names=list(design.names))

@@ -143,11 +143,22 @@ def temperature_regressions(
         target: response failure type -- ``Category.HARDWARE`` for the
             headline analysis, ``HardwareSubtype.CPU`` / ``MEMORY`` for
             the per-component repeats.
+
+    Each target's fits are memoized on the system's analysis cache.
     """
     if not ds.has_temperature:
         raise TemperatureAnalysisError(
             f"system {ds.system_id} has no temperature readings"
         )
+    return get_cache(ds).summary(
+        ("temperature_regressions", target),
+        lambda: _temperature_regressions(ds, target),
+    )
+
+
+def _temperature_regressions(
+    ds: SystemDataset, target: Category | Subtype
+) -> TemperatureRegressionResult:
     X, node_ids, _ = _temperature_design(ds)
     t_cat = target if isinstance(target, Category) else None
     t_sub = None if isinstance(target, Category) else target

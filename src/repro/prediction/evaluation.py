@@ -23,14 +23,15 @@ that recent failures (with their root causes) predict future ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..core.cache import get_cache
 from ..core.windows import Scope
 from ..records.dataset import SystemDataset
-from ..records.timeutil import ObservationPeriod, Span
+from ..records.timeutil import Span
 from .risk import SCOPE_CODES, RiskModel, RiskModelError
 
 
@@ -41,24 +42,21 @@ class EvaluationError(ValueError):
 def truncate_system(
     ds: SystemDataset, start: float, end: float
 ) -> SystemDataset:
-    """A copy of ``ds`` restricted to failures inside ``[start, end)``.
+    """``ds`` restricted to failures inside ``[start, end)``.
 
     Usage, temperature and maintenance records are dropped (the risk
     model does not consume them); the layout is kept for rack scope.
+    The view (:meth:`SystemDataset.failures_between`) is memoized on
+    ``ds``'s analysis cache, so repeated evaluations fit the training
+    split from the view's own warm cache.
     """
     if not (ds.period.start <= start < end <= ds.period.end):
         raise EvaluationError(
             f"[{start}, {end}) is not inside the observation period "
             f"[{ds.period.start}, {ds.period.end})"
         )
-    failures = tuple(f for f in ds.failures if start <= f.time < end)
-    return replace(
-        ds,
-        period=ObservationPeriod(start, end),
-        failures=failures,
-        maintenance=(),
-        jobs=(),
-        temperatures=(),
+    return get_cache(ds).summary(
+        ("truncate", start, end), lambda: ds.failures_between(start, end)
     )
 
 
@@ -98,6 +96,29 @@ def _node_events(ds: SystemDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     order = np.argsort(table.node_ids, kind="stable")
     bounds = np.searchsorted(table.node_ids[order], np.arange(ds.num_nodes + 1))
     return table.times[order], table.category_codes[order], bounds
+
+
+def _window_rows(
+    ds: SystemDataset, bounds: np.ndarray, edges: np.ndarray
+) -> np.ndarray:
+    """For each node ``k`` and each entry ``e`` of the 2-D ``edges``, the
+    node-grouped row ``bounds[k] + (node k's failures before e)``, laid
+    out node-major: shape ``(edges.shape[0], num_nodes * edges.shape[1])``.
+
+    One search per system: each failure is bucketed by the distinct
+    edges at or before it, and a cumulative sum of the per-node bucket
+    counts gives every node's count before every edge.
+    """
+    table = ds.failure_table
+    distinct = np.unique(edges)
+    width = distinct.size + 1
+    buckets = np.searchsorted(distinct, table.times, side="right")
+    counts = np.bincount(
+        table.node_ids * width + buckets, minlength=ds.num_nodes * width
+    )
+    before = np.cumsum(counts.reshape(ds.num_nodes, width), axis=1)
+    rows = bounds[:-1, None, None] + before[:, np.searchsorted(distinct, edges)]
+    return rows.transpose(1, 0, 2).reshape(edges.shape[0], -1)
 
 
 def evaluate_risk_model(
@@ -144,10 +165,7 @@ def evaluate_risk_model(
         # Node-major (node, window) instances: each scores the node's
         # failures in [start - h, start), labelled by one in [start, start + h).
         edges = np.stack((starts - h_days, starts, starts + h_days))
-        lo, mid, hi = np.stack([
-            bounds[k] + np.searchsorted(times[bounds[k]:bounds[k + 1]], edges)
-            for k in range(ds.num_nodes)
-        ], axis=1).reshape(3, -1)
+        lo, mid, hi = _window_rows(ds, bounds, edges)
         lengths = mid - lo
         events = np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
         ages = np.repeat(np.tile(starts, ds.num_nodes), lengths) - times[events]

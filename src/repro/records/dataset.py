@@ -15,7 +15,7 @@ systems in two hardware groups.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
@@ -145,6 +145,31 @@ class FailureTable:
             dtype=np.int64,
             count=n,
         )
+
+    def rows_between(self, start: float, end: float) -> "FailureTable":
+        """The rows with ``start <= time < end``, as a table of their own.
+
+        The rows are sorted by time, so they are one range, found with a
+        single ``searchsorted``.  The new table shares this one's column
+        arrays (as views) and a slice of its records: it equals a table
+        built from the filtered records, without re-sorting or
+        re-reading them.
+        """
+        lo, hi = np.searchsorted(self.times, (start, end)).tolist()
+        table = object.__new__(FailureTable)
+        table._records = self._records[lo:hi]
+        table._num_nodes = self._num_nodes
+        table._event_indices = {}
+        table.times = self.times[lo:hi]
+        table.node_ids = self.node_ids[lo:hi]
+        table.category_codes = self.category_codes[lo:hi]
+        table.subtype_codes = self.subtype_codes[lo:hi]
+        return table
+
+    @property
+    def records(self) -> tuple[FailureRecord, ...]:
+        """The failure records, in row order."""
+        return self._records
 
     def __len__(self) -> int:
         return len(self._records)
@@ -318,6 +343,34 @@ class SystemDataset:
     def failure_table(self) -> FailureTable:
         """Columnar numpy view of the failure log (cached)."""
         return FailureTable(self.failures, num_nodes=self.num_nodes)
+
+    def failures_between(self, start: float, end: float) -> "SystemDataset":
+        """This system over ``[start, end)``, holding only its failures there.
+
+        The maintenance, job and temperature logs are empty; the layout
+        is kept.  The failure log is a row range of :attr:`failure_table`
+        (:meth:`FailureTable.rows_between`), already sorted and checked,
+        so nothing is re-sorted or re-checked: the result equals
+        ``dataclasses.replace`` with the filtered failures and the new
+        period.
+        """
+        table = self.failure_table.rows_between(start, end)
+        changes = {
+            "period": ObservationPeriod(start, end),
+            "failures": table.records,
+            "maintenance": (),
+            "jobs": (),
+            "temperatures": (),
+        }
+        view = object.__new__(type(self))
+        for f in fields(self):
+            # Set the way the frozen __init__ does, so the lazy logs'
+            # property setters run; ``changes`` first, so a column-backed
+            # log is never materialized.
+            value = changes[f.name] if f.name in changes else getattr(self, f.name)
+            object.__setattr__(view, f.name, value)
+        view.__dict__["failure_table"] = table
+        return view
 
     @cached_property
     def rack_of(self) -> np.ndarray | None:

@@ -263,6 +263,8 @@ class NeutronReading:
     counts_per_minute: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise EnvironmentRecordError(f"non-finite time {self.time!r}")
         if self.time < 0:
             raise EnvironmentRecordError(f"time must be >= 0, got {self.time}")
         if not math.isfinite(self.counts_per_minute) or self.counts_per_minute < 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -187,11 +187,51 @@ def _check_system(ds: SystemDataset, report: ValidationReport) -> None:
             )
 
 
+def _repeats(rows: Iterable[tuple]) -> int:
+    """How many rows equal an earlier row: equal rows are adjacent once
+    the rows are sorted."""
+    ordered = sorted(rows)
+    return sum(a == b for a, b in zip(ordered, ordered[1:]))
+
+
+def _check_duplicates(ds: SystemDataset, report: ValidationReport) -> None:
+    """Failure and maintenance rows equal in every field, which the
+    record ordering (time, system, node) alone does not tell apart."""
+    table = ds.failure_table
+    failures = _repeats(
+        zip(
+            table.times.tolist(),
+            table.node_ids.tolist(),
+            table.category_codes.tolist(),
+            table.subtype_codes.tolist(),
+            [f.downtime_hours for f in table],
+        )
+    )
+    maintenance = _repeats(
+        (m.time, m.node_id, m.hardware_related, m.duration_hours)
+        for m in ds.maintenance
+    )
+    for check, log, count in (
+        ("duplicate-failure", "failure", failures),
+        ("duplicate-maintenance", "maintenance", maintenance),
+    ):
+        if count:
+            report.add(
+                Severity.WARNING,
+                ds.system_id,
+                check,
+                f"{count} {log} row(s) repeat an earlier row in every "
+                "field; likely duplicated log entries, which every "
+                "count-based analysis would count twice",
+            )
+
+
 def validate_archive(archive: Archive) -> ValidationReport:
     """Run all archive-level and per-system checks; return the report."""
     report = ValidationReport()
     for ds in archive:
         _check_system(ds, report)
+        _check_duplicates(ds, report)
     if not archive.neutron_series:
         report.add(
             Severity.INFO,

@@ -183,15 +183,29 @@ def _gamma_shape(log_gap: float) -> float:
 
     Starts from the closed-form approximation scipy brackets its own
     root-finder with, which is within a few per cent of the root, and
-    stops once a step is at the rounding noise of ``log k - psi(k)``.
+    stops once a step is at the rounding noise of ``log k - psi(k)``:
+    either below 1e-14 of ``k``, or no smaller than the step before it.
+    For a large shape (a sample with little spread) the function is a
+    difference of two numbers near ``log k``, and one ulp of that noise
+    moves the root by more than 1e-14 of ``k``; Newton then wanders
+    around the root instead of contracting, and the last contracting
+    iterate is the root.
     """
     k = (3 - log_gap + math.sqrt((log_gap - 3) ** 2 + 24 * log_gap)) / (
         12 * log_gap
     )
+    last_step = math.inf
     for _ in range(50):
         f = math.log(k) - float(_special.digamma(k)) - log_gap
         step = f / (1.0 / k - float(_special.polygamma(1, k)))
-        k = k - step if step < k else k / 2
+        if abs(step) >= abs(last_step):
+            return k
+        if step < k:
+            k -= step
+            last_step = step
+        else:
+            k /= 2
+            last_step = math.inf
         if abs(step) <= 1e-14 * k:
             return k
     raise DistFitError("gamma shape estimate did not converge")

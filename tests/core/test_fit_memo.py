@@ -1,11 +1,13 @@
-"""The inter-arrival and repair-time fits are memoized per dataset.
+"""The distribution fits and the regressions are memoized per dataset.
 
 ``fit_interarrival_model`` keeps its fits on the system's
 :class:`~repro.core.cache.AnalysisCache`; ``repair_times`` keeps each
 system's repair hours on that system's cache and the pooled fit on the
-first system's, keyed by the pooled sample's sha256.  A memo hit must
-serve the same fits a fresh fit would, and only the same dataset
-objects may hit: a freshly loaded archive starts cold.
+first system's, keyed by the pooled sample's sha256.
+``fit_joint_regression`` and ``temperature_regressions`` (one entry per
+target) keep their GLM fits there too.  A memo hit must serve the same
+fits a fresh fit would, and only the same dataset objects may hit: a
+freshly loaded archive starts cold.
 """
 
 from __future__ import annotations
@@ -15,34 +17,52 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import downtime, interarrival
+from repro.core import downtime, interarrival, regression, temperature
 from repro.core.cache import get_cache
 from repro.core.downtime import repair_times
 from repro.core.interarrival import InterArrivalError, fit_interarrival_model
+from repro.core.regression import fit_joint_regression
+from repro.core.temperature import temperature_regressions
 from repro.core.report import full_report
 from repro.records.dataset import Archive, HardwareGroup, SystemDataset
 from repro.records.failure import FailureRecord
 from repro.records.io import load_archive, save_archive
-from repro.records.taxonomy import Category
+from repro.records.taxonomy import Category, HardwareSubtype
 from repro.records.timeutil import ObservationPeriod
+
+
+def count_calls(monkeypatch, calls, module, name, counter):
+    """Count calls of ``module.name`` under ``calls[counter]``."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[counter] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
 
 
 @pytest.fixture
 def fit_calls(monkeypatch):
     """Counts of ``fit_all`` / ``best_fit`` calls made by the analyses."""
     calls = {"fit_all": 0, "best_fit": 0}
+    count_calls(monkeypatch, calls, interarrival, "fit_all", "fit_all")
+    count_calls(monkeypatch, calls, downtime, "best_fit", "best_fit")
+    return calls
 
-    def counting(module, name):
-        original = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+@pytest.fixture
+def glm_calls(monkeypatch):
+    """Counts of the GLM fits made by the Section VIII and X regressions.
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(interarrival, "fit_all")
-    counting(downtime, "best_fit")
+    A fit that raises is not memoized, so a degenerate design (as the
+    tiny archive's) refits on every call; these counts are checked on
+    the medium archive's system 20, whose fits all succeed.
+    """
+    calls = {"glm": 0}
+    for module in (regression, temperature):
+        for name in ("fit_poisson", "fit_negative_binomial"):
+            count_calls(monkeypatch, calls, module, name, "glm")
     return calls
 
 
@@ -131,6 +151,39 @@ class TestRepairFitMemo:
         result = repair_times([ds])
         assert result.fitted is None
         assert result.mttr_hours == pytest.approx(4.0)
+
+
+class TestRegressionMemo:
+    def test_joint_regression_fitted_once(self, medium_archive, glm_calls):
+        ds = dataclasses.replace(medium_archive[20])
+        first = fit_joint_regression(ds)
+        fitted = glm_calls["glm"]
+        assert fitted >= 2
+        assert fit_joint_regression(ds) is first
+        assert glm_calls["glm"] == fitted
+        assert ("joint_regression",) in get_cache(ds)._summaries
+        fresh = fit_joint_regression(dataclasses.replace(ds))
+        assert glm_calls["glm"] == 2 * fitted
+        for name in ("poisson", "negbin", "poisson_without_prone", "significant_only"):
+            assert getattr(fresh, name) == getattr(first, name), name
+        assert fresh.design.names == first.design.names
+        for name in ("node_ids", "X", "y"):
+            a, b = getattr(fresh.design, name), getattr(first.design, name)
+            assert a.tolist() == b.tolist(), name
+
+    def test_temperature_targets_are_distinct_entries(self, medium_archive, glm_calls):
+        ds = dataclasses.replace(medium_archive[20])
+        targets = (Category.HARDWARE, HardwareSubtype.CPU, HardwareSubtype.MEMORY)
+        first = {t: temperature_regressions(ds, target=t) for t in targets}
+        assert glm_calls["glm"] == 2 * len(targets)
+        again = {t: temperature_regressions(ds, target=t) for t in targets}
+        assert all(again[t] is first[t] for t in targets)
+        assert glm_calls["glm"] == 2 * len(targets)
+        keys = [k for k in get_cache(ds)._summaries if k[0] == "temperature_regressions"]
+        assert keys == [("temperature_regressions", t) for t in targets]
+        for t in targets:
+            assert first[t].target is t
+            assert first[t] == temperature_regressions(dataclasses.replace(ds), target=t)
 
 
 class TestReportMemo:

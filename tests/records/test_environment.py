@@ -100,6 +100,11 @@ class TestNeutronReading:
         with pytest.raises(EnvironmentRecordError):
             NeutronReading(time=0.0, counts_per_minute=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_time(self, value):
+        with pytest.raises(EnvironmentRecordError, match="non-finite time"):
+            NeutronReading(time=value, counts_per_minute=1.0)
+
     def test_ordering(self):
         a = NeutronReading(time=0.0, counts_per_minute=1.0)
         b = NeutronReading(time=1.0, counts_per_minute=2.0)

@@ -125,6 +125,18 @@ class TestMalformedInput:
         with pytest.raises(ArchiveIOError):
             load_archive(root)
 
+    def test_nan_neutron_time(self, tiny_archive: Archive, tmp_path: Path):
+        """A NaN neutron time fails the load; it used to reach the
+        monthly binning and change the Section IX report."""
+        root = tmp_path / "arch"
+        save_archive(tiny_archive, root)
+        path = root / "neutrons.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "nan," + lines[2].split(",")[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArchiveIOError, match=f"^{path}:3: non-finite time"):
+            load_archive(root)
+
     def test_wrong_header(self, tmp_path: Path):
         p = tmp_path / "failures.csv"
         p.write_text("a,b,c\n1,2,3\n")
@@ -302,6 +314,9 @@ class TestRowErrors:
 
     def test_neutron_row(self, tmp_path: Path):
         self._raises("neutrons", "1.0,-5.0", tmp_path, EnvironmentRecordError)
+
+    def test_neutron_time_not_finite(self, tmp_path: Path):
+        self._raises("neutrons", "nan,5.0", tmp_path, EnvironmentRecordError)
 
 
 class TestWriters:

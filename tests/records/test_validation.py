@@ -2,7 +2,7 @@
 
 from repro.records.dataset import Archive, HardwareGroup, SystemDataset
 from repro.records.environment import TemperatureReading
-from repro.records.failure import FailureRecord
+from repro.records.failure import FailureRecord, MaintenanceRecord
 from repro.records.io import load_archive, save_archive
 from repro.records.taxonomy import Category
 from repro.records.timeutil import ObservationPeriod
@@ -26,7 +26,9 @@ def fail(time, node=0):
     )
 
 
-def system(failures, num_nodes=10, period_end=400.0, jobs=(), temperatures=()):
+def system(
+    failures, num_nodes=10, period_end=400.0, jobs=(), temperatures=(), maintenance=()
+):
     return SystemDataset(
         system_id=1,
         group=HardwareGroup.GROUP1,
@@ -34,6 +36,7 @@ def system(failures, num_nodes=10, period_end=400.0, jobs=(), temperatures=()):
         processors_per_node=4,
         period=ObservationPeriod(0.0, period_end),
         failures=tuple(failures),
+        maintenance=tuple(maintenance),
         jobs=tuple(jobs),
         temperatures=tuple(temperatures),
     )
@@ -118,6 +121,36 @@ class TestValidation:
             Archive([system([fail(1.0)], temperatures=temps)])
         )
         assert any(f.check == "flat-temperature" for f in report)
+
+    def test_duplicate_failure_rows_warn(self):
+        """A log holding the same failure row twice (a duplicated entry)
+        is flagged; rows that differ only outside the record ordering's
+        (time, system, node) key are not."""
+        twin = fail(3.0, node=2)
+        other = FailureRecord(
+            time=3.0, system_id=1, node_id=2, category=Category.SOFTWARE
+        )
+        failures = [twin, other, twin, fail(1.0), fail(2.0)]
+        report = validate_archive(Archive([system(failures)]))
+        [finding] = [f for f in report if f.check == "duplicate-failure"]
+        assert finding.severity is Severity.WARNING
+        assert finding.message.startswith("1 failure row(s) repeat")
+        report = validate_archive(Archive([system([twin, other, fail(1.0)])]))
+        assert not any(f.check == "duplicate-failure" for f in report)
+
+    def test_duplicate_maintenance_rows_warn(self):
+        repair = MaintenanceRecord(time=5.0, system_id=1, node_id=1)
+        software = MaintenanceRecord(
+            time=5.0, system_id=1, node_id=1, hardware_related=False
+        )
+        ds = system([fail(1.0)], maintenance=[repair, software, repair, repair])
+        report = validate_archive(Archive([ds]))
+        [finding] = [f for f in report if f.check == "duplicate-maintenance"]
+        assert finding.message.startswith("2 maintenance row(s) repeat")
+        ds = system([fail(1.0)], maintenance=[repair, software])
+        assert not any(
+            f.check == "duplicate-maintenance" for f in validate_archive(Archive([ds]))
+        )
 
     def test_render_mentions_severity(self):
         report = validate_archive(Archive([system([])]))

@@ -100,6 +100,16 @@ class TestExactFamilies:
         assert not math.isclose(got.ks_p_value, want.ks_p_value, rel_tol=REL)
         assert_close(got, want)
 
+    def test_gamma_shape_at_rounding_floor(self):
+        # Little spread, so a gamma shape near 60: there one ulp of
+        # log k - psi(k) moves the Newton root by 1.6e-14 of k, and the
+        # iteration wandered around the root until it gave up.
+        x = np.array([0.70043813, 0.91406212, 0.83946524, 0.95783345,
+                      1.09989503, 0.86074974, 0.94822529, 1.04362757])
+        got, want = fit_family(x, "gamma"), reference_fit_family(x, "gamma")
+        assert got.params[0] > 50
+        assert_close(got, want)
+
     def test_smallest_sample_with_ties(self):
         x = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 5.0, 8.0, 13.0])
         for family in EXACT_FAMILIES:
