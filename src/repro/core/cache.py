@@ -298,7 +298,7 @@ class AnalysisCache:
         return self.summary(
             ("node_usage",),
             lambda: node_usage_summaries(
-                ds.job_columns(), ds.num_nodes, ds.period
+                ds.job_columns, ds.num_nodes, ds.period
             ),
         )
 
@@ -306,7 +306,7 @@ class AnalysisCache:
         """Memoized per-user usage summaries (Section VI), heaviest first."""
         ds = self._ds
         return self.summary(
-            ("user_usage",), lambda: user_usage_summaries(ds.job_columns())
+            ("user_usage",), lambda: user_usage_summaries(ds.job_columns)
         )
 
     def temperature_summaries(self):
@@ -315,7 +315,7 @@ class AnalysisCache:
         return self.summary(
             ("temperature_summaries",),
             lambda: summarize_temperatures(
-                ds.temperature_columns(), ds.num_nodes
+                ds.temperature_columns, ds.num_nodes
             ),
         )
 

@@ -52,18 +52,14 @@ class RepairTimeResult:
 def _repair_hours(
     ds: SystemDataset, category: Category | None
 ) -> np.ndarray:
-    """One system's positive repair hours, memoized on its own cache."""
+    """One system's positive repair hours, in record order, memoized on
+    its own cache."""
+    table = ds.failure_table
     return get_cache(ds).summary(
         ("repair_hours", category),
-        lambda: np.asarray(
-            [
-                f.downtime_hours
-                for f in ds.failures
-                if f.downtime_hours > 0
-                and (category is None or f.category is category)
-            ],
-            dtype=float,
-        ),
+        lambda: table.downtime_hours[
+            (table.downtime_hours > 0) & table.mask(category=category)
+        ],
     )
 
 
@@ -174,7 +170,8 @@ class AvailabilityResult:
 def availability(ds: SystemDataset) -> AvailabilityResult:
     """Availability accounting for one system."""
     node_hours = ds.num_nodes * ds.period.length * 24.0
-    downtime = float(sum(f.downtime_hours for f in ds.failures))
+    # Added left to right, as the records' loop added them.
+    downtime = float(sum(ds.failure_table.downtime_hours.tolist()))
     maintenance = float(sum(m.duration_hours for m in ds.maintenance))
     if node_hours <= 0:
         raise DowntimeAnalysisError("empty observation period")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..records.dataset import SystemDataset
-from ..stats.glm import GLMResult, fit_negative_binomial, fit_poisson
+from ..stats.glm import GLMError, GLMResult, fit_negative_binomial, fit_poisson
 from .cache import get_cache
 
 
@@ -184,19 +184,30 @@ def fit_joint_regression(ds: SystemDataset) -> JointRegressionResult:
     everything else insignificant.
 
     The result is memoized on the system's analysis cache: the fits are
-    made once per dataset.
+    made once per dataset.  So is a failed fit: its error is memoized
+    and raised again on every call.
     """
-    return get_cache(ds).summary(
-        ("joint_regression",), lambda: _joint_regression(ds)
+    result = get_cache(ds).summary(
+        ("joint_regression",), lambda: _joint_regression_or_error(ds)
     )
+    if isinstance(result, Exception):
+        raise result.with_traceback(None)
+    return result
+
+
+def _joint_regression_or_error(
+    ds: SystemDataset,
+) -> JointRegressionResult | RegressionAnalysisError | GLMError:
+    try:
+        return _joint_regression(ds)
+    except (RegressionAnalysisError, GLMError) as exc:
+        return exc
 
 
 def _joint_regression(ds: SystemDataset) -> JointRegressionResult:
     design = build_design_matrix(ds)
     pois = fit_poisson(design.X, design.y, names=list(design.names))
     nb = fit_negative_binomial(design.X, design.y, names=list(design.names))
-
-    from ..stats.glm import GLMError
 
     prone = int(design.node_ids[design.y.argmax()])
     pois_wo = None

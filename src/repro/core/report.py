@@ -316,7 +316,7 @@ def render_interarrival(archive: Archive, max_systems: int = 3) -> str:
     """
     lines = ["== Companion: classical inter-arrival modeling =="]
     shown = 0
-    for ds in sorted(archive, key=lambda d: -len(d.failures)):
+    for ds in sorted(archive, key=lambda d: -len(d.failure_table)):
         if shown >= max_systems:
             break
         try:
@@ -340,7 +340,7 @@ def render_lifecycle(archive: Archive, max_systems: int = 3) -> str:
     """Extension: failure rate over system age (burn-in detection)."""
     lines = ["== Extension: lifecycle (failure rate vs system age) =="]
     shown = 0
-    for ds in sorted(archive, key=lambda d: -len(d.failures)):
+    for ds in sorted(archive, key=lambda d: -len(d.failure_table)):
         if shown >= max_systems:
             break
         try:

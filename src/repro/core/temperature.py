@@ -29,7 +29,7 @@ from ..records.taxonomy import (
     Subtype,
 )
 from ..records.timeutil import ALL_SPANS, Span
-from ..stats.glm import GLMResult, fit_negative_binomial, fit_poisson
+from ..stats.glm import GLMError, GLMResult, fit_negative_binomial, fit_poisson
 from .cache import get_cache
 from .power import PowerImpactCell, _impact_cells
 
@@ -144,16 +144,30 @@ def temperature_regressions(
             headline analysis, ``HardwareSubtype.CPU`` / ``MEMORY`` for
             the per-component repeats.
 
-    Each target's fits are memoized on the system's analysis cache.
+    Each target's fits are memoized on the system's analysis cache, and
+    so is a failed fit: its error is memoized and raised again on every
+    call.
     """
     if not ds.has_temperature:
         raise TemperatureAnalysisError(
             f"system {ds.system_id} has no temperature readings"
         )
-    return get_cache(ds).summary(
+    result = get_cache(ds).summary(
         ("temperature_regressions", target),
-        lambda: _temperature_regressions(ds, target),
+        lambda: _temperature_regressions_or_error(ds, target),
     )
+    if isinstance(result, Exception):
+        raise result.with_traceback(None)
+    return result
+
+
+def _temperature_regressions_or_error(
+    ds: SystemDataset, target: Category | Subtype
+) -> TemperatureRegressionResult | TemperatureAnalysisError | GLMError:
+    try:
+        return _temperature_regressions(ds, target)
+    except (TemperatureAnalysisError, GLMError) as exc:
+        return exc
 
 
 def _temperature_regressions(

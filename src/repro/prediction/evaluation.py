@@ -77,6 +77,12 @@ class RiskEvaluation:
             instances over the overall positive rate.
         recall_top_decile: fraction of all failures captured by paging
             on the top decile.
+
+    The top decile is the ``k = max(1, n // 10)`` highest scores.  The
+    instances tied at the k-th highest score share the slots the
+    higher ones leave, each counted with weight ``(k - n_above) /
+    n_tied``: the expectation under a uniform random tie-break, so the
+    two top-decile metrics do not depend on instance order.
     """
 
     horizon: Span
@@ -186,10 +192,12 @@ def evaluate_risk_model(
     brier_baseline = float(((model.baseline - y) ** 2).mean())
     skill = 1.0 - brier_model / brier_baseline if brier_baseline > 0 else 0.0
     k = max(1, p.size // 10)
-    top = np.argsort(p)[-k:]
-    top_rate = float(y[top].mean())
-    lift = top_rate / base_rate
-    recall = float(y[top].sum() / y.sum())
+    kth = np.partition(p, p.size - k)[p.size - k]
+    above, tied = p > kth, p == kth
+    weight = (k - int(above.sum())) / int(tied.sum())
+    positives = float(y[above].sum()) + weight * float(y[tied].sum())
+    lift = positives / k / base_rate
+    recall = positives / float(y.sum())
     return RiskEvaluation(
         horizon=horizon,
         n_instances=int(p.size),

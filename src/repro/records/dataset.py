@@ -1,11 +1,13 @@
-"""Dataset containers: one system's records, and a multi-system archive.
+"""Dataset containers: one system's logs, and a multi-system archive.
 
 :class:`SystemDataset` bundles everything recorded about one LANL-style
 system -- failures, maintenance events, job logs, temperature readings,
-machine layout -- with its observation period and hardware group.  It
-also exposes a columnar numpy view of the failure log
-(:class:`FailureTable`) that the analysis layer uses for vectorised
-window computations.
+machine layout -- with its observation period and hardware group.  The
+failure, job and temperature logs are stored as numpy columns
+(:class:`FailureTable`, :class:`~repro.records.usage.JobColumns`,
+:class:`~repro.records.environment.TemperatureColumns`), which the
+analysis layer reads directly; their record tuples are read-only views
+built on first access.
 
 :class:`Archive` bundles all systems plus site-wide series (the neutron
 monitor feed) and mirrors the shape of the public LANL release: ten
@@ -15,10 +17,10 @@ systems in two hardware groups.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .environment import (
     TemperatureReading,
     neutron_columns,
 )
-from .failure import FailureRecord, MaintenanceRecord
+from .failure import FailureRecord, MaintenanceRecord, RecordError
 from .layout import MachineLayout
 from .taxonomy import (
     Category,
@@ -38,7 +40,7 @@ from .taxonomy import (
     category_of,
 )
 from .timeutil import ObservationPeriod
-from .usage import JobColumns, JobRecord
+from .usage import JobColumns, JobRecord, record_order
 
 
 class DatasetError(ValueError):
@@ -61,15 +63,18 @@ class HardwareGroup(enum.Enum):
         return self.value
 
 
-_CATEGORY_CODES: dict[Category, int] = {c: i for i, c in enumerate(all_categories())}
-_SUBTYPE_CODES: dict[Subtype, int] = {s: i for i, s in enumerate(all_subtypes())}
 _NO_SUBTYPE = -1
-
-#: The column class and instance-dict memo key of each bulk log.
-_LOG_COLUMNS = {
-    "jobs": (JobColumns, "_job_columns"),
-    "temperatures": (TemperatureColumns, "_temperature_columns"),
+_CATEGORY_CODES: dict[Category, int] = {c: i for i, c in enumerate(all_categories())}
+_SUBTYPE_CODES: dict[Subtype | None, int] = {
+    **{s: i for i, s in enumerate(all_subtypes())},
+    None: _NO_SUBTYPE,
 }
+#: The category code each subtype code refines; ``-1`` (no subtype)
+#: indexes the trailing entry, which refines nothing.
+_SUBTYPE_CATEGORY = np.array(
+    [*(_CATEGORY_CODES[category_of(s)] for s in all_subtypes()), _NO_SUBTYPE],
+    dtype=np.int64,
+)
 
 
 class EventIndex:
@@ -109,77 +114,108 @@ class EventIndex:
         return int(self.times.size)
 
 
+@dataclass(frozen=True, eq=False)
 class FailureTable:
-    """Columnar (numpy) view of a failure log, for vectorised analyses.
+    """A failure log as numpy columns, one row per outage.
 
-    Rows are sorted by time.  Columns:
+    Columns:
 
     * ``times`` -- float64, days;
     * ``node_ids`` -- int64;
-    * ``category_codes`` -- int64 codes (see :meth:`category_code`);
-    * ``subtype_codes`` -- int64 codes, ``-1`` when no subtype is recorded.
+    * ``category_codes`` -- int64 indexes into :attr:`CATEGORIES`;
+    * ``subtype_codes`` -- int64 indexes into :attr:`SUBTYPES`, ``-1``
+      (its last entry, ``None``) when no subtype is recorded;
+    * ``downtime_hours`` -- float64.
+
+    The constructor wraps the columns as given; :meth:`from_records`
+    builds them from records, and :meth:`in_record_order` puts rows in
+    the order ``sorted(records)`` gives one system's records: by time,
+    then node, ties in input order.
     """
 
-    def __init__(
-        self, failures: Sequence[FailureRecord], num_nodes: int | None = None
-    ) -> None:
-        ordered = sorted(failures)
-        self._records: tuple[FailureRecord, ...] = tuple(ordered)
-        self._num_nodes = num_nodes
-        self._event_indices: dict[
-            tuple[Category | None, Subtype | None], EventIndex
-        ] = {}
-        n = len(ordered)
-        self.times = np.fromiter((f.time for f in ordered), dtype=float, count=n)
-        self.node_ids = np.fromiter(
-            (f.node_id for f in ordered), dtype=np.int64, count=n
+    #: Category of each category code.
+    CATEGORIES: ClassVar[tuple[Category, ...]] = all_categories()
+    #: Subtype of each subtype code; code ``-1`` is the trailing ``None``.
+    SUBTYPES: ClassVar[tuple[Subtype | None, ...]] = (*all_subtypes(), None)
+
+    times: np.ndarray
+    node_ids: np.ndarray
+    category_codes: np.ndarray
+    subtype_codes: np.ndarray
+    downtime_hours: np.ndarray
+
+    def __post_init__(self) -> None:
+        # The memo of events(), per (category, subtype) filter.
+        object.__setattr__(self, "_event_indices", {})
+
+    @classmethod
+    def from_records(cls, failures: Sequence[FailureRecord]) -> "FailureTable":
+        """The columns of ``failures``, in record order."""
+        n = len(failures)
+        return cls(
+            np.fromiter((f.time for f in failures), float, n),
+            np.fromiter((f.node_id for f in failures), np.int64, n),
+            np.fromiter((_CATEGORY_CODES[f.category] for f in failures), np.int64, n),
+            np.fromiter((_SUBTYPE_CODES[f.subtype] for f in failures), np.int64, n),
+            np.fromiter((f.downtime_hours for f in failures), float, n),
+        ).in_record_order()
+
+    def to_records(self, system_id: int) -> tuple[FailureRecord, ...]:
+        """The rows as :class:`FailureRecord` objects of ``system_id``."""
+        return tuple(
+            map(
+                FailureRecord,
+                self.times.tolist(),
+                repeat(system_id),
+                self.node_ids.tolist(),
+                map(self.CATEGORIES.__getitem__, self.category_codes.tolist()),
+                map(self.SUBTYPES.__getitem__, self.subtype_codes.tolist()),
+                self.downtime_hours.tolist(),
+            )
         )
-        self.category_codes = np.fromiter(
-            (_CATEGORY_CODES[f.category] for f in ordered), dtype=np.int64, count=n
-        )
-        self.subtype_codes = np.fromiter(
-            (
-                _SUBTYPE_CODES[f.subtype] if f.subtype is not None else _NO_SUBTYPE
-                for f in ordered
-            ),
-            dtype=np.int64,
-            count=n,
-        )
+
+    def invalid_rows(self) -> np.ndarray:
+        """Mask of the rows :class:`FailureRecord` would reject: every
+        ``__post_init__`` check, evaluated on the columns, plus codes
+        outside the code tables."""
+        t, d = self.times, self.downtime_hours
+        cats, subs = self.category_codes, self.subtype_codes
+        bad = ~(np.isfinite(t) & (t >= 0) & np.isfinite(d) & (d >= 0))
+        bad |= (self.node_ids < 0) | (cats < 0) | (cats >= len(self.CATEGORIES))
+        bad |= (subs < _NO_SUBTYPE) | (subs >= len(self.SUBTYPES) - 1)
+        refined = _SUBTYPE_CATEGORY[np.clip(subs, _NO_SUBTYPE, len(self.SUBTYPES) - 2)]
+        bad |= (refined != _NO_SUBTYPE) & (refined != cats)
+        return bad
+
+    def check(self) -> None:
+        """Raise :class:`RecordError` if a row breaks a
+        :class:`FailureRecord` invariant."""
+        bad = np.flatnonzero(self.invalid_rows())
+        if bad.size:
+            raise RecordError(
+                f"{bad.size} invalid failures, the first at row {bad[0]}"
+            )
+
+    def in_record_order(self) -> "FailureTable":
+        """These rows in the order their records sort in."""
+        order = record_order(self.times, self.node_ids)
+        return self if order is None else self._rows(order)
 
     def rows_between(self, start: float, end: float) -> "FailureTable":
         """The rows with ``start <= time < end``, as a table of their own.
 
         The rows are sorted by time, so they are one range, found with a
-        single ``searchsorted``.  The new table shares this one's column
-        arrays (as views) and a slice of its records: it equals a table
-        built from the filtered records, without re-sorting or
-        re-reading them.
+        single ``searchsorted``; the new table's columns are views of
+        this one's.
         """
         lo, hi = np.searchsorted(self.times, (start, end)).tolist()
-        table = object.__new__(FailureTable)
-        table._records = self._records[lo:hi]
-        table._num_nodes = self._num_nodes
-        table._event_indices = {}
-        table.times = self.times[lo:hi]
-        table.node_ids = self.node_ids[lo:hi]
-        table.category_codes = self.category_codes[lo:hi]
-        table.subtype_codes = self.subtype_codes[lo:hi]
-        return table
+        return self._rows(slice(lo, hi))
 
-    @property
-    def records(self) -> tuple[FailureRecord, ...]:
-        """The failure records, in row order."""
-        return self._records
+    def _rows(self, index) -> "FailureTable":
+        return FailureTable(*(getattr(self, f.name)[index] for f in fields(self)))
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[FailureRecord]:
-        return iter(self._records)
-
-    def record(self, row: int) -> FailureRecord:
-        """The :class:`FailureRecord` behind table row ``row``."""
-        return self._records[row]
+        return int(self.times.size)
 
     @staticmethod
     def category_code(category: Category) -> int:
@@ -187,8 +223,8 @@ class FailureTable:
         return _CATEGORY_CODES[category]
 
     @staticmethod
-    def subtype_code(subtype: Subtype) -> int:
-        """Integer code of a subtype in ``subtype_codes``."""
+    def subtype_code(subtype: Subtype | None) -> int:
+        """Integer code of a subtype (or ``None``) in ``subtype_codes``."""
         return _SUBTYPE_CODES[subtype]
 
     def mask(
@@ -241,14 +277,19 @@ class FailureTable:
         cached = self._event_indices.get(key)
         if cached is None:
             m = self.mask(category=category, subtype=subtype)
-            cached = EventIndex(self.times[m], self.node_ids[m], self._num_nodes)
+            cached = EventIndex(self.times[m], self.node_ids[m])
             self._event_indices[key] = cached
         return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemDataset:
     """Everything recorded about one system.
+
+    The constructor checks every log with the record invariants (on the
+    columns), puts each in record order and checks them against the
+    system: node ids, observation period, layout.
+    :meth:`from_records` builds a dataset from record logs.
 
     Attributes:
         system_id: LANL-style numeric identifier.
@@ -257,10 +298,12 @@ class SystemDataset:
         processors_per_node: processor count per node (4 for group-1 SMPs,
             typically 128 for group-2 NUMA nodes).
         period: observation period of the system.
-        failures: node-outage log.
+        failure_table: node-outage log.
         maintenance: unscheduled-maintenance log (may be empty).
-        jobs: usage log (empty unless the system has one, like 8 and 20).
-        temperatures: sensor readings (empty unless available, like 20).
+        job_columns: usage log (empty unless the system has one, like 8
+            and 20).
+        temperature_columns: sensor readings (empty unless available,
+            like 20).
         layout: machine layout (None unless available; group-1 only).
     """
 
@@ -269,17 +312,59 @@ class SystemDataset:
     num_nodes: int
     processors_per_node: int
     period: ObservationPeriod
-    failures: tuple[FailureRecord, ...] = ()
+    failure_table: FailureTable = field(
+        default_factory=partial(FailureTable.from_records, ())
+    )
     maintenance: tuple[MaintenanceRecord, ...] = ()
-    jobs: tuple[JobRecord, ...] = ()
-    temperatures: tuple[TemperatureReading, ...] = ()
+    job_columns: JobColumns = field(
+        default_factory=partial(JobColumns.from_records, ())
+    )
+    temperature_columns: TemperatureColumns = field(
+        default_factory=partial(TemperatureColumns.from_records, ())
+    )
     layout: MachineLayout | None = None
 
+    @classmethod
+    def from_records(
+        cls,
+        *,
+        failures: Iterable[FailureRecord] = (),
+        jobs: Iterable[JobRecord] = (),
+        temperatures: Iterable[TemperatureReading] = (),
+        **others,
+    ) -> "SystemDataset":
+        """A dataset whose failure, job and temperature logs are given as
+        records of its system; ``others`` are the other constructor
+        arguments."""
+        logs = {
+            "failures": tuple(failures),
+            "jobs": tuple(jobs),
+            "temperatures": tuple(temperatures),
+        }
+        system_id = others["system_id"]
+        for log, records in logs.items():
+            foreign = {r.system_id for r in records} - {system_id}
+            if foreign:
+                raise DatasetError(
+                    f"{log} log holds records of system(s) {sorted(foreign)} "
+                    f"in dataset of system {system_id}"
+                )
+        return cls(
+            failure_table=FailureTable.from_records(logs["failures"]),
+            job_columns=JobColumns.from_records(logs["jobs"]),
+            temperature_columns=TemperatureColumns.from_records(
+                logs["temperatures"]
+            ),
+            **others,
+        )
+
     def __post_init__(self) -> None:
+        for name in ("failure_table", "job_columns", "temperature_columns"):
+            log = getattr(self, name)
+            log.check()
+            object.__setattr__(self, name, log.in_record_order())
+        object.__setattr__(self, "maintenance", tuple(sorted(self.maintenance)))
         self._check_consistency()
-        # Normalise record ordering once, at construction.
-        for name in ("failures", "maintenance", "jobs", "temperatures"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
 
     def _check_consistency(self) -> None:
         """Check the scalars, the node ids of every log, and the layout."""
@@ -289,41 +374,24 @@ class SystemDataset:
             raise DatasetError(
                 f"processors_per_node must be >= 1, got {self.processors_per_node}"
             )
-        for f in self.failures:
-            if f.system_id != self.system_id:
-                raise DatasetError(
-                    f"failure for system {f.system_id} in dataset of system "
-                    f"{self.system_id}"
-                )
-            if f.node_id >= self.num_nodes:
-                raise DatasetError(
-                    f"failure references node {f.node_id} but system "
-                    f"{self.system_id} has only {self.num_nodes} nodes"
-                )
-            if not self.period.contains(f.time):
-                raise DatasetError(
-                    f"failure at t={f.time} outside observation period "
-                    f"[{self.period.start}, {self.period.end})"
-                )
+        times = self.failure_table.times
+        outside = times[(times < self.period.start) | (times >= self.period.end)]
+        if outside.size:
+            raise DatasetError(
+                f"failure at t={outside[0]} outside observation period "
+                f"[{self.period.start}, {self.period.end})"
+            )
         for m in self.maintenance:
             if m.system_id != self.system_id or m.node_id >= self.num_nodes:
                 raise DatasetError(
                     f"maintenance record {m!r} inconsistent with system "
                     f"{self.system_id} ({self.num_nodes} nodes)"
                 )
-        for log, (_, memo) in _LOG_COLUMNS.items():
-            # Columns carry no system id; records, when the log is held
-            # as records, must all belong to this system.
-            if memo not in self.__dict__:
-                foreign = {r.system_id for r in getattr(self, log)}
-                foreign.discard(self.system_id)
-                if foreign:
-                    raise DatasetError(
-                        f"{log} log holds records of system(s) "
-                        f"{sorted(foreign)} in dataset of system "
-                        f"{self.system_id}"
-                    )
-            nodes = self.log_columns(log).node_ids
+        for log, nodes in (
+            ("failures", self.failure_table.node_ids),
+            ("jobs", self.job_columns.node_ids),
+            ("temperatures", self.temperature_columns.node_ids),
+        ):
             if nodes.size and int(nodes.max()) >= self.num_nodes:
                 raise DatasetError(
                     f"{log} log references node {int(nodes.max())} but system "
@@ -340,37 +408,36 @@ class SystemDataset:
                 )
 
     @cached_property
-    def failure_table(self) -> FailureTable:
-        """Columnar numpy view of the failure log (cached)."""
-        return FailureTable(self.failures, num_nodes=self.num_nodes)
+    def failures(self) -> tuple[FailureRecord, ...]:
+        """The failure log as records, in row order (built once)."""
+        return self.failure_table.to_records(self.system_id)
+
+    @cached_property
+    def jobs(self) -> tuple[JobRecord, ...]:
+        """The job log as records, in row order (built once)."""
+        return self.job_columns.to_records(self.system_id)
+
+    @cached_property
+    def temperatures(self) -> tuple[TemperatureReading, ...]:
+        """The temperature log as records, in row order (built once)."""
+        return self.temperature_columns.to_records(self.system_id)
 
     def failures_between(self, start: float, end: float) -> "SystemDataset":
         """This system over ``[start, end)``, holding only its failures there.
 
         The maintenance, job and temperature logs are empty; the layout
         is kept.  The failure log is a row range of :attr:`failure_table`
-        (:meth:`FailureTable.rows_between`), already sorted and checked,
-        so nothing is re-sorted or re-checked: the result equals
-        ``dataclasses.replace`` with the filtered failures and the new
-        period.
+        (:meth:`FailureTable.rows_between`).
         """
-        table = self.failure_table.rows_between(start, end)
-        changes = {
-            "period": ObservationPeriod(start, end),
-            "failures": table.records,
-            "maintenance": (),
-            "jobs": (),
-            "temperatures": (),
-        }
-        view = object.__new__(type(self))
-        for f in fields(self):
-            # Set the way the frozen __init__ does, so the lazy logs'
-            # property setters run; ``changes`` first, so a column-backed
-            # log is never materialized.
-            value = changes[f.name] if f.name in changes else getattr(self, f.name)
-            object.__setattr__(view, f.name, value)
-        view.__dict__["failure_table"] = table
-        return view
+        return SystemDataset(
+            system_id=self.system_id,
+            group=self.group,
+            num_nodes=self.num_nodes,
+            processors_per_node=self.processors_per_node,
+            period=ObservationPeriod(start, end),
+            failure_table=self.failure_table.rows_between(start, end),
+            layout=self.layout,
+        )
 
     @cached_property
     def rack_of(self) -> np.ndarray | None:
@@ -387,188 +454,26 @@ class SystemDataset:
         """Total processor count of the system."""
         return self.num_nodes * self.processors_per_node
 
-    def failures_of_node(self, node_id: int) -> tuple[FailureRecord, ...]:
-        """All failures of one node, chronological."""
-        if not (0 <= node_id < self.num_nodes):
-            raise DatasetError(
-                f"node {node_id} out of range for system {self.system_id}"
-            )
-        return tuple(f for f in self.failures if f.node_id == node_id)
-
     def failure_counts_per_node(self) -> np.ndarray:
         """Number of failures of each node (index = node id); Figure 4."""
         counts = np.zeros(self.num_nodes, dtype=np.int64)
         np.add.at(counts, self.failure_table.node_ids, 1)
         return counts
 
-    def log_columns(self, log: str) -> JobColumns | TemperatureColumns:
-        """The ``"jobs"`` or ``"temperatures"`` log as columns, without
-        memoizing them: the memoized columns if there are any, else
-        transient ones built from the records.  Writers and checks use
-        it, so they leave no second copy of a log on a record-built
-        dataset and materialize no records on a column-backed one.
-        """
-        kind, memo = _LOG_COLUMNS[log]
-        cols = self.__dict__.get(memo)
-        return kind.from_records(getattr(self, log)) if cols is None else cols
-
-    def job_columns(self) -> JobColumns:
-        """The job log as :class:`JobColumns` (built once, then memoized).
-
-        A manual instance-dict memo rather than a ``cached_property``:
-        :class:`_LazyColumnarSystem` pre-fills the ``_job_columns`` key
-        with its columns, so they are served without materializing
-        records, and its ``jobs`` setter clears the key.
-        """
-        return self.__dict__.setdefault("_job_columns", self.log_columns("jobs"))
-
-    def temperature_columns(self) -> TemperatureColumns:
-        """The temperature log as :class:`TemperatureColumns` (memoized).
-
-        :class:`_LazyColumnarSystem` pre-fills the ``_temperature_columns``
-        key and its ``temperatures`` setter clears it, as with
-        :meth:`job_columns`.
-        """
-        return self.__dict__.setdefault(
-            "_temperature_columns", self.log_columns("temperatures")
-        )
-
     @property
     def has_usage(self) -> bool:
         """True if a job log is available (systems 8 and 20 at LANL)."""
-        return self._has_log("jobs")
+        return len(self.job_columns) > 0
 
     @property
     def has_temperature(self) -> bool:
         """True if temperature readings are available (system 20 at LANL)."""
-        return self._has_log("temperatures")
-
-    def _has_log(self, log: str) -> bool:
-        # Memoized columns answer without materializing records.
-        cols = self.__dict__.get(_LOG_COLUMNS[log][1])
-        return len(getattr(self, log) if cols is None else cols) > 0
+        return len(self.temperature_columns) > 0
 
     @property
     def has_layout(self) -> bool:
         """True if a machine layout is available (group-1 systems)."""
         return self.layout is not None
-
-
-class _LazyColumnarSystem(SystemDataset):
-    """A :class:`SystemDataset` whose job and temperature logs are columns.
-
-    The two bulk logs live in the instance dict as :class:`JobColumns` /
-    :class:`TemperatureColumns`, already checked and in record order;
-    :meth:`job_columns` and :meth:`temperature_columns` serve them
-    directly, and the record tuples materialise only on first access to
-    ``jobs`` / ``temperatures`` (the properties shadow the dataclass
-    fields).  The generator (:func:`~repro.simulate.archive.make_archive`),
-    the CSV loader and the archive cache all build these, so generating,
-    caching, saving and loading an archive never create a job or
-    temperature record.
-
-    The properties have setters (storing straight into the instance
-    dict) so that ``dataclasses.replace`` and the generated frozen
-    ``__init__`` -- which assign fields via ``object.__setattr__`` --
-    keep working on instances of this class; normal attribute assignment
-    still raises ``FrozenInstanceError`` through the dataclass
-    ``__setattr__``.
-    """
-
-    @classmethod
-    def from_columns(
-        cls,
-        *,
-        jobs: JobColumns,
-        temperatures: TemperatureColumns,
-        **fields,
-    ) -> "_LazyColumnarSystem":
-        """Build a dataset from the record fields plus the two column logs.
-
-        ``fields`` are all the other dataclass fields.  Runs every
-        :class:`SystemDataset` check except the per-record ones on jobs
-        and temperatures: the caller has checked those columns
-        (``invalid_rows``) and put them in record order
-        (``in_record_order``).
-        """
-        ds = cls.unchecked(jobs=jobs, temperatures=temperatures, **fields)
-        ds._check_consistency()
-        for name in ("failures", "maintenance"):
-            ds.__dict__[name] = tuple(sorted(ds.__dict__[name]))
-        return ds
-
-    @classmethod
-    def unchecked(
-        cls, *, jobs: JobColumns, temperatures: TemperatureColumns, **fields
-    ) -> "_LazyColumnarSystem":
-        """:meth:`from_columns` without its checks, for fields that were
-        checked and sorted when they were first built."""
-        ds = object.__new__(cls)
-        ds.__dict__.update(
-            fields, _job_columns=jobs, _temperature_columns=temperatures
-        )
-        return ds
-
-    @property
-    def jobs(self) -> tuple[JobRecord, ...]:
-        cached = self.__dict__.get("_jobs")
-        if cached is None:
-            c = self.__dict__["_job_columns"]
-            submit = c.submit_times.tolist()
-            job_id = c.job_ids.tolist()
-            dispatch = c.dispatch_times.tolist()
-            end = c.end_times.tolist()
-            user = c.user_ids.tolist()
-            nprocs = c.num_processors.tolist()
-            failed = c.failed_due_to_node.tolist()
-            offsets = c.node_offsets.tolist()
-            nodes = c.node_ids.tolist()
-            sid = self.system_id
-            cached = tuple(
-                JobRecord(
-                    submit_time=submit[i],
-                    system_id=sid,
-                    job_id=job_id[i],
-                    dispatch_time=dispatch[i],
-                    end_time=end[i],
-                    user_id=user[i],
-                    num_processors=nprocs[i],
-                    node_ids=tuple(nodes[offsets[i] : offsets[i + 1]]),
-                    failed_due_to_node=failed[i],
-                )
-                for i in range(len(submit))
-            )
-            self.__dict__["_jobs"] = cached
-        return cached
-
-    @jobs.setter
-    def jobs(self, value) -> None:
-        # Replaced records make the stored columns stale: drop them so
-        # job_columns() rebuilds from the records.
-        self.__dict__.pop("_job_columns", None)
-        self.__dict__["_jobs"] = tuple(value)
-
-    @property
-    def temperatures(self) -> tuple[TemperatureReading, ...]:
-        cached = self.__dict__.get("_temperatures")
-        if cached is None:
-            c = self.__dict__["_temperature_columns"]
-            cached = tuple(
-                map(
-                    TemperatureReading,
-                    c.times.tolist(),
-                    repeat(self.system_id),
-                    c.node_ids.tolist(),
-                    c.celsius.tolist(),
-                )
-            )
-            self.__dict__["_temperatures"] = cached
-        return cached
-
-    @temperatures.setter
-    def temperatures(self, value) -> None:
-        self.__dict__.pop("_temperature_columns", None)
-        self.__dict__["_temperatures"] = tuple(value)
 
 
 class Archive:
@@ -637,5 +542,7 @@ class Archive:
     def total_failures(self, group: HardwareGroup | None = None) -> int:
         """Total failure count, optionally restricted to one group."""
         return sum(
-            len(ds.failures) for ds in self if group is None or ds.group is group
+            len(ds.failure_table)
+            for ds in self
+            if group is None or ds.group is group
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,6 +100,18 @@ class TemperatureColumns:
             times=np.fromiter((r.time for r in readings), float, n),
             node_ids=np.fromiter((r.node_id for r in readings), np.int64, n),
             celsius=np.fromiter((r.celsius for r in readings), float, n),
+        )
+
+    def to_records(self, system_id: int) -> tuple[TemperatureReading, ...]:
+        """The rows as :class:`TemperatureReading` objects of ``system_id``."""
+        return tuple(
+            map(
+                TemperatureReading,
+                self.times.tolist(),
+                repeat(system_id),
+                self.node_ids.tolist(),
+                self.celsius.tolist(),
+            )
         )
 
     def invalid_rows(self) -> np.ndarray:

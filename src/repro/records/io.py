@@ -26,14 +26,15 @@ the rounded key and silently re-attach per-record flags (e.g.
 
 The three bulk logs are parsed by numpy's C reader (``np.loadtxt``,
 whose floats come from ``PyOS_string_to_double``, the routine behind
-``float()``).  :func:`read_jobs` and :func:`read_temperatures` return
-:class:`~repro.records.usage.JobColumns` /
+``float()``).  :func:`read_failures`, :func:`read_jobs` and
+:func:`read_temperatures` return
+:class:`~repro.records.dataset.FailureTable`,
+:class:`~repro.records.usage.JobColumns` and
 :class:`~repro.records.environment.TemperatureColumns`, checked with
 every record invariant and in the order the records sort in, and
-:func:`load_archive` wraps them in the same lazily materialised dataset
-the archive cache returns; :func:`read_failures` builds its records
-straight from the parsed columns.  When the C reader rejects a table, or
-a parsed row breaks a record invariant, the per-row record reader
+:func:`load_archive` builds each system's dataset from them, as the
+archive cache and the generator do.  When the C reader rejects a table,
+or a parsed row breaks a record invariant, the per-row record reader
 (``csv.reader``, one record per row) reads the table again: it raises
 the row's exact error, or loads spellings only Python accepts, such as
 ``1_000``.  The smaller tables load through the per-row reader only.
@@ -53,7 +54,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Archive, DatasetError, HardwareGroup, _LazyColumnarSystem
+from .dataset import (
+    Archive,
+    DatasetError,
+    FailureTable,
+    HardwareGroup,
+    SystemDataset,
+)
 from .environment import (
     EnvironmentRecordError,
     NeutronReading,
@@ -273,26 +280,29 @@ def _c_table(path: Path, header: list[str], dtype: list) -> np.ndarray | None:
 
 def _record_columns(path: Path, header: list[str], build, system_id: int, kind):
     """A bulk table the C reader left, read by the per-row record reader:
-    its exact error, or ``kind`` columns of its records, in file order."""
+    its exact error, or ``kind.from_records`` of its records in file
+    order."""
     counter_add("records.load_fallback", 1, table=path.stem)
     return kind.from_records(_read_records(path, header, build, system_id))
 
 
-def write_failures(path: Path, failures: Sequence[FailureRecord]) -> None:
-    """Write a failure log to ``failures.csv`` format."""
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_FAILURES_HEADER)
-        for f in sorted(failures):
-            w.writerow(
-                [
-                    _fmt(f.time),
-                    f.node_id,
-                    f.category.value,
-                    f.subtype.value if f.subtype is not None else "",
-                    _fmt(f.downtime_hours),
-                ]
-            )
+#: The ``category`` / ``subtype`` token of each failure table code.
+_CATEGORY_TOKENS = [c.value for c in FailureTable.CATEGORIES]
+_SUBTYPE_TOKENS = [s.value if s is not None else "" for s in FailureTable.SUBTYPES]
+
+
+def write_failures(path: Path, failures: FailureTable) -> None:
+    """Write a failure log, in record order, to ``failures.csv`` format."""
+    _write_rows(
+        path,
+        _FAILURES_HEADER,
+        "{!r},{},{},{},{!r}",
+        failures.times.tolist(),
+        failures.node_ids.tolist(),
+        map(_CATEGORY_TOKENS.__getitem__, failures.category_codes.tolist()),
+        map(_SUBTYPE_TOKENS.__getitem__, failures.subtype_codes.tolist()),
+        failures.downtime_hours.tolist(),
+    )
 
 
 def _subtype(token: str) -> Subtype | None:
@@ -303,7 +313,7 @@ def _failure_record(
     path: Path, i: int, row: dict[str, str], system_id: int
 ) -> FailureRecord:
     subtype = _subtype(row["subtype"])
-    return FailureRecord(
+    failure = FailureRecord(
         time=_parse_float(path, i, "time", row["time"]),
         system_id=system_id,
         node_id=_parse_int(path, i, "node_id", row["node_id"]),
@@ -313,6 +323,8 @@ def _failure_record(
             path, i, "downtime_hours", row["downtime_hours"]
         ),
     )
+    _check_int64(path, i, row, ("node_id",))
+    return failure
 
 
 _FAILURES_DTYPE = list(
@@ -320,33 +332,39 @@ _FAILURES_DTYPE = list(
 )
 
 
-def _parsed_each(parse, tokens: np.ndarray) -> list:
-    """``parse`` of every token, called once per distinct token."""
+def _codes(parse, code, tokens: np.ndarray) -> np.ndarray:
+    """``code(parse(token))`` of every token, called once per distinct
+    token."""
     tokens = tokens.tolist()
-    parsed = {token: parse(token) for token in dict.fromkeys(tokens)}
-    return list(map(parsed.__getitem__, tokens))
+    codes = {token: code(parse(token)) for token in dict.fromkeys(tokens)}
+    return np.fromiter(map(codes.__getitem__, tokens), np.int64, len(tokens))
 
 
-def read_failures(path: Path, system_id: int) -> list[FailureRecord]:
-    """Read a ``failures.csv`` file for one system, in file order."""
+def read_failures(path: Path, system_id: int) -> FailureTable:
+    """Read a ``failures.csv`` file for one system, as a table in record
+    order, checked like :func:`read_jobs`."""
     table = _c_table(path, _FAILURES_HEADER, _FAILURES_DTYPE)
+    failures = None
     if table is not None:
         try:
-            return list(
-                map(
-                    FailureRecord,
-                    table["time"].tolist(),
-                    repeat(system_id),
-                    table["node_id"].tolist(),
-                    _parsed_each(parse_category, table["category"]),
-                    _parsed_each(_subtype, table["subtype"]),
-                    table["downtime_hours"].tolist(),
-                )
+            failures = FailureTable(
+                times=table["time"].copy(),
+                node_ids=table["node_id"].copy(),
+                category_codes=_codes(
+                    parse_category, FailureTable.category_code, table["category"]
+                ),
+                subtype_codes=_codes(
+                    _subtype, FailureTable.subtype_code, table["subtype"]
+                ),
+                downtime_hours=table["downtime_hours"].copy(),
             )
-        except _RECORD_ERRORS:
+        except TaxonomyError:
             pass
-    counter_add("records.load_fallback", 1, table=path.stem)
-    return _read_records(path, _FAILURES_HEADER, _failure_record, system_id)
+    if failures is None or failures.invalid_rows().any():
+        failures = _record_columns(
+            path, _FAILURES_HEADER, _failure_record, system_id, FailureTable
+        )
+    return failures.in_record_order()
 
 
 def write_maintenance(path: Path, events: Sequence[MaintenanceRecord]) -> None:
@@ -646,13 +664,13 @@ def _save_archive(archive: Archive, root: Path) -> None:
     for ds in archive:
         sysdir = root / f"system-{ds.system_id}"
         sysdir.mkdir(exist_ok=True)
-        write_failures(sysdir / "failures.csv", ds.failures)
+        write_failures(sysdir / "failures.csv", ds.failure_table)
         write_maintenance(sysdir / "maintenance.csv", ds.maintenance)
         if ds.has_usage:
-            _write_job_columns(sysdir / "jobs.csv", ds.log_columns("jobs"))
+            _write_job_columns(sysdir / "jobs.csv", ds.job_columns)
         if ds.has_temperature:
             _write_temperature_columns(
-                sysdir / "temperatures.csv", ds.log_columns("temperatures")
+                sysdir / "temperatures.csv", ds.temperature_columns
             )
         if ds.layout is not None:
             write_layout(sysdir / "layout.csv", ds.layout)
@@ -714,12 +732,12 @@ def _load_archive(root: Path) -> Archive:
         layout = read_layout(layout_path) if layout_path.exists() else None
         try:
             systems.append(
-                _LazyColumnarSystem.from_columns(
+                SystemDataset(
                     **fields,
-                    failures=failures,
-                    maintenance=maintenance,
-                    jobs=jobs,
-                    temperatures=temps,
+                    failure_table=failures,
+                    maintenance=tuple(maintenance),
+                    job_columns=jobs,
+                    temperature_columns=temps,
                     layout=layout,
                 )
             )

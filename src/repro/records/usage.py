@@ -205,6 +205,32 @@ class JobColumns:
             ),
         )
 
+    def to_records(self, system_id: int) -> tuple[JobRecord, ...]:
+        """The rows as :class:`JobRecord` objects of ``system_id``."""
+        submit = self.submit_times.tolist()
+        job_id = self.job_ids.tolist()
+        dispatch = self.dispatch_times.tolist()
+        end = self.end_times.tolist()
+        user = self.user_ids.tolist()
+        nprocs = self.num_processors.tolist()
+        failed = self.failed_due_to_node.tolist()
+        offsets = self.node_offsets.tolist()
+        nodes = self.node_ids.tolist()
+        return tuple(
+            JobRecord(
+                submit_time=submit[i],
+                system_id=system_id,
+                job_id=job_id[i],
+                dispatch_time=dispatch[i],
+                end_time=end[i],
+                user_id=user[i],
+                num_processors=nprocs[i],
+                node_ids=tuple(nodes[offsets[i] : offsets[i + 1]]),
+                failed_due_to_node=failed[i],
+            )
+            for i in range(len(submit))
+        )
+
     def invalid_rows(self) -> np.ndarray:
         """Mask of the jobs :class:`JobRecord` would reject: every
         ``__post_init__`` check, evaluated on the columns."""

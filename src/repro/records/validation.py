@@ -95,7 +95,7 @@ STORM_THRESHOLD_PER_DAY = 50
 
 def _check_system(ds: SystemDataset, report: ValidationReport) -> None:
     sid = ds.system_id
-    if not ds.failures:
+    if not len(ds.failure_table):
         report.add(
             Severity.WARNING,
             sid,
@@ -160,7 +160,7 @@ def _check_system(ds: SystemDataset, report: ValidationReport) -> None:
             "duplicate log entries or flapping node",
         )
     if ds.has_usage:
-        jobs = ds.job_columns()
+        jobs = ds.job_columns
         out_of_period = int(
             np.count_nonzero(
                 (jobs.end_times < ds.period.start)
@@ -176,7 +176,7 @@ def _check_system(ds: SystemDataset, report: ValidationReport) -> None:
                 "observation period",
             )
     if ds.has_temperature:
-        temps = ds.temperature_columns().celsius
+        temps = ds.temperature_columns.celsius
         if temps.size and float(np.ptp(temps)) == 0.0:
             report.add(
                 Severity.WARNING,
@@ -204,7 +204,7 @@ def _check_duplicates(ds: SystemDataset, report: ValidationReport) -> None:
             table.node_ids.tolist(),
             table.category_codes.tolist(),
             table.subtype_codes.tolist(),
-            [f.downtime_hours for f in table],
+            table.downtime_hours.tolist(),
         )
     )
     maintenance = _repeats(

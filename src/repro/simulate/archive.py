@@ -16,19 +16,17 @@ Every component draws from its own named RNG stream, so archives are
 bit-reproducible from ``config.seed`` and components can be re-tuned
 without perturbing each other.
 
-The job and temperature logs are built as checked columns in record
-order, so each system becomes a column-backed dataset
-(:class:`~repro.records.dataset._LazyColumnarSystem`) without a job or
-temperature record being built.
+The failure, job and temperature logs are built as columns, and each
+system's :class:`~repro.records.dataset.SystemDataset` is built from
+them by its checked constructor, as the CSV loader and the archive
+cache build it, without a job or temperature record being built.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 import numpy as np
 
-from ..records.dataset import Archive, SystemDataset, _LazyColumnarSystem
+from ..records.dataset import Archive, FailureTable, SystemDataset
 from ..records.environment import TemperatureColumns
 from ..records.failure import MaintenanceRecord
 from ..records.layout import MachineLayout, regular_layout
@@ -42,11 +40,6 @@ from .power import generate_stressors
 from .rng import RngStreams
 from .temperature import generate_temperatures
 from .usage import UsageTraces, generate_usage
-
-
-#: A failure record's sort key: the fields its ordering compares, in
-#: order, so sorting by it gives the order ``sorted(records)`` gives.
-_RECORD_ORDER = attrgetter("time", "system_id", "node_id")
 
 
 def _rack_mapping(layout: MachineLayout | None, num_nodes: int) -> np.ndarray | None:
@@ -197,7 +190,7 @@ def _generate_system(
         flux_per_day,
         stressors,
     )
-    failures = tuple(sorted([*organic, *stressors.failures], key=_RECORD_ORDER))
+    failures = FailureTable.from_records([*organic, *stressors.failures])
 
     maintenance = [
         *stressors.maintenance,
@@ -221,13 +214,11 @@ def _generate_system(
     if usage is not None:
         # Per-node failure-time arrays: failures are time-sorted, so a
         # stable sort by node yields sorted per-node blocks directly.
-        n_f = len(failures)
-        f_times = np.fromiter((f.time for f in failures), float, n_f)
-        f_nodes = np.fromiter((f.node_id for f in failures), np.int64, n_f)
+        f_times, f_nodes = failures.times, failures.node_ids
         order = np.argsort(f_nodes, kind="stable")
         empty = np.empty(0, dtype=float)
         failure_times = [empty] * spec.num_nodes
-        if n_f:
+        if len(failures):
             grouped = f_nodes[order]
             bounds = np.flatnonzero(np.diff(grouped)) + 1
             for sel in np.split(order, bounds):
@@ -244,19 +235,16 @@ def _generate_system(
     counter_add("simulate.events", len(maintenance), hazard="maintenance")
     counter_add("simulate.events", len(temperatures), hazard="temperature")
     counter_add("simulate.events", len(jobs), hazard="job")
-    # The checks a JobRecord or TemperatureReading would run, on the columns.
-    jobs.check()
-    temperatures.check()
-    return _LazyColumnarSystem.from_columns(
+    return SystemDataset(
         system_id=sid,
         group=spec.group,
         num_nodes=spec.num_nodes,
         processors_per_node=spec.processors_per_node,
         period=period,
-        failures=failures,
+        failure_table=failures,
         maintenance=tuple(maintenance),
-        jobs=jobs.in_record_order(),
-        temperatures=temperatures.in_record_order(),
+        job_columns=jobs,
+        temperature_columns=temperatures,
         layout=layout,
     )
 

@@ -15,13 +15,12 @@ disk:
 * entries are pickles written atomically (temp file + ``os.replace``),
   so a crashed or concurrent writer can never leave a half-written
   entry in place;
-* the bulky job and temperature logs are stored as the flat numpy
-  columns the generator builds them as, and decoded into the same
-  lazily materialised dataset the generator and the CSV loader return
-  (:class:`~repro.records.dataset._LazyColumnarSystem`), so neither a
-  store nor a warm load touches a job or temperature record; the
-  failure and maintenance logs are stored as columns too, and decoded
-  back into the same record tuples;
+* the failure, job and temperature logs are stored as the numpy
+  columns a :class:`~repro.records.dataset.SystemDataset` holds them
+  as, and decoded through its one checked constructor, as the
+  generator and the CSV loader build it, so neither a store nor a warm
+  load touches a failure, job or temperature record; the maintenance
+  log is stored as columns too, and decoded back into its records;
 * loads are corruption-tolerant for the *specific* I/O and
   deserialization errors a bad entry can raise (see ``_LOAD_ERRORS`` /
   ``_DECODE_ERRORS``): such an entry is treated as a miss (and deleted
@@ -48,9 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..records.dataset import Archive, SystemDataset, _LazyColumnarSystem
+from ..records.dataset import Archive, FailureTable, SystemDataset
 from ..records.environment import TemperatureColumns
-from ..records.failure import FailureRecord, MaintenanceRecord
+from ..records.failure import MaintenanceRecord
 from ..records.usage import JobColumns
 from ..telemetry import counter_add, span
 from .archive import make_archive
@@ -58,9 +57,11 @@ from .config import ArchiveConfig
 from .failures import GENERATOR_VERSION
 
 _MAGIC = "hpcfail-archive"
-#: Bump when the pickle payload layout changes.  Format 3 stores the
-#: failure and maintenance logs as columns instead of pickled records.
-_FORMAT_VERSION = 3
+#: Bump when the pickle payload layout changes.  Format 3 stored the
+#: failure and maintenance logs as columns instead of pickled records;
+#: format 4 stores each column log keyed by constructor argument, with
+#: the failure code tables (``_FAILURE_CODES``).
+_FORMAT_VERSION = 4
 
 #: What a corrupted/foreign/stale pickle read can legitimately raise:
 #: I/O failures, every documented unpickling error (UnpicklingError,
@@ -80,7 +81,8 @@ _LOAD_ERRORS = (
 )
 
 #: What decoding a (format-matching but inconsistent) payload dict can
-#: raise: missing/mistyped keys and malformed column arrays.
+#: raise: missing/mistyped keys, malformed column arrays and the
+#: dataset's checks (``ValueError`` subclasses).
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError)
 
 
@@ -156,62 +158,30 @@ def cache_path(config: ArchiveConfig, directory: Path | None = None) -> Path:
     return (directory or cache_dir()) / f"{config_digest(config)}.pkl"
 
 
-# --- columnar payload (format 3) -------------------------------------------
+# --- columnar payload (format 4) -------------------------------------------
 #
 # An archive's bulk is its job and temperature logs: hundreds of
-# thousands of rows, which the generator builds as numpy columns.  The
-# cache stores those columns as they are, and a decoded dataset
-# materialises the record tuples lazily on first access -- a store or a
-# warm load moves a handful of arrays, and analyses that never touch
-# ``ds.jobs`` / ``ds.temperatures`` (most of them: the window engine
-# runs off the failure log) never pay for records.
+# thousands of rows, which a dataset holds as numpy columns.  The cache
+# stores each failure, job and temperature log as those columns, keyed
+# by the column class's constructor argument, and a warm load passes
+# them back through the dataset's checked constructor -- a store or a
+# load moves a handful of arrays and builds no failure, job or
+# temperature record.  The failure table's category and subtype codes
+# index ``FailureTable.CATEGORIES`` / ``SUBTYPES``; the payload keeps
+# those tables, and one that differs from the running code's is stale.
 #
-# The failure and maintenance logs are records on a dataset, but they
-# are stored as columns as well: pickling a frozen slotted dataclass
-# runs a Python ``__getstate__`` per record, which made most of a
-# store's time.  Failures keep their time, node and downtime as float64
-# / int64 columns and their category and subtype as small-int codes
-# into a table of the enum members (``None`` for no subtype) that
-# occur; maintenance keeps time, node, the hardware flag and duration.
-# Decoding rebuilds the records in stored (sorted) order, with the same
-# float values and the same enum members.
+# The maintenance log is records on a dataset, stored as columns too:
+# pickling a frozen slotted dataclass runs a Python ``__getstate__`` per
+# record.  It keeps time, node, the hardware flag and duration, and
+# decodes back into the same records.
+
+#: What the failure table's code columns index.
+_FAILURE_CODES = (FailureTable.CATEGORIES, FailureTable.SUBTYPES)
 
 
-def _codes(values) -> tuple[list, np.ndarray]:
-    """The distinct ``values`` in first-seen order, and each value's
-    index in that table."""
-    table: dict = {}
-    codes = [table.setdefault(v, len(table)) for v in values]
-    return list(table), np.array(codes, dtype=np.int16)
-
-
-def _encode_failures(failures) -> dict:
-    n = len(failures)
-    categories, category_codes = _codes(f.category for f in failures)
-    subtypes, subtype_codes = _codes(f.subtype for f in failures)
-    return {
-        "time": np.fromiter((f.time for f in failures), float, n),
-        "node": np.fromiter((f.node_id for f in failures), np.int64, n),
-        "category": category_codes,
-        "categories": categories,
-        "subtype": subtype_codes,
-        "subtypes": subtypes,
-        "downtime": np.fromiter((f.downtime_hours for f in failures), float, n),
-    }
-
-
-def _decode_failures(cols: dict, system_id: int) -> tuple[FailureRecord, ...]:
-    return tuple(
-        map(
-            FailureRecord,
-            cols["time"].tolist(),
-            repeat(system_id),
-            cols["node"].tolist(),
-            map(cols["categories"].__getitem__, cols["category"].tolist()),
-            map(cols["subtypes"].__getitem__, cols["subtype"].tolist()),
-            cols["downtime"].tolist(),
-        )
-    )
+def _columns(log) -> dict:
+    """A column log's arrays, keyed by constructor argument."""
+    return {f.name: getattr(log, f.name) for f in dataclasses.fields(log)}
 
 
 def _encode_maintenance(maintenance) -> dict:
@@ -239,8 +209,6 @@ def _decode_maintenance(cols: dict, system_id: int) -> tuple[MaintenanceRecord, 
 
 def _encode_system(ds: SystemDataset) -> dict:
     """Reduce one system to a columnar cache payload."""
-    jobs = ds.log_columns("jobs")
-    temps = ds.log_columns("temperatures")
     return {
         "system_id": ds.system_id,
         "group": ds.group,
@@ -248,55 +216,27 @@ def _encode_system(ds: SystemDataset) -> dict:
         "processors_per_node": ds.processors_per_node,
         "period": ds.period,
         "layout": ds.layout,
-        "failure_cols": _encode_failures(ds.failures),
+        "failure_cols": _columns(ds.failure_table),
         "maintenance_cols": _encode_maintenance(ds.maintenance),
-        "job_cols": {
-            "submit": jobs.submit_times,
-            "job_id": jobs.job_ids,
-            "dispatch": jobs.dispatch_times,
-            "end": jobs.end_times,
-            "user": jobs.user_ids,
-            "nprocs": jobs.num_processors,
-            "failed": jobs.failed_due_to_node,
-            "offsets": jobs.node_offsets,
-            "nodes": jobs.node_ids,
-        },
-        "temp_cols": {
-            "time": temps.times,
-            "node": temps.node_ids,
-            "celsius": temps.celsius,
-        },
+        "job_cols": _columns(ds.job_columns),
+        "temp_cols": _columns(ds.temperature_columns),
     }
 
 
 def _decode_system(payload: dict) -> SystemDataset:
-    # The payload was checked when the original dataset was built.
-    c = payload["job_cols"]
-    t = payload["temp_cols"]
-    sid = payload["system_id"]
-    return _LazyColumnarSystem.unchecked(
-        system_id=sid,
+    return SystemDataset(
+        system_id=payload["system_id"],
         group=payload["group"],
         num_nodes=payload["num_nodes"],
         processors_per_node=payload["processors_per_node"],
         period=payload["period"],
+        failure_table=FailureTable(**payload["failure_cols"]),
+        maintenance=_decode_maintenance(
+            payload["maintenance_cols"], payload["system_id"]
+        ),
+        job_columns=JobColumns(**payload["job_cols"]),
+        temperature_columns=TemperatureColumns(**payload["temp_cols"]),
         layout=payload["layout"],
-        failures=_decode_failures(payload["failure_cols"], sid),
-        maintenance=_decode_maintenance(payload["maintenance_cols"], sid),
-        jobs=JobColumns(
-            submit_times=c["submit"],
-            dispatch_times=c["dispatch"],
-            end_times=c["end"],
-            user_ids=c["user"],
-            num_processors=c["nprocs"],
-            failed_due_to_node=c["failed"],
-            job_ids=c["job_id"],
-            node_offsets=c["offsets"],
-            node_ids=c["nodes"],
-        ),
-        temperatures=TemperatureColumns(
-            times=t["time"], node_ids=t["node"], celsius=t["celsius"]
-        ),
     )
 
 
@@ -359,6 +299,7 @@ def load_cached(
             or payload.get("magic") != _MAGIC
             or payload.get("format") != _FORMAT_VERSION
             or payload.get("digest") != config_digest(config)
+            or payload.get("failure_codes") != _FAILURE_CODES
         ):
             return abandoned("stale")
         try:
@@ -388,6 +329,7 @@ def store_cached(
             "magic": _MAGIC,
             "format": _FORMAT_VERSION,
             "digest": config_digest(config),
+            "failure_codes": _FAILURE_CODES,
             "archive": _encode_archive(archive),
         }
         fd, tmp = tempfile.mkstemp(

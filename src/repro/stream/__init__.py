@@ -30,7 +30,6 @@ from .events import (
     StreamEvent,
     StreamEventError,
     WatermarkClock,
-    failure_event,
 )
 from .ingest import (
     BackpressurePolicy,
@@ -101,7 +100,6 @@ __all__ = [
     "WatermarkClock",
     "archive_event_id",
     "archive_source",
-    "failure_event",
     "jsonl_source",
     "latest_checkpoint_sequence",
     "load_checkpoint",

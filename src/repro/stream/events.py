@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..records.failure import FailureRecord
 from ..records.taxonomy import Category, Subtype, all_subtypes, category_of
 
 
@@ -134,20 +133,6 @@ class StreamEvent:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise StreamEventError(f"invalid event payload: {exc}") from exc
-
-
-def failure_event(record: FailureRecord, event_id: str) -> StreamEvent:
-    """Wrap one archived :class:`FailureRecord` as a stream event."""
-    return StreamEvent(
-        time=record.time,
-        system_id=record.system_id,
-        node_id=record.node_id,
-        event_id=event_id,
-        kind=KIND_FAILURE,
-        category=record.category,
-        subtype=record.subtype,
-        downtime_hours=record.downtime_hours,
-    )
 
 
 class WatermarkClock:

@@ -26,19 +26,19 @@ from __future__ import annotations
 import enum
 import time
 from collections import deque
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
-from ..records.dataset import Archive
+from ..records.dataset import Archive, FailureTable
 from ..records.taxonomy import all_categories
 from ..simulate.config import EffectSizes
 from ..simulate.hazards import CascadeState
 from ..stats.seeding import resolve_rng
 from ..telemetry import counter_add, gauge_set, span as tel_span
-from .events import StreamEvent, StreamEventError, failure_event
+from .events import KIND_FAILURE, StreamEvent, StreamEventError
 from .state import BatchStats
 
 
@@ -136,15 +136,31 @@ def archive_source(archive: Archive) -> Iterator[StreamEvent]:
 
     Event ids are derived from each failure's position in its system's
     sorted log, so replaying the same archive always reproduces the
-    same ids -- the property checkpoint resume relies on.
+    same ids -- the property checkpoint resume relies on.  The events
+    are built from the failure tables' columns, in the order a stable
+    sort of them by ``(time, system_id, node_id)`` gives.
     """
-    events = [
-        failure_event(record, archive_event_id(ds.system_id, i))
-        for ds in archive
-        for i, record in enumerate(ds.failures)
-    ]
-    events.sort()
-    yield from events
+    tables = [ds.failure_table for ds in archive]
+    systems = np.repeat([ds.system_id for ds in archive], list(map(len, tables)))
+    rows = np.concatenate([np.arange(len(t)) for t in tables])
+
+    def merged(column: str) -> np.ndarray:
+        return np.concatenate([getattr(t, column) for t in tables])
+
+    times, nodes = merged("times"), merged("node_ids")
+    order = np.lexsort((nodes, systems, times))
+    systems = systems[order].tolist()
+    yield from map(
+        StreamEvent,
+        times[order].tolist(),
+        systems,
+        nodes[order].tolist(),
+        map(archive_event_id, systems, rows[order].tolist()),
+        repeat(KIND_FAILURE),
+        map(FailureTable.CATEGORIES.__getitem__, merged("category_codes")[order].tolist()),
+        map(FailureTable.SUBTYPES.__getitem__, merged("subtype_codes")[order].tolist()),
+        merged("downtime_hours")[order].tolist(),
+    )
 
 
 def jsonl_source(

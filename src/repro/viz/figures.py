@@ -433,7 +433,7 @@ def failure_timeline(ds: SystemDataset, bins: int = 90) -> str:
     )
     return (
         f"system {ds.system_id} failure density "
-        f"({len(ds.failures)} failures over {ds.period.length:.0f} days):\n"
+        f"({times.size} failures over {ds.period.length:.0f} days):\n"
         + sparkline(counts)
     )
 

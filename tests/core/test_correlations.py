@@ -26,7 +26,7 @@ from repro.records.timeutil import ObservationPeriod, Span
 
 
 def build_system(failures, num_nodes=4, layout=False):
-    return SystemDataset(
+    return SystemDataset.from_records(
         system_id=1,
         group=HardwareGroup.GROUP1,
         num_nodes=num_nodes,

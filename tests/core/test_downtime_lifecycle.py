@@ -24,7 +24,7 @@ from repro.records.timeutil import ObservationPeriod
 
 
 def make_system(failures, num_nodes=10, period=400.0):
-    return SystemDataset(
+    return SystemDataset.from_records(
         system_id=1,
         group=HardwareGroup.GROUP1,
         num_nodes=num_nodes,

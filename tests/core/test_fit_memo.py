@@ -5,9 +5,10 @@
 system's repair hours on that system's cache and the pooled fit on the
 first system's, keyed by the pooled sample's sha256.
 ``fit_joint_regression`` and ``temperature_regressions`` (one entry per
-target) keep their GLM fits there too.  A memo hit must serve the same
-fits a fresh fit would, and only the same dataset objects may hit: a
-freshly loaded archive starts cold.
+target) keep their GLM fits there too, or the error of a fit that
+failed.  A memo hit must serve the same fits a fresh fit would, and
+only the same dataset objects may hit: a freshly loaded archive starts
+cold.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.interarrival import InterArrivalError, fit_interarrival_model
 from repro.core.regression import fit_joint_regression
 from repro.core.temperature import temperature_regressions
 from repro.core.report import full_report
-from repro.records.dataset import Archive, HardwareGroup, SystemDataset
+from repro.records.dataset import Archive, FailureTable, HardwareGroup, SystemDataset
 from repro.records.failure import FailureRecord
 from repro.records.io import load_archive, save_archive
 from repro.records.taxonomy import Category, HardwareSubtype
@@ -53,12 +54,7 @@ def fit_calls(monkeypatch):
 
 @pytest.fixture
 def glm_calls(monkeypatch):
-    """Counts of the GLM fits made by the Section VIII and X regressions.
-
-    A fit that raises is not memoized, so a degenerate design (as the
-    tiny archive's) refits on every call; these counts are checked on
-    the medium archive's system 20, whose fits all succeed.
-    """
+    """Counts of the GLM fits made by the Section VIII and X regressions."""
     calls = {"glm": 0}
     for module in (regression, temperature):
         for name in ("fit_poisson", "fit_negative_binomial"):
@@ -67,7 +63,7 @@ def glm_calls(monkeypatch):
 
 
 def system(system_id, times, hours, num_nodes=4):
-    return SystemDataset(
+    return SystemDataset.from_records(
         system_id=system_id,
         group=HardwareGroup.GROUP1,
         num_nodes=num_nodes,
@@ -139,7 +135,7 @@ class TestRepairFitMemo:
         changed[0] = dataclasses.replace(
             changed[0], downtime_hours=changed[0].downtime_hours + 5.0
         )
-        b2 = dataclasses.replace(b, failures=tuple(changed))
+        b2 = dataclasses.replace(b, failure_table=FailureTable.from_records(changed))
         second = repair_times([a, b2])
         assert fit_calls["best_fit"] == 2
         keys = [k for k in get_cache(a)._summaries if k[0] == "repair_fit"]
@@ -195,6 +191,17 @@ class TestReportMemo:
         second = full_report(archive)
         assert fit_calls == cold
         assert second == first
+
+    def test_failed_regression_fits_once(self, tiny_archive, glm_calls):
+        """System 20's joint regression fails on the tiny archive; the
+        error is memoized, so a second report refits nothing."""
+        archive = tiny_copy(tiny_archive)
+        first = full_report(archive)
+        assert "system 20: regression skipped" in first
+        cold = glm_calls["glm"]
+        assert cold > 0
+        assert full_report(archive) == first
+        assert glm_calls["glm"] == cold
 
     def test_fresh_load_misses(self, tiny_archive, tmp_path, fit_calls):
         save_archive(tiny_archive, tmp_path / "archive")

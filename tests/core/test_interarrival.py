@@ -19,7 +19,7 @@ from repro.records.timeutil import ObservationPeriod
 
 
 def system_with_times(times, num_nodes=4):
-    return SystemDataset(
+    return SystemDataset.from_records(
         system_id=1,
         group=HardwareGroup.GROUP1,
         num_nodes=num_nodes,

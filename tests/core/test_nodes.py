@@ -18,7 +18,7 @@ from repro.records.timeutil import ObservationPeriod, Span
 
 
 def build_system(failures, num_nodes=10, layout=False):
-    return SystemDataset(
+    return SystemDataset.from_records(
         system_id=18,
         group=HardwareGroup.GROUP1,
         num_nodes=num_nodes,
@@ -117,7 +117,7 @@ class TestProneTypeProbabilities:
         assert soft_side > by[Category.HARDWARE]
 
     def test_requires_two_nodes(self):
-        ds = SystemDataset(
+        ds = SystemDataset.from_records(
             system_id=18,
             group=HardwareGroup.GROUP1,
             num_nodes=1,

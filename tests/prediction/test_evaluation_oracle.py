@@ -4,7 +4,7 @@
 :class:`RecentFailure` history per (node, test window), each scored
 with the per-event loop in ``reference_risk.py``, fitted on training
 splits built by ``reference_truncate`` (the record filter plus
-``dataclasses.replace``).  The package slices each training split out
+``SystemDataset.from_records``).  The package slices each training split out
 of its system's failure table, memoizes it, finds every window's rows
 with one search per system and scores every window of a system in one
 call to the batch kernel; each step must give values equal with ``==``.
@@ -30,7 +30,7 @@ from repro.prediction.evaluation import (
     truncate_system,
 )
 from repro.prediction.risk import RecentFailure, RiskModel
-from repro.records.dataset import HardwareGroup, SystemDataset
+from repro.records.dataset import FailureTable, HardwareGroup, SystemDataset
 from repro.records.failure import FailureRecord, MaintenanceRecord
 from repro.records.taxonomy import Category, HardwareSubtype, all_categories
 from repro.records.timeutil import ObservationPeriod, Span
@@ -38,24 +38,32 @@ from repro.simulate.archive import make_archive
 from repro.simulate.config import small_config
 from tests.prediction.reference_risk import reference_score
 
-#: Failure table columns, compared one by one.
-COLUMNS = ("times", "node_ids", "category_codes", "subtype_codes")
-
-
 def reference_truncate(ds, start, end):
     """``ds`` with only its failures in ``[start, end)``: the filtered
-    records through ``dataclasses.replace`` (and so re-sorted and
-    re-checked by ``__post_init__``)."""
+    records through ``SystemDataset.from_records`` (and so re-sorted
+    and re-checked)."""
     if not (ds.period.start <= start < end <= ds.period.end):
         raise EvaluationError("bounds outside the observation period")
-    return dataclasses.replace(
-        ds,
+    return SystemDataset.from_records(
+        system_id=ds.system_id,
+        group=ds.group,
+        num_nodes=ds.num_nodes,
+        processors_per_node=ds.processors_per_node,
         period=ObservationPeriod(start, end),
-        failures=tuple(f for f in ds.failures if start <= f.time < end),
-        maintenance=(),
-        jobs=(),
-        temperatures=(),
+        failures=[f for f in ds.failures if start <= f.time < end],
+        layout=ds.layout,
     )
+
+
+def reference_top_decile(p, y):
+    """The positives in the top decile, ties at its lowest score shared
+    out evenly: every instance above the k-th highest score counts in
+    full, each of those tied at it with weight ``(k - n_above) / n_tied``."""
+    k = max(1, len(p) // 10)
+    kth = sorted(p, reverse=True)[k - 1]
+    above = [label for score, label in zip(p, y) if score > kth]
+    tied = [label for score, label in zip(p, y) if score == kth]
+    return k, float(sum(above)) + (k - len(above)) / len(tied) * float(sum(tied))
 
 
 def reference_window_rows(ds, edges):
@@ -122,7 +130,7 @@ def reference_evaluation(systems, horizon, train_fraction) -> RiskEvaluation:
     base_rate = float(y.mean())
     brier_model = float(((p - y) ** 2).mean())
     brier_baseline = float(((model.baseline - y) ** 2).mean())
-    top = np.argsort(p)[-max(1, p.size // 10):]
+    k, positives = reference_top_decile(p.tolist(), y.tolist())
     return RiskEvaluation(
         horizon=horizon,
         n_instances=int(p.size),
@@ -130,8 +138,8 @@ def reference_evaluation(systems, horizon, train_fraction) -> RiskEvaluation:
         brier_model=brier_model,
         brier_baseline=brier_baseline,
         skill=1.0 - brier_model / brier_baseline,
-        lift_top_decile=float(y[top].mean()) / base_rate,
-        recall_top_decile=float(y[top].sum() / y.sum()),
+        lift_top_decile=positives / k / base_rate,
+        recall_top_decile=positives / float(y.sum()),
     )
 
 
@@ -145,19 +153,32 @@ def test_batch_evaluation_equals_reference(medium_archive, horizon, train_fracti
     assert got == want
 
 
+def test_top_decile_does_not_depend_on_instance_order(medium_archive):
+    """Most top-decile slots go to instances tied at one score; how the
+    ties are broken must not move lift or recall."""
+    systems = cold_copies(medium_archive)
+    forward = evaluate_risk_model(systems)
+    backward = evaluate_risk_model(systems[::-1])
+    assert backward.lift_top_decile == forward.lift_top_decile
+    assert backward.recall_top_decile == forward.recall_top_decile
+
+
 def assert_same_view(got, want):
-    """Every field, every record field and every table column equal."""
+    """Every scalar field, every record of every log and every failure
+    table column equal."""
     assert type(got) is type(want)
-    for f in dataclasses.fields(want):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
-    assert [dataclasses.astuple(r) for r in got.failures] == [
-        dataclasses.astuple(r) for r in want.failures
-    ]
-    assert list(got.failure_table) == list(want.failure_table)
-    for name in COLUMNS:
-        a, b = getattr(got.failure_table, name), getattr(want.failure_table, name)
-        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
-    assert got == want
+    for name in (
+        "system_id", "group", "num_nodes", "processors_per_node", "period",
+        "maintenance", "layout",
+    ):
+        assert getattr(got, name) == getattr(want, name), name
+    for log in ("failures", "jobs", "temperatures"):
+        assert [dataclasses.astuple(r) for r in getattr(got, log)] == [
+            dataclasses.astuple(r) for r in getattr(want, log)
+        ], log
+    for f in dataclasses.fields(FailureTable):
+        a, b = getattr(got.failure_table, f.name), getattr(want.failure_table, f.name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), f.name
 
 
 #: A few distinct times, so that failures share times and bounds land on them.
@@ -181,7 +202,7 @@ def systems(draw):
         )
     )
     maintenance = (MaintenanceRecord(time=2.0, system_id=5, node_id=0),)
-    return SystemDataset(
+    return SystemDataset.from_records(
         system_id=5,
         group=HardwareGroup.GROUP2,
         num_nodes=num_nodes,
@@ -212,7 +233,7 @@ class TestTrainingView:
         assert_same_view(truncate_system(ds, start, end), reference_truncate(ds, start, end))
 
     def test_empty_and_full_views(self):
-        ds = SystemDataset(
+        ds = SystemDataset.from_records(
             system_id=5,
             group=HardwareGroup.GROUP1,
             num_nodes=2,
@@ -236,7 +257,7 @@ class TestTrainingView:
             split = ds.period.start + 0.4 * ds.period.length
             splits[ds.system_id] = [(ds.period.start, split), (split, ds.period.end)]
             views = [truncate_system(ds, start, end) for start, end in splits[ds.system_id]]
-            assert not {"_jobs", "_temperatures"} & ds.__dict__.keys()
+            assert not {"jobs", "temperatures"} & ds.__dict__.keys()
             assert all(view.jobs == () for view in views)
         for ds in archive:
             for start, end in splits[ds.system_id]:

@@ -10,7 +10,6 @@ from repro.records.dataset import (
     FailureTable,
     HardwareGroup,
     SystemDataset,
-    _LazyColumnarSystem,
 )
 from repro.records.environment import TemperatureColumns, TemperatureReading
 from repro.records.failure import FailureRecord
@@ -27,7 +26,7 @@ def fail(time, node=0, cat=Category.HARDWARE, sub=None, system=20):
 
 
 def dataset(failures=(), num_nodes=4, system=20, **kw):
-    return SystemDataset(
+    return SystemDataset.from_records(
         system_id=system,
         group=HardwareGroup.GROUP1,
         num_nodes=num_nodes,
@@ -40,42 +39,44 @@ def dataset(failures=(), num_nodes=4, system=20, **kw):
 
 class TestFailureTable:
     def test_sorted_and_indexed(self):
-        t = FailureTable(
+        t = FailureTable.from_records(
             [fail(5.0, node=1), fail(1.0, node=2, sub=HardwareSubtype.CPU)]
         )
         assert t.times.tolist() == [1.0, 5.0]
         assert t.node_ids.tolist() == [2, 1]
         assert len(t) == 2
-        assert t.record(0).node_id == 2
+        assert t.to_records(20)[0].subtype is HardwareSubtype.CPU
 
     def test_mask_by_category(self):
-        t = FailureTable([fail(1.0), fail(2.0, cat=Category.SOFTWARE)])
+        t = FailureTable.from_records([fail(1.0), fail(2.0, cat=Category.SOFTWARE)])
         assert t.mask(category=Category.HARDWARE).tolist() == [True, False]
 
     def test_mask_by_subtype(self):
-        t = FailureTable(
+        t = FailureTable.from_records(
             [fail(1.0, sub=HardwareSubtype.MEMORY), fail(2.0, sub=HardwareSubtype.CPU)]
         )
         m = t.mask(subtype=HardwareSubtype.MEMORY)
         assert m.tolist() == [True, False]
 
     def test_mask_subtype_conflicting_category(self):
-        t = FailureTable([fail(1.0, sub=HardwareSubtype.MEMORY)])
+        t = FailureTable.from_records([fail(1.0, sub=HardwareSubtype.MEMORY)])
         with pytest.raises(DatasetError):
             t.mask(category=Category.SOFTWARE, subtype=HardwareSubtype.MEMORY)
 
     def test_mask_by_node(self):
-        t = FailureTable([fail(1.0, node=0), fail(2.0, node=3)])
+        t = FailureTable.from_records([fail(1.0, node=0), fail(2.0, node=3)])
         assert t.mask(node_id=3).tolist() == [False, True]
 
     def test_select(self):
-        t = FailureTable([fail(1.0, node=0), fail(2.0, node=1, cat=Category.NETWORK)])
+        t = FailureTable.from_records(
+            [fail(1.0, node=0), fail(2.0, node=1, cat=Category.NETWORK)]
+        )
         times, nodes = t.select(category=Category.NETWORK)
         assert times.tolist() == [2.0]
         assert nodes.tolist() == [1]
 
     def test_empty(self):
-        t = FailureTable([])
+        t = FailureTable.from_records([])
         assert len(t) == 0
         assert t.mask(category=Category.HARDWARE).shape == (0,)
 
@@ -127,11 +128,6 @@ class TestSystemDataset:
         ):
             dataset(temperatures=(*TEMPS, foreign))
 
-    def test_range_check_memoizes_no_columns(self):
-        ds = dataset(jobs=JOBS, temperatures=TEMPS)
-        assert "_job_columns" not in vars(ds)
-        assert "_temperature_columns" not in vars(ds)
-
     def test_rejects_inconsistent_layout(self):
         with pytest.raises(DatasetError):
             dataset([], num_nodes=4, layout=regular_layout(6))
@@ -139,12 +135,6 @@ class TestSystemDataset:
     def test_failure_counts_per_node(self):
         ds = dataset([fail(1.0, node=1), fail(2.0, node=1), fail(3.0, node=3)])
         assert ds.failure_counts_per_node().tolist() == [0, 2, 0, 1]
-
-    def test_failures_of_node(self):
-        ds = dataset([fail(1.0, node=1), fail(2.0, node=2)])
-        assert len(ds.failures_of_node(1)) == 1
-        with pytest.raises(DatasetError):
-            ds.failures_of_node(10)
 
     def test_capability_flags(self):
         ds = dataset([])
@@ -179,34 +169,45 @@ TEMPS = (
 
 
 def lazy(failures=(), num_nodes=4, jobs=JOBS, temps=TEMPS, layout=None):
-    return _LazyColumnarSystem.from_columns(
+    """A dataset built from columns, as the loader and the cache build it."""
+    return SystemDataset(
         system_id=20,
         group=HardwareGroup.GROUP1,
         num_nodes=num_nodes,
         processors_per_node=4,
         period=ObservationPeriod(0.0, 100.0),
-        failures=tuple(failures),
+        failure_table=FailureTable.from_records(failures),
         maintenance=(),
-        jobs=JobColumns.from_records(jobs),
-        temperatures=TemperatureColumns.from_records(temps),
+        job_columns=JobColumns.from_records(jobs),
+        temperature_columns=TemperatureColumns.from_records(temps),
         layout=layout,
     )
 
 
 class TestLazyColumnarSystem:
+    """A column-built dataset: records are views built on first access."""
+
     def test_serves_columns_without_records(self):
-        ds = lazy()
+        ds = lazy([fail(1.0)])
         assert ds.has_usage and ds.has_temperature
-        assert ds.job_columns().job_ids.tolist() == [1, 2, 3]
-        assert ds.temperature_columns().celsius.tolist() == [30.0, 45.5]
-        assert "_jobs" not in ds.__dict__ and "_temperatures" not in ds.__dict__
+        assert ds.job_columns.job_ids.tolist() == [1, 2, 3]
+        assert ds.temperature_columns.celsius.tolist() == [30.0, 45.5]
+        assert len(ds.failure_table) == 1
+        assert not {"failures", "jobs", "temperatures"} & ds.__dict__.keys()
 
     def test_materialises_equal_records(self):
-        ds = lazy()
+        ds = lazy([fail(2.0, node=1, sub=HardwareSubtype.CPU), fail(1.0)])
         assert list(map(dataclasses.astuple, ds.jobs)) == list(
             map(dataclasses.astuple, JOBS)
         )
         assert ds.temperatures == TEMPS
+        assert list(map(dataclasses.astuple, ds.failures)) == [
+            dataclasses.astuple(fail(1.0)),
+            dataclasses.astuple(fail(2.0, node=1, sub=HardwareSubtype.CPU)),
+        ]
+        assert ds.failures is ds.failures
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.failures = ()
 
     def test_runs_dataset_checks(self):
         with pytest.raises(DatasetError, match="only 4 nodes"):
@@ -230,14 +231,6 @@ class TestLazyColumnarSystem:
         ds = lazy(jobs=(), temps=())
         assert not ds.has_usage and not ds.has_temperature
         assert ds.jobs == () and ds.temperatures == ()
-
-    def test_replace_rebuilds_columns_from_records(self):
-        ds = lazy()
-        ds.job_columns()
-        clone = dataclasses.replace(ds, jobs=ds.jobs[1:], temperatures=())
-        assert clone.job_columns().job_ids.tolist() == [2, 3]
-        assert not clone.has_temperature
-        assert ds.job_columns().job_ids.tolist() == [1, 2, 3]
 
 
 class TestArchive:

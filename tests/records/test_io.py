@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.records.dataset import Archive
+from repro.records.dataset import Archive, FailureTable
 from repro.records.environment import EnvironmentRecordError
 from repro.records.failure import RecordError
 from repro.records.io import (
@@ -323,7 +323,8 @@ class TestWriters:
     def test_write_failures_sorted(self, tiny_archive: Archive, tmp_path: Path):
         ds = tiny_archive[list(tiny_archive.system_ids)[0]]
         p = tmp_path / "f.csv"
-        write_failures(p, list(reversed(ds.failures)))
+        write_failures(p, FailureTable.from_records(list(reversed(ds.failures))))
         back = read_failures(p, ds.system_id)
-        times = [f.time for f in back]
+        times = back.times.tolist()
         assert times == sorted(times)
+        assert back.to_records(ds.system_id) == ds.failures

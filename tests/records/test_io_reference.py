@@ -1,13 +1,12 @@
 """Reference-reader tests for the C-parsed CSV loader.
 
-``read_jobs`` / ``read_temperatures`` parse a whole file column-wise with
-numpy's C reader and check and sort the columns with numpy;
-``read_failures`` builds its records from C-parsed columns.  This module
-keeps per-row readers -- ``csv.DictReader``, one record per row, records
-sorted with ``sorted()`` the way :class:`SystemDataset` sorts them -- as
-the oracle, and checks the loader against it on random tables
-(hypothesis): same columns, same materialised records, and on a bad
-table the same error type and message.  The spelling tests write the
+``read_failures`` / ``read_jobs`` / ``read_temperatures`` parse a whole
+file column-wise with numpy's C reader and check and sort the columns
+with numpy.  This module keeps per-row readers -- ``csv.DictReader``,
+one record per row, records sorted with ``sorted()`` -- as the oracle,
+and checks the loader against it on random tables (hypothesis): same
+columns, same materialised records, and on a bad table the same error
+type and message.  The spelling tests write the
 numbers the way people and other tools do (padding, quotes, underscores,
 other notations, other digits, other line ends), where the C reader and
 ``float()``/``int()`` could part ways.
@@ -26,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.records.dataset import SystemDataset
+from repro.records.dataset import FailureTable, SystemDataset
 from repro.records.environment import (
     EnvironmentRecordError,
     TemperatureColumns,
@@ -194,6 +193,7 @@ def reference_read_failures(path: Path, system_id: int) -> list[FailureRecord]:
             )
         except (RecordError, TaxonomyError) as exc:
             raise ArchiveIOError(f"{path}:{i}: {exc}") from exc
+        _int64(path, i, row, ("node_id",))
     return out
 
 
@@ -328,8 +328,8 @@ class TestLoaderMatchesOracle:
         ds = load_archive(root)[SYSTEM_ID]
         assert ds.has_usage == bool(job_oracle)
         assert ds.has_temperature == bool(temp_oracle)
-        assert_columns_equal(ds.job_columns(), job_expected)
-        assert_columns_equal(ds.temperature_columns(), temp_expected)
+        assert_columns_equal(ds.job_columns, job_expected)
+        assert_columns_equal(ds.temperature_columns, temp_expected)
         assert as_tuples(ds.jobs) == as_tuples(job_oracle)
         assert as_tuples(ds.temperatures) == as_tuples(temp_oracle)
 
@@ -358,10 +358,10 @@ class TestLoaderMatchesOracle:
         assert as_tuples(ds.jobs) == as_tuples(sorted(job_records))
         assert as_tuples(ds.temperatures) == as_tuples(sorted(temp_records))
         assert_columns_equal(
-            ds.job_columns(), JobColumns.from_records(sorted(job_records))
+            ds.job_columns, JobColumns.from_records(sorted(job_records))
         )
         assert_columns_equal(
-            ds.temperature_columns(),
+            ds.temperature_columns,
             TemperatureColumns.from_records(sorted(temp_records)),
         )
 
@@ -395,13 +395,14 @@ class TestLoaderMatchesOracle:
         ds = load_archive(root)[SYSTEM_ID]
         assert not ds.has_usage and not ds.has_temperature
         assert ds.jobs == () and ds.temperatures == ()
-        assert_columns_equal(ds.job_columns(), JobColumns.from_records(()))
+        assert_columns_equal(ds.job_columns, JobColumns.from_records(()))
         assert_columns_equal(
-            ds.temperature_columns(), TemperatureColumns.from_records(())
+            ds.temperature_columns, TemperatureColumns.from_records(())
         )
 
     def test_loaded_dataset_equals_record_dataset(self, tmp_path):
-        """Loading builds what SystemDataset builds from the records."""
+        """Loading builds what ``SystemDataset.from_records`` builds from
+        the records."""
         root = write_archive(
             tmp_path / "arch",
             "\n".join(
@@ -419,7 +420,7 @@ class TestLoaderMatchesOracle:
         )
         ds = load_archive(root)[SYSTEM_ID]
         sysdir = root / f"system-{SYSTEM_ID}"
-        plain = SystemDataset(
+        plain = SystemDataset.from_records(
             system_id=ds.system_id,
             group=ds.group,
             num_nodes=ds.num_nodes,
@@ -431,10 +432,13 @@ class TestLoaderMatchesOracle:
             ),
         )
         for f in dataclasses.fields(SystemDataset):
-            assert getattr(ds, f.name) == getattr(plain, f.name), f.name
-        assert as_tuples(ds.jobs) == as_tuples(plain.jobs)
-        assert_columns_equal(ds.job_columns(), plain.job_columns())
-        assert_columns_equal(ds.temperature_columns(), plain.temperature_columns())
+            a, b = getattr(ds, f.name), getattr(plain, f.name)
+            if isinstance(b, (FailureTable, JobColumns, TemperatureColumns)):
+                assert_columns_equal(a, b)
+            else:
+                assert a == b, f.name
+        for log in ("failures", "jobs", "temperatures"):
+            assert as_tuples(getattr(ds, log)) == as_tuples(getattr(plain, log))
 
 
 # --- fault injection ------------------------------------------------------
@@ -706,14 +710,19 @@ def spelled_text(draw, header: list[str], rows: list[list[str]]) -> str:
 
 
 def check_records_against_oracle(path: Path) -> None:
-    """``read_failures`` raises what the oracle raises, or returns its
-    records, every field equal."""
+    """``read_failures`` raises what the oracle raises, or returns the
+    table of its sorted records, every column equal, and the same
+    records."""
+    check_against_oracle(
+        reference_read_failures, read_failures, FailureTable.from_records, path
+    )
     try:
         records = reference_read_failures(path, SYSTEM_ID)
     except ArchiveIOError:
-        assert_same_error(reference_read_failures, read_failures, path)
         return
-    assert as_tuples(read_failures(path, SYSTEM_ID)) == as_tuples(records)
+    assert as_tuples(read_failures(path, SYSTEM_ID).to_records(SYSTEM_ID)) == (
+        as_tuples(sorted(records))
+    )
 
 
 # --- fallback counter -----------------------------------------------------
@@ -791,7 +800,7 @@ class TestSpellingsMatchOracle:
         path = fresh_dir(tmp_path_factory) / "failures.csv"
         path.write_text(f"{','.join(FAILURES_HEADER)}\n{value!r},0,HW,,{value!r}\n")
         before = fallbacks(metrics)
-        [record] = read_failures(path, SYSTEM_ID)
+        [record] = read_failures(path, SYSTEM_ID).to_records(SYSTEM_ID)
         assert fallbacks(metrics) == before
         assert repr(record.time) == repr(record.downtime_hours) == repr(value)
         check_records_against_oracle(path)
@@ -824,7 +833,8 @@ class TestSpellingsMatchOracle:
         path = tmp_path / "failures.csv"
         rows = [",".join(FAILURES_HEADER), "2.5,1,HW,MEM,1.5", "", "1.0,3,SW,,0.0"]
         path.write_bytes((eol.join(rows) + eol).encode())
-        assert [f.node_id for f in read_failures(path, SYSTEM_ID)] == [1, 3]
+        # Rows come back in record order: by time.
+        assert read_failures(path, SYSTEM_ID).node_ids.tolist() == [3, 1]
         check_records_against_oracle(path)
 
 

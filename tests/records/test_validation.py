@@ -29,7 +29,7 @@ def fail(time, node=0):
 def system(
     failures, num_nodes=10, period_end=400.0, jobs=(), temperatures=(), maintenance=()
 ):
-    return SystemDataset(
+    return SystemDataset.from_records(
         system_id=1,
         group=HardwareGroup.GROUP1,
         num_nodes=num_nodes,

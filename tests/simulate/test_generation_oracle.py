@@ -1,7 +1,7 @@
 """The columnar generator against its old record-building path.
 
 ``make_archive`` builds every job and temperature log as columns and
-wraps them in a column-backed dataset.  The oracle
+builds each system's dataset from them.  The oracle
 (``reference_generation.py``) builds the records the generator used to
 build; sorted as a :class:`~repro.records.dataset.SystemDataset` sorts
 them, their columns must equal the generator's bit for bit, dtype
@@ -59,14 +59,14 @@ class TestOracle:
         usage = generate_usage(
             spec, CONFIG, RngStreams(CONFIG.seed).get(f"system-{sid}/usage")
         )
-        cols = archive[sid].job_columns()
+        cols = archive[sid].job_columns
         assert len(cols) == usage.n_jobs > 0
         records = reference_jobs(usage, sid, cols.failed_due_to_node)
         want = JobColumns.from_records(sorted(shuffled(records, sid)))
         assert_columns_equal(cols, want)
 
     def test_temperatures_match_sorted_records(self, archive):
-        cols = archive[20].temperature_columns()
+        cols = archive[20].temperature_columns
         assert len(cols) > 0
         order = np.random.default_rng(1).permutation(len(cols))
         records = reference_temperatures(
@@ -80,15 +80,15 @@ class TestOracle:
         empty_temps = TemperatureColumns.from_records(())
         for ds in archive:
             if ds.system_id not in (8, 20):
-                assert_columns_equal(ds.job_columns(), empty_jobs)
+                assert_columns_equal(ds.job_columns, empty_jobs)
             if ds.system_id != 20:
-                assert_columns_equal(ds.temperature_columns(), empty_temps)
+                assert_columns_equal(ds.temperature_columns, empty_temps)
 
     def test_materialised_records_round_trip(self, archive):
         ds = archive[20]
-        assert_columns_equal(ds.job_columns(), JobColumns.from_records(ds.jobs))
+        assert_columns_equal(ds.job_columns, JobColumns.from_records(ds.jobs))
         assert_columns_equal(
-            ds.temperature_columns(),
+            ds.temperature_columns,
             TemperatureColumns.from_records(ds.temperatures),
         )
 
@@ -106,7 +106,7 @@ def test_generate_store_and_save_build_no_log_records(monkeypatch, tmp_path):
     for loaded in (load_cached(config, tmp_path / "cache"), load_archive(tmp_path / "csv")):
         assert loaded[20].has_usage and loaded[20].has_temperature
     for ds in generated:
-        assert "_jobs" not in vars(ds) and "_temperatures" not in vars(ds)
+        assert "jobs" not in vars(ds) and "temperatures" not in vars(ds)
 
 
 def test_generator_raises_the_record_error_on_a_bad_sample(monkeypatch):

@@ -80,8 +80,8 @@ class TestCacheRoundTrip:
         assert _archive_state(cached) == _archive_state(make_archive(config))
 
     def test_warm_failure_and_maintenance_logs_equal_cold(self, config, tmp_path):
-        """Format 3 stores both logs as columns; decoding must give back
-        the same records: exact floats, the same enum members."""
+        """Both logs are stored as columns; decoding must give back the
+        same records: exact floats, the same enum members."""
         cold = cached_make_archive(config, directory=tmp_path)
         warm = load_cached(config, tmp_path)
         assert warm is not None
@@ -112,22 +112,6 @@ class TestCacheRoundTrip:
     def test_env_var_overrides_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
         assert cache_dir() == tmp_path / "custom"
-
-    def test_cached_systems_support_dataclass_replace(self, config, tmp_path):
-        """Lazy columnar systems must behave like plain SystemDatasets.
-
-        ``prediction.evaluation`` splits datasets with
-        ``dataclasses.replace``, which reconstructs through the frozen
-        dataclass ``__init__`` -- the lazy job/temperature properties
-        must accept that assignment path.
-        """
-        store_cached(config, make_archive(config), tmp_path)
-        cached = load_cached(config, tmp_path)
-        ds = cached[20]  # has usage + temperature logs
-        clone = dataclasses.replace(ds, jobs=ds.jobs[:5])
-        assert clone.jobs == ds.jobs[:5]
-        assert clone.temperatures == ds.temperatures
-        assert clone.failures == ds.failures
 
 
 class TestCacheInvalidation:
@@ -257,6 +241,40 @@ class TestCacheCorruptionTolerance:
             telemetry.reset_metrics()
         assert counters["archive_cache.abandoned{error=none,stage=stale}"] == 1
         assert not path.exists()
+        again = cached_make_archive(config, directory=tmp_path)
+        assert _archive_state(again) == _archive_state(archive)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # A format-3 entry: no code tables, failure codes of its own.
+            lambda payload: payload.update(format=3, failure_codes=None),
+            # Codes that index other tables than the running code's.
+            lambda payload: payload.update(
+                failure_codes=tuple(t[::-1] for t in payload["failure_codes"])
+            ),
+        ],
+        ids=["format-3", "other-codes"],
+    )
+    def test_entry_with_other_failure_codes_is_a_counted_stale_miss(
+        self, config, tmp_path, edit
+    ):
+        archive = self._prime(config, tmp_path)
+        path = cache_path(config, tmp_path)
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        edit(payload)
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+        telemetry.reset_metrics()
+        telemetry.set_metrics_enabled(True)
+        try:
+            assert load_cached(config, tmp_path) is None
+            counters = telemetry.metrics_snapshot()["counters"]
+        finally:
+            telemetry.set_metrics_enabled(False)
+            telemetry.reset_metrics()
+        assert counters["archive_cache.abandoned{error=none,stage=stale}"] == 1
         again = cached_make_archive(config, directory=tmp_path)
         assert _archive_state(again) == _archive_state(archive)
 

@@ -67,7 +67,7 @@ def systems(draw):
         )
         for _ in range(draw(st.integers(0, 5)))
     ]
-    return SystemDataset(
+    return SystemDataset.from_records(
         system_id=1,
         group=draw(st.sampled_from(list(HardwareGroup))),
         num_nodes=num_nodes,
