@@ -6,7 +6,7 @@ Two ways code breaks that contract, one rule each:
 
 * **TEL001** -- calling the *registry* mutators
   (``REGISTRY.counter_add`` / ``registry().observe`` ...) inside a
-  loop: the registry methods take the lock unconditionally, bypassing
+  loop: the registry methods record unconditionally, bypassing
   the ``_enabled`` fast path that the module-level wrappers
   (``telemetry.counter_add`` ...) provide.  Per-iteration cost then
   survives even with telemetry off.
@@ -26,7 +26,7 @@ from ..context import ModuleContext
 from ..findings import Finding, FindingCollector, Severity
 from ..registry import register
 
-#: Metric-mutating registry methods (unguarded; always lock).
+#: Metric-mutating registry methods (unguarded; always record).
 REGISTRY_MUTATORS = frozenset({"counter_add", "gauge_set", "observe"})
 
 #: Module-level telemetry calls that flip global state or record data;
@@ -91,7 +91,7 @@ def check_registry_mutator_in_loop(ctx: ModuleContext) -> Iterator[Finding]:
                     node,
                     f"registry.{node.func.attr}() inside a loop bypasses "
                     "the telemetry no-op fast path (the registry always "
-                    "locks); use the guarded module-level "
+                    "records); use the guarded module-level "
                     f"telemetry.{node.func.attr}() wrapper, hoisted out "
                     "of the loop where possible",
                 )

@@ -40,7 +40,7 @@ from .taxonomy import (
     category_of,
 )
 from .timeutil import ObservationPeriod
-from .usage import JobColumns, JobRecord, record_order
+from .usage import JobColumns, JobRecord, checked_in_record_order, record_order
 
 
 class DatasetError(ValueError):
@@ -360,9 +360,9 @@ class SystemDataset:
 
     def __post_init__(self) -> None:
         for name in ("failure_table", "job_columns", "temperature_columns"):
-            log = getattr(self, name)
-            log.check()
-            object.__setattr__(self, name, log.in_record_order())
+            object.__setattr__(
+                self, name, checked_in_record_order(getattr(self, name))
+            )
         object.__setattr__(self, "maintenance", tuple(sorted(self.maintenance)))
         self._check_consistency()
 

@@ -74,7 +74,7 @@ class TemperatureReading:
         return self.celsius > HIGH_TEMP_THRESHOLD_C
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TemperatureColumns:
     """A temperature log as parallel numpy columns (one row per sample).
 

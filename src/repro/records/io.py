@@ -71,7 +71,7 @@ from .failure import FailureRecord, MaintenanceRecord, RecordError
 from .layout import LayoutError, MachineLayout, NodePlacement
 from .taxonomy import Subtype, TaxonomyError, parse_category, parse_subtype
 from .timeutil import ObservationPeriod, TimeError
-from .usage import JobColumns, JobRecord, UsageError
+from .usage import JobColumns, JobRecord, UsageError, checked_in_record_order
 from ..telemetry import counter_add, span
 
 
@@ -278,12 +278,22 @@ def _c_table(path: Path, header: list[str], dtype: list) -> np.ndarray | None:
     return _c_parse(text, dtype, ",", quotechar='"', skiprows=1)
 
 
-def _record_columns(path: Path, header: list[str], build, system_id: int, kind):
-    """A bulk table the C reader left, read by the per-row record reader:
-    its exact error, or ``kind.from_records`` of its records in file
-    order."""
+def _checked_columns(
+    columns, path: Path, header: list[str], build, system_id: int, kind
+):
+    """A bulk log's C-parsed ``columns``, checked once and in record
+    order; when the C reader left the table (``None``) or a row fails
+    the check, the per-row record reader's result instead: its exact,
+    located error, or ``kind.from_records`` of its records."""
+    if columns is not None:
+        try:
+            return checked_in_record_order(columns)
+        except (RecordError, UsageError, EnvironmentRecordError):
+            pass
     counter_add("records.load_fallback", 1, table=path.stem)
-    return kind.from_records(_read_records(path, header, build, system_id))
+    return checked_in_record_order(
+        kind.from_records(_read_records(path, header, build, system_id))
+    )
 
 
 #: The ``category`` / ``subtype`` token of each failure table code.
@@ -360,11 +370,9 @@ def read_failures(path: Path, system_id: int) -> FailureTable:
             )
         except TaxonomyError:
             pass
-    if failures is None or failures.invalid_rows().any():
-        failures = _record_columns(
-            path, _FAILURES_HEADER, _failure_record, system_id, FailureTable
-        )
-    return failures.in_record_order()
+    return _checked_columns(
+        failures, path, _FAILURES_HEADER, _failure_record, system_id, FailureTable
+    )
 
 
 def write_maintenance(path: Path, events: Sequence[MaintenanceRecord]) -> None:
@@ -518,11 +526,9 @@ def read_jobs(path: Path, system_id: int) -> JobColumns:
     """
     table = _c_table(path, _JOBS_HEADER, _JOBS_DTYPE)
     jobs = None if table is None else _job_columns(table)
-    if jobs is None or jobs.invalid_rows().any():
-        jobs = _record_columns(
-            path, _JOBS_HEADER, _job_record, system_id, JobColumns
-        )
-    return jobs.in_record_order()
+    return _checked_columns(
+        jobs, path, _JOBS_HEADER, _job_record, system_id, JobColumns
+    )
 
 
 def write_temperatures(path: Path, readings: Sequence[TemperatureReading]) -> None:
@@ -571,15 +577,14 @@ def read_temperatures(path: Path, system_id: int) -> TemperatureColumns:
             node_ids=table["node_id"].copy(),
             celsius=table["celsius"].copy(),
         )
-    if temps is None or temps.invalid_rows().any():
-        temps = _record_columns(
-            path,
-            _TEMPERATURES_HEADER,
-            _temperature_record,
-            system_id,
-            TemperatureColumns,
-        )
-    return temps.in_record_order()
+    return _checked_columns(
+        temps,
+        path,
+        _TEMPERATURES_HEADER,
+        _temperature_record,
+        system_id,
+        TemperatureColumns,
+    )
 
 
 def write_layout(path: Path, layout: MachineLayout) -> None:

@@ -119,6 +119,22 @@ def record_order(*keys: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def checked_in_record_order(log):
+    """A bulk log (failure table, job or temperature columns) after its
+    ``check()``, in record order -- once per log object.
+
+    The log returned is marked as checked, so handing it on (a reader's
+    result to :class:`~repro.records.dataset.SystemDataset`) returns it
+    as it is instead of checking and sorting its columns again.
+    """
+    if log.__dict__.get("_checked", False):
+        return log
+    log.check()
+    log = log.in_record_order()
+    object.__setattr__(log, "_checked", True)
+    return log
+
+
 def run_heads(sorted_keys: np.ndarray) -> np.ndarray:
     """Mask of the first entry of each run of equal sorted keys."""
     head = np.empty(sorted_keys.size, dtype=bool)
@@ -137,7 +153,7 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return ordered[run_heads(ordered)]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class JobColumns:
     """A job log as parallel numpy columns (one row per job).
 

@@ -17,6 +17,7 @@ scores the batch fit would.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,13 @@ from ..core.windows import Scope, concat_ranges
 from ..prediction.risk import SCOPE_CODES, RiskModel
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import Span
-from ..telemetry import counter_add, gauge_set, span as tel_span
+from ..telemetry import (
+    counter_add,
+    gauge_set,
+    metrics_enabled,
+    observe,
+    span as tel_span,
+)
 from .events import StreamEvent
 from .state import (
     BatchStats,
@@ -62,8 +69,9 @@ def risk_model_from_state(
 
     Mirrors :meth:`RiskModel.fit` cell for cell: the baseline is the
     pooled any-failure baseline at the horizon, and each (scope,
-    trigger category) probability is the pooled conditional estimate
-    when defined.
+    trigger category) probability is the pooled conditional point
+    estimate when defined (trials > 0).  Every conditional cell comes
+    from one :meth:`StreamAnalysisState.pooled_any_target` reduction.
     """
     if horizon not in state.config.spans:
         raise StreamAnalysisError(
@@ -75,21 +83,26 @@ def risk_model_from_state(
     any_rack = any(
         state.systems[sid].rack_of is not None for sid in state.systems
     )
-    baseline = state.pooled_baseline(None, horizon).estimate().value
+    base = state.pooled_baseline(None, horizon)
+    baseline = base.successes / base.trials if base.trials else 0.0
+    pooled = state.pooled_any_target(horizon).tolist()
+    position = {trigger: i for i, trigger in enumerate(state.config.selections)}
     conditional: dict[tuple[Scope, Category], float] = {}
     for scope in (Scope.NODE, Scope.RACK, Scope.SYSTEM):
         if scope is Scope.RACK and not any_rack:
             continue
+        cells = pooled[_POOLED_ROWS.index(scope)]
         for category in all_categories():
-            if category not in state.config.selections:
+            if category not in position:
                 continue
-            if scope is not Scope.NODE and None not in state.config.wide_targets:
-                continue  # pragma: no cover - default config always tracks ANY
-            counts = state.pooled_conditional(scope, category, None, horizon)
-            estimate = counts.estimate()
-            if estimate.defined:
-                conditional[(scope, category)] = estimate.value
+            successes, trials = cells[position[category]]
+            if trials > 0:
+                conditional[(scope, category)] = successes / trials
     return RiskModel(horizon=horizon, baseline=baseline, conditional=conditional)
+
+
+#: Scope order of :meth:`StreamAnalysisState.pooled_any_target` rows.
+_POOLED_ROWS = (Scope.NODE, Scope.SYSTEM, Scope.RACK)
 
 
 #: Category code -> rank of the category's name (the history sort key).
@@ -223,7 +236,14 @@ class OnlineAnalysis:
         self.batches = 0
 
     def process_batch(self, events: list[StreamEvent]) -> BatchStats:
-        """Absorb one micro-batch and refresh the online analyses."""
+        """Absorb one micro-batch and refresh the online analyses.
+
+        With metrics on, the batch's wall time is one ``stream.batch_s``
+        histogram observation; with them off this costs one flag check.
+        """
+        timed = metrics_enabled()
+        if timed:
+            started = time.perf_counter()  # repro: noqa DET002 - latency metric
         with tel_span("stream.process_batch", events=len(events)):
             stats = self.state.ingest(events)
             self.totals.merge(stats)
@@ -246,6 +266,11 @@ class OnlineAnalysis:
                 self.alerts.extend(fired)
             if self.checkpointer is not None:
                 self.checkpointer.maybe(self.state, stats.accepted)
+        if timed:
+            observe(
+                "stream.batch_s",
+                time.perf_counter() - started,  # repro: noqa DET002
+            )
         return stats
 
     def finalize(self) -> None:

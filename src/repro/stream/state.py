@@ -31,8 +31,9 @@ events stream in, with three guarantees:
   late).  Checkpoints contain no wall-clock timestamps, so rewriting
   the same state yields byte-identical payloads; a checkpoint holding
   state no stream could produce (unsorted or out-of-period stores, node
-  ids or baseline keys out of range, a pointer past its store,
-  successes above trials) is refused at load time.
+  ids or baseline keys out of range, a pointer past its store or off
+  the count of windows final at its watermark, successes above trials)
+  is refused at load time.
 
 Every system's stores and counters live in columns shared by all
 systems (:class:`StreamAnalysisState`), so one micro-batch costs a
@@ -57,7 +58,7 @@ from ..core.windows import Counts, Scope, ScopeHits, concat_ranges, segment_hits
 from ..records.dataset import Archive
 from ..records.taxonomy import Category, all_categories
 from ..records.timeutil import ALL_SPANS, ObservationPeriod, Span, count_windows
-from ..records.usage import sorted_distinct
+from ..records.usage import run_heads, sorted_distinct
 from ..telemetry import counter_add, gauge_set, span as tel_span
 from .events import KIND_FAILURE, StreamEvent, WatermarkClock
 
@@ -753,6 +754,11 @@ class StreamAnalysisState:
         predicate over the unresolved tail.  All newly final triggers
         then resolve in one :func:`segment_hits` gather against every
         store of their own system.
+
+        A trigger's hits depend only on its system, time, node and span,
+        so the copies of one (system, time, node) -- an event's ANY and
+        category entries, or repeated events -- share one gather over
+        their longest alive span; censoring stays per copy.
         """
         n_codes, n_spans = len(self._codes), self._span_days.size
         index = np.array([system.index for system in systems], dtype=np.int64)
@@ -786,78 +792,112 @@ class StreamAnalysisState:
         # Censoring: the batch kernel's elementwise ``t + days <= end``.
         alive &= trig_t + self._span_days[:, None] <= self._end[system]
         keep = alive.any(axis=0)
-        alive, block, system, trig_t = alive[:, keep], block[keep], system[keep], trig_t[keep]
+        alive, block, trig_t = alive[:, keep], block[keep], trig_t[keep]
         trig_n = self._nodes[trig[keep]]
-        longest = np.where(alive, self._span_days[:, None], -np.inf).max(axis=0)
-        # Pairs: each trigger against every store of its system.
+        # One gather per distinct (time, node): node ids are offset per
+        # system, so the pair also names the system.
+        order = np.lexsort((trig_n, trig_t))
+        head = run_heads(trig_t[order]) | run_heads(trig_n[order])
+        starts = np.flatnonzero(head)
+        distinct = np.empty(order.size, dtype=np.int64)
+        distinct[order] = np.cumsum(head) - 1
+        # Each distinct trigger's longest span alive in any of its copies.
+        widest = np.where(
+            np.logical_or.reduceat(alive[:, order], starts, axis=1),
+            self._span_days[:, None],
+            -np.inf,
+        ).argmax(axis=0)
+        rep = order[starts]
+        gather_t, gather_n = trig_t[rep], trig_n[rep]
+        # Pairs: each distinct trigger against every store of its system,
+        # as rows of ``done``.  A store's entries before its old pointer
+        # at the trigger's longest span were final at the last watermark
+        # and the trigger was not, so they lie before ``t``: both
+        # searches start at that pointer.
+        slot = np.empty(len(self._order), dtype=np.int64)
+        slot[index] = np.arange(index.size)
         target = np.arange(n_codes)
-        pair_block = (system[:, None] * n_codes + target).ravel()
-        pair_t = np.repeat(trig_t, n_codes)
-        lo = self._bounds[pair_block]
-        hi = self._bounds[pair_block + 1]
+        row = (slot[block[rep] // n_codes][:, None] * n_codes + target).ravel()
+        lo = done[row, np.repeat(widest, n_codes)]
+        hi = self._bounds[blocks[row] + 1]
+        pair_t = np.repeat(gather_t, n_codes)
         # Each pair's segment (t, t + longest alive span] in its store.
         located = _bisect_right(
             self._times,
             np.concatenate((lo, lo)),
             np.concatenate((hi, hi)),
-            np.concatenate((pair_t, pair_t + np.repeat(longest, n_codes))),
+            np.concatenate(
+                (pair_t, pair_t + np.repeat(self._span_days[widest], n_codes))
+            ),
         )
-        wide_slot = np.tile(self._wide_slot, trig_t.size)
         hits = segment_hits(
             located[: lo.size],
             located[lo.size :],
             pair_t,
-            np.repeat(trig_n, n_codes),
+            np.repeat(gather_n, n_codes),
             self._times,
             self._nodes,
             self._span_days,
             int(self._node_base[-1]),
             self._rack,
-            wide_slot >= 0,
+            np.tile(self._wide_slot >= 0, gather_t.size),
         )
-        self._fold(hits, alive, block, trig_n, wide_slot)
+        self._fold(hits, distinct, alive, block, trig_n)
 
     def _fold(
         self,
         hits: ScopeHits,
+        distinct: np.ndarray,
         alive: np.ndarray,
         block: np.ndarray,
         trig_n: np.ndarray,
-        wide_slot: np.ndarray,
     ) -> None:
-        """Add resolved pair hits to the (successes, trials) counters.
+        """Add resolved hits to the (successes, trials) counters.
 
-        Pair ``p`` is trigger ``p // n_codes`` against its system's store
-        ``p % n_codes``.  A system without a layout adds nothing at RACK
+        Hit pair ``p`` is distinct trigger ``p // n_codes`` against its
+        system's store ``p % n_codes``; trigger copy ``i`` in ``block[i]``
+        reads the pairs of distinct trigger ``distinct[i]`` at the spans
+        ``alive[:, i]``.  Every counter adds one ``np.bincount`` over the
+        flat cell index.  A system without a layout adds nothing at RACK
         scope: each of its nodes is its own rack, with no rack peers to
         hit or to count as trials.
         """
         n_codes, n_spans = len(self._codes), self._span_days.size
-        trig = np.repeat(np.arange(block.size), n_codes)
-        live = alive[:, trig]
         span = np.arange(n_spans)[:, None]
-        block = block[trig]
         # NODE cell [system, trigger, target, span]; the block numbers
         # (system, trigger) pairs.
-        cells = ((block * n_codes + np.tile(np.arange(n_codes), trig.size // n_codes))
-                 * n_spans + span)[live]
+        target = np.arange(n_codes)
+        live = np.repeat(alive, n_codes, axis=1)
+        cells = ((block[:, None] * n_codes + target).ravel() * n_spans + span)[live]
+        own = hits.own[:, (distinct[:, None] * n_codes + target).ravel()][live]
         node = self._node_cells.reshape(-1, 2)
-        np.add.at(node[:, 0], cells, hits.own[live])
-        np.add.at(node[:, 1], cells, 1)
-        # Wide cell [system, scope, trigger, wide target, span].
-        live &= wide_slot >= 0
+        node[:, 0] += np.bincount(cells[own], minlength=node.shape[0])
+        node[:, 1] += np.bincount(cells, minlength=node.shape[0])
+        # Wide cell [system, scope, trigger, wide target, span], for the
+        # targets with a wide slot; the RACK row follows the SYSTEM row.
+        target = np.flatnonzero(self._wide_slot >= 0)
+        n_wide = len(self._wide_codes)
+        live = np.repeat(alive, target.size, axis=1)
         system = block // n_codes
+        cells = (
+            ((system * len(_WIDE_SCOPES) * n_codes + block % n_codes)[:, None]
+             * n_wide + self._wide_slot[target]).ravel() * n_spans + span
+        )[live]
+        cells = np.concatenate((cells, cells + n_codes * n_wide * n_spans))
+        pair = (distinct[:, None] * n_codes + target).ravel()
+        successes = np.concatenate(
+            (hits.system[:, pair][live], hits.rack[:, pair][live])
+        )
+        trials = np.concatenate([
+            np.broadcast_to(np.repeat(row, target.size), live.shape)[live]
+            for row in (np.diff(self._node_base)[system] - 1, self._peers[trig_n])
+        ])
         wide = self._wide_cells.reshape(-1, 2)
-        for row, successes, trials in (
-            (0, hits.system, np.diff(self._node_base)[system] - 1),
-            (1, hits.rack, self._peers[trig_n][trig]),
-        ):
-            cells = (
-                (((system * len(_WIDE_SCOPES) + row) * n_codes + block % n_codes)
-                 * len(self._wide_codes) + wide_slot) * n_spans + span
-            )[live]
-            np.add.at(wide[:, 0], cells, successes[live])
-            np.add.at(wide[:, 1], cells, np.broadcast_to(trials, live.shape)[live])
+        for column, weights in ((0, successes), (1, trials)):
+            # Integer weights below 2**53 sum exactly in float64.
+            wide[:, column] += np.bincount(
+                cells, weights, minlength=wide.shape[0]
+            ).astype(np.int64)
 
     def _gauge_pending(self) -> None:
         """``stream.pending_triggers``: per span, stored triggers not yet
@@ -885,32 +925,34 @@ class StreamAnalysisState:
     # ------------------------------------------------------------------
     # pooled reads
 
-    def pooled_conditional(
-        self,
-        scope: Scope,
-        trigger: Category | None,
-        target: Category | None,
-        span: Span,
-    ) -> Counts:
-        """Conditional counts of one cell summed over every system
-        (streaming counterpart of
+    def pooled_any_target(self, span: Span) -> np.ndarray:
+        """``(successes, trials)`` of every trigger selection against any
+        target at one span, summed over every system in one reduction.
+
+        Indexed ``[scope, trigger selection, 2]`` with scopes in
+        (NODE, SYSTEM, RACK) order; row ``[s, i]`` is the sum over
+        systems of :meth:`SystemStreamState.counts` of that scope and
+        trigger with target ``None`` (streaming counterpart of
         :func:`repro.core.correlations.pooled_conditional`; systems
         without a layout hold no RACK counts, as the batch helper skips
-        them)."""
-        cell = self._cell(
-            scope, selection_code(trigger), selection_code(target), span.value
-        )
-        if cell is None:
+        them).  The SYSTEM and RACK rows hold no trials when ``None`` is
+        not a wide target.
+        """
+        k = self._span_index.get(span.value)
+        if self._any is None or k is None:
             raise StreamStateError(
-                f"cell {scope}/{trigger}/{target}/{span} is not tracked by "
-                "this configuration"
+                f"any-target cells at {span} are not tracked by this "
+                "configuration"
             )
-        if scope is Scope.NODE:
-            cells = self._node_cells
-        else:
-            cells = self._wide_cells[:, _WIDE_SCOPES.index(scope)]
-        successes, trials = cells[(slice(None), *cell)].sum(axis=0).tolist()
-        return Counts(successes, trials)
+        wide_any = self._wide_index.get(ANY_CODE)
+        wide = (
+            self._wide_cells[:, :, :, wide_any, k]
+            if wide_any is not None
+            else np.zeros((*self._wide_cells.shape[:3], 2), dtype=np.int64)
+        )
+        return np.concatenate(
+            (self._node_cells[:, None, :, self._any, k], wide), axis=1
+        ).sum(axis=0)
 
     def pooled_baseline(self, target: Category | None, span: Span) -> Counts:
         """Baseline counts of one (target, span) summed over every system."""
@@ -1054,6 +1096,8 @@ class StreamAnalysisState:
                     cell = self._base_cell(system.index, code, span.value)
                     keys.append(k + self._base_bounds[cell])
             first = system.index * len(self._codes)
+            stored = times[-len(self._codes) :]
+            watermark = system.clock.watermark
             for name, sv, done in meta["resolved"]:
                 tc = self._code_index.get(_name_code(name))
                 k = self._span_index.get(sv)
@@ -1067,6 +1111,17 @@ class StreamAnalysisState:
                     raise StreamStateError(
                         f"checkpoint resolution pointer {name}/{sv}={done} "
                         f"lies outside its store of {sizes[tc]} events"
+                    )
+                # Every ingest ends by resolving up to the watermark, so a
+                # pointer counts exactly the store's final windows.
+                final = np.count_nonzero(
+                    stored[tc] + self._span_days[k] < watermark
+                )
+                if done != final:
+                    raise StreamStateError(
+                        f"checkpoint resolution pointer {name}/{sv}={done} "
+                        f"does not match the {final} windows final at its "
+                        "watermark"
                     )
                 self._resolved[first + tc, k] = done
             for scope_name, tc_name, gc_name, sv, successes, trials in meta["cond"]:

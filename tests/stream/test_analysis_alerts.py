@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
+
+from repro import telemetry
 
 from repro.prediction.risk import RiskModel
 from repro.records.taxonomy import Category
@@ -20,6 +24,7 @@ from repro.stream import (
     replay_archive,
     risk_model_from_state,
 )
+from repro.stream import analysis as stream_analysis
 
 
 class TestRiskModelFromState:
@@ -216,3 +221,29 @@ class TestNodeRisks:
         model = consumer.risk_model()
         system_id = sorted(consumer.state.systems)[0]
         assert node_risks(consumer.state, model, [system_id]) == {system_id: []}
+
+
+class TestBatchLatency:
+    def test_metrics_on_observes_each_batch(self):
+        consumer = _fresh_consumer(AlertEngine.default())
+        telemetry.reset_metrics()
+        previous = telemetry.set_metrics_enabled(True)
+        try:
+            consumer.process_batch(_burst_events(4))
+            consumer.process_batch(_burst_events(4, t0=20.0))
+            summary = telemetry.metrics_snapshot()["histograms"]["stream.batch_s"]
+        finally:
+            telemetry.set_metrics_enabled(previous)
+            telemetry.reset_metrics()
+        assert summary["count"] == 2
+        assert summary["min"] > 0
+
+    def test_metrics_off_reads_no_clock(self):
+        consumer = _fresh_consumer(AlertEngine.default())
+        with telemetry.disabled(), mock.patch.object(
+            stream_analysis.time, "perf_counter", side_effect=AssertionError
+        ):
+            consumer.process_batch(_burst_events(4))
+        assert "stream.batch_s" not in telemetry.metrics_snapshot().get(
+            "histograms", {}
+        )

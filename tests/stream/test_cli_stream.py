@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import telemetry
 from repro.cli import main
 from repro.records.io import save_archive
 from repro.stream import archive_source
@@ -112,6 +113,30 @@ class TestStreamCli:
         snapshot = json.loads(metrics.read_text())
         counters = snapshot.get("counters", {})
         assert any(name.startswith("stream.") for name in counters)
+
+    def test_trace_prints_batch_latency_histogram(
+        self, archive_dir, tmp_path, capsys
+    ):
+        metrics = tmp_path / "metrics.json"
+        # The registry is process-global: start from an empty one.
+        telemetry.reset_metrics()
+        code = main(
+            [
+                "stream",
+                "--archive", str(archive_dir),
+                "--batch-size", "16",
+                "--trace",
+                "--metrics-out", str(metrics),
+                "--risk-top", "0",
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 0
+        batches = int(out.split(" batches")[0].rsplit(" ", 1)[1])
+        assert f"stream.batch_s: n={batches} mean=" in err
+        summary = json.loads(metrics.read_text())["histograms"]["stream.batch_s"]
+        assert summary["count"] == batches
+        assert 0 < summary["min"] <= summary["mean"] <= summary["max"]
 
     def test_alerts_flag_prints_alerts(self, archive_dir, capsys):
         code = main(

@@ -392,6 +392,15 @@ class TestCheckpointFiles:
 
         self._rejects(written, "outside its store", edit_meta=edit)
 
+    def test_pointer_off_its_watermark_rejected(self, written):
+        def edit(system):
+            # high 30 and lateness 5: the any store's day windows after
+            # 1.0 and 2.0 are final, so its day pointer is 2.
+            assert system["resolved"][0][1:] == ["day", 2]
+            system["resolved"][0][2] = 1
+
+        self._rejects(written, "final at its watermark", edit_meta=edit)
+
     def test_successes_above_trials_rejected(self, written):
         def edit(system):
             cell = system["cond"][0]
