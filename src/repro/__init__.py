@@ -6,7 +6,7 @@ library:
 
 * :mod:`repro.records` -- the LANL-style data model and CSV archive I/O;
 * :mod:`repro.stats` -- the statistics substrate (proportion tests,
-  chi-square, correlation, Poisson/NB GLMs, ANOVA, bootstrap);
+  chi-square, correlation, Poisson/NB GLMs, ANOVA);
 * :mod:`repro.simulate` -- a synthetic LANL-like archive generator with
   every paper effect injected as a documented parameter;
 * :mod:`repro.core` -- the paper's analyses, one module per section;

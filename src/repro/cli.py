@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the repro static-analysis rules (DET/CACHE/TEL/CONC)",
+        help="run the repro static-analysis rules (DET/CACHE/TEL)",
     )
     from .lint.cli import add_lint_arguments
 
@@ -218,11 +218,17 @@ def _finish_telemetry(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    metrics_were_on = telemetry.metrics_enabled()
     _setup_telemetry(args)
+    if telemetry.metrics_enabled() and not metrics_were_on:
+        # The registry is process-global: a run that turns metrics on
+        # records from an empty one, not on top of an earlier run's.
+        telemetry.reset_metrics()
     try:
         return _dispatch(args)
     finally:
         _finish_telemetry(args)
+        telemetry.set_metrics_enabled(metrics_were_on)
 
 
 def _dispatch(args: argparse.Namespace) -> int:

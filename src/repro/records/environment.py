@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,9 +78,8 @@ class TemperatureReading:
 class TemperatureColumns:
     """A temperature log as parallel numpy columns (one row per sample).
 
-    The columnar twin of a ``list[TemperatureReading]`` for
-    :func:`summarize_temperatures`; row order matches the record list's
-    iteration order so both paths aggregate identical value sequences.
+    The columnar twin of a ``list[TemperatureReading]``, and the form
+    :func:`summarize_temperatures` takes.
     """
 
     times: np.ndarray
@@ -169,62 +168,18 @@ class NodeTemperatureSummary:
 
 
 def summarize_temperatures(
-    readings: Iterable[TemperatureReading] | TemperatureColumns,
-    num_nodes: int,
+    temps: TemperatureColumns, num_nodes: int
 ) -> list[NodeTemperatureSummary]:
     """Aggregate raw readings into per-node Table-I temperature variables.
 
-    Accepts record objects or a :class:`TemperatureColumns` (identical
-    result, computed without touching record objects).  Nodes with no
-    readings get NaN aggregates and zero counts; regression code drops
-    or imputes them explicitly rather than silently.
+    Each node's samples are aggregated in log order (a stable sort by
+    node).  Nodes with no readings get NaN aggregates and zero counts;
+    regression code drops or imputes them explicitly rather than
+    silently.
     """
     if num_nodes < 1:
         raise EnvironmentRecordError(f"num_nodes must be >= 1, got {num_nodes}")
-    if isinstance(readings, TemperatureColumns):
-        return _summaries_from_columns(readings, num_nodes)
-    samples: list[list[float]] = [[] for _ in range(num_nodes)]
-    for r in readings:
-        if r.node_id >= num_nodes:
-            raise EnvironmentRecordError(
-                f"reading references node {r.node_id} but the system has "
-                f"only {num_nodes} nodes"
-            )
-        samples[r.node_id].append(r.celsius)
-    out = []
-    for node in range(num_nodes):
-        vals = np.asarray(samples[node], dtype=float)
-        if vals.size == 0:
-            out.append(
-                NodeTemperatureSummary(
-                    node_id=node,
-                    avg_temp=float("nan"),
-                    max_temp=float("nan"),
-                    temp_var=float("nan"),
-                    num_hightemp=0,
-                    num_readings=0,
-                )
-            )
-            continue
-        out.append(
-            NodeTemperatureSummary(
-                node_id=node,
-                avg_temp=float(vals.mean()),
-                max_temp=float(vals.max()),
-                temp_var=float(vals.var()),
-                num_hightemp=int((vals > HIGH_TEMP_THRESHOLD_C).sum()),
-                num_readings=int(vals.size),
-            )
-        )
-    return out
-
-
-def _summaries_from_columns(
-    cols: TemperatureColumns, num_nodes: int
-) -> list[NodeTemperatureSummary]:
-    """Columnar :func:`summarize_temperatures`; bit-identical to the
-    record path (stable sort keeps each node's sample order)."""
-    nodes = cols.node_ids
+    nodes = temps.node_ids
     if nodes.size and int(nodes.max()) >= num_nodes:
         bad = int(nodes[np.argmax(nodes >= num_nodes)])
         raise EnvironmentRecordError(
@@ -232,7 +187,7 @@ def _summaries_from_columns(
             f"only {num_nodes} nodes"
         )
     order = np.argsort(nodes, kind="stable")
-    values = cols.celsius[order]
+    values = temps.celsius[order]
     bounds = np.searchsorted(nodes[order], np.arange(num_nodes + 1))
     out = []
     for node in range(num_nodes):
@@ -296,25 +251,15 @@ def neutron_columns(
     return times, counts
 
 
-def monthly_neutron_averages(
-    readings: Sequence[NeutronReading],
-    period: ObservationPeriod,
-) -> np.ndarray:
-    """Average counts-per-minute per tiled month of the observation period.
-
-    Months with no samples get NaN.  This is the x-axis of Figure 14.
-
-    Returns:
-        Array of length ``count_windows(period, MONTH)``.
-    """
-    return monthly_means(*neutron_columns(readings), period)
-
-
 def monthly_means(
     times: np.ndarray, values: np.ndarray, period: ObservationPeriod
 ) -> np.ndarray:
     """Mean of ``values`` per tiled month of ``period`` (NaN where a
-    month holds no sample), binned by ``times``."""
+    month holds no sample), binned by ``times``.
+
+    Over the neutron series' columns this is the monthly average
+    counts-per-minute, the x-axis of Figure 14.
+    """
     n_months = count_windows(period, Span.MONTH)
     if not times.size:
         return np.full(n_months, np.nan)

@@ -422,12 +422,7 @@ def _write_rows(path: Path, header: list[str], row: str, *columns) -> None:
         fh.writelines(map((row + "\r\n").format, *columns))
 
 
-def write_jobs(path: Path, jobs: Sequence[JobRecord]) -> None:
-    """Write a usage log to ``jobs.csv`` format."""
-    _write_job_columns(path, JobColumns.from_records(sorted(jobs)))
-
-
-def _write_job_columns(path: Path, jobs: JobColumns) -> None:
+def write_jobs(path: Path, jobs: JobColumns) -> None:
     """Write a job log, in record order, to ``jobs.csv`` format."""
     offsets = jobs.node_offsets.tolist()
     nodes = list(map(str, jobs.node_ids.tolist()))
@@ -522,7 +517,7 @@ def read_jobs(path: Path, system_id: int) -> JobColumns:
     """Read a ``jobs.csv`` file for one system, as columns in record order.
 
     Every check a :class:`JobRecord` runs is run on the columns, and a
-    rejected row raises the record path's error for it.
+    rejected row raises the per-row reader's error for it.
     """
     table = _c_table(path, _JOBS_HEADER, _JOBS_DTYPE)
     jobs = None if table is None else _job_columns(table)
@@ -531,14 +526,7 @@ def read_jobs(path: Path, system_id: int) -> JobColumns:
     )
 
 
-def write_temperatures(path: Path, readings: Sequence[TemperatureReading]) -> None:
-    """Write temperature readings to ``temperatures.csv`` format."""
-    _write_temperature_columns(
-        path, TemperatureColumns.from_records(sorted(readings))
-    )
-
-
-def _write_temperature_columns(path: Path, temps: TemperatureColumns) -> None:
+def write_temperatures(path: Path, temps: TemperatureColumns) -> None:
     """Write a temperature log, in record order, to ``temperatures.csv``."""
     _write_rows(
         path,
@@ -672,11 +660,9 @@ def _save_archive(archive: Archive, root: Path) -> None:
         write_failures(sysdir / "failures.csv", ds.failure_table)
         write_maintenance(sysdir / "maintenance.csv", ds.maintenance)
         if ds.has_usage:
-            _write_job_columns(sysdir / "jobs.csv", ds.job_columns)
+            write_jobs(sysdir / "jobs.csv", ds.job_columns)
         if ds.has_temperature:
-            _write_temperature_columns(
-                sysdir / "temperatures.csv", ds.temperature_columns
-            )
+            write_temperatures(sysdir / "temperatures.csv", ds.temperature_columns)
         if ds.layout is not None:
             write_layout(sysdir / "layout.csv", ds.layout)
 

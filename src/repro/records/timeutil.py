@@ -131,16 +131,6 @@ def window_index(times: np.ndarray, period: ObservationPeriod, span: Span) -> np
     return idx
 
 
-def month_index(times: np.ndarray, period: ObservationPeriod) -> np.ndarray:
-    """Convenience wrapper: tiled-month index of each timestamp (-1 if outside)."""
-    return window_index(times, period, Span.MONTH)
-
-
-def days_to_months(days: float) -> float:
-    """Convert a duration in days to months (30-day convention)."""
-    return days / DAYS_PER_MONTH
-
-
 def overlapping_window_starts(
     period: ObservationPeriod, span: Span, step: float
 ) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,10 +157,10 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
 class JobColumns:
     """A job log as parallel numpy columns (one row per job).
 
-    The columnar twin of a ``list[JobRecord]``: the usage summarizers
-    accept either, and the columnar form skips materializing hundreds of
-    thousands of record objects when the archive cache already stores
-    the log as arrays.  Node assignments are ragged, so they are kept in
+    The columnar twin of a ``list[JobRecord]``, and the form the usage
+    summarizers take: it skips materializing hundreds of thousands of
+    record objects when the archive cache already stores the log as
+    arrays.  Node assignments are ragged, so they are kept in
     CSR layout: job ``i`` ran on ``node_ids[node_offsets[i]:
     node_offsets[i + 1]]``.
 
@@ -320,27 +320,8 @@ class NodeUsage:
     busy_days: float
 
 
-def _merged_busy_time(intervals: list[tuple[float, float]]) -> float:
-    """Total length of the union of ``[start, end)`` intervals."""
-    if not intervals:
-        return 0.0
-    intervals.sort()
-    total = 0.0
-    cur_lo, cur_hi = intervals[0]
-    for lo, hi in intervals[1:]:
-        if lo > cur_hi:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    total += cur_hi - cur_lo
-    return total
-
-
 def node_usage_summaries(
-    jobs: Iterable[JobRecord] | JobColumns,
-    num_nodes: int,
-    period: ObservationPeriod,
+    jobs: JobColumns, num_nodes: int, period: ObservationPeriod
 ) -> list[NodeUsage]:
     """Compute per-node usage summaries for every node of a system.
 
@@ -350,8 +331,7 @@ def node_usage_summaries(
     observation period.
 
     Args:
-        jobs: the system's job log -- records, or a :class:`JobColumns`
-            (same result, computed without touching record objects).
+        jobs: the system's job log.
         num_nodes: total node count (nodes without jobs get zero usage).
         period: the system's observation period.
 
@@ -360,59 +340,24 @@ def node_usage_summaries(
     """
     if num_nodes < 1:
         raise UsageError(f"num_nodes must be >= 1, got {num_nodes}")
-    if isinstance(jobs, JobColumns):
-        return _node_usage_from_columns(jobs, num_nodes, period)
-    intervals: list[list[tuple[float, float]]] = [[] for _ in range(num_nodes)]
-    counts = np.zeros(num_nodes, dtype=np.int64)
-    for job in jobs:
-        lo = max(job.dispatch_time, period.start)
-        hi = min(job.end_time, period.end)
-        for node in job.node_ids:
-            if node >= num_nodes:
-                raise UsageError(
-                    f"job {job.job_id} references node {node} but the system "
-                    f"has only {num_nodes} nodes"
-                )
-            counts[node] += 1
-            if hi > lo:
-                intervals[node].append((lo, hi))
-    out = []
-    for node in range(num_nodes):
-        busy = _merged_busy_time(intervals[node])
-        out.append(
-            NodeUsage(
-                node_id=node,
-                num_jobs=int(counts[node]),
-                utilization=busy / period.length,
-                busy_days=busy,
-            )
-        )
-    return out
-
-
-def _node_usage_from_columns(
-    cols: JobColumns, num_nodes: int, period: ObservationPeriod
-) -> list[NodeUsage]:
-    """Columnar :func:`node_usage_summaries`; result matches the record
-    path bit-for-bit (same interval order, same float accumulation)."""
-    nodes = cols.node_ids
+    nodes = jobs.node_ids
     if nodes.size and int(nodes.max()) >= num_nodes:
         pos = int(np.argmax(nodes >= num_nodes))
-        job = int(np.searchsorted(cols.node_offsets, pos, side="right")) - 1
+        job = int(np.searchsorted(jobs.node_offsets, pos, side="right")) - 1
         raise UsageError(
-            f"job {int(cols.job_ids[job])} references node {int(nodes[pos])} "
+            f"job {int(jobs.job_ids[job])} references node {int(nodes[pos])} "
             f"but the system has only {num_nodes} nodes"
         )
     counts = np.bincount(nodes, minlength=num_nodes)
-    reps = np.diff(cols.node_offsets)
-    lo = np.repeat(np.maximum(cols.dispatch_times, period.start), reps)
-    hi = np.repeat(np.minimum(cols.end_times, period.end), reps)
+    reps = np.diff(jobs.node_offsets)
+    lo = np.repeat(np.maximum(jobs.dispatch_times, period.start), reps)
+    hi = np.repeat(np.minimum(jobs.end_times, period.end), reps)
     keep = hi > lo
     sel_nodes = nodes[keep]
     lo = lo[keep]
     hi = hi[keep]
-    # Sorting by (node, lo, hi) reproduces the per-node interval order of
-    # the record path's list.sort() on (lo, hi) tuples.
+    # Each node's intervals by start, then end: the merge below walks
+    # them in start order.
     order = np.lexsort((hi, lo, sel_nodes))
     sel_nodes = sel_nodes[order]
     lo = lo[order]
@@ -432,8 +377,8 @@ def _node_usage_from_columns(
         np.greater(l[1:], m[:-1], out=new_run[1:])
         run_starts = np.flatnonzero(new_run)
         run_ends = np.append(run_starts[1:], l.size) - 1
-        # Python-level sum over the run lengths keeps the sequential
-        # left-to-right float accumulation of the record path.
+        # A Python-level sum over the run lengths adds them one at a
+        # time, left to right, as a loop over the merged runs would.
         busy[node] = sum((m[run_ends] - l[run_starts]).tolist())
     return [
         NodeUsage(
@@ -470,43 +415,24 @@ class UserUsage:
         return self.node_failed_jobs / self.processor_days
 
 
-def user_usage_summaries(
-    jobs: Iterable[JobRecord] | JobColumns,
-) -> list[UserUsage]:
+def user_usage_summaries(jobs: JobColumns) -> list[UserUsage]:
     """Aggregate a job log into per-user usage summaries.
 
     Returns one :class:`UserUsage` per distinct user, sorted by decreasing
-    processor-days (the paper focuses on the 50 heaviest users).
+    processor-days (the paper focuses on the 50 heaviest users); users
+    tied in processor-days keep the order of their first jobs.  Each
+    user's processor-days add up in job order (``ufunc.at``).
     """
-    if isinstance(jobs, JobColumns):
-        return _user_usage_from_columns(jobs)
-    pd: dict[int, float] = {}
-    fails: dict[int, int] = {}
-    for job in jobs:
-        pd[job.user_id] = pd.get(job.user_id, 0.0) + job.processor_days
-        fails[job.user_id] = fails.get(job.user_id, 0) + int(job.failed_due_to_node)
-    summaries = [
-        UserUsage(user_id=u, processor_days=pd[u], node_failed_jobs=fails[u])
-        for u in pd
-    ]
-    summaries.sort(key=lambda s: s.processor_days, reverse=True)
-    return summaries
-
-
-def _user_usage_from_columns(cols: JobColumns) -> list[UserUsage]:
-    """Columnar :func:`user_usage_summaries`, bit-identical to the record
-    path: ``ufunc.at`` accumulates in job order like the dict loop, and
-    ties in processor-days keep first-appearance (insertion) order."""
-    users, inverse = np.unique(cols.user_ids, return_inverse=True)
+    users, inverse = np.unique(jobs.user_ids, return_inverse=True)
     if users.size == 0:
         return []
-    pdays = (cols.end_times - cols.dispatch_times) * cols.num_processors
+    pdays = (jobs.end_times - jobs.dispatch_times) * jobs.num_processors
     totals = np.zeros(users.size, dtype=float)
     np.add.at(totals, inverse, pdays)
     fails = np.zeros(users.size, dtype=np.int64)
-    np.add.at(fails, inverse, cols.failed_due_to_node.astype(np.int64))
-    first_seen = np.full(users.size, len(cols), dtype=np.int64)
-    np.minimum.at(first_seen, inverse, np.arange(len(cols), dtype=np.int64))
+    np.add.at(fails, inverse, jobs.failed_due_to_node.astype(np.int64))
+    first_seen = np.full(users.size, len(jobs), dtype=np.int64)
+    np.minimum.at(first_seen, inverse, np.arange(len(jobs), dtype=np.int64))
     order = np.lexsort((first_seen, -totals))
     return [
         UserUsage(
@@ -517,11 +443,3 @@ def _user_usage_from_columns(cols: JobColumns) -> list[UserUsage]:
         for u in order
     ]
 
-
-def heaviest_users(
-    jobs: Iterable[JobRecord] | JobColumns, k: int = 50
-) -> list[UserUsage]:
-    """The ``k`` heaviest users by processor-days (paper Section VI)."""
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    return user_usage_summaries(jobs)[:k]

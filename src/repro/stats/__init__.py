@@ -3,12 +3,11 @@
 Implements from scratch (on numpy/scipy special functions): Wilson and
 Wald binomial intervals, pooled two-sample z-tests, chi-square equal-rate
 and homogeneity tests, Pearson/Spearman correlation with t-tests,
-autocorrelation, Poisson and negative-binomial GLMs via IRLS,
-likelihood-ratio ANOVA, and percentile-bootstrap intervals.
+autocorrelation, Poisson and negative-binomial GLMs via IRLS, and
+likelihood-ratio ANOVA.
 """
 
 from .anova import AnovaError, AnovaResult, likelihood_ratio_test, saturated_vs_common_rate
-from .bootstrap import BootstrapCI, BootstrapError, bootstrap_ci, bootstrap_ratio_ci
 from .contingency import (
     ChiSquareResult,
     ContingencyError,
@@ -61,8 +60,6 @@ from .proportion import (
 __all__ = [
     "AnovaError",
     "AnovaResult",
-    "BootstrapCI",
-    "BootstrapError",
     "ChiSquareResult",
     "PermutationTestResult",
     "Coefficient",
@@ -82,8 +79,6 @@ __all__ = [
     "TwoSampleResult",
     "autocorrelation",
     "best_fit",
-    "bootstrap_ci",
-    "bootstrap_ratio_ci",
     "equal_rates_test",
     "fit_all",
     "fit_family",

@@ -1,13 +1,14 @@
 """The documented default seed for statistics that accept ``rng=None``.
 
-Bootstrap and permutation routines take an optional
-``numpy.random.Generator``.  Historically an omitted generator fell
-back to an *entropy-seeded* ``np.random.default_rng()``, which made
-"call it without an rng" the one non-reproducible code path in the
-toolkit (flagged by lint rule DET001).  Instead, the fallback is now
-derived from one documented constant, so repeated calls with the same
-inputs return the same intervals and p-values by default; callers that
-genuinely want independent randomizations pass their own generator.
+Randomized routines (the grouping permutation test, the stream's
+synthetic live feed) take an optional ``numpy.random.Generator``.
+Historically an omitted generator fell back to an *entropy-seeded*
+``np.random.default_rng()``, which made "call it without an rng" the
+one non-reproducible code path in the toolkit (flagged by lint rule
+DET001).  Instead, the fallback is now derived from one documented
+constant, so repeated calls with the same inputs return the same
+p-values by default; callers that genuinely want independent
+randomizations pass their own generator.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 #: Root seed of every ``rng=None`` fallback in :mod:`repro.stats`.
 #: The value is arbitrary but fixed (the paper's venue year); bumping
-#: it changes bootstrap/permutation draws everywhere at once, so treat
-#: it like a file-format version.
+#: it changes permutation draws everywhere at once, so treat it like a
+#: file-format version.
 DEFAULT_SEED: int = 2013
 
 

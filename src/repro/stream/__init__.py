@@ -46,7 +46,6 @@ from .replay import (
     EquivalenceReport,
     Pacer,
     ReplayResult,
-    replay_and_verify,
     replay_archive,
     verify_equivalence,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "load_checkpoint",
     "node_risks",
     "render_alerts",
-    "replay_and_verify",
     "replay_archive",
     "risk_model_from_state",
     "synthetic_source",

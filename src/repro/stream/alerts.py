@@ -69,7 +69,9 @@ class NodeRiskRule(AlertRule):
 
     Deduplicates per (system, node): the rule re-fires for a node only
     when its score first crosses the threshold after having dropped
-    below it, not on every batch while it stays elevated.
+    below it, not on every batch while it stays elevated.  Each system
+    keeps the set of nodes that were over the threshold at its last
+    evaluation; a node fires when it is over and was not in that set.
     """
 
     name = "node_risk"
@@ -80,42 +82,36 @@ class NodeRiskRule(AlertRule):
                 f"risk threshold must be in (0, 1), got {threshold}"
             )
         self.threshold = threshold
-        self._armed: dict[tuple[int, int], bool] = {}
+        self._over: dict[int, set[int]] = {}
 
     def evaluate(self, analysis, stats: BatchStats) -> list[Alert]:
         fired: list[Alert] = []
         for system_id in sorted(stats.touched):
-            risks = analysis.latest_risks.get(system_id, ())
-            system = analysis.state.systems[system_id]
-            now = system.clock.high
+            now = analysis.state.systems[system_id].clock.high
+            was_over = self._over.get(system_id, set())
             over = set()
-            for risk in risks:
-                key = (system_id, risk.node_id)
-                if risk.score >= self.threshold:
-                    over.add(key)
-                    if self._armed.get(key, True):
-                        self._armed[key] = False
-                        fired.append(
-                            Alert(
-                                rule=self.name,
-                                system_id=system_id,
-                                node_id=risk.node_id,
-                                stream_time=now,
-                                value=risk.score,
-                                threshold=self.threshold,
-                                message=(
-                                    f"node {risk.node_id} of system "
-                                    f"{system_id} at risk "
-                                    f"{risk.score:.3f} >= "
-                                    f"{self.threshold:.3f} "
-                                    f"({risk.recent_own} recent own "
-                                    "failures)"
-                                ),
-                            )
-                        )
-            for key in list(self._armed):
-                if key[0] == system_id and key not in over:
-                    self._armed[key] = True
+            for risk in analysis.latest_risks.get(system_id, ()):
+                if risk.score < self.threshold:
+                    continue
+                over.add(risk.node_id)
+                if risk.node_id in was_over:
+                    continue
+                fired.append(
+                    Alert(
+                        rule=self.name,
+                        system_id=system_id,
+                        node_id=risk.node_id,
+                        stream_time=now,
+                        value=risk.score,
+                        threshold=self.threshold,
+                        message=(
+                            f"node {risk.node_id} of system {system_id} at "
+                            f"risk {risk.score:.3f} >= {self.threshold:.3f} "
+                            f"({risk.recent_own} recent own failures)"
+                        ),
+                    )
+                )
+            self._over[system_id] = over
         return fired
 
 

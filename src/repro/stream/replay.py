@@ -29,7 +29,7 @@ from ..telemetry import span as tel_span
 from .analysis import OnlineAnalysis
 from .events import StreamEvent
 from .ingest import ClockedSource, IngestPipeline, archive_source
-from .state import BatchStats, StreamAnalysisConfig, StreamAnalysisState
+from .state import BatchStats, StreamAnalysisState
 
 
 class Pacer:
@@ -272,13 +272,3 @@ def verify_equivalence(
             mismatches.extend(system_mismatches)
     return EquivalenceReport(cells=cells, mismatches=mismatches)
 
-
-def replay_and_verify(
-    archive: Archive,
-    config: StreamAnalysisConfig | None = None,
-    batch_size: int = 256,
-) -> tuple[OnlineAnalysis, EquivalenceReport]:
-    """Convenience: replay a full archive, then verify equivalence."""
-    consumer = OnlineAnalysis(StreamAnalysisState(config))
-    replay_archive(archive, consumer, batch_size=batch_size)
-    return consumer, verify_equivalence(archive, consumer.state)

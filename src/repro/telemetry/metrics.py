@@ -2,9 +2,9 @@
 
 Pipeline components report coarse-grained measurements here --
 analysis-cache hit/miss totals, archive-cache warm/cold loads,
-events generated per hazard, bootstrap resample counts, window-kernel
-cell throughput -- and exporters turn the registry into a flat JSON
-snapshot (:func:`MetricsRegistry.snapshot`).
+events generated per hazard, window-kernel cell throughput -- and
+exporters turn the registry into a flat JSON snapshot
+(:func:`MetricsRegistry.snapshot`).
 
 Like tracing, recording is off by default and every mutator starts with
 a single module-global check, so instrumented call sites are free when
@@ -15,7 +15,7 @@ snapshots.
 
 The registry takes no lock: nothing in the package records from a
 second thread.  Call sites are deliberately coarse (per batched-grid
-call, per cache load, per bootstrap run -- never per event).
+call, per cache load, per stream micro-batch -- never per event).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from repro.core.temperature import (
     thermal_component_impact,
 )
 from repro.records.dataset import Archive
-from repro.records.environment import monthly_means, monthly_neutron_averages
+from repro.records.environment import monthly_means, neutron_columns
 from repro.records.taxonomy import EnvironmentSubtype, HardwareSubtype
 from repro.records.timeutil import Span
 
@@ -104,7 +104,7 @@ class TestCosmic:
         period = medium_archive[18].period
         assert np.array_equal(
             monthly_means(times, counts, period),
-            monthly_neutron_averages(medium_archive.neutron_series, period),
+            monthly_means(*neutron_columns(medium_archive.neutron_series), period),
             equal_nan=True,
         )
 

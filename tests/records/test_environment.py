@@ -8,7 +8,8 @@ from repro.records.environment import (
     NeutronReading,
     TemperatureColumns,
     TemperatureReading,
-    monthly_neutron_averages,
+    monthly_means,
+    neutron_columns,
     summarize_temperatures,
 )
 from repro.records.timeutil import ObservationPeriod
@@ -16,6 +17,14 @@ from repro.records.timeutil import ObservationPeriod
 
 def reading(time=0.0, node=0, c=25.0):
     return TemperatureReading(time=time, system_id=20, node_id=node, celsius=c)
+
+
+def cols(readings):
+    return TemperatureColumns.from_records(readings)
+
+
+def monthly(readings, period):
+    return monthly_means(*neutron_columns(readings), period)
 
 
 class TestTemperatureReading:
@@ -73,7 +82,7 @@ class TestSummaries:
             reading(time=1.0, node=0, c=30.0),
             reading(time=2.0, node=0, c=45.0),
         ]
-        out = summarize_temperatures(readings, 2)
+        out = summarize_temperatures(cols(readings), 2)
         s = out[0]
         assert s.avg_temp == pytest.approx(95.0 / 3)
         assert s.max_temp == 45.0
@@ -82,13 +91,13 @@ class TestSummaries:
         assert s.temp_var == pytest.approx(np.var([20.0, 30.0, 45.0]))
 
     def test_unsampled_node_is_nan(self):
-        out = summarize_temperatures([reading(node=0)], 2)
+        out = summarize_temperatures(cols([reading(node=0)]), 2)
         assert out[1].num_readings == 0
         assert np.isnan(out[1].avg_temp)
 
     def test_rejects_out_of_range_node(self):
         with pytest.raises(EnvironmentRecordError):
-            summarize_temperatures([reading(node=5)], 2)
+            summarize_temperatures(cols([reading(node=5)]), 2)
 
 
 class TestNeutronReading:
@@ -119,19 +128,19 @@ class TestMonthlyAverages:
             NeutronReading(time=t, counts_per_minute=c)
             for t, c in [(0.0, 100.0), (10.0, 200.0), (40.0, 300.0)]
         ]
-        means = monthly_neutron_averages(readings, self.PERIOD)
+        means = monthly(readings, self.PERIOD)
         assert means.shape == (3,)
         assert means[0] == pytest.approx(150.0)
         assert means[1] == pytest.approx(300.0)
         assert np.isnan(means[2])
 
     def test_empty(self):
-        means = monthly_neutron_averages([], self.PERIOD)
+        means = monthly([], self.PERIOD)
         assert np.isnan(means).all()
 
     def test_trailing_partial_month_ignored(self):
         period = ObservationPeriod(0.0, 95.0)
         readings = [NeutronReading(time=92.0, counts_per_minute=1.0)]
-        means = monthly_neutron_averages(readings, period)
+        means = monthly(readings, period)
         assert means.shape == (3,)
         assert np.isnan(means).all()

@@ -351,8 +351,11 @@ class TestLoaderMatchesOracle:
         root = fresh_dir(tmp_path_factory)
         write_archive(root, "", "")
         sysdir = root / f"system-{SYSTEM_ID}"
-        write_jobs(sysdir / "jobs.csv", job_records)
-        write_temperatures(sysdir / "temperatures.csv", temp_records)
+        write_jobs(sysdir / "jobs.csv", JobColumns.from_records(sorted(job_records)))
+        write_temperatures(
+            sysdir / "temperatures.csv",
+            TemperatureColumns.from_records(sorted(temp_records)),
+        )
 
         ds = load_archive(root)[SYSTEM_ID]
         assert as_tuples(ds.jobs) == as_tuples(sorted(job_records))

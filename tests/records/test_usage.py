@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.users import user_failure_rates
 from repro.records.timeutil import ObservationPeriod
 from repro.records.usage import (
     JobColumns,
     JobRecord,
     UsageError,
-    heaviest_users,
     node_usage_summaries,
     sorted_distinct,
     user_usage_summaries,
@@ -40,6 +40,10 @@ def job(
         node_ids=tuple(nodes),
         failed_due_to_node=failed,
     )
+
+
+def cols(jobs):
+    return JobColumns.from_records(jobs)
 
 
 class TestJobRecord:
@@ -113,13 +117,13 @@ class TestNodeUsage:
     PERIOD = ObservationPeriod(0.0, 10.0)
 
     def test_empty_log(self):
-        out = node_usage_summaries([], 3, self.PERIOD)
+        out = node_usage_summaries(cols([]), 3, self.PERIOD)
         assert len(out) == 3
         assert all(u.num_jobs == 0 and u.utilization == 0.0 for u in out)
 
     def test_single_job(self):
         out = node_usage_summaries(
-            [job(dispatch=0.0, end=5.0, nodes=(1,))], 3, self.PERIOD
+            cols([job(dispatch=0.0, end=5.0, nodes=(1,))]), 3, self.PERIOD
         )
         assert out[1].num_jobs == 1
         assert out[1].utilization == pytest.approx(0.5)
@@ -130,13 +134,13 @@ class TestNodeUsage:
             job(job_id=0, submit=0.0, dispatch=0.0, end=4.0, nodes=(0,)),
             job(job_id=1, submit=2.0, dispatch=2.0, end=6.0, nodes=(0,)),
         ]
-        out = node_usage_summaries(jobs, 1, self.PERIOD)
+        out = node_usage_summaries(cols(jobs), 1, self.PERIOD)
         assert out[0].num_jobs == 2
         assert out[0].utilization == pytest.approx(0.6)  # union [0, 6)
 
     def test_multi_node_job_counts_on_each(self):
         out = node_usage_summaries(
-            [job(dispatch=0.0, end=2.0, nodes=(0, 2))], 3, self.PERIOD
+            cols([job(dispatch=0.0, end=2.0, nodes=(0, 2))]), 3, self.PERIOD
         )
         assert out[0].num_jobs == 1
         assert out[2].num_jobs == 1
@@ -144,13 +148,13 @@ class TestNodeUsage:
 
     def test_clips_to_period(self):
         out = node_usage_summaries(
-            [job(submit=8.0, dispatch=8.0, end=20.0)], 1, self.PERIOD
+            cols([job(submit=8.0, dispatch=8.0, end=20.0)]), 1, self.PERIOD
         )
         assert out[0].utilization == pytest.approx(0.2)
 
     def test_rejects_out_of_range_node(self):
         with pytest.raises(UsageError):
-            node_usage_summaries([job(nodes=(5,))], 3, self.PERIOD)
+            node_usage_summaries(cols([job(nodes=(5,))]), 3, self.PERIOD)
 
     @given(
         st.lists(
@@ -167,7 +171,7 @@ class TestNodeUsage:
             job(job_id=i, submit=d, dispatch=d, end=d + dur, nodes=(n,))
             for i, (d, dur, n) in enumerate(specs)
         ]
-        out = node_usage_summaries(jobs, 3, self.PERIOD)
+        out = node_usage_summaries(cols(jobs), 3, self.PERIOD)
         for u in out:
             assert 0.0 <= u.utilization <= 1.0
             assert u.busy_days <= self.PERIOD.length + 1e-9
@@ -180,7 +184,7 @@ class TestUserUsage:
             job(job_id=1, user=1, dispatch=0.0, end=1.0, procs=4),
             job(job_id=2, user=2, dispatch=0.0, end=2.0, procs=8),
         ]
-        out = user_usage_summaries(jobs)
+        out = user_usage_summaries(cols(jobs))
         assert out[0].user_id == 2  # 16 processor-days > 8
         assert out[0].processor_days == pytest.approx(16.0)
         by_user = {u.user_id: u for u in out}
@@ -189,7 +193,7 @@ class TestUserUsage:
 
     def test_zero_exposure_rate(self):
         out = user_usage_summaries(
-            [job(submit=0.0, dispatch=1.0, end=1.0, user=5)]
+            cols([job(submit=0.0, dispatch=1.0, end=1.0, user=5)])
         )
         assert out[0].failures_per_processor_day == 0.0
 
@@ -198,13 +202,13 @@ class TestUserUsage:
             job(job_id=i, user=i, dispatch=0.0, end=float(i + 1))
             for i in range(10)
         ]
-        top = heaviest_users(jobs, k=3)
+        top = user_usage_summaries(cols(jobs))[:3]
         assert len(top) == 3
         assert top[0].user_id == 9
 
-    def test_heaviest_users_rejects_bad_k(self):
+    def test_heaviest_users_rejects_bad_k(self, tiny_archive):
         with pytest.raises(UsageError):
-            heaviest_users([], k=0)
+            user_failure_rates(tiny_archive[20], top_k=0)
 
 
 class TestSortedDistinct:

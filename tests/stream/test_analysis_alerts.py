@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -11,9 +13,13 @@ from repro import telemetry
 from repro.prediction.risk import RiskModel
 from repro.records.taxonomy import Category
 from repro.records.timeutil import ObservationPeriod, Span
+from repro.simulate.archive import make_archive
+from repro.simulate.config import small_config
 from repro.stream import (
+    Alert,
     AlertEngine,
     AlertError,
+    AlertRule,
     CategoryBurstRule,
     NodeRiskRule,
     OnlineAnalysis,
@@ -180,6 +186,83 @@ class TestNodeRiskRule:
             NodeRiskRule(threshold=1.5)
         with pytest.raises(AlertError):
             AlertEngine([])
+
+
+class ReferenceNodeRiskRule(AlertRule):
+    """The node-risk rule as it first was: one armed flag per (system,
+    node) key, re-armed by a scan over every key ever scored."""
+
+    name = "node_risk_reference"
+
+    def __init__(self, threshold: float) -> None:
+        self.threshold = threshold
+        self._armed: dict[tuple[int, int], bool] = {}
+
+    def evaluate(self, analysis, stats) -> list[Alert]:
+        fired: list[Alert] = []
+        for system_id in sorted(stats.touched):
+            risks = analysis.latest_risks.get(system_id, ())
+            system = analysis.state.systems[system_id]
+            now = system.clock.high
+            over = set()
+            for risk in risks:
+                key = (system_id, risk.node_id)
+                if risk.score >= self.threshold:
+                    over.add(key)
+                    if self._armed.get(key, True):
+                        self._armed[key] = False
+                        fired.append(
+                            Alert(
+                                rule=self.name,
+                                system_id=system_id,
+                                node_id=risk.node_id,
+                                stream_time=now,
+                                value=risk.score,
+                                threshold=self.threshold,
+                                message=(
+                                    f"node {risk.node_id} of system "
+                                    f"{system_id} at risk "
+                                    f"{risk.score:.3f} >= "
+                                    f"{self.threshold:.3f} "
+                                    f"({risk.recent_own} recent own "
+                                    "failures)"
+                                ),
+                            )
+                        )
+            for key in list(self._armed):
+                if key[0] == system_id and key not in over:
+                    self._armed[key] = True
+        return fired
+
+
+class TestNodeRiskRuleReference:
+    """The per-system over-threshold sets fire exactly the alerts of the
+    armed-flag rule they replaced, on a replayed archive."""
+
+    THRESHOLD = 0.05
+
+    @pytest.fixture(scope="class")
+    def archive(self):
+        return make_archive(small_config(seed=3, years=2.0, scale=0.05))
+
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_same_alerts_as_reference(self, archive, batch_size):
+        engine = AlertEngine(
+            [NodeRiskRule(self.THRESHOLD), ReferenceNodeRiskRule(self.THRESHOLD)]
+        )
+        consumer = OnlineAnalysis(StreamAnalysisState(), alert_engine=engine)
+        replay_archive(archive, consumer, batch_size=batch_size, finalize=False)
+        got = [a for a in consumer.alerts if a.rule == NodeRiskRule.name]
+        want = [
+            dataclasses.replace(a, rule=NodeRiskRule.name)
+            for a in consumer.alerts
+            if a.rule == ReferenceNodeRiskRule.name
+        ]
+        assert got == want
+        # The threshold is low enough that some node fires, drops below
+        # it and fires again.
+        fired = Counter((a.system_id, a.node_id) for a in got)
+        assert max(fired.values()) > 1
 
 
 class TestNodeRisks:

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro import telemetry
 from repro.cli import main
 from repro.records.io import save_archive
 from repro.stream import archive_source
@@ -118,8 +117,6 @@ class TestStreamCli:
         self, archive_dir, tmp_path, capsys
     ):
         metrics = tmp_path / "metrics.json"
-        # The registry is process-global: start from an empty one.
-        telemetry.reset_metrics()
         code = main(
             [
                 "stream",

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import pytest
-import numpy as np
 
 from repro import telemetry
 from repro.core.cache import fail_kind, get_cache
 from repro.records.timeutil import Span
-from repro.stats.bootstrap import bootstrap_ci, bootstrap_ratio_ci
 
 
 class TestRegistry:
@@ -77,22 +75,3 @@ class TestCacheWorkload:
         counters = telemetry.metrics_snapshot()["counters"]
         assert counters["windows.baseline_batch_calls"] == 1
         assert counters["windows.baseline_cells{path=batch}"] == len(spans)
-
-
-class TestBootstrapCounters:
-    def test_replicates_counted(self):
-        telemetry.enable_metrics()
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=50)
-        bootstrap_ci(data, np.mean, replicates=250, rng=rng)
-        counters = telemetry.metrics_snapshot()["counters"]
-        assert counters["bootstrap.calls{kind=statistic}"] == 1
-        assert counters["bootstrap.replicates{kind=statistic}"] == 250
-
-    def test_ratio_replicates_counted(self):
-        telemetry.enable_metrics()
-        rng = np.random.default_rng(1)
-        bootstrap_ratio_ci(30, 100, 20, 100, replicates=300, rng=rng)
-        counters = telemetry.metrics_snapshot()["counters"]
-        assert counters["bootstrap.calls{kind=ratio}"] == 1
-        assert counters["bootstrap.replicates{kind=ratio}"] == 300

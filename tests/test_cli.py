@@ -162,6 +162,28 @@ class TestTelemetryCli:
         snapshot = json.loads(out.read_text())
         assert snapshot["counters"]["analysis_cache.misses"] > 0
 
+    @pytest.mark.parametrize("metrics_on", [False, True])
+    def test_repeated_runs_leave_no_metrics_behind(
+        self, archive_dir, tmp_path, capsys, metrics_on
+    ):
+        # Each run turning metrics on records from an empty registry,
+        # and hands the recording flag back as it found it.
+        telemetry.set_metrics_enabled(metrics_on)
+        snapshots = []
+        for run in range(2):
+            out = tmp_path / f"metrics-{run}.json"
+            assert main(["report", str(archive_dir), "--metrics-out", str(out)]) == 0
+            assert telemetry.metrics_enabled() is metrics_on
+            snapshots.append(json.loads(out.read_text()))
+        capsys.readouterr()
+        misses = [s["counters"]["analysis_cache.misses"] for s in snapshots]
+        assert misses[0] > 0
+        if metrics_on:
+            # Metrics the caller turned on keep the caller's registry.
+            assert misses[1] == 2 * misses[0]
+        else:
+            assert snapshots[0] == snapshots[1]
+
     def test_report_manifest(self, archive_dir, tmp_path, capsys):
         path = tmp_path / "report_manifest.json"
         code = main(["report", str(archive_dir), "--manifest", str(path)])
