@@ -449,11 +449,6 @@ class SystemDataset:
             dtype=np.int64,
         )
 
-    @property
-    def total_processors(self) -> int:
-        """Total processor count of the system."""
-        return self.num_nodes * self.processors_per_node
-
     def failure_counts_per_node(self) -> np.ndarray:
         """Number of failures of each node (index = node id); Figure 4."""
         counts = np.zeros(self.num_nodes, dtype=np.int64)
@@ -532,12 +527,6 @@ class Archive:
     def system_ids(self) -> tuple[int, ...]:
         """All system ids, ascending."""
         return tuple(sorted(self.systems))
-
-    def total_nodes(self, group: HardwareGroup | None = None) -> int:
-        """Total node count, optionally restricted to one group."""
-        return sum(
-            ds.num_nodes for ds in self if group is None or ds.group is group
-        )
 
     def total_failures(self, group: HardwareGroup | None = None) -> int:
         """Total failure count, optionally restricted to one group."""

@@ -68,11 +68,6 @@ class TemperatureReading:
                 f"temperature {self.celsius} C outside plausible sensor range"
             )
 
-    @property
-    def is_severe(self) -> bool:
-        """True if the reading exceeds the severe-temperature threshold."""
-        return self.celsius > HIGH_TEMP_THRESHOLD_C
-
 
 @dataclass(frozen=True)
 class TemperatureColumns:

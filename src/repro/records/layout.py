@@ -56,27 +56,23 @@ class NodePlacement:
 class MachineLayout:
     """Placement of every node of one system.
 
-    The layout is immutable after construction and indexed both ways
-    (node -> placement, rack -> nodes).
+    The layout is immutable after construction and indexed by node.
     """
 
     def __init__(self, placements: Iterable[NodePlacement]) -> None:
         self._by_node: dict[int, NodePlacement] = {}
-        self._by_rack: dict[int, list[int]] = {}
+        slots: set[tuple[int, int]] = set()
         for p in placements:
             if p.node_id in self._by_node:
                 raise LayoutError(f"duplicate placement for node {p.node_id}")
+            if (p.rack_id, p.position_in_rack) in slots:
+                raise LayoutError(
+                    f"rack {p.rack_id} has two nodes in the same slot"
+                )
             self._by_node[p.node_id] = p
-            self._by_rack.setdefault(p.rack_id, []).append(p.node_id)
+            slots.add((p.rack_id, p.position_in_rack))
         if not self._by_node:
             raise LayoutError("a layout must place at least one node")
-        for rack_id, nodes in self._by_rack.items():
-            slots = [self._by_node[n].position_in_rack for n in nodes]
-            if len(set(slots)) != len(slots):
-                raise LayoutError(
-                    f"rack {rack_id} has two nodes in the same slot"
-                )
-            nodes.sort()
 
     def __len__(self) -> int:
         return len(self._by_node)
@@ -98,23 +94,6 @@ class MachineLayout:
     def position_in_rack(self, node_id: int) -> int:
         """Table I's ``PIR`` variable for ``node_id`` (1=bottom .. 5=top)."""
         return self.placement(node_id).position_in_rack
-
-    def nodes_in_rack(self, rack_id: int) -> tuple[int, ...]:
-        """Node ids in ``rack_id``, sorted ascending."""
-        try:
-            return tuple(self._by_rack[rack_id])
-        except KeyError as exc:
-            raise LayoutError(f"rack {rack_id} is not in the layout") from exc
-
-    def rack_neighbors(self, node_id: int) -> tuple[int, ...]:
-        """Other nodes in the same rack as ``node_id`` (excluding itself)."""
-        rack = self.rack_of(node_id)
-        return tuple(n for n in self._by_rack[rack] if n != node_id)
-
-    @property
-    def rack_ids(self) -> tuple[int, ...]:
-        """All rack identifiers, sorted ascending."""
-        return tuple(sorted(self._by_rack))
 
     @property
     def node_ids(self) -> tuple[int, ...]:

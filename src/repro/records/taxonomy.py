@@ -238,21 +238,6 @@ def is_temperature_problem(subtype: Subtype | None) -> bool:
     return subtype in TEMPERATURE_PROBLEM_SUBTYPES
 
 
-def coerce_category(value: "Category | str") -> Category:
-    """Accept either a Category or its string token and return a Category."""
-    if isinstance(value, Category):
-        return value
-    return parse_category(value)
-
-
-def coerce_subtype(value: "Subtype | str") -> Subtype:
-    """Accept either a subtype enum member or its string token."""
-    if isinstance(value, str):
-        return parse_subtype(value)
-    category_of(value)  # raises TaxonomyError if not a subtype
-    return value
-
-
 #: Human-readable label of every category and subtype.
 _LABELS: dict[enum.Enum, str] = {
     Category.ENVIRONMENT: "Environment",

@@ -80,10 +80,6 @@ class ObservationPeriod:
         """True if timestamp ``t`` falls inside the period."""
         return self.start <= t < self.end
 
-    def clamp(self, t: float) -> float:
-        """Clamp a timestamp into the period (used for window ends)."""
-        return min(max(t, self.start), self.end)
-
 
 def count_windows(period: ObservationPeriod, span: Span) -> int:
     """Number of complete non-overlapping windows of ``span`` in ``period``.

@@ -65,10 +65,6 @@ class ValidationReport:
         """True when no ERROR-severity findings were produced."""
         return not any(f.severity is Severity.ERROR for f in self.findings)
 
-    def by_severity(self, severity: Severity) -> list[Finding]:
-        """All findings of one severity."""
-        return [f for f in self.findings if f.severity is severity]
-
     def __iter__(self) -> Iterator[Finding]:
         return iter(self.findings)
 

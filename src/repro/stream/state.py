@@ -29,11 +29,12 @@ events stream in, with three guarantees:
   :meth:`StreamAnalysisState.digest` as an uninterrupted run
   (already-applied events deduplicate, already-final events drop as
   late).  Checkpoints contain no wall-clock timestamps, so rewriting
-  the same state yields byte-identical payloads; a checkpoint holding
-  state no stream could produce (unsorted or out-of-period stores, node
-  ids or baseline keys out of range, a pointer past its store or off
-  the count of windows final at its watermark, successes above trials)
-  is refused at load time.
+  the same state yields byte-identical payloads.  Restore trusts only
+  what a stream admitted (each system's shape, watermark, dedup window,
+  dispositions and event stores, refused if unsorted, out of period or
+  off the system's nodes); it rebuilds the baseline keys, resolution
+  pointers and counters with the ingest path's own code and refuses a
+  checkpoint whose stored ones differ.
 
 Every system's stores and counters live in columns shared by all
 systems (:class:`StreamAnalysisState`), so one micro-batch costs a
@@ -727,22 +728,30 @@ class StreamAnalysisState:
         self._bounds[1:] += np.cumsum(
             np.bincount(block, minlength=self._bounds.size - 1)
         )
-        # Baseline keys node * n_windows + tile, the arithmetic of
-        # ``window_index``, offset into each (block, span) cell.
-        system = block // n_codes
-        start = self._start[system][:, None]
-        n_windows = self._n_windows[system]
-        tile = np.floor((times[:, None] - start) / self._span_days).astype(np.int64)
-        valid = (times[:, None] >= start) & (tile >= 0) & (tile < n_windows)
-        cell = block[:, None] * self._span_days.size + np.arange(self._span_days.size)
-        keys = self._base_bounds[cell] + (
-            (nodes - self._node_base[system])[:, None] * n_windows + tile
-        )
-        keys = sorted_distinct(keys[valid])
+        keys = self._baseline_keys(block, times, nodes)
         at = np.searchsorted(self._base_keys, keys)
         fresh = at == self._base_keys.size
         fresh[~fresh] = self._base_keys[at[~fresh]] != keys[~fresh]
         self._base_keys = np.insert(self._base_keys, at[fresh], keys[fresh])
+
+    def _baseline_keys(
+        self, block: np.ndarray, times: np.ndarray, nodes: np.ndarray
+    ) -> np.ndarray:
+        """Sorted distinct baseline keys of the entries ``(times, nodes)``
+        of ``block`` (offset node ids): ``node * n_windows + tile``, the
+        arithmetic of ``window_index``, offset into each (block, span)
+        cell."""
+        n_spans = self._span_days.size
+        system = block // len(self._codes)
+        start = self._start[system][:, None]
+        n_windows = self._n_windows[system]
+        tile = np.floor((times[:, None] - start) / self._span_days).astype(np.int64)
+        valid = (times[:, None] >= start) & (tile >= 0) & (tile < n_windows)
+        cell = block[:, None] * n_spans + np.arange(n_spans)
+        keys = self._base_bounds[cell] + (
+            (nodes - self._node_base[system])[:, None] * n_windows + tile
+        )
+        return sorted_distinct(keys[valid])
 
     def _resolve(self, systems: list[SystemStreamState]) -> None:
         """Fold every newly final (trigger, span) of ``systems`` into the
@@ -1047,9 +1056,12 @@ class StreamAnalysisState:
         return hasher.hexdigest()
 
     def _restore(self, systems_meta: list, arrays: Mapping[str, np.ndarray]) -> None:
-        """Rebuild every system from checkpoint meta and arrays, rejecting
-        state no stream could have produced."""
-        times, nodes, keys = [], [], []
+        """Rebuild every system from what its stream admitted -- shape,
+        watermark, dedup window, dispositions and event stores -- and
+        derive its baseline keys, resolution pointers and counters with
+        the ingest path's own code, refusing a checkpoint whose stored
+        derivations differ from the rebuilt ones."""
+        times, nodes, sizes = [], [], []
         for meta in systems_meta:
             system_id = int(meta["system_id"])
             if system_id in self.systems:
@@ -1071,7 +1083,6 @@ class StreamAnalysisState:
             system.stats.ignored = int(stats["ignored"])
             system.stats.invalid = int(stats["invalid"])
             system.seen = {key: _hex_float(t) for key, t in meta["seen"]}
-            sizes = []
             for code in self._codes:
                 name = _code_name(code)
                 t = np.asarray(arrays[f"{prefix}.k.{name}.times"], dtype=float)
@@ -1080,73 +1091,33 @@ class StreamAnalysisState:
                 times.append(t)
                 nodes.append(n + self._node_base[system.index])
                 sizes.append(t.size)
-                for span in self.config.spans:
-                    k = np.asarray(
-                        arrays[f"{prefix}.b.{name}.{span.value}"], dtype=np.int64
-                    )
-                    bound = system.num_nodes * system.n_windows[span.value]
-                    if k.size and (
-                        k[0] < 0 or k[-1] >= bound or np.any(np.diff(k) <= 0)
-                    ):
-                        raise StreamStateError(
-                            f"checkpoint baseline keys {prefix}.b.{name}."
-                            f"{span.value} are not sorted unique keys below "
-                            f"{bound}"
-                        )
-                    cell = self._base_cell(system.index, code, span.value)
-                    keys.append(k + self._base_bounds[cell])
-            first = system.index * len(self._codes)
-            stored = times[-len(self._codes) :]
-            watermark = system.clock.watermark
-            for name, sv, done in meta["resolved"]:
-                tc = self._code_index.get(_name_code(name))
-                k = self._span_index.get(sv)
-                if tc is None or k is None:
-                    raise StreamStateError(
-                        f"checkpoint resolution pointer {name}/{sv} does not "
-                        "match the configuration"
-                    )
-                done = int(done)
-                if not 0 <= done <= sizes[tc]:
-                    raise StreamStateError(
-                        f"checkpoint resolution pointer {name}/{sv}={done} "
-                        f"lies outside its store of {sizes[tc]} events"
-                    )
-                # Every ingest ends by resolving up to the watermark, so a
-                # pointer counts exactly the store's final windows.
-                final = np.count_nonzero(
-                    stored[tc] + self._span_days[k] < watermark
-                )
-                if done != final:
-                    raise StreamStateError(
-                        f"checkpoint resolution pointer {name}/{sv}={done} "
-                        f"does not match the {final} windows final at its "
-                        "watermark"
-                    )
-                self._resolved[first + tc, k] = done
-            for scope_name, tc_name, gc_name, sv, successes, trials in meta["cond"]:
-                scope = Scope(scope_name)
-                cells = system.conditional_cells(scope)
-                cell = self._cell(
-                    scope, _name_code(tc_name), _name_code(gc_name), sv
-                )
-                if cells is None or cell is None:
-                    raise StreamStateError(
-                        f"checkpoint cell {scope_name}/{tc_name}/{gc_name}/{sv} "
-                        "does not match the configuration"
-                    )
-                successes, trials = int(successes), int(trials)
-                if not 0 <= successes <= trials:
-                    raise StreamStateError(
-                        f"checkpoint cell {scope_name}/{tc_name}/{gc_name}/{sv} "
-                        f"holds impossible counts {successes}/{trials}"
-                    )
-                cells[cell] = (successes, trials)
-            self._bounds[first + 1 :] = self._bounds[first] + np.cumsum(sizes)
         if times:
+            self._bounds[1:] = np.cumsum(sizes)
             self._times = np.concatenate(times)
             self._nodes = np.concatenate(nodes)
-            self._base_keys = np.concatenate(keys)
+            block = np.repeat(np.arange(len(sizes)), sizes)
+            self._base_keys = self._baseline_keys(block, self._times, self._nodes)
+        for system, meta in zip(self._order, systems_meta):
+            # One system at a time: one resolve over every system would
+            # hold all of their gathers in memory at once.
+            self._resolve([system])
+            rebuilt = system.to_meta(include_stats=False)
+            for part in ("resolved", "cond"):
+                if rebuilt[part] != meta[part]:
+                    raise _mismatch(f"s{system.system_id} {part}")
+        rebuilt = self._array_payload()
+        for key in sorted(rebuilt.keys() | arrays.keys()):
+            if key not in rebuilt or key not in arrays or not np.array_equal(
+                rebuilt[key], arrays[key]
+            ):
+                raise _mismatch(key)
+
+
+def _mismatch(part: str) -> StreamStateError:
+    return StreamStateError(
+        f"checkpoint {part} does not match the state rebuilt from its "
+        "event stores"
+    )
 
 
 def _check_store(

@@ -31,10 +31,6 @@ class TestTemperatureReading:
     def test_valid(self):
         assert reading(c=35.0).celsius == 35.0
 
-    def test_severe_threshold(self):
-        assert reading(c=40.1).is_severe
-        assert not reading(c=40.0).is_severe
-
     def test_rejects_implausible(self):
         with pytest.raises(EnvironmentRecordError):
             reading(c=200.0)

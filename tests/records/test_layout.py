@@ -40,10 +40,6 @@ class TestMachineLayout:
         assert len(layout) == 3
         assert layout.rack_of(0) == 0
         assert layout.position_in_rack(1) == 2
-        assert layout.nodes_in_rack(0) == (0, 1)
-        assert layout.rack_neighbors(0) == (1,)
-        assert layout.rack_neighbors(2) == ()
-        assert layout.rack_ids == (0, 1)
         assert 1 in layout
         assert 99 not in layout
 
@@ -63,8 +59,6 @@ class TestMachineLayout:
         layout = MachineLayout([place(0)])
         with pytest.raises(LayoutError):
             layout.placement(7)
-        with pytest.raises(LayoutError):
-            layout.nodes_in_rack(9)
 
     def test_room_areas(self):
         layout = MachineLayout(

@@ -14,8 +14,6 @@ from repro.records.taxonomy import (
     all_categories,
     all_subtypes,
     category_of,
-    coerce_category,
-    coerce_subtype,
     format_label,
     is_power_problem,
     is_temperature_problem,
@@ -110,20 +108,6 @@ class TestClassifiers:
         assert is_temperature_problem(EnvironmentSubtype.CHILLER)
         assert not is_temperature_problem(HardwareSubtype.MEMORY)
         assert not is_temperature_problem(None)
-
-
-class TestCoercion:
-    def test_coerce_category_passthrough(self):
-        assert coerce_category(Category.NETWORK) is Category.NETWORK
-
-    def test_coerce_category_from_string(self):
-        assert coerce_category("NET") is Category.NETWORK
-
-    def test_coerce_subtype_passthrough(self):
-        assert coerce_subtype(HardwareSubtype.FAN) is HardwareSubtype.FAN
-
-    def test_coerce_subtype_from_string(self):
-        assert coerce_subtype("FAN") is HardwareSubtype.FAN
 
 
 class TestLabels:

@@ -44,12 +44,6 @@ class TestObservationPeriod:
         with pytest.raises(TimeError):
             ObservationPeriod(0.0, float("inf"))
 
-    def test_clamp(self):
-        p = ObservationPeriod(10.0, 20.0)
-        assert p.clamp(5.0) == 10.0
-        assert p.clamp(25.0) == 20.0
-        assert p.clamp(15.0) == 15.0
-
 
 class TestTiling:
     def test_count_windows_exact(self):

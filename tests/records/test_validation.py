@@ -156,8 +156,3 @@ class TestValidation:
         report = validate_archive(Archive([system([])]))
         text = report.render()
         assert "warning" in text
-
-    def test_by_severity(self):
-        report = validate_archive(Archive([system([])]))
-        warnings = report.by_severity(Severity.WARNING)
-        assert all(f.severity is Severity.WARNING for f in warnings)

@@ -390,7 +390,7 @@ class TestCheckpointFiles:
         def edit(system):
             system["resolved"][0][2] = 4  # the any store holds 3 events
 
-        self._rejects(written, "outside its store", edit_meta=edit)
+        self._rejects(written, "s0 resolved does not match", edit_meta=edit)
 
     def test_pointer_off_its_watermark_rejected(self, written):
         def edit(system):
@@ -399,14 +399,14 @@ class TestCheckpointFiles:
             assert system["resolved"][0][1:] == ["day", 2]
             system["resolved"][0][2] = 1
 
-        self._rejects(written, "final at its watermark", edit_meta=edit)
+        self._rejects(written, "s0 resolved does not match", edit_meta=edit)
 
     def test_successes_above_trials_rejected(self, written):
         def edit(system):
             cell = system["cond"][0]
             cell[4] = cell[5] + 1
 
-        self._rejects(written, "impossible counts", edit_meta=edit)
+        self._rejects(written, "s0 cond does not match", edit_meta=edit)
 
     def test_unsorted_store_rejected(self, written):
         def edit(arrays):
@@ -431,7 +431,7 @@ class TestCheckpointFiles:
             # 4 nodes x 100 day tiles: keys lie below 400.
             arrays["s0.b.any.day"][-1] = 400
 
-        self._rejects(written, "baseline keys", edit_arrays=edit)
+        self._rejects(written, r"s0\.b\.any\.day does not match", edit_arrays=edit)
 
 
 class TestConfig:
