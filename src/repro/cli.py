@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import telemetry
 from .records.dataset import Archive
-from .records.io import load_archive, save_archive
+from .records.io import ArchiveIOError, load_archive, save_archive
 from .records.validation import validate_archive
 from .simulate.archive import make_archive
 from .simulate.config import ArchiveConfig, ConfigError
@@ -174,10 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: Path) -> Archive:
+def load_archive_or_exit(path: Path) -> Archive:
+    """The archive at ``path``; a missing or malformed one ends the run
+    with a one-line error instead of a traceback."""
     if not path.exists():
         raise SystemExit(f"error: archive directory {path} does not exist")
-    return load_archive(path)
+    try:
+        return load_archive(path)
+    except ArchiveIOError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _setup_telemetry(args: argparse.Namespace) -> None:
@@ -279,11 +284,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return 0
     if args.command == "validate":
-        report = validate_archive(_load(args.archive))
+        report = validate_archive(load_archive_or_exit(args.archive))
         print(report.render())
         return 0 if report.ok else 1
     if args.command == "report":
-        archive = _load(args.archive)
+        archive = load_archive_or_exit(args.archive)
         # The profiled runner *is* the plain runner plus span-derived
         # timings, so stdout is byte-identical whether or not --profile,
         # --trace or --manifest are set.
@@ -313,12 +318,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "section":
         render = dict(REPORT_SECTIONS)[args.name]
-        print(render(_load(args.archive), (18, 19, 20)))
+        print(render(load_archive_or_exit(args.archive), (18, 19, 20)))
         return 0
     if args.command == "evaluate":
         from .prediction.evaluation import EvaluationError, evaluate_risk_model
 
-        archive = _load(args.archive)
+        archive = load_archive_or_exit(args.archive)
         try:
             ev = evaluate_risk_model(
                 list(archive), train_fraction=args.train_fraction
@@ -340,7 +345,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .records.dataset import HardwareGroup
         from . import viz
 
-        archive = _load(args.archive)
+        archive = load_archive_or_exit(args.archive)
         if args.figure == "all":
             print(viz.render_all_figures(archive))
             return 0
@@ -373,7 +378,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(renderers[args.figure]())
         return 0
     if args.command == "advise":
-        archive = _load(args.archive)
+        archive = load_archive_or_exit(args.archive)
         model = RiskModel.fit(list(archive))
         mtbf_hours = (
             model.horizon.days * 24.0

@@ -24,23 +24,23 @@ formatting used to quantise times, which could reorder records tied on
 the rounded key and silently re-attach per-record flags (e.g.
 ``hardware_related``) to the wrong rows after a round trip.
 
-The three bulk logs are parsed by numpy's C reader (``np.loadtxt``,
-whose floats come from ``PyOS_string_to_double``, the routine behind
-``float()``).  :func:`read_failures`, :func:`read_jobs` and
-:func:`read_temperatures` return
-:class:`~repro.records.dataset.FailureTable`,
-:class:`~repro.records.usage.JobColumns` and
-:class:`~repro.records.environment.TemperatureColumns`, checked with
-every record invariant and in the order the records sort in, and
-:func:`load_archive` builds each system's dataset from them, as the
-archive cache and the generator do.  When the C reader rejects a table,
-or a parsed row breaks a record invariant, the per-row record reader
-(``csv.reader``, one record per row) reads the table again: it raises
-the row's exact error, or loads spellings only Python accepts, such as
-``1_000``.  The smaller tables load through the per-row reader only.
-Every reader rejects short and long rows, and a record invariant broken
-by a row is raised as an :class:`ArchiveIOError` naming the file and
-row.
+Every table is read one way.  Its bytes are read once and tokenised
+once: by numpy's C reader (``np.loadtxt``, whose floats come from
+``PyOS_string_to_double``, the routine behind ``float()``) when they
+pass its gate, else by ``csv.reader`` over the same decoded text, which
+also reads spellings only Python accepts, such as ``1_000``
+(``records.load_fallback`` counts those tables).  The tokens become
+typed columns with ``int()``/``float()`` semantics and int64 range
+checks.  One check per table finds its first bad row: ``invalid_rows()``
+for the failure, job and temperature columns, which are then returned
+in record order, and building the records for the small tables.
+
+A rejected table raises an :class:`ArchiveIOError` naming the file: a
+wrong header, else its first short or long row, else its first bad row.
+That row's error is its first field that does not parse, in the order
+the record's constructor takes them; else the invariant its record
+breaks, worded by building the record, whose error is the cause; else
+an integer beyond int64.
 """
 
 from __future__ import annotations
@@ -48,19 +48,14 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from itertools import repeat
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .dataset import (
-    Archive,
-    DatasetError,
-    FailureTable,
-    HardwareGroup,
-    SystemDataset,
-)
+from .dataset import Archive, DatasetError, FailureTable, HardwareGroup, SystemDataset
 from .environment import (
     EnvironmentRecordError,
     NeutronReading,
@@ -69,7 +64,7 @@ from .environment import (
 )
 from .failure import FailureRecord, MaintenanceRecord, RecordError
 from .layout import LayoutError, MachineLayout, NodePlacement
-from .taxonomy import Subtype, TaxonomyError, parse_category, parse_subtype
+from .taxonomy import TaxonomyError, parse_category, parse_subtype
 from .timeutil import ObservationPeriod, TimeError
 from .usage import JobColumns, JobRecord, UsageError, checked_in_record_order
 from ..telemetry import counter_add, span
@@ -79,144 +74,106 @@ class ArchiveIOError(ValueError):
     """Raised on malformed archive files."""
 
 
-_SYSTEMS_HEADER = [
-    "system_id",
-    "group",
-    "num_nodes",
-    "processors_per_node",
-    "period_start",
-    "period_end",
-]
-_FAILURES_HEADER = [
-    "time",
-    "node_id",
-    "category",
-    "subtype",
-    "downtime_hours",
-]
-_MAINTENANCE_HEADER = ["time", "node_id", "hardware_related", "duration_hours"]
-_JOBS_HEADER = [
-    "job_id",
-    "submit_time",
-    "dispatch_time",
-    "end_time",
-    "user_id",
-    "num_processors",
-    "node_ids",
-    "failed_due_to_node",
-]
-_TEMPERATURES_HEADER = ["time", "node_id", "celsius"]
-_LAYOUT_HEADER = ["node_id", "rack_id", "position_in_rack", "room_x", "room_y"]
-_NEUTRONS_HEADER = ["time", "counts_per_minute"]
-
-
-def _fmt(value: float) -> str:
-    """Shortest decimal string that parses back to exactly ``value``."""
-    return repr(float(value))
-
-
-def _read_fields(path: Path, header: list[str]) -> list[str]:
-    """Every field of a CSV file's data rows, row-major in one flat list.
-
-    Checks the header and each row's field count.  Blank lines are
-    skipped and not numbered: data row ``i`` (from 0) is row ``i + 2``
-    in error messages, the header being row 1.
-    """
-    if not path.exists():
-        raise ArchiveIOError(f"missing archive file {path}")
-    width = len(header)
-    flat: list[str] = []
-    extend = flat.extend
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
-            raise ArchiveIOError(f"{path}: expected header {header}, got {got}")
-        for row_no, row in enumerate(filter(None, reader), start=2):
-            if len(row) != width:
-                kind = "short" if len(row) < width else "long"
-                raise ArchiveIOError(f"{path}:{row_no}: {kind} row")
-            extend(row)
-    return flat
-
-
-def _open_rows(path: Path, header: list[str]) -> list[dict[str, str]]:
-    """The data rows of a CSV file as dicts keyed by the header."""
-    flat = _read_fields(path, header)
-    width = len(header)
-    return [
-        dict(zip(header, flat[i : i + width]))
-        for i in range(0, len(flat), width)
-    ]
-
-
-def _parse_float(path: Path, row_no: int, field: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ArchiveIOError(
-            f"{path}:{row_no}: field {field!r} is not a number: {value!r}"
-        ) from exc
-
-
-def _parse_int(path: Path, row_no: int, field: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ArchiveIOError(
-            f"{path}:{row_no}: field {field!r} is not an integer: {value!r}"
-        ) from exc
-
-
-def _parse_bool(path: Path, row_no: int, field: str, value: str) -> bool:
-    if value in ("0", "1"):
-        return value == "1"
-    raise ArchiveIOError(
-        f"{path}:{row_no}: field {field!r} must be 0 or 1, got {value!r}"
-    )
-
-
-#: What record constructors raise on a violated invariant.
-_RECORD_ERRORS = (
-    RecordError,
-    UsageError,
-    EnvironmentRecordError,
-    TaxonomyError,
-    LayoutError,
-    TimeError,
-)
-
-
-def _build(build, path: Path, row_no: int, row: dict[str, str], *args):
-    """``build(path, row_no, row, *args)``, raising a record's invariant
-    error as an :class:`ArchiveIOError` located at the row."""
-    try:
-        return build(path, row_no, row, *args)
-    except _RECORD_ERRORS as exc:
-        raise ArchiveIOError(f"{path}:{row_no}: {exc}") from exc
-
-
-def _read_records(path: Path, header: list[str], build, *args) -> list:
-    """One record per data row of a CSV file, built by ``build``."""
-    return [
-        _build(build, path, row_no, row, *args)
-        for row_no, row in enumerate(_open_rows(path, header), start=2)
-    ]
-
+# ``parse(token, column)``: one field's value, else an ArchiveIOError
+# worded for the row (with the parser's own error as cause, if any) or a
+# record's error.
 
 _INT64 = range(-(2**63), 2**63)
 
 
-def _check_int64(path: Path, row_no: int, row: dict[str, str], fields) -> None:
-    """Reject a row whose integer ``fields`` (or ``;``-separated lists of
-    integers) do not fit the int64 columns."""
-    for field in fields:
-        if not all(int(tok) in _INT64 for tok in row[field].split(";")):
-            raise ArchiveIOError(
-                f"{path}:{row_no}: field {field!r} is out of the 64-bit range: "
-                f"{row[field]!r}"
-            )
+def _float(token: str, column: str) -> float:
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise ArchiveIOError(f"field {column!r} is not a number: {token!r}") from exc
 
+
+def _int(token: str, column: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ArchiveIOError(f"field {column!r} is not an integer: {token!r}") from exc
+
+
+def _flag(token: str, column: str) -> bool:
+    if token in ("0", "1"):
+        return token == "1"
+    raise ArchiveIOError(f"field {column!r} must be 0 or 1, got {token!r}")
+
+
+def _node_list(token: str, column: str) -> tuple[int, ...]:
+    if not token:
+        raise ArchiveIOError(f"empty {column}")
+    return tuple(_int(node, column) for node in token.split(";"))
+
+
+def _group(token: str, column: str) -> HardwareGroup:
+    try:
+        return HardwareGroup(token)
+    except ValueError as exc:
+        raise ArchiveIOError(f"unknown group {token!r}") from exc
+
+
+def _in_int64(value: int | tuple[int, ...]) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_INT64.__contains__, value))
+    return value in _INT64
+
+
+#: What record constructors raise on a violated invariant.
+_RECORD_ERRORS = (
+    RecordError, UsageError, EnvironmentRecordError, TaxonomyError, LayoutError, TimeError
+)
+
+#: The C reader's column type per parser; other columns stay strings.
+_C_DTYPES = {_float: float, _int: np.int64}
+
+
+class _Spec:
+    """An archive table's layout: its header, and the parser of each
+    column, given in the order the table's record constructor takes the
+    fields, which is the order a bad row's fields are checked in; the
+    header is that order unless given."""
+
+    def __init__(self, header: list[str] | None = None, **fields: Callable) -> None:
+        self.header = header or list(fields)
+        self.fields = fields
+        self.dtype = [(name, _C_DTYPES.get(fields[name], object)) for name in self.header]
+        #: Integer columns, range-checked in header order.
+        self.int64 = [name for name in self.header if fields[name] in (_int, _node_list)]
+
+
+_SYSTEMS = _Spec(
+    ["system_id", "group", "num_nodes", "processors_per_node", "period_start",
+     "period_end"],
+    group=_group, system_id=_int, num_nodes=_int, processors_per_node=_int,
+    period_start=_float, period_end=_float,
+)
+_FAILURES = _Spec(
+    ["time", "node_id", "category", "subtype", "downtime_hours"],
+    subtype=lambda token, _: parse_subtype(token) if token else None,
+    time=_float,
+    node_id=_int,
+    category=lambda token, _: parse_category(token),
+    downtime_hours=_float,
+)
+_MAINTENANCE = _Spec(
+    time=_float, node_id=_int, hardware_related=_flag, duration_hours=_float
+)
+_JOBS = _Spec(
+    ["job_id", "submit_time", "dispatch_time", "end_time", "user_id",
+     "num_processors", "node_ids", "failed_due_to_node"],
+    node_ids=_node_list, submit_time=_float, job_id=_int, dispatch_time=_float,
+    end_time=_float, user_id=_int, num_processors=_int, failed_due_to_node=_flag,
+)
+_TEMPERATURES = _Spec(time=_float, node_id=_int, celsius=_float)
+_LAYOUT = _Spec(
+    node_id=_int, rack_id=_int, position_in_rack=_int, room_x=_int, room_y=_int
+)
+_NEUTRONS = _Spec(time=_float, counts_per_minute=_float)
+
+
+# --- tokenisers -----------------------------------------------------------
 
 #: Bytes that keep a file off the C reader: its number parsers skip the
 #: ASCII file, group, record and unit separators as whitespace, which
@@ -244,29 +201,20 @@ def _c_parse(source, dtype, delimiter: str, **options) -> np.ndarray | None:
         return None
 
 
-def _c_table(path: Path, header: list[str], dtype: list) -> np.ndarray | None:
-    """The data rows of a CSV file parsed by numpy's C reader, one
-    ``dtype`` field per column, or ``None`` where the per-row reader must
-    read the file instead.
+def _c_tokens(data: bytes, spec: _Spec) -> np.ndarray | None:
+    """A table's bytes parsed by numpy's C reader, one ``spec.dtype``
+    field per column, or ``None`` where ``csv.reader`` must tokenise them.
 
     The C reader only sees ASCII files whose first line is exactly the
     header (its integer parser misreads some non-ASCII characters as
     digits).  Like ``csv.reader`` it skips empty lines, splits quoted
     fields, and rejects short, long and whitespace-only rows; its numbers
     are what ``int()`` and ``float()`` return, and it rejects what they
-    reject -- or more, such as ``1_000``.  So every table it returns, the
-    per-row reader reads as the same values.
-
-    The file is read once: the C reader parses the bytes the gate
-    passed, through the same text layer (universal newlines) as an
-    opened file, so a file that changes between the two cannot slip
-    past the gate.
+    reject -- or more, such as ``1_000``.  So every table it returns,
+    ``csv.reader`` tokenises to the same values.  It reads the bytes
+    through the same text layer (universal newlines) as an opened file.
     """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise ArchiveIOError(f"missing archive file {path}") from None
-    head = ",".join(header).encode()
+    head = ",".join(spec.header).encode()
     if not (
         data.startswith(head)
         and data[len(head) : len(head) + 1] in (b"\n", b"\r", b"")
@@ -275,25 +223,200 @@ def _c_table(path: Path, header: list[str], dtype: list) -> np.ndarray | None:
     ):
         return None
     text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
-    return _c_parse(text, dtype, ",", quotechar='"', skiprows=1)
+    return _c_parse(text, spec.dtype, ",", quotechar='"', skiprows=1)
 
 
-def _checked_columns(
-    columns, path: Path, header: list[str], build, system_id: int, kind
-):
-    """A bulk log's C-parsed ``columns``, checked once and in record
-    order; when the C reader left the table (``None``) or a row fails
-    the check, the per-row record reader's result instead: its exact,
-    located error, or ``kind.from_records`` of its records."""
-    if columns is not None:
+def _csv_rows(path: Path, data: bytes, header: list[str]) -> list[list[str]]:
+    """A table's data rows by ``csv.reader``, over the text ``open()``
+    gives for ``data``; the header and each row's field count checked.
+
+    Blank lines are skipped and not numbered: data row ``i`` (from 0) is
+    row ``i + 2`` in error messages, the header being row 1.
+    """
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
+    got = next(reader, None)
+    if got != header:
+        raise ArchiveIOError(f"{path}: expected header {header}, got {got}")
+    rows = []
+    for row_no, row in enumerate(filter(None, reader), start=2):
+        if len(row) != len(header):
+            kind = "short" if len(row) < len(header) else "long"
+            raise ArchiveIOError(f"{path}:{row_no}: {kind} row")
+        rows.append(row)
+    return rows
+
+
+# --- one table: tokens, typed columns, check ------------------------------
+
+
+class _Rows:
+    """One archive table's data rows, read and tokenised once, and turned
+    into typed columns.
+
+    A column that cannot take a row's token (it does not parse, or it is
+    beyond int64) lowers :attr:`cut` to that row and holds a filler from
+    there on, so every row before :attr:`cut` is parsed in every column.
+    """
+
+    def __init__(self, path: Path, spec: _Spec) -> None:
+        self.path, self.spec = path, spec
         try:
-            return checked_in_record_order(columns)
-        except (RecordError, UsageError, EnvironmentRecordError):
+            self._data = path.read_bytes()
+        except FileNotFoundError:
+            raise ArchiveIOError(f"missing archive file {path}") from None
+        self._counted = False
+        table = _c_tokens(self._data, spec)
+        #: ``csv.reader`` rows; made from the bytes only if they are needed.
+        self._csv = None
+        if table is None:
+            self._fell_back()
+            self._csv = _csv_rows(path, self._data, spec.header)
+            columns = list(map(list, zip(*self._csv))) or [[] for _ in spec.header]
+            self.columns = dict(zip(spec.header, columns))
+        else:
+            self.columns = {name: table[name] for name in spec.header}
+        self.c_parsed = table is not None
+        self.size = len(table if table is not None else self._csv)
+        self.cut = self.size
+
+    def _fell_back(self) -> None:
+        """Count this table, once, as one the C reader did not parse."""
+        if not self._counted:
+            self._counted = True
+            counter_add("records.load_fallback", 1, table=self.path.stem)
+
+    def _tokens(self, name: str) -> list:
+        tokens = self.columns[name]
+        return tokens.tolist() if isinstance(tokens, np.ndarray) else tokens
+
+    def _parsed(self, name: str, fill) -> list:
+        """The column's tokens parsed by its field's parser and range
+        checked, up to the first it rejects; ``fill`` from there on."""
+        parse, checked = self.spec.fields[name], name in self.spec.int64
+        values = []
+        try:
+            for token in self._tokens(name):
+                value = parse(token, name)
+                if checked and not _in_int64(value):
+                    break
+                values.append(value)
+        except ValueError:  # every parser's and record's error is one
             pass
-    counter_add("records.load_fallback", 1, table=path.stem)
-    return checked_in_record_order(
-        kind.from_records(_read_records(path, header, build, system_id))
-    )
+        self.cut = min(self.cut, len(values))
+        return values + [fill] * (self.size - len(values))
+
+    def numbers(self, name: str) -> np.ndarray:
+        """A float or integer column."""
+        if self.c_parsed:
+            return self.columns[name].copy()
+        dtype = _C_DTYPES[self.spec.fields[name]]
+        return np.array(self._parsed(name, 0), dtype=dtype)
+
+    def objects(self, name: str) -> np.ndarray:
+        """A column of parsed values of any type, such as enum members."""
+        return np.array(self._parsed(name, None), dtype=object)
+
+    def flags(self, name: str) -> np.ndarray:
+        """A ``0``/``1`` column, as booleans."""
+        tokens = np.asarray(self.columns[name], dtype=object)
+        true = tokens == "1"
+        valid = true | (tokens == "0")
+        if not valid.all():
+            self.cut = min(self.cut, int(valid.argmin()))
+        return true
+
+    def codes(self, name: str, code: Callable) -> np.ndarray:
+        """``code`` of each parsed token, parsing each distinct one once."""
+        tokens, parse = self._tokens(name), self.spec.fields[name]
+        memo = {}
+        for token in dict.fromkeys(tokens):
+            try:
+                memo[token] = code(parse(token, name))
+            except ValueError:
+                self.cut = min(self.cut, tokens.index(token))
+        return np.fromiter(map(memo.get, tokens, repeat(0)), np.int64, len(tokens))
+
+    def node_lists(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """A column of ``;``-separated integer lists, in CSR layout: the
+        offsets and the concatenated values."""
+        lists = self._tokens(name)
+        n = len(lists)
+        # Row i owns count(";") + 1 tokens of the joined lists, so an empty
+        # list or entry is an empty field, which the C reader rejects.
+        counts = np.fromiter(map(str.count, lists, repeat(";")), np.int64, n) + 1
+        values = None
+        if self.c_parsed:
+            values = _c_parse(io.StringIO(";".join(lists)), np.int64, ";")
+        # One line of fields, or the count is off: a token's newline would
+        # start a second row.
+        if values is None or values.shape != (counts.sum(),):
+            self._fell_back()
+            parsed = self._parsed(name, ())
+            counts = np.fromiter(map(len, parsed), np.int64, n)
+            values = np.fromiter(chain.from_iterable(parsed), np.int64, counts.sum())
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return offsets, values
+
+    def checked(self, log, make: Callable):
+        """``log``, built from these columns, checked and in record order;
+        else the error of its first bad row (see :meth:`fail`)."""
+        if self.cut == self.size:
+            try:
+                return checked_in_record_order(log)
+            except _RECORD_ERRORS:
+                pass
+        bad = np.flatnonzero(log.invalid_rows()[: self.cut])
+        self.fail(int(bad[0]) if bad.size else self.cut, make)
+
+    def records(self, make: Callable, **columns: np.ndarray) -> list:
+        """``make(**row)`` of each row of the typed ``columns``; else the
+        error of the first bad row (see :meth:`fail`)."""
+        names = list(columns)
+        rows = zip(*(columns[name][: self.cut].tolist() for name in names))
+        out: list = []
+        try:
+            out.extend(make(**dict(zip(names, row))) for row in rows)
+        except _RECORD_ERRORS:
+            pass
+        if len(out) < self.size:
+            self.fail(len(out), make)
+        return out
+
+    def fail(self, index: int, make: Callable) -> NoReturn:
+        """Raise the error of data row ``index``, worded from its tokens:
+        its first field that does not parse, else the error of
+        ``make(**fields)``, else its first integer beyond int64."""
+        if self._csv is None:
+            self._csv = _csv_rows(self.path, self._data, self.spec.header)
+        row = dict(zip(self.spec.header, self._csv[index]))
+        at = f"{self.path}:{index + 2}"
+        try:
+            values = {
+                name: parse(row[name], name) for name, parse in self.spec.fields.items()
+            }
+            make(**values)
+        except ArchiveIOError as exc:
+            raise ArchiveIOError(f"{at}: {exc}") from exc.__cause__
+        except _RECORD_ERRORS as exc:
+            raise ArchiveIOError(f"{at}: {exc}") from exc
+        for name in self.spec.int64:
+            if not _in_int64(values[name]):
+                raise ArchiveIOError(
+                    f"{at}: field {name!r} is out of the 64-bit range: {row[name]!r}"
+                )
+        raise AssertionError(f"{at}: the columns reject a row its record accepts")
+
+
+# --- tables ---------------------------------------------------------------
+
+
+def _write_rows(path: Path, header: list[str], row: str, *columns) -> None:
+    """Write a CSV file of ``row.format`` over ``columns``, as
+    ``csv.writer`` writes fields that need no quoting."""
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map((row + "\r\n").format, *columns))
 
 
 #: The ``category`` / ``subtype`` token of each failure table code.
@@ -305,7 +428,7 @@ def write_failures(path: Path, failures: FailureTable) -> None:
     """Write a failure log, in record order, to ``failures.csv`` format."""
     _write_rows(
         path,
-        _FAILURES_HEADER,
+        _FAILURES.header,
         "{!r},{},{},{},{!r}",
         failures.times.tolist(),
         failures.node_ids.tolist(),
@@ -315,111 +438,44 @@ def write_failures(path: Path, failures: FailureTable) -> None:
     )
 
 
-def _subtype(token: str) -> Subtype | None:
-    return parse_subtype(token) if token else None
-
-
-def _failure_record(
-    path: Path, i: int, row: dict[str, str], system_id: int
-) -> FailureRecord:
-    subtype = _subtype(row["subtype"])
-    failure = FailureRecord(
-        time=_parse_float(path, i, "time", row["time"]),
-        system_id=system_id,
-        node_id=_parse_int(path, i, "node_id", row["node_id"]),
-        category=parse_category(row["category"]),
-        subtype=subtype,
-        downtime_hours=_parse_float(
-            path, i, "downtime_hours", row["downtime_hours"]
-        ),
-    )
-    _check_int64(path, i, row, ("node_id",))
-    return failure
-
-
-_FAILURES_DTYPE = list(
-    zip(_FAILURES_HEADER, [float, np.int64, object, object, float])
-)
-
-
-def _codes(parse, code, tokens: np.ndarray) -> np.ndarray:
-    """``code(parse(token))`` of every token, called once per distinct
-    token."""
-    tokens = tokens.tolist()
-    codes = {token: code(parse(token)) for token in dict.fromkeys(tokens)}
-    return np.fromiter(map(codes.__getitem__, tokens), np.int64, len(tokens))
-
-
 def read_failures(path: Path, system_id: int) -> FailureTable:
     """Read a ``failures.csv`` file for one system, as a table in record
     order, checked like :func:`read_jobs`."""
-    table = _c_table(path, _FAILURES_HEADER, _FAILURES_DTYPE)
-    failures = None
-    if table is not None:
-        try:
-            failures = FailureTable(
-                times=table["time"].copy(),
-                node_ids=table["node_id"].copy(),
-                category_codes=_codes(
-                    parse_category, FailureTable.category_code, table["category"]
-                ),
-                subtype_codes=_codes(
-                    _subtype, FailureTable.subtype_code, table["subtype"]
-                ),
-                downtime_hours=table["downtime_hours"].copy(),
-            )
-        except TaxonomyError:
-            pass
-    return _checked_columns(
-        failures, path, _FAILURES_HEADER, _failure_record, system_id, FailureTable
+    rows = _Rows(path, _FAILURES)
+    failures = FailureTable(
+        times=rows.numbers("time"),
+        node_ids=rows.numbers("node_id"),
+        category_codes=rows.codes("category", FailureTable.category_code),
+        subtype_codes=rows.codes("subtype", FailureTable.subtype_code),
+        downtime_hours=rows.numbers("downtime_hours"),
     )
+    return rows.checked(failures, partial(FailureRecord, system_id=system_id))
 
 
 def write_maintenance(path: Path, events: Sequence[MaintenanceRecord]) -> None:
     """Write a maintenance log to ``maintenance.csv`` format."""
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_MAINTENANCE_HEADER)
-        for m in sorted(events):
-            w.writerow(
-                [
-                    _fmt(m.time),
-                    m.node_id,
-                    int(m.hardware_related),
-                    _fmt(m.duration_hours),
-                ]
-            )
-
-
-def _maintenance_record(
-    path: Path, i: int, row: dict[str, str], system_id: int
-) -> MaintenanceRecord:
-    return MaintenanceRecord(
-        time=_parse_float(path, i, "time", row["time"]),
-        system_id=system_id,
-        node_id=_parse_int(path, i, "node_id", row["node_id"]),
-        hardware_related=_parse_bool(
-            path, i, "hardware_related", row["hardware_related"]
-        ),
-        duration_hours=_parse_float(
-            path, i, "duration_hours", row["duration_hours"]
-        ),
+    events = sorted(events)
+    _write_rows(
+        path,
+        _MAINTENANCE.header,
+        "{!r},{},{},{!r}",
+        [float(m.time) for m in events],
+        [m.node_id for m in events],
+        [int(m.hardware_related) for m in events],
+        [float(m.duration_hours) for m in events],
     )
 
 
 def read_maintenance(path: Path, system_id: int) -> list[MaintenanceRecord]:
     """Read a ``maintenance.csv`` file for one system."""
-    return _read_records(
-        path, _MAINTENANCE_HEADER, _maintenance_record, system_id
+    rows = _Rows(path, _MAINTENANCE)
+    return rows.records(
+        partial(MaintenanceRecord, system_id=system_id),
+        time=rows.numbers("time"),
+        node_id=rows.numbers("node_id"),
+        hardware_related=rows.flags("hardware_related"),
+        duration_hours=rows.numbers("duration_hours"),
     )
-
-
-def _write_rows(path: Path, header: list[str], row: str, *columns) -> None:
-    """Write a CSV file of ``row.format`` over ``columns``, as
-    ``csv.writer`` writes fields that need no quoting."""
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(map((row + "\r\n").format, *columns))
 
 
 def write_jobs(path: Path, jobs: JobColumns) -> None:
@@ -428,7 +484,7 @@ def write_jobs(path: Path, jobs: JobColumns) -> None:
     nodes = list(map(str, jobs.node_ids.tolist()))
     _write_rows(
         path,
-        _JOBS_HEADER,
+        _JOBS.header,
         "{},{!r},{!r},{!r},{},{},{},{}",
         jobs.job_ids.tolist(),
         jobs.submit_times.tolist(),
@@ -441,96 +497,33 @@ def write_jobs(path: Path, jobs: JobColumns) -> None:
     )
 
 
-def _job_record(
-    path: Path, i: int, row: dict[str, str], system_id: int
-) -> JobRecord:
-    raw_nodes = row["node_ids"]
-    if not raw_nodes:
-        raise ArchiveIOError(f"{path}:{i}: empty node_ids")
-    node_ids = tuple(
-        _parse_int(path, i, "node_ids", tok) for tok in raw_nodes.split(";")
-    )
-    job = JobRecord(
-        submit_time=_parse_float(path, i, "submit_time", row["submit_time"]),
-        system_id=system_id,
-        job_id=_parse_int(path, i, "job_id", row["job_id"]),
-        dispatch_time=_parse_float(
-            path, i, "dispatch_time", row["dispatch_time"]
-        ),
-        end_time=_parse_float(path, i, "end_time", row["end_time"]),
-        user_id=_parse_int(path, i, "user_id", row["user_id"]),
-        num_processors=_parse_int(
-            path, i, "num_processors", row["num_processors"]
-        ),
-        node_ids=node_ids,
-        failed_due_to_node=_parse_bool(
-            path, i, "failed_due_to_node", row["failed_due_to_node"]
-        ),
-    )
-    _check_int64(path, i, row, ("job_id", "user_id", "num_processors", "node_ids"))
-    return job
-
-
-_JOBS_DTYPE = list(
-    zip(
-        _JOBS_HEADER,
-        [np.int64, float, float, float, np.int64, np.int64, object, object],
-    )
-)
-
-
-def _job_columns(table: np.ndarray) -> JobColumns | None:
-    """The columns of C-parsed jobs, or ``None`` if a flag or node list
-    is not one the per-row reader accepts."""
-    flags = table["failed_due_to_node"]
-    failed = flags == "1"
-    if not (failed | (flags == "0")).all():
-        return None
-    # Job i owns count(";") + 1 tokens of the joined lists, so an empty
-    # list or entry is an empty field, which the C reader rejects.
-    node_lists = table["node_ids"].tolist()
-    n = len(node_lists)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter(map(str.count, node_lists, repeat(";")), np.int64, n) + 1,
-        out=offsets[1:],
-    )
-    nodes = _c_parse(io.StringIO(";".join(node_lists)), np.int64, ";")
-    # One line of fields, or the count is off: a token's newline would
-    # start a second row.
-    if nodes is None or nodes.shape != (offsets[-1],):
-        return None
-    return JobColumns(
-        submit_times=table["submit_time"].copy(),
-        dispatch_times=table["dispatch_time"].copy(),
-        end_times=table["end_time"].copy(),
-        user_ids=table["user_id"].copy(),
-        num_processors=table["num_processors"].copy(),
-        failed_due_to_node=failed,
-        job_ids=table["job_id"].copy(),
-        node_offsets=offsets,
-        node_ids=nodes,
-    )
-
-
 def read_jobs(path: Path, system_id: int) -> JobColumns:
     """Read a ``jobs.csv`` file for one system, as columns in record order.
 
     Every check a :class:`JobRecord` runs is run on the columns, and a
-    rejected row raises the per-row reader's error for it.
+    rejected row raises the error its record would.
     """
-    table = _c_table(path, _JOBS_HEADER, _JOBS_DTYPE)
-    jobs = None if table is None else _job_columns(table)
-    return _checked_columns(
-        jobs, path, _JOBS_HEADER, _job_record, system_id, JobColumns
+    rows = _Rows(path, _JOBS)
+    offsets, nodes = rows.node_lists("node_ids")
+    jobs = JobColumns(
+        submit_times=rows.numbers("submit_time"),
+        dispatch_times=rows.numbers("dispatch_time"),
+        end_times=rows.numbers("end_time"),
+        user_ids=rows.numbers("user_id"),
+        num_processors=rows.numbers("num_processors"),
+        failed_due_to_node=rows.flags("failed_due_to_node"),
+        job_ids=rows.numbers("job_id"),
+        node_offsets=offsets,
+        node_ids=nodes,
     )
+    return rows.checked(jobs, partial(JobRecord, system_id=system_id))
 
 
 def write_temperatures(path: Path, temps: TemperatureColumns) -> None:
     """Write a temperature log, in record order, to ``temperatures.csv``."""
     _write_rows(
         path,
-        _TEMPERATURES_HEADER,
+        _TEMPERATURES.header,
         "{!r},{},{!r}",
         temps.times.tolist(),
         temps.node_ids.tolist(),
@@ -538,93 +531,90 @@ def write_temperatures(path: Path, temps: TemperatureColumns) -> None:
     )
 
 
-def _temperature_record(
-    path: Path, i: int, row: dict[str, str], system_id: int
-) -> TemperatureReading:
-    reading = TemperatureReading(
-        time=_parse_float(path, i, "time", row["time"]),
-        system_id=system_id,
-        node_id=_parse_int(path, i, "node_id", row["node_id"]),
-        celsius=_parse_float(path, i, "celsius", row["celsius"]),
-    )
-    _check_int64(path, i, row, ("node_id",))
-    return reading
-
-
-_TEMPERATURES_DTYPE = list(zip(_TEMPERATURES_HEADER, [float, np.int64, float]))
-
-
 def read_temperatures(path: Path, system_id: int) -> TemperatureColumns:
     """Read a ``temperatures.csv`` file for one system, as columns in
     record order, checked like :func:`read_jobs`."""
-    table = _c_table(path, _TEMPERATURES_HEADER, _TEMPERATURES_DTYPE)
-    temps = None
-    if table is not None:
-        temps = TemperatureColumns(
-            times=table["time"].copy(),
-            node_ids=table["node_id"].copy(),
-            celsius=table["celsius"].copy(),
-        )
-    return _checked_columns(
-        temps,
-        path,
-        _TEMPERATURES_HEADER,
-        _temperature_record,
-        system_id,
-        TemperatureColumns,
+    rows = _Rows(path, _TEMPERATURES)
+    temps = TemperatureColumns(
+        times=rows.numbers("time"),
+        node_ids=rows.numbers("node_id"),
+        celsius=rows.numbers("celsius"),
     )
+    return rows.checked(temps, partial(TemperatureReading, system_id=system_id))
 
 
 def write_layout(path: Path, layout: MachineLayout) -> None:
     """Write a machine layout to ``layout.csv`` format."""
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_LAYOUT_HEADER)
-        for node_id in layout.node_ids:
-            p = layout.placement(node_id)
-            w.writerow(
-                [p.node_id, p.rack_id, p.position_in_rack, p.room_x, p.room_y]
-            )
-
-
-def _placement(path: Path, i: int, row: dict[str, str]) -> NodePlacement:
-    return NodePlacement(
-        node_id=_parse_int(path, i, "node_id", row["node_id"]),
-        rack_id=_parse_int(path, i, "rack_id", row["rack_id"]),
-        position_in_rack=_parse_int(
-            path, i, "position_in_rack", row["position_in_rack"]
-        ),
-        room_x=_parse_int(path, i, "room_x", row["room_x"]),
-        room_y=_parse_int(path, i, "room_y", row["room_y"]),
+    placements = list(map(layout.placement, layout.node_ids))
+    _write_rows(
+        path,
+        _LAYOUT.header,
+        "{},{},{},{},{}",
+        *([getattr(p, name) for p in placements] for name in _LAYOUT.header),
     )
 
 
 def read_layout(path: Path) -> MachineLayout:
     """Read a ``layout.csv`` file."""
-    return MachineLayout(_read_records(path, _LAYOUT_HEADER, _placement))
+    rows = _Rows(path, _LAYOUT)
+    placements = rows.records(
+        NodePlacement, **{name: rows.numbers(name) for name in _LAYOUT.header}
+    )
+    try:
+        return MachineLayout(placements)
+    except LayoutError as exc:
+        raise ArchiveIOError(f"{path}: {exc}") from exc
 
 
 def write_neutrons(path: Path, readings: Sequence[NeutronReading]) -> None:
     """Write the neutron monitor series to ``neutrons.csv`` format."""
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_NEUTRONS_HEADER)
-        for r in sorted(readings):
-            w.writerow([_fmt(r.time), _fmt(r.counts_per_minute)])
-
-
-def _neutron_reading(path: Path, i: int, row: dict[str, str]) -> NeutronReading:
-    return NeutronReading(
-        time=_parse_float(path, i, "time", row["time"]),
-        counts_per_minute=_parse_float(
-            path, i, "counts_per_minute", row["counts_per_minute"]
-        ),
+    readings = sorted(readings)
+    _write_rows(
+        path,
+        _NEUTRONS.header,
+        "{!r},{!r}",
+        [float(r.time) for r in readings],
+        [float(r.counts_per_minute) for r in readings],
     )
 
 
 def read_neutrons(path: Path) -> list[NeutronReading]:
     """Read a ``neutrons.csv`` file."""
-    return _read_records(path, _NEUTRONS_HEADER, _neutron_reading)
+    rows = _Rows(path, _NEUTRONS)
+    return rows.records(
+        NeutronReading,
+        time=rows.numbers("time"),
+        counts_per_minute=rows.numbers("counts_per_minute"),
+    )
+
+
+def _system(
+    group, system_id, num_nodes, processors_per_node, period_start, period_end
+) -> dict:
+    """The scalar :class:`SystemDataset` fields of one ``systems.csv`` row."""
+    return {
+        "system_id": system_id,
+        "group": group,
+        "num_nodes": num_nodes,
+        "processors_per_node": processors_per_node,
+        "period": ObservationPeriod(start=period_start, end=period_end),
+    }
+
+
+def read_systems(path: Path) -> list[dict]:
+    """Read a ``systems.csv`` file: each row's scalar
+    :class:`SystemDataset` fields, in file order.  The table must hold a
+    row, and no row may repeat an earlier row's system id."""
+    rows = _Rows(path, _SYSTEMS)
+    numbers = {name: rows.numbers(name) for name in _SYSTEMS.header if name != "group"}
+    systems = rows.records(_system, group=rows.objects("group"), **numbers)
+    if not systems:
+        raise ArchiveIOError(f"{path}: an archive must contain at least one system")
+    ids = [fields["system_id"] for fields in systems]
+    for i, system_id in enumerate(ids):
+        if system_id in ids[:i]:
+            raise ArchiveIOError(f"{path}:{i + 2}: duplicate system id {system_id}")
+    return systems
 
 
 def save_archive(archive: Archive, root: Path | str) -> None:
@@ -639,20 +629,18 @@ def save_archive(archive: Archive, root: Path | str) -> None:
 
 def _save_archive(archive: Archive, root: Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
-    with (root / "systems.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_SYSTEMS_HEADER)
-        for ds in archive:
-            w.writerow(
-                [
-                    ds.system_id,
-                    ds.group.value,
-                    ds.num_nodes,
-                    ds.processors_per_node,
-                    _fmt(ds.period.start),
-                    _fmt(ds.period.end),
-                ]
-            )
+    systems = list(archive)
+    _write_rows(
+        root / "systems.csv",
+        _SYSTEMS.header,
+        "{},{},{},{},{!r},{!r}",
+        [ds.system_id for ds in systems],
+        [ds.group.value for ds in systems],
+        [ds.num_nodes for ds in systems],
+        [ds.processors_per_node for ds in systems],
+        [float(ds.period.start) for ds in systems],
+        [float(ds.period.end) for ds in systems],
+    )
     write_neutrons(root / "neutrons.csv", archive.neutron_series)
     for ds in archive:
         sysdir = root / f"system-{ds.system_id}"
@@ -677,32 +665,9 @@ def load_archive(root: Path | str) -> Archive:
         return archive
 
 
-def _system_fields(path: Path, i: int, row: dict[str, str]) -> dict:
-    """The scalar :class:`SystemDataset` fields of one ``systems.csv`` row."""
-    try:
-        group = HardwareGroup(row["group"])
-    except ValueError as exc:
-        raise ArchiveIOError(
-            f"{path}:{i}: unknown group {row['group']!r}"
-        ) from exc
-    return {
-        "system_id": _parse_int(path, i, "system_id", row["system_id"]),
-        "group": group,
-        "num_nodes": _parse_int(path, i, "num_nodes", row["num_nodes"]),
-        "processors_per_node": _parse_int(
-            path, i, "processors_per_node", row["processors_per_node"]
-        ),
-        "period": ObservationPeriod(
-            start=_parse_float(path, i, "period_start", row["period_start"]),
-            end=_parse_float(path, i, "period_end", row["period_end"]),
-        ),
-    }
-
-
 def _load_archive(root: Path) -> Archive:
     systems = []
-    rows = _read_records(root / "systems.csv", _SYSTEMS_HEADER, _system_fields)
-    for fields in rows:
+    for fields in read_systems(root / "systems.csv"):
         system_id = fields["system_id"]
         sysdir = root / f"system-{system_id}"
         failures = read_failures(sysdir / "failures.csv", system_id)

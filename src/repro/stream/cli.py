@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..records.io import load_archive
+from ..cli import load_archive_or_exit
 from ..records.timeutil import ObservationPeriod
 from .alerts import AlertEngine, render_alerts
 from .analysis import OnlineAnalysis
@@ -237,11 +237,7 @@ def _build_source(args: argparse.Namespace, state: StreamAnalysisState):
     """Returns ``(source_iterator, archive_or_None)``."""
     archive = None
     if args.archive is not None:
-        if not args.archive.exists():
-            raise SystemExit(
-                f"error: archive directory {args.archive} does not exist"
-            )
-        archive = load_archive(args.archive)
+        archive = load_archive_or_exit(args.archive)
         state.register_archive(archive)
     if args.source == "archive":
         if archive is None:

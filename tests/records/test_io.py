@@ -81,16 +81,27 @@ class TestRoundTrip:
                 ), log
         assert loaded.neutron_series == tiny_archive.neutron_series
 
-    def test_each_bulk_file_is_read_once(self, tiny_archive: Archive, tmp_path: Path):
-        """The C reader parses the bytes its gate checked: no second read."""
-        save_archive(tiny_archive, tmp_path / "arch")
-        bulk = ("failures.csv", "jobs.csv", "temperatures.csv")
-        files = sorted(str(p) for p in (tmp_path / "arch").rglob("*.csv") if p.name in bulk)
+    @pytest.mark.parametrize("job_id", [None, "1_000"])
+    def test_each_archive_file_is_read_once(
+        self, tiny_archive: Archive, tmp_path: Path, job_id
+    ):
+        """Every table's bytes are read once, also when ``csv.reader``
+        tokenises them (``1_000`` is a spelling the C reader refuses)."""
+        root = tmp_path / "arch"
+        save_archive(tiny_archive, root)
+        if job_id is not None:
+            jobs = root / "system-8" / "jobs.csv"
+            lines = jobs.read_text().splitlines()
+            lines[1] = ",".join([job_id, *lines[1].split(",")[1:]])
+            jobs.write_text("\n".join(lines) + "\n")
+        files = sorted(str(p) for p in root.rglob("*.csv"))
         with opened_files() as opened:
-            load_archive(tmp_path / "arch")
-        counts = Counter(p for p in opened if Path(p).name in bulk)
+            loaded = load_archive(root)
+        counts = Counter(p for p in opened if p.endswith(".csv"))
         assert sorted(counts) == files
         assert set(counts.values()) == {1}
+        if job_id is not None:
+            assert 1000 in loaded[8].job_columns.job_ids.tolist()
 
     def test_save_is_deterministic(self, tiny_archive: Archive, tmp_path: Path):
         save_archive(tiny_archive, tmp_path / "a")
@@ -198,6 +209,34 @@ class TestMalformedInput:
         content = systems.read_text().replace("group-1", "group-9")
         systems.write_text(content)
         with pytest.raises(ArchiveIOError, match="group"):
+            load_archive(root)
+
+
+class TestSystemsTable:
+    """``systems.csv`` faults are archive errors naming the file."""
+
+    def _edit(self, tiny_archive: Archive, tmp_path: Path, edit) -> Path:
+        root = tmp_path / "arch"
+        save_archive(tiny_archive, root)
+        systems = root / "systems.csv"
+        systems.write_text("\n".join(edit(systems.read_text().splitlines())) + "\n")
+        return root
+
+    def test_duplicate_row(self, tiny_archive: Archive, tmp_path: Path):
+        root = self._edit(tiny_archive, tmp_path, lambda ls: [*ls[:3], ls[2], *ls[3:]])
+        sid = tiny_archive.system_ids[1]
+        with pytest.raises(
+            ArchiveIOError,
+            match=f"^{root / 'systems.csv'}:4: duplicate system id {sid}$",
+        ):
+            load_archive(root)
+
+    def test_header_only(self, tiny_archive: Archive, tmp_path: Path):
+        root = self._edit(tiny_archive, tmp_path, lambda ls: ls[:1])
+        with pytest.raises(
+            ArchiveIOError,
+            match=f"^{root / 'systems.csv'}: an archive must contain at least one system$",
+        ):
             load_archive(root)
 
 

@@ -1,12 +1,14 @@
-"""Reference-reader tests for the C-parsed CSV loader.
+"""Reference-reader tests for the CSV loader.
 
-``read_failures`` / ``read_jobs`` / ``read_temperatures`` parse a whole
-file column-wise with numpy's C reader and check and sort the columns
-with numpy.  This module keeps per-row readers -- ``csv.DictReader``,
-one record per row, records sorted with ``sorted()`` -- as the oracle,
-and checks the loader against it on random tables (hypothesis): same
-columns, same materialised records, and on a bad table the same error
-type and message.  The spelling tests write the
+Every table is parsed column-wise, by numpy's C reader where it can;
+``read_failures`` / ``read_jobs`` / ``read_temperatures`` check and sort
+the columns with numpy, and the small tables (maintenance, neutrons,
+layout, systems) build their records from them.  This module keeps
+per-row readers for all seven -- ``csv.DictReader``, one record per
+row, records sorted with ``sorted()`` -- as the oracle, and checks the
+loader against it on random tables (hypothesis): same columns, same
+materialised records, and on a bad table the same error type and
+message.  The spelling tests write the
 numbers the way people and other tools do (padding, quotes, underscores,
 other notations, other digits, other line ends), where the C reader and
 ``float()``/``int()`` could part ways.
@@ -25,24 +27,31 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.records.dataset import FailureTable, SystemDataset
+from repro.records.dataset import FailureTable, HardwareGroup, SystemDataset
 from repro.records.environment import (
     EnvironmentRecordError,
+    NeutronReading,
     TemperatureColumns,
     TemperatureReading,
 )
-from repro.records.failure import FailureRecord, RecordError
+from repro.records.failure import FailureRecord, MaintenanceRecord, RecordError
 from repro.records.io import (
     ArchiveIOError,
     load_archive,
     read_failures,
     read_jobs,
+    read_layout,
+    read_maintenance,
+    read_neutrons,
+    read_systems,
     read_temperatures,
     save_archive,
     write_jobs,
     write_temperatures,
 )
+from repro.records.layout import LayoutError, MachineLayout, NodePlacement
 from repro.records.taxonomy import TaxonomyError, parse_category, parse_subtype
+from repro.records.timeutil import ObservationPeriod, TimeError
 from repro.records.usage import JobColumns, JobRecord, UsageError
 
 SYSTEM_ID = 20
@@ -60,6 +69,17 @@ JOBS_HEADER = [
 ]
 TEMPERATURES_HEADER = ["time", "node_id", "celsius"]
 FAILURES_HEADER = ["time", "node_id", "category", "subtype", "downtime_hours"]
+MAINTENANCE_HEADER = ["time", "node_id", "hardware_related", "duration_hours"]
+NEUTRONS_HEADER = ["time", "counts_per_minute"]
+LAYOUT_HEADER = ["node_id", "rack_id", "position_in_rack", "room_x", "room_y"]
+SYSTEMS_HEADER = [
+    "system_id",
+    "group",
+    "num_nodes",
+    "processors_per_node",
+    "period_start",
+    "period_end",
+]
 
 
 # --- the oracle: per-row readers ------------------------------------------
@@ -194,6 +214,99 @@ def reference_read_failures(path: Path, system_id: int) -> list[FailureRecord]:
         except (RecordError, TaxonomyError) as exc:
             raise ArchiveIOError(f"{path}:{i}: {exc}") from exc
         _int64(path, i, row, ("node_id",))
+    return out
+
+
+def reference_read_maintenance(path: Path) -> list[MaintenanceRecord]:
+    out = []
+    for i, row in enumerate(reference_rows(path, MAINTENANCE_HEADER), start=2):
+        try:
+            out.append(
+                MaintenanceRecord(
+                    time=_float(path, i, "time", row["time"]),
+                    system_id=SYSTEM_ID,
+                    node_id=_int(path, i, "node_id", row["node_id"]),
+                    hardware_related=_bool(
+                        path, i, "hardware_related", row["hardware_related"]
+                    ),
+                    duration_hours=_float(
+                        path, i, "duration_hours", row["duration_hours"]
+                    ),
+                )
+            )
+        except RecordError as exc:
+            raise ArchiveIOError(f"{path}:{i}: {exc}") from exc
+        _int64(path, i, row, ("node_id",))
+    return out
+
+
+def reference_read_neutrons(path: Path) -> list[NeutronReading]:
+    out = []
+    for i, row in enumerate(reference_rows(path, NEUTRONS_HEADER), start=2):
+        try:
+            out.append(
+                NeutronReading(
+                    time=_float(path, i, "time", row["time"]),
+                    counts_per_minute=_float(
+                        path, i, "counts_per_minute", row["counts_per_minute"]
+                    ),
+                )
+            )
+        except EnvironmentRecordError as exc:
+            raise ArchiveIOError(f"{path}:{i}: {exc}") from exc
+    return out
+
+
+def reference_read_layout(path: Path) -> MachineLayout:
+    placements = []
+    for i, row in enumerate(reference_rows(path, LAYOUT_HEADER), start=2):
+        try:
+            placements.append(
+                NodePlacement(
+                    **{field: _int(path, i, field, row[field]) for field in LAYOUT_HEADER}
+                )
+            )
+        except LayoutError as exc:
+            raise ArchiveIOError(f"{path}:{i}: {exc}") from exc
+        _int64(path, i, row, LAYOUT_HEADER)
+    # A layout-wide fault (a node or slot placed twice, no node at all).
+    try:
+        return MachineLayout(placements)
+    except LayoutError as exc:
+        raise ArchiveIOError(f"{path}: {exc}") from exc
+
+
+def reference_read_systems(path: Path) -> list[dict]:
+    out = []
+    for i, row in enumerate(reference_rows(path, SYSTEMS_HEADER), start=2):
+        try:
+            group = HardwareGroup(row["group"])
+        except ValueError as exc:
+            raise ArchiveIOError(f"{path}:{i}: unknown group {row['group']!r}") from exc
+        fields = {
+            "system_id": _int(path, i, "system_id", row["system_id"]),
+            "group": group,
+            "num_nodes": _int(path, i, "num_nodes", row["num_nodes"]),
+            "processors_per_node": _int(
+                path, i, "processors_per_node", row["processors_per_node"]
+            ),
+        }
+        start = _float(path, i, "period_start", row["period_start"])
+        end = _float(path, i, "period_end", row["period_end"])
+        try:
+            fields["period"] = ObservationPeriod(start=start, end=end)
+        except TimeError as exc:
+            raise ArchiveIOError(f"{path}:{i}: {exc}") from exc
+        _int64(path, i, row, ("system_id", "num_nodes", "processors_per_node"))
+        out.append(fields)
+    # Table-wide faults, once every row has passed.
+    if not out:
+        raise ArchiveIOError(f"{path}: an archive must contain at least one system")
+    seen = set()
+    for i, fields in enumerate(out, start=2):
+        if fields["system_id"] in seen:
+            raise ArchiveIOError(f"{path}:{i}: duplicate system id {fields['system_id']}")
+        seen.add(fields["system_id"])
     return out
 
 
@@ -582,6 +695,47 @@ class TestLoaderRaisesLikeOracle:
             read_temperatures(path, SYSTEM_ID)
 
 
+class TestFieldOrder:
+    """A row failing in every field raises the field its record's
+    constructor takes first, which is not always the first column."""
+
+    @pytest.mark.parametrize(
+        "oracle, loader, header, row, cause",
+        [
+            (
+                reference_read_failures,
+                read_failures,
+                FAILURES_HEADER,
+                ["soon", "x", "NOPE", "BOGUS", "long"],
+                TaxonomyError,  # the subtype, in column 4
+            ),
+            (
+                reference_read_jobs,
+                read_jobs,
+                JOBS_HEADER,
+                ["x", "soon", "y", "z", "u", "p", "", "2"],
+                type(None),  # the empty node list, in column 7
+            ),
+        ],
+    )
+    def test_logs(self, tmp_path, oracle, loader, header, row, cause):
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(map(",".join, [header, row])) + "\n")
+        assert_same_error(oracle, loader, path)
+        with pytest.raises(ArchiveIOError) as info:
+            loader(path, SYSTEM_ID)
+        assert type(info.value.__cause__) is cause
+
+    def test_systems(self, tmp_path):
+        path = tmp_path / "systems.csv"
+        path.write_text(",".join(SYSTEMS_HEADER) + "\nx,group-9,y,z,a,b\n")
+        assert_same_error(
+            lambda p, _: reference_read_systems(p), lambda p, _: read_systems(p), path
+        )
+        with pytest.raises(ArchiveIOError, match="unknown group 'group-9'$"):
+            read_systems(path)
+
+
 # --- spellings ------------------------------------------------------------
 
 # int() and float() read these as 0-9; the C reader does not.
@@ -867,3 +1021,217 @@ class TestFallbackCounter:
         save_archive(tiny_archive, tmp_path / "arch")
         load_archive(tmp_path / "arch")
         assert fallbacks(metrics) == 0
+
+
+# --- the small tables -----------------------------------------------------
+
+
+@st.composite
+def maintenance_rows(draw, percent: int = 0) -> list[str]:
+    return [
+        draw(respelled(repr(draw(times)), False, percent)),
+        draw(respelled(str(draw(st.integers(0, NUM_NODES - 1))), True, percent)),
+        draw(respelled(draw(st.sampled_from("01")), True, percent)),
+        draw(respelled(repr(draw(st.sampled_from([0.0, 0.5, 24.0]))), False, percent)),
+    ]
+
+
+@st.composite
+def neutron_rows(draw, percent: int = 0) -> list[str]:
+    return [
+        draw(respelled(repr(draw(times)), False, percent)),
+        draw(respelled(repr(draw(st.floats(0, 1e4))), False, percent)),
+    ]
+
+
+@st.composite
+def layout_rows(draw, percent: int = 0) -> list[str]:
+    # A node's slot follows from its id, so only a repeated node repeats
+    # a slot.
+    node = draw(st.integers(0, NUM_NODES - 1))
+    rack = node // 5
+    fields = [node, rack, node % 5 + 1, rack % 4, rack // 4]
+    return [draw(respelled(str(f), True, percent)) for f in fields]
+
+
+@st.composite
+def system_rows(draw, percent: int = 0) -> list[str]:
+    return [
+        draw(respelled(str(draw(st.integers(0, 30))), True, percent)),
+        draw(st.sampled_from([g.value for g in HardwareGroup])),
+        draw(respelled(str(draw(st.integers(1, NUM_NODES))), True, percent)),
+        draw(respelled(str(draw(st.integers(1, 8))), True, percent)),
+        draw(respelled(repr(draw(st.sampled_from([0.0, 10.0]))), False, percent)),
+        draw(respelled(repr(draw(st.sampled_from([400.0, 800.5]))), False, percent)),
+    ]
+
+
+MAINTENANCE_FAULTS = {
+    "bad time": _set(0, "t"),
+    "bad node": _set(1, "1.5"),
+    "bad flag": _set(2, "yes"),
+    "bad duration": _set(3, ""),
+    "negative time": _set(0, "-1.0"),
+    "nan time": _set(0, "nan"),
+    "negative node": _set(1, "-3"),
+    "huge node": _set(1, str(2**64)),
+    "huge negative node": _set(1, str(-(2**64))),
+    "inf duration": _set(3, "inf"),
+    "negative duration": _set(3, "-0.5"),
+    "underscored node": _set(1, "1_0"),
+    "short row": lambda r: r[:-1],
+    "long row": lambda r: r + ["0"],
+}
+
+NEUTRON_FAULTS = {
+    "bad time": _set(0, "soon"),
+    "bad counts": _set(1, "many"),
+    "nan time": _set(0, "nan"),
+    "negative time": _set(0, "-2.5"),
+    "negative counts": _set(1, "-1.0"),
+    "inf counts": _set(1, "inf"),
+    "underscored counts": _set(1, "4_000.5"),
+    "short row": lambda r: r[:1],
+    "long row": lambda r: r + ["1.0"],
+}
+
+LAYOUT_FAULTS = {
+    "bad node": _set(0, "n1"),
+    "bad rack": _set(1, "1e0"),
+    "negative rack": _set(1, "-1"),
+    "slot zero": _set(2, "0"),
+    "slot six": _set(2, "6"),
+    "huge room": _set(3, str(2**63)),
+    "huge negative rack": _set(1, str(-(2**63) - 1)),
+    "node zero": _set(0, "0"),
+    "underscored rack": _set(1, "0_0"),
+    "short row": lambda r: r[:4],
+    "long row": lambda r: r + ["2"],
+}
+
+SYSTEM_FAULTS = {
+    "unknown group": _set(1, "group-9"),
+    "bad id": _set(0, "s2"),
+    "bad nodes": _set(2, "1.0"),
+    "bad processors": _set(3, ""),
+    "bad start": _set(4, "early"),
+    "empty period": _set(5, "0.0"),
+    "nan start": _set(4, "nan"),
+    "huge processors": _set(3, str(2**63)),
+    "repeated id": _set(0, "1"),
+    "underscored nodes": _set(2, "1_6"),
+    "short row": lambda r: r[:-2],
+    "long row": lambda r: r + ["x"],
+}
+
+
+def placements(layout: MachineLayout) -> list[NodePlacement]:
+    return [layout.placement(node) for node in layout.node_ids]
+
+
+#: Per small table: its oracle, its loader, a row strategy, its faults,
+#: its header, three good rows, and what of a loaded table to compare.
+SMALL_TABLES = {
+    "maintenance": (
+        reference_read_maintenance,
+        lambda path: read_maintenance(path, SYSTEM_ID),
+        maintenance_rows,
+        MAINTENANCE_FAULTS,
+        MAINTENANCE_HEADER,
+        [["1.0", "3", "1", "2.0"], ["2.5", "4", "0", "0.5"], ["0.5", "5", "1", "0.0"]],
+        as_tuples,
+    ),
+    "neutrons": (
+        reference_read_neutrons,
+        read_neutrons,
+        neutron_rows,
+        NEUTRON_FAULTS,
+        NEUTRONS_HEADER,
+        [["1.0", "4000.0"], ["2.0", "4100.5"], ["3.0", "3900.0"]],
+        as_tuples,
+    ),
+    "layout": (
+        reference_read_layout,
+        read_layout,
+        layout_rows,
+        LAYOUT_FAULTS,
+        LAYOUT_HEADER,
+        [["0", "0", "1", "0", "0"], ["6", "1", "2", "1", "0"], ["12", "2", "3", "2", "0"]],
+        placements,
+    ),
+    "systems": (
+        reference_read_systems,
+        read_systems,
+        system_rows,
+        SYSTEM_FAULTS,
+        SYSTEMS_HEADER,
+        [
+            ["1", "group-1", "64", "4", "0.0", "400.0"],
+            ["2", "group-2", "8", "128", "0.0", "400.0"],
+            ["3", "group-1", "16", "4", "10.0", "800.5"],
+        ],
+        list,
+    ),
+}
+
+
+def check_table_against_oracle(kind: str, path: Path) -> bool:
+    """The loader raises what the oracle raises, or loads what it loads;
+    whether the table loads."""
+    oracle, loader, *_, comparable = SMALL_TABLES[kind]
+    try:
+        expected = oracle(path)
+    except ArchiveIOError:
+        assert_same_error(lambda p, _: oracle(p), lambda p, _: loader(p), path)
+        return False
+    assert comparable(loader(path)) == comparable(expected)
+    return True
+
+
+class TestSmallTablesMatchOracle:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.large_base_example],
+    )
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", sorted(SMALL_TABLES))
+    def test_faults(self, tmp_path_factory, kind, data):
+        _, _, rows, faults, header, *_ = SMALL_TABLES[kind]
+        path = fresh_dir(tmp_path_factory) / f"{kind}.csv"
+        path.write_text(data.draw(faulty_table(rows(), faults, header)))
+        check_table_against_oracle(kind, path)
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.large_base_example, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", sorted(SMALL_TABLES))
+    def test_spellings(self, tmp_path_factory, kind, data):
+        _, _, rows, _, header, *_ = SMALL_TABLES[kind]
+        percent = data.draw(st.sampled_from([0, 3, 30]))
+        table = data.draw(st.lists(rows(percent), max_size=6))
+        path = fresh_dir(tmp_path_factory) / f"{kind}.csv"
+        path.write_bytes(data.draw(spelled_text(header, table)).encode())
+        check_table_against_oracle(kind, path)
+
+    @pytest.mark.parametrize(
+        "kind, fault",
+        [(kind, fault) for kind in sorted(SMALL_TABLES) for fault in sorted(SMALL_TABLES[kind][3])],
+    )
+    def test_each_fault(self, tmp_path, kind, fault):
+        _, _, _, faults, header, (first, second, third), _ = SMALL_TABLES[kind]
+        path = tmp_path / f"{kind}.csv"
+        rows = [first, faults[fault](second), third]
+        path.write_text("\n".join(map(",".join, [header, *rows])) + "\n")
+        assert check_table_against_oracle(kind, path) == fault.startswith("underscored")
+
+    def test_systems_of_a_saved_archive(self, tiny_archive, tmp_path):
+        save_archive(tiny_archive, tmp_path / "arch")
+        path = tmp_path / "arch" / "systems.csv"
+        assert check_table_against_oracle("systems", path)
+        assert [fields["system_id"] for fields in read_systems(path)] == list(
+            tiny_archive.system_ids
+        )

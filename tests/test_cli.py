@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,35 @@ class TestCommands:
         with pytest.raises(SystemExit, match="^error: years must be positive"):
             main(["generate", str(tmp_path / "arch"), "--years", "nan"])
         assert not (tmp_path / "arch").exists()
+
+
+class TestMalformedArchive:
+    """A malformed archive ends every command that loads one with the
+    loader's one-line error, not a traceback."""
+
+    @pytest.fixture()
+    def malformed(self, archive_dir, tmp_path) -> Path:
+        path = tmp_path / "malformed"
+        shutil.copytree(archive_dir, path)
+        failures = path / "system-2" / "failures.csv"
+        lines = failures.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = "NOPE"
+        lines[1] = ",".join(fields)
+        failures.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "command", [["report"], ["validate"], ["stream", "--archive"]]
+    )
+    def test_one_line_error(self, malformed, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*command, str(malformed)])
+        message = str(info.value.code)
+        failures = malformed / "system-2" / "failures.csv"
+        assert message.startswith(f"error: {failures}:2: ")
+        assert "NOPE" in message and "\n" not in message
+        capsys.readouterr()
 
 
 class TestNewCommands:
