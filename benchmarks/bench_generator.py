@@ -38,4 +38,4 @@ def test_generate_medium_system(benchmark):
         return generate_system(spec, config, RngStreams(config.seed), flux)
 
     ds = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(ds.failures) > 500
+    assert len(ds.failure_table) > 500

@@ -38,7 +38,7 @@ def main() -> None:
         archive = quick_archive(seed=9, years=6.0, scale=0.2)
 
     print("\n=== 1. classical inter-arrival modeling ===")
-    biggest = sorted(archive, key=lambda ds: -len(ds.failures))[:3]
+    biggest = sorted(archive, key=lambda ds: -len(ds.failure_table))[:3]
     for ds in biggest:
         print()
         print(failure_timeline(ds))

@@ -39,7 +39,7 @@ def main() -> None:
     largest = sorted(archive, key=lambda ds: -ds.num_nodes)[:3]
 
     for ds in largest:
-        if not ds.failures:
+        if not len(ds.failure_table):
             continue
         print(f"\n=== system {ds.system_id} ({ds.num_nodes} nodes) ===")
         fc = failures_per_node(ds)

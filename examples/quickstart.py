@@ -40,7 +40,7 @@ def main() -> None:
         ]
         print(
             f"  system {ds.system_id:>2d} [{ds.group}] "
-            f"{ds.num_nodes:>4d} nodes, {len(ds.failures):>6d} failures"
+            f"{ds.num_nodes:>4d} nodes, {len(ds.failure_table):>6d} failures"
             + (f"  (+{', '.join(extras)})" if extras else "")
         )
 

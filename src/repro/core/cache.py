@@ -138,15 +138,11 @@ class AnalysisCache:
 
     def _maintenance_index(self, hardware_only: bool) -> EventIndex:
         ds = self._ds
-        events = [
-            m
-            for m in ds.maintenance
-            if (m.hardware_related or not hardware_only)
-            and ds.period.contains(m.time)
-        ]
-        times = np.array([m.time for m in events], dtype=float)
-        nodes = np.array([m.node_id for m in events], dtype=np.int64)
-        return EventIndex(times, nodes, num_nodes=ds.num_nodes)
+        log = ds.maintenance
+        keep = (log.times >= ds.period.start) & (log.times < ds.period.end)
+        if hardware_only:
+            keep &= log.hardware_related
+        return EventIndex(log.times[keep], log.node_ids[keep], num_nodes=ds.num_nodes)
 
     # -- window counts ------------------------------------------------------
 

@@ -82,7 +82,8 @@ def neutron_correlation(
     """Figure 14 for one system/subtype: monthly probability vs flux."""
     if not archive.neutron_series:
         raise CosmicAnalysisError("the archive carries no neutron series")
-    flux = monthly_means(*archive.neutron_columns, ds.period)
+    series = archive.neutron_series
+    flux = monthly_means(series.times, series.counts_per_minute, ds.period)
     prob = monthly_failure_probability(ds, subtype)
     keep = ~np.isnan(flux)
     flux, prob = flux[keep], prob[keep]

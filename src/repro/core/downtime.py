@@ -172,7 +172,7 @@ def availability(ds: SystemDataset) -> AvailabilityResult:
     node_hours = ds.num_nodes * ds.period.length * 24.0
     # Added left to right, as the records' loop added them.
     downtime = float(sum(ds.failure_table.downtime_hours.tolist()))
-    maintenance = float(sum(m.duration_hours for m in ds.maintenance))
+    maintenance = float(sum(ds.maintenance.duration_hours.tolist()))
     if node_hours <= 0:
         raise DowntimeAnalysisError("empty observation period")
     return AvailabilityResult(

@@ -2,35 +2,29 @@
 
 :class:`SystemDataset` bundles everything recorded about one LANL-style
 system -- failures, maintenance events, job logs, temperature readings,
-machine layout -- with its observation period and hardware group.  The
-failure, job and temperature logs are stored as numpy columns
-(:class:`FailureTable`, :class:`~repro.records.usage.JobColumns`,
+machine layout -- with its observation period and hardware group.  Every
+log is stored as numpy columns (:class:`FailureTable`,
+:class:`~repro.records.failure.MaintenanceTable`,
+:class:`~repro.records.usage.JobColumns`,
 :class:`~repro.records.environment.TemperatureColumns`), which the
-analysis layer reads directly; their record tuples are read-only views
-built on first access.
+analysis layer reads directly.
 
-:class:`Archive` bundles all systems plus site-wide series (the neutron
-monitor feed) and mirrors the shape of the public LANL release: ten
-systems in two hardware groups.
+:class:`Archive` bundles all systems plus the site-wide neutron monitor
+series (:class:`~repro.records.environment.NeutronSeries`) and mirrors
+the shape of the public LANL release: ten systems in two hardware groups.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import repeat
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .environment import (
-    NeutronReading,
-    TemperatureColumns,
-    TemperatureReading,
-    neutron_columns,
-)
-from .failure import FailureRecord, MaintenanceRecord, RecordError
+from .environment import NeutronSeries, TemperatureColumns, TemperatureReading
+from .failure import FailureRecord, MaintenanceRecord, MaintenanceTable, RecordError
 from .layout import MachineLayout
 from .taxonomy import (
     Category,
@@ -40,7 +34,8 @@ from .taxonomy import (
     category_of,
 )
 from .timeutil import ObservationPeriod
-from .usage import JobColumns, JobRecord, checked_in_record_order, record_order
+from .usage import JobColumns, JobRecord, check_rows, checked_in_record_order
+from .usage import rows_of, sorted_rows
 
 
 class DatasetError(ValueError):
@@ -160,20 +155,6 @@ class FailureTable:
             np.fromiter((f.downtime_hours for f in failures), float, n),
         ).in_record_order()
 
-    def to_records(self, system_id: int) -> tuple[FailureRecord, ...]:
-        """The rows as :class:`FailureRecord` objects of ``system_id``."""
-        return tuple(
-            map(
-                FailureRecord,
-                self.times.tolist(),
-                repeat(system_id),
-                self.node_ids.tolist(),
-                map(self.CATEGORIES.__getitem__, self.category_codes.tolist()),
-                map(self.SUBTYPES.__getitem__, self.subtype_codes.tolist()),
-                self.downtime_hours.tolist(),
-            )
-        )
-
     def invalid_rows(self) -> np.ndarray:
         """Mask of the rows :class:`FailureRecord` would reject: every
         ``__post_init__`` check, evaluated on the columns, plus codes
@@ -190,16 +171,11 @@ class FailureTable:
     def check(self) -> None:
         """Raise :class:`RecordError` if a row breaks a
         :class:`FailureRecord` invariant."""
-        bad = np.flatnonzero(self.invalid_rows())
-        if bad.size:
-            raise RecordError(
-                f"{bad.size} invalid failures, the first at row {bad[0]}"
-            )
+        check_rows(self, RecordError, "failures")
 
     def in_record_order(self) -> "FailureTable":
         """These rows in the order their records sort in."""
-        order = record_order(self.times, self.node_ids)
-        return self if order is None else self._rows(order)
+        return sorted_rows(self, self.times, self.node_ids)
 
     def rows_between(self, start: float, end: float) -> "FailureTable":
         """The rows with ``start <= time < end``, as a table of their own.
@@ -209,10 +185,7 @@ class FailureTable:
         this one's.
         """
         lo, hi = np.searchsorted(self.times, (start, end)).tolist()
-        return self._rows(slice(lo, hi))
-
-    def _rows(self, index) -> "FailureTable":
-        return FailureTable(*(getattr(self, f.name)[index] for f in fields(self)))
+        return rows_of(self, slice(lo, hi))
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -307,6 +280,14 @@ class SystemDataset:
         layout: machine layout (None unless available; group-1 only).
     """
 
+    #: The class of each log, by field.
+    LOGS: ClassVar[dict[str, type]] = {
+        "failure_table": FailureTable,
+        "maintenance": MaintenanceTable,
+        "job_columns": JobColumns,
+        "temperature_columns": TemperatureColumns,
+    }
+
     system_id: int
     group: HardwareGroup
     num_nodes: int
@@ -315,7 +296,9 @@ class SystemDataset:
     failure_table: FailureTable = field(
         default_factory=partial(FailureTable.from_records, ())
     )
-    maintenance: tuple[MaintenanceRecord, ...] = ()
+    maintenance: MaintenanceTable = field(
+        default_factory=partial(MaintenanceTable.from_records, ())
+    )
     job_columns: JobColumns = field(
         default_factory=partial(JobColumns.from_records, ())
     )
@@ -329,15 +312,16 @@ class SystemDataset:
         cls,
         *,
         failures: Iterable[FailureRecord] = (),
+        maintenance: Iterable[MaintenanceRecord] = (),
         jobs: Iterable[JobRecord] = (),
         temperatures: Iterable[TemperatureReading] = (),
         **others,
     ) -> "SystemDataset":
-        """A dataset whose failure, job and temperature logs are given as
-        records of its system; ``others`` are the other constructor
-        arguments."""
+        """A dataset whose logs are given as records of its system;
+        ``others`` are the other constructor arguments."""
         logs = {
             "failures": tuple(failures),
+            "maintenance": tuple(maintenance),
             "jobs": tuple(jobs),
             "temperatures": tuple(temperatures),
         }
@@ -351,6 +335,7 @@ class SystemDataset:
                 )
         return cls(
             failure_table=FailureTable.from_records(logs["failures"]),
+            maintenance=MaintenanceTable.from_records(logs["maintenance"]),
             job_columns=JobColumns.from_records(logs["jobs"]),
             temperature_columns=TemperatureColumns.from_records(
                 logs["temperatures"]
@@ -359,11 +344,10 @@ class SystemDataset:
         )
 
     def __post_init__(self) -> None:
-        for name in ("failure_table", "job_columns", "temperature_columns"):
+        for name in self.LOGS:
             object.__setattr__(
                 self, name, checked_in_record_order(getattr(self, name))
             )
-        object.__setattr__(self, "maintenance", tuple(sorted(self.maintenance)))
         self._check_consistency()
 
     def _check_consistency(self) -> None:
@@ -381,14 +365,9 @@ class SystemDataset:
                 f"failure at t={outside[0]} outside observation period "
                 f"[{self.period.start}, {self.period.end})"
             )
-        for m in self.maintenance:
-            if m.system_id != self.system_id or m.node_id >= self.num_nodes:
-                raise DatasetError(
-                    f"maintenance record {m!r} inconsistent with system "
-                    f"{self.system_id} ({self.num_nodes} nodes)"
-                )
         for log, nodes in (
             ("failures", self.failure_table.node_ids),
+            ("maintenance", self.maintenance.node_ids),
             ("jobs", self.job_columns.node_ids),
             ("temperatures", self.temperature_columns.node_ids),
         ):
@@ -406,21 +385,6 @@ class SystemDataset:
                     f"{sorted(placed ^ expected)[:5]}... inconsistently with "
                     f"num_nodes={self.num_nodes}"
                 )
-
-    @cached_property
-    def failures(self) -> tuple[FailureRecord, ...]:
-        """The failure log as records, in row order (built once)."""
-        return self.failure_table.to_records(self.system_id)
-
-    @cached_property
-    def jobs(self) -> tuple[JobRecord, ...]:
-        """The job log as records, in row order (built once)."""
-        return self.job_columns.to_records(self.system_id)
-
-    @cached_property
-    def temperatures(self) -> tuple[TemperatureReading, ...]:
-        """The temperature log as records, in row order (built once)."""
-        return self.temperature_columns.to_records(self.system_id)
 
     def failures_between(self, start: float, end: float) -> "SystemDataset":
         """This system over ``[start, end)``, holding only its failures there.
@@ -476,13 +440,14 @@ class Archive:
 
     Attributes:
         systems: mapping system_id -> :class:`SystemDataset`.
-        neutron_series: site-wide neutron monitor readings (may be empty).
+        neutron_series: site-wide neutron monitor readings (may be empty),
+            checked and in record order.
     """
 
     def __init__(
         self,
         systems: Iterable[SystemDataset],
-        neutron_series: Sequence[NeutronReading] = (),
+        neutron_series: NeutronSeries | None = None,
     ) -> None:
         self.systems: dict[int, SystemDataset] = {}
         for ds in systems:
@@ -491,8 +456,8 @@ class Archive:
             self.systems[ds.system_id] = ds
         if not self.systems:
             raise DatasetError("an archive must contain at least one system")
-        self.neutron_series: tuple[NeutronReading, ...] = tuple(
-            sorted(neutron_series)
+        self.neutron_series: NeutronSeries = checked_in_record_order(
+            neutron_series or NeutronSeries.from_records(())
         )
 
     def __len__(self) -> int:
@@ -510,18 +475,6 @@ class Archive:
     def group(self, group: HardwareGroup) -> list[SystemDataset]:
         """All systems belonging to one hardware group, by ascending id."""
         return [ds for ds in self if ds.group is group]
-
-    @property
-    def neutron_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``neutron_series`` as read-only (times, counts per minute)
-        float arrays, built once per series."""
-        cached = self.__dict__.get("_neutron_columns")
-        if cached is None or cached[0] is not self.neutron_series:
-            columns = neutron_columns(self.neutron_series)
-            for column in columns:
-                column.flags.writeable = False
-            cached = self._neutron_columns = (self.neutron_series, *columns)
-        return cached[1], cached[2]
 
     @property
     def system_ids(self) -> tuple[int, ...]:

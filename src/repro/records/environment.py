@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .timeutil import ObservationPeriod, Span, count_windows, window_index
-from .usage import record_order
+from .usage import check_rows, sorted_rows
 
 
 class EnvironmentRecordError(ValueError):
@@ -96,18 +95,6 @@ class TemperatureColumns:
             celsius=np.fromiter((r.celsius for r in readings), float, n),
         )
 
-    def to_records(self, system_id: int) -> tuple[TemperatureReading, ...]:
-        """The rows as :class:`TemperatureReading` objects of ``system_id``."""
-        return tuple(
-            map(
-                TemperatureReading,
-                self.times.tolist(),
-                repeat(system_id),
-                self.node_ids.tolist(),
-                self.celsius.tolist(),
-            )
-        )
-
     def invalid_rows(self) -> np.ndarray:
         """Mask of the samples :class:`TemperatureReading` would reject:
         every ``__post_init__`` check, evaluated on the columns."""
@@ -119,25 +106,12 @@ class TemperatureColumns:
     def check(self) -> None:
         """Raise :class:`EnvironmentRecordError` if a sample breaks a
         :class:`TemperatureReading` invariant."""
-        bad = np.flatnonzero(self.invalid_rows())
-        if bad.size:
-            raise EnvironmentRecordError(
-                f"{bad.size} invalid temperature samples, the first at row {bad[0]}"
-            )
+        check_rows(self, EnvironmentRecordError, "temperature samples")
 
     def in_record_order(self) -> "TemperatureColumns":
         """These samples in the order their records sort in: a log belongs
         to one system, so by ``(time, node_id, celsius)``."""
-        order = record_order(self.times, self.node_ids, self.celsius)
-        return self if order is None else self.take(order)
-
-    def take(self, order: np.ndarray) -> "TemperatureColumns":
-        """The samples at the row indices ``order``, in that order."""
-        return TemperatureColumns(
-            times=self.times[order],
-            node_ids=self.node_ids[order],
-            celsius=self.celsius[order],
-        )
+        return sorted_rows(self, self.times, self.node_ids, self.celsius)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,13 +211,46 @@ class NeutronReading:
             )
 
 
-def neutron_columns(
-    readings: Sequence[NeutronReading],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The readings' times and counts per minute, as float arrays."""
-    times = np.array([r.time for r in readings], dtype=float)
-    counts = np.array([r.counts_per_minute for r in readings], dtype=float)
-    return times, counts
+@dataclass(frozen=True, eq=False)
+class NeutronSeries:
+    """The neutron monitor series as numpy columns, one row per sample:
+    ``times`` (days) and ``counts_per_minute``, both float64.
+
+    The columnar twin of a ``list[NeutronReading]``.
+    """
+
+    times: np.ndarray
+    counts_per_minute: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    @classmethod
+    def from_records(cls, readings: Sequence[NeutronReading]) -> "NeutronSeries":
+        """The columns of ``readings``, in record order."""
+        n = len(readings)
+        return cls(
+            times=np.fromiter((r.time for r in readings), float, n),
+            counts_per_minute=np.fromiter(
+                (r.counts_per_minute for r in readings), float, n
+            ),
+        ).in_record_order()
+
+    def invalid_rows(self) -> np.ndarray:
+        """Mask of the samples :class:`NeutronReading` would reject:
+        every ``__post_init__`` check, evaluated on the columns."""
+        t, c = self.times, self.counts_per_minute
+        return ~(np.isfinite(t) & (t >= 0) & np.isfinite(c) & (c >= 0))
+
+    def check(self) -> None:
+        """Raise :class:`EnvironmentRecordError` if a sample breaks a
+        :class:`NeutronReading` invariant."""
+        check_rows(self, EnvironmentRecordError, "neutron samples")
+
+    def in_record_order(self) -> "NeutronSeries":
+        """These samples in the order their records sort in: by
+        ``(time, counts_per_minute)``."""
+        return sorted_rows(self, self.times, self.counts_per_minute)
 
 
 def monthly_means(
@@ -252,18 +259,20 @@ def monthly_means(
     """Mean of ``values`` per tiled month of ``period`` (NaN where a
     month holds no sample), binned by ``times``.
 
-    Over the neutron series' columns this is the monthly average
+    Over the :class:`NeutronSeries` columns this is the monthly average
     counts-per-minute, the x-axis of Figure 14.
     """
     n_months = count_windows(period, Span.MONTH)
     if not times.size:
         return np.full(n_months, np.nan)
     idx = window_index(times, period, Span.MONTH)
-    sums = np.zeros(n_months)
-    nums = np.zeros(n_months)
     valid = idx >= 0
-    np.add.at(sums, idx[valid], values[valid])
-    np.add.at(nums, idx[valid], 1.0)
+    # ``bincount`` adds each month's values in row order.  ``np.add.at``
+    # would too, but numpy 2 takes a slow path in it for the unpickled
+    # columns of a cached archive (their dtype is not numpy's own float64
+    # instance).
+    sums = np.bincount(idx[valid], weights=values[valid], minlength=n_months)
+    nums = np.bincount(idx[valid], minlength=n_months)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = sums / nums
     means[nums == 0] = np.nan

@@ -1,16 +1,20 @@
-"""Failure and maintenance record types.
+"""Failure and maintenance record types, and the maintenance log's columns.
 
 A :class:`FailureRecord` corresponds to one row of the LANL node-outage
 logs: a node went down, at a given time, for a given root cause.  A
 :class:`MaintenanceRecord` captures unscheduled maintenance events, which
 the paper analyses in Section VII-A.2 (power problems inflate unscheduled
-hardware maintenance by factors of 30-100X).
+hardware maintenance by factors of 30-100X); a system holds that log
+as a :class:`MaintenanceTable`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .taxonomy import (
     Category,
@@ -19,6 +23,7 @@ from .taxonomy import (
     category_of,
     validate_pair,
 )
+from .usage import check_rows, sorted_rows
 
 
 class RecordError(ValueError):
@@ -128,3 +133,50 @@ class MaintenanceRecord:
             raise RecordError(
                 f"duration_hours must be >= 0, got {self.duration_hours}"
             )
+
+
+@dataclass(frozen=True, eq=False)
+class MaintenanceTable:
+    """A maintenance log as numpy columns, one row per event.
+
+    The columnar twin of a ``list[MaintenanceRecord]``: ``times``
+    (float64, days), ``node_ids`` (int64), ``hardware_related`` (bool)
+    and ``duration_hours`` (float64).
+    """
+
+    times: np.ndarray
+    node_ids: np.ndarray
+    hardware_related: np.ndarray
+    duration_hours: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    @classmethod
+    def from_records(cls, events: Sequence[MaintenanceRecord]) -> "MaintenanceTable":
+        """The columns of ``events``, in record order."""
+        n = len(events)
+        return cls(
+            times=np.fromiter((m.time for m in events), float, n),
+            node_ids=np.fromiter((m.node_id for m in events), np.int64, n),
+            hardware_related=np.fromiter((m.hardware_related for m in events), bool, n),
+            duration_hours=np.fromiter((m.duration_hours for m in events), float, n),
+        ).in_record_order()
+
+    def invalid_rows(self) -> np.ndarray:
+        """Mask of the events :class:`MaintenanceRecord` would reject:
+        every ``__post_init__`` check, evaluated on the columns."""
+        t, d = self.times, self.duration_hours
+        bad = ~(np.isfinite(t) & (t >= 0) & np.isfinite(d) & (d >= 0))
+        bad |= self.node_ids < 0
+        return bad
+
+    def check(self) -> None:
+        """Raise :class:`RecordError` if an event breaks a
+        :class:`MaintenanceRecord` invariant."""
+        check_rows(self, RecordError, "maintenance events")
+
+    def in_record_order(self) -> "MaintenanceTable":
+        """These events in the order their records sort in: by time, then
+        node, ties in input order."""
+        return sorted_rows(self, self.times, self.node_ids)

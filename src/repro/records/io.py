@@ -32,15 +32,16 @@ also reads spellings only Python accepts, such as ``1_000``
 (``records.load_fallback`` counts those tables).  The tokens become
 typed columns with ``int()``/``float()`` semantics and int64 range
 checks.  One check per table finds its first bad row: ``invalid_rows()``
-for the failure, job and temperature columns, which are then returned
-in record order, and building the records for the small tables.
+for every log (failures, maintenance, jobs, temperatures, neutrons),
+which is then returned as columns in record order; only ``layout.csv``
+and ``systems.csv`` are read as records.
 
-A rejected table raises an :class:`ArchiveIOError` naming the file: a
-wrong header, else its first short or long row, else its first bad row.
-That row's error is its first field that does not parse, in the order
-the record's constructor takes them; else the invariant its record
-breaks, worded by building the record, whose error is the cause; else
-an integer beyond int64.
+A rejected table raises an :class:`ArchiveIOError` naming the file:
+bytes that are not UTF-8, a wrong header, else its first short or long
+row, else its first bad row.  That row's error is its first field that
+does not parse, in the order the record's constructor takes them; else
+the invariant its record breaks, worded by building the record, whose
+error is the cause; else an integer beyond int64.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import warnings
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -59,10 +60,11 @@ from .dataset import Archive, DatasetError, FailureTable, HardwareGroup, SystemD
 from .environment import (
     EnvironmentRecordError,
     NeutronReading,
+    NeutronSeries,
     TemperatureColumns,
     TemperatureReading,
 )
-from .failure import FailureRecord, MaintenanceRecord, RecordError
+from .failure import FailureRecord, MaintenanceRecord, MaintenanceTable, RecordError
 from .layout import LayoutError, MachineLayout, NodePlacement
 from .taxonomy import TaxonomyError, parse_category, parse_subtype
 from .timeutil import ObservationPeriod, TimeError
@@ -227,13 +229,18 @@ def _c_tokens(data: bytes, spec: _Spec) -> np.ndarray | None:
 
 
 def _csv_rows(path: Path, data: bytes, header: list[str]) -> list[list[str]]:
-    """A table's data rows by ``csv.reader``, over the text ``open()``
-    gives for ``data``; the header and each row's field count checked.
+    """A table's data rows by ``csv.reader``, over ``data`` decoded as
+    UTF-8 with universal newlines; the header and each row's field count
+    checked.
 
     Blank lines are skipped and not numbered: data row ``i`` (from 0) is
     row ``i + 2`` in error messages, the header being row 1.
     """
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArchiveIOError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
     got = next(reader, None)
     if got != header:
         raise ArchiveIOError(f"{path}: expected header {header}, got {got}")
@@ -452,30 +459,30 @@ def read_failures(path: Path, system_id: int) -> FailureTable:
     return rows.checked(failures, partial(FailureRecord, system_id=system_id))
 
 
-def write_maintenance(path: Path, events: Sequence[MaintenanceRecord]) -> None:
-    """Write a maintenance log to ``maintenance.csv`` format."""
-    events = sorted(events)
+def write_maintenance(path: Path, events: MaintenanceTable) -> None:
+    """Write a maintenance log, in record order, to ``maintenance.csv``."""
     _write_rows(
         path,
         _MAINTENANCE.header,
         "{!r},{},{},{!r}",
-        [float(m.time) for m in events],
-        [m.node_id for m in events],
-        [int(m.hardware_related) for m in events],
-        [float(m.duration_hours) for m in events],
+        events.times.tolist(),
+        events.node_ids.tolist(),
+        events.hardware_related.astype(np.int64).tolist(),
+        events.duration_hours.tolist(),
     )
 
 
-def read_maintenance(path: Path, system_id: int) -> list[MaintenanceRecord]:
-    """Read a ``maintenance.csv`` file for one system."""
+def read_maintenance(path: Path, system_id: int) -> MaintenanceTable:
+    """Read a ``maintenance.csv`` file for one system, as a table in
+    record order, checked like :func:`read_jobs`."""
     rows = _Rows(path, _MAINTENANCE)
-    return rows.records(
-        partial(MaintenanceRecord, system_id=system_id),
-        time=rows.numbers("time"),
-        node_id=rows.numbers("node_id"),
+    events = MaintenanceTable(
+        times=rows.numbers("time"),
+        node_ids=rows.numbers("node_id"),
         hardware_related=rows.flags("hardware_related"),
         duration_hours=rows.numbers("duration_hours"),
     )
+    return rows.checked(events, partial(MaintenanceRecord, system_id=system_id))
 
 
 def write_jobs(path: Path, jobs: JobColumns) -> None:
@@ -566,26 +573,26 @@ def read_layout(path: Path) -> MachineLayout:
         raise ArchiveIOError(f"{path}: {exc}") from exc
 
 
-def write_neutrons(path: Path, readings: Sequence[NeutronReading]) -> None:
-    """Write the neutron monitor series to ``neutrons.csv`` format."""
-    readings = sorted(readings)
+def write_neutrons(path: Path, series: NeutronSeries) -> None:
+    """Write the neutron series, in record order, to ``neutrons.csv``."""
     _write_rows(
         path,
         _NEUTRONS.header,
         "{!r},{!r}",
-        [float(r.time) for r in readings],
-        [float(r.counts_per_minute) for r in readings],
+        series.times.tolist(),
+        series.counts_per_minute.tolist(),
     )
 
 
-def read_neutrons(path: Path) -> list[NeutronReading]:
-    """Read a ``neutrons.csv`` file."""
+def read_neutrons(path: Path) -> NeutronSeries:
+    """Read a ``neutrons.csv`` file, as a series in record order, checked
+    like :func:`read_jobs`."""
     rows = _Rows(path, _NEUTRONS)
-    return rows.records(
-        NeutronReading,
-        time=rows.numbers("time"),
+    series = NeutronSeries(
+        times=rows.numbers("time"),
         counts_per_minute=rows.numbers("counts_per_minute"),
     )
+    return rows.checked(series, NeutronReading)
 
 
 def _system(
@@ -670,37 +677,29 @@ def _load_archive(root: Path) -> Archive:
     for fields in read_systems(root / "systems.csv"):
         system_id = fields["system_id"]
         sysdir = root / f"system-{system_id}"
-        failures = read_failures(sysdir / "failures.csv", system_id)
-        maintenance = read_maintenance(sysdir / "maintenance.csv", system_id)
-        jobs_path = sysdir / "jobs.csv"
-        jobs = (
-            read_jobs(jobs_path, system_id)
-            if jobs_path.exists()
-            else JobColumns.from_records(())
-        )
-        temps_path = sysdir / "temperatures.csv"
-        temps = (
-            read_temperatures(temps_path, system_id)
-            if temps_path.exists()
-            else TemperatureColumns.from_records(())
-        )
-        layout_path = sysdir / "layout.csv"
-        layout = read_layout(layout_path) if layout_path.exists() else None
+        tables = {
+            "failure_table": read_failures(sysdir / "failures.csv", system_id),
+            "maintenance": read_maintenance(sysdir / "maintenance.csv", system_id),
+        }
+        # The optional tables: a dataset without one holds an empty log,
+        # or no layout.
+        for name, read, file in (
+            ("job_columns", partial(read_jobs, system_id=system_id), "jobs.csv"),
+            (
+                "temperature_columns",
+                partial(read_temperatures, system_id=system_id),
+                "temperatures.csv",
+            ),
+            ("layout", read_layout, "layout.csv"),
+        ):
+            if (sysdir / file).exists():
+                tables[name] = read(sysdir / file)
         try:
-            systems.append(
-                SystemDataset(
-                    **fields,
-                    failure_table=failures,
-                    maintenance=tuple(maintenance),
-                    job_columns=jobs,
-                    temperature_columns=temps,
-                    layout=layout,
-                )
-            )
+            systems.append(SystemDataset(**fields, **tables))
         except DatasetError as exc:
             raise ArchiveIOError(
                 f"inconsistent data for system {system_id}: {exc}"
             ) from exc
     neutrons_path = root / "neutrons.csv"
-    neutrons = read_neutrons(neutrons_path) if neutrons_path.exists() else []
+    neutrons = read_neutrons(neutrons_path) if neutrons_path.exists() else None
     return Archive(systems, neutron_series=neutrons)

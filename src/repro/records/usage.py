@@ -18,7 +18,7 @@ application bugs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -119,9 +119,31 @@ def record_order(*keys: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def rows_of(log, index):
+    """The rows of a column log at ``index`` (row indices or a slice),
+    as a log of its own type."""
+    return type(log)(*(getattr(log, f.name)[index] for f in fields(log)))
+
+
+def sorted_rows(log, *keys: np.ndarray):
+    """``log`` with its rows in the order :func:`record_order` gives
+    ``keys``: ``log`` itself if they are in it already."""
+    order = record_order(*keys)
+    return log if order is None else rows_of(log, order)
+
+
+def check_rows(log, error: type[ValueError], rows: str) -> None:
+    """Raise ``error`` if ``log.invalid_rows()`` holds a row, naming
+    how many ``rows`` are invalid and the first."""
+    bad = np.flatnonzero(log.invalid_rows())
+    if bad.size:
+        raise error(f"{bad.size} invalid {rows}, the first at row {bad[0]}")
+
+
 def checked_in_record_order(log):
-    """A bulk log (failure table, job or temperature columns) after its
-    ``check()``, in record order -- once per log object.
+    """A column log (a failure, maintenance, job or temperature table, or
+    the neutron series) after its ``check()``, in record order -- once
+    per log object.
 
     The log returned is marked as checked, so handing it on (a reader's
     result to :class:`~repro.records.dataset.SystemDataset`) returns it
@@ -219,32 +241,6 @@ class JobColumns:
                 np.int64,
                 int(offsets[-1]),
             ),
-        )
-
-    def to_records(self, system_id: int) -> tuple[JobRecord, ...]:
-        """The rows as :class:`JobRecord` objects of ``system_id``."""
-        submit = self.submit_times.tolist()
-        job_id = self.job_ids.tolist()
-        dispatch = self.dispatch_times.tolist()
-        end = self.end_times.tolist()
-        user = self.user_ids.tolist()
-        nprocs = self.num_processors.tolist()
-        failed = self.failed_due_to_node.tolist()
-        offsets = self.node_offsets.tolist()
-        nodes = self.node_ids.tolist()
-        return tuple(
-            JobRecord(
-                submit_time=submit[i],
-                system_id=system_id,
-                job_id=job_id[i],
-                dispatch_time=dispatch[i],
-                end_time=end[i],
-                user_id=user[i],
-                num_processors=nprocs[i],
-                node_ids=tuple(nodes[offsets[i] : offsets[i + 1]]),
-                failed_due_to_node=failed[i],
-            )
-            for i in range(len(submit))
         )
 
     def invalid_rows(self) -> np.ndarray:

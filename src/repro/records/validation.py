@@ -11,7 +11,7 @@ is what an operator pointing the toolkit at their own logs needs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -193,24 +193,12 @@ def _repeats(rows: Iterable[tuple]) -> int:
 def _check_duplicates(ds: SystemDataset, report: ValidationReport) -> None:
     """Failure and maintenance rows equal in every field, which the
     record ordering (time, system, node) alone does not tell apart."""
-    table = ds.failure_table
-    failures = _repeats(
-        zip(
-            table.times.tolist(),
-            table.node_ids.tolist(),
-            table.category_codes.tolist(),
-            table.subtype_codes.tolist(),
-            table.downtime_hours.tolist(),
-        )
-    )
-    maintenance = _repeats(
-        (m.time, m.node_id, m.hardware_related, m.duration_hours)
-        for m in ds.maintenance
-    )
-    for check, log, count in (
-        ("duplicate-failure", "failure", failures),
-        ("duplicate-maintenance", "maintenance", maintenance),
+    for check, log, table in (
+        ("duplicate-failure", "failure", ds.failure_table),
+        ("duplicate-maintenance", "maintenance", ds.maintenance),
     ):
+        columns = (getattr(table, f.name).tolist() for f in fields(table))
+        count = _repeats(zip(*columns))
         if count:
             report.add(
                 Severity.WARNING,

@@ -8,7 +8,7 @@ for each system of the configured catalogue:
    hazard model consumes them;
 3. the site-wide neutron series (shared by all systems);
 4. stressor events (power, fans, chillers) with their boost schedules,
-   direct failures and maintenance records;
+   direct failures and maintenance events;
 5. the day-stepped organic failure process;
 6. organic maintenance, temperature series, and job-failure resolution.
 
@@ -16,19 +16,21 @@ Every component draws from its own named RNG stream, so archives are
 bit-reproducible from ``config.seed`` and components can be re-tuned
 without perturbing each other.
 
-The failure, job and temperature logs are built as columns, and each
-system's :class:`~repro.records.dataset.SystemDataset` is built from
-them by its checked constructor, as the CSV loader and the archive
-cache build it, without a job or temperature record being built.
+Every log is built as columns, and each system's
+:class:`~repro.records.dataset.SystemDataset` is built from them by its
+checked constructor, as the CSV loader and the archive cache build it,
+without a record being built.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
-from ..records.dataset import Archive, FailureTable, SystemDataset
+from ..records.dataset import Archive, SystemDataset
 from ..records.environment import TemperatureColumns
-from ..records.failure import MaintenanceRecord
+from ..records.failure import MaintenanceTable
 from ..records.layout import MachineLayout, regular_layout
 from ..records.timeutil import DAYS_PER_YEAR, ObservationPeriod
 from ..records.usage import JobColumns
@@ -36,7 +38,7 @@ from ..telemetry import counter_add, span, tracing
 from .config import ArchiveConfig, SystemSpec, small_config
 from .failures import simulate_failures
 from .neutrons import generate_neutron_series
-from .power import generate_stressors
+from .power import generate_stressors, rows_table
 from .rng import RngStreams
 from .temperature import generate_temperatures
 from .usage import UsageTraces, generate_usage
@@ -52,24 +54,24 @@ def _organic_maintenance(
     spec: SystemSpec,
     config: ArchiveConfig,
     rng: np.random.Generator,
-) -> list[MaintenanceRecord]:
+) -> MaintenanceTable:
     """Background unscheduled-maintenance events, uniform in time."""
     rate = config.effects.maintenance_rate_per_year
     duration = config.duration_days
-    records = []
+    rows = []
     counts = rng.poisson(rate * duration / DAYS_PER_YEAR, size=spec.num_nodes)
     for node in np.nonzero(counts)[0]:
         for t in rng.uniform(0.0, duration, counts[node]):
-            records.append(
-                MaintenanceRecord(
-                    time=float(t),
-                    system_id=spec.system_id,
-                    node_id=int(node),
-                    hardware_related=True,
-                    duration_hours=float(rng.lognormal(1.2, 0.8)),
-                )
-            )
-    return records
+            rows.append((float(t), int(node), True, float(rng.lognormal(1.2, 0.8))))
+    return rows_table(MaintenanceTable, rows)
+
+
+def _concatenated(*logs):
+    """The rows of column logs of one type, one log after another, in
+    record order: rows tied on the sort key keep that order."""
+    return type(logs[0])(
+        *(np.concatenate([getattr(log, f.name) for log in logs]) for f in fields(logs[0]))
+    ).in_record_order()
 
 
 def _resolve_job_failures(
@@ -190,14 +192,12 @@ def _generate_system(
         flux_per_day,
         stressors,
     )
-    failures = FailureTable.from_records([*organic, *stressors.failures])
+    failures = _concatenated(organic, stressors.failures)
 
-    maintenance = [
-        *stressors.maintenance,
-        *_organic_maintenance(
-            spec, config, streams.get(f"system-{sid}/maintenance")
-        ),
-    ]
+    maintenance = _concatenated(
+        stressors.maintenance,
+        _organic_maintenance(spec, config, streams.get(f"system-{sid}/maintenance")),
+    )
 
     temperatures = (
         generate_temperatures(
@@ -242,7 +242,7 @@ def _generate_system(
         processors_per_node=spec.processors_per_node,
         period=period,
         failure_table=failures,
-        maintenance=tuple(maintenance),
+        maintenance=maintenance,
         job_columns=jobs,
         temperature_columns=temperatures,
         layout=layout,
@@ -273,7 +273,7 @@ def make_archive(config: ArchiveConfig | None = None) -> Archive:
     ) as root:
         streams = RngStreams(config.seed)
         with span("simulate.neutrons"):
-            neutron_readings, flux_per_day = generate_neutron_series(
+            neutrons, flux_per_day = generate_neutron_series(
                 config.duration_days,
                 streams.get("neutrons"),
                 sample_interval_days=config.neutron_sample_interval_days,
@@ -284,7 +284,7 @@ def make_archive(config: ArchiveConfig | None = None) -> Archive:
             generate_system(spec, config, RngStreams(config.seed), flux_per_day)
             for spec in specs
         ]
-        archive = Archive(systems, neutron_series=neutron_readings)
+        archive = Archive(systems, neutron_series=neutrons)
         counter_add("simulate.archives", 1)
         if tracing():
             root.set_attrs(total_failures=archive.total_failures())

@@ -15,12 +15,13 @@ disk:
 * entries are pickles written atomically (temp file + ``os.replace``),
   so a crashed or concurrent writer can never leave a half-written
   entry in place;
-* the failure, job and temperature logs are stored as the numpy
-  columns a :class:`~repro.records.dataset.SystemDataset` holds them
-  as, and decoded through its one checked constructor, as the
-  generator and the CSV loader build it, so neither a store nor a warm
-  load touches a failure, job or temperature record; the maintenance
-  log is stored as columns too, and decoded back into its records;
+* every log -- each system's failure, maintenance, job and temperature
+  tables and the archive's neutron series -- is stored as the numpy
+  columns the :class:`~repro.records.dataset.SystemDataset` or
+  :class:`~repro.records.dataset.Archive` holds it as, and decoded
+  through their checked constructors, as the generator and the CSV
+  loader build them, so neither a store nor a warm load builds a
+  record;
 * loads are corruption-tolerant for the *specific* I/O and
   deserialization errors a bad entry can raise (see ``_LOAD_ERRORS`` /
   ``_DECODE_ERRORS``): such an entry is treated as a miss (and deleted
@@ -42,15 +43,10 @@ import json
 import os
 import pickle
 import tempfile
-from itertools import repeat
 from pathlib import Path
 
-import numpy as np
-
 from ..records.dataset import Archive, FailureTable, SystemDataset
-from ..records.environment import TemperatureColumns
-from ..records.failure import MaintenanceRecord
-from ..records.usage import JobColumns
+from ..records.environment import NeutronSeries
 from ..telemetry import counter_add, span
 from .archive import make_archive
 from .config import ArchiveConfig
@@ -60,8 +56,9 @@ _MAGIC = "hpcfail-archive"
 #: Bump when the pickle payload layout changes.  Format 3 stored the
 #: failure and maintenance logs as columns instead of pickled records;
 #: format 4 stores each column log keyed by constructor argument, with
-#: the failure code tables (``_FAILURE_CODES``).
-_FORMAT_VERSION = 4
+#: the failure code tables (``_FAILURE_CODES``); format 5 stores the
+#: maintenance log and the neutron series that way too.
+_FORMAT_VERSION = 5
 
 #: What a corrupted/foreign/stale pickle read can legitimately raise:
 #: I/O failures, every documented unpickling error (UnpicklingError,
@@ -158,22 +155,17 @@ def cache_path(config: ArchiveConfig, directory: Path | None = None) -> Path:
     return (directory or cache_dir()) / f"{config_digest(config)}.pkl"
 
 
-# --- columnar payload (format 4) -------------------------------------------
+# --- columnar payload (format 5) -------------------------------------------
 #
 # An archive's bulk is its job and temperature logs: hundreds of
 # thousands of rows, which a dataset holds as numpy columns.  The cache
-# stores each failure, job and temperature log as those columns, keyed
-# by the column class's constructor argument, and a warm load passes
-# them back through the dataset's checked constructor -- a store or a
-# load moves a handful of arrays and builds no failure, job or
-# temperature record.  The failure table's category and subtype codes
-# index ``FailureTable.CATEGORIES`` / ``SUBTYPES``; the payload keeps
-# those tables, and one that differs from the running code's is stale.
-#
-# The maintenance log is records on a dataset, stored as columns too:
-# pickling a frozen slotted dataclass runs a Python ``__getstate__`` per
-# record.  It keeps time, node, the hardware flag and duration, and
-# decodes back into the same records.
+# stores every log as its columns, keyed by the column class's
+# constructor argument, and a warm load passes them back through the
+# dataset's and the archive's checked constructors -- a store or a load
+# moves a handful of arrays and builds no record.  The failure table's
+# category and subtype codes index ``FailureTable.CATEGORIES`` /
+# ``SUBTYPES``; the payload keeps those tables, and one that differs from
+# the running code's is stale.
 
 #: What the failure table's code columns index.
 _FAILURE_CODES = (FailureTable.CATEGORIES, FailureTable.SUBTYPES)
@@ -184,65 +176,21 @@ def _columns(log) -> dict:
     return {f.name: getattr(log, f.name) for f in dataclasses.fields(log)}
 
 
-def _encode_maintenance(maintenance) -> dict:
-    n = len(maintenance)
-    return {
-        "time": np.fromiter((m.time for m in maintenance), float, n),
-        "node": np.fromiter((m.node_id for m in maintenance), np.int64, n),
-        "hardware": np.fromiter((m.hardware_related for m in maintenance), bool, n),
-        "duration": np.fromiter((m.duration_hours for m in maintenance), float, n),
-    }
-
-
-def _decode_maintenance(cols: dict, system_id: int) -> tuple[MaintenanceRecord, ...]:
-    return tuple(
-        map(
-            MaintenanceRecord,
-            cols["time"].tolist(),
-            repeat(system_id),
-            cols["node"].tolist(),
-            cols["hardware"].tolist(),
-            cols["duration"].tolist(),
-        )
-    )
-
-
 def _encode_system(ds: SystemDataset) -> dict:
-    """Reduce one system to a columnar cache payload."""
-    return {
-        "system_id": ds.system_id,
-        "group": ds.group,
-        "num_nodes": ds.num_nodes,
-        "processors_per_node": ds.processors_per_node,
-        "period": ds.period,
-        "layout": ds.layout,
-        "failure_cols": _columns(ds.failure_table),
-        "maintenance_cols": _encode_maintenance(ds.maintenance),
-        "job_cols": _columns(ds.job_columns),
-        "temp_cols": _columns(ds.temperature_columns),
-    }
+    """Reduce one system to a columnar cache payload: its fields by
+    name, each log as its columns."""
+    payload = {f.name: getattr(ds, f.name) for f in dataclasses.fields(ds)}
+    return {**payload, **{name: _columns(payload[name]) for name in SystemDataset.LOGS}}
 
 
 def _decode_system(payload: dict) -> SystemDataset:
-    return SystemDataset(
-        system_id=payload["system_id"],
-        group=payload["group"],
-        num_nodes=payload["num_nodes"],
-        processors_per_node=payload["processors_per_node"],
-        period=payload["period"],
-        failure_table=FailureTable(**payload["failure_cols"]),
-        maintenance=_decode_maintenance(
-            payload["maintenance_cols"], payload["system_id"]
-        ),
-        job_columns=JobColumns(**payload["job_cols"]),
-        temperature_columns=TemperatureColumns(**payload["temp_cols"]),
-        layout=payload["layout"],
-    )
+    logs = {name: log(**payload[name]) for name, log in SystemDataset.LOGS.items()}
+    return SystemDataset(**{**payload, **logs})
 
 
 def _encode_archive(archive: Archive) -> dict:
     return {
-        "neutrons": archive.neutron_series,
+        "neutron_cols": _columns(archive.neutron_series),
         "systems": [_encode_system(ds) for ds in archive],
     }
 
@@ -250,7 +198,7 @@ def _encode_archive(archive: Archive) -> dict:
 def _decode_archive(payload: dict) -> Archive:
     return Archive(
         (_decode_system(s) for s in payload["systems"]),
-        neutron_series=payload["neutrons"],
+        neutron_series=NeutronSeries(**payload["neutron_cols"]),
     )
 
 

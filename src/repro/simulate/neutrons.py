@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..records.environment import NeutronReading
+from ..records.environment import NeutronSeries
 from ..records.timeutil import DAYS_PER_YEAR
 
 
@@ -112,11 +112,11 @@ def generate_neutron_series(
     rng: np.random.Generator,
     sample_interval_days: float = 1.0,
     model: NeutronModel | None = None,
-) -> tuple[list[NeutronReading], np.ndarray]:
+) -> tuple[NeutronSeries, np.ndarray]:
     """Generate the neutron series and its per-day flux vector.
 
     Returns:
-        ``(readings, flux_per_day)`` where ``readings`` samples the series
+        ``(series, flux_per_day)`` where ``series`` samples the flux
         every ``sample_interval_days`` (what lands in ``neutrons.csv``)
         and ``flux_per_day`` is the *daily* counts vector used internally
         to couple CPU hazards to flux.
@@ -124,12 +124,11 @@ def generate_neutron_series(
     if sample_interval_days <= 0:
         raise NeutronModelError("sample_interval_days must be positive")
     flux = daily_flux(duration_days, rng, model)
-    readings = []
+    times = []
     t = 0.0
     while t < duration_days:
-        day = min(int(t), flux.size - 1)
-        readings.append(
-            NeutronReading(time=t, counts_per_minute=float(flux[day]))
-        )
+        times.append(t)
         t += sample_interval_days
-    return readings, flux
+    sample_times = np.array(times, dtype=float)
+    days = np.minimum(sample_times.astype(np.int64), flux.size - 1)
+    return NeutronSeries(sample_times, flux[days]), flux

@@ -14,25 +14,28 @@ Generates the exogenous events whose consequences the paper measures:
 * **fan failures** -- per-node thermal excursions (Figure 13);
 * **chiller failures** -- room-level thermal excursions.
 
-Each event emits (a) failure records for the nodes it takes down, (b)
+Each event emits (a) failure rows for the nodes it takes down, (b)
 scheduled hazard boosts for the following weeks, and (c) unscheduled-
-maintenance records (Section VII-A.2).
+maintenance rows (Section VII-A.2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
-from ..records.dataset import HardwareGroup
-from ..records.failure import FailureRecord, MaintenanceRecord
+from ..records.dataset import FailureTable, HardwareGroup
+from ..records.failure import MaintenanceTable
 from ..records.taxonomy import (
     Category,
     EnvironmentSubtype,
     HardwareSubtype,
+    NetworkSubtype,
     Subtype,
+    category_of,
 )
 from ..records.timeutil import DAYS_PER_MONTH, DAYS_PER_YEAR
 from .config import ArchiveConfig, EffectSizes, SystemSpec
@@ -57,46 +60,34 @@ class StressorEvent:
 
 @dataclass(frozen=True)
 class StressorTraces:
-    """Everything the stressor processes contribute to a system."""
+    """Everything the stressor processes contribute to a system; the
+    failure and maintenance logs are in record order."""
 
     events: tuple[StressorEvent, ...]
-    failures: tuple[FailureRecord, ...]
-    maintenance: tuple[MaintenanceRecord, ...]
+    failures: FailureTable
+    maintenance: MaintenanceTable
     schedule: BoostSchedule
 
 
-def _category_for(subtype: Subtype) -> Category:
-    from ..records.taxonomy import category_of
-
-    return category_of(subtype)
-
-
 def _emit_event(
-    spec: SystemSpec,
     effects: EffectSizes,
     rng: np.random.Generator,
     schedule: BoostSchedule,
-    failures: list[FailureRecord],
-    maintenance: list[MaintenanceRecord],
+    failures: list[tuple],
+    maintenance: list[tuple],
     time: float,
     subtype: Subtype,
     down_nodes: np.ndarray,
     boost_nodes: np.ndarray,
     duration_days: float,
 ) -> StressorEvent:
-    """Record one stressor event's failures, boosts and maintenance."""
-    category = _category_for(subtype)
+    """Record one stressor event's boosts, failure rows and maintenance
+    rows (tuples of column values, see :func:`rows_table`)."""
+    category = category_of(subtype)
+    codes = (FailureTable.category_code(category), FailureTable.subtype_code(subtype))
     for node in down_nodes:
-        failures.append(
-            FailureRecord(
-                time=time,
-                system_id=spec.system_id,
-                node_id=int(node),
-                category=category,
-                subtype=subtype,
-                downtime_hours=sample_downtime(category, rng, effects),
-            )
-        )
+        downtime = sample_downtime(category, rng, effects)
+        failures.append((time, int(node), *codes, downtime))
     # Hazard boosts on every node the event stresses (a spike defers its
     # hardware effect; everything else acts immediately).
     hw = effects.power_hw_boost.get(subtype, 0.0)
@@ -120,15 +111,8 @@ def _emit_event(
         for node in hit:
             m_time = time + rng.uniform(0.0, DAYS_PER_MONTH)
             if m_time < duration_days:
-                maintenance.append(
-                    MaintenanceRecord(
-                        time=m_time,
-                        system_id=spec.system_id,
-                        node_id=int(node),
-                        hardware_related=True,
-                        duration_hours=float(rng.lognormal(1.5, 0.8)),
-                    )
-                )
+                duration = float(rng.lognormal(1.5, 0.8))
+                maintenance.append((m_time, int(node), True, duration))
     return StressorEvent(
         time=time, subtype=subtype, node_ids=tuple(int(n) for n in down_nodes)
     )
@@ -170,14 +154,13 @@ def generate_stressors(
     pool_cap = max(4, round(effects.power_event_pool_cap * rate_scale))
     all_nodes = np.arange(n)
     schedule = BoostSchedule()
-    failures: list[FailureRecord] = []
-    maintenance: list[MaintenanceRecord] = []
+    failures: list[tuple] = []
+    maintenance: list[tuple] = []
     events: list[StressorEvent] = []
 
     def emit(time: float, subtype: Subtype, down: np.ndarray, boost: np.ndarray):
         events.append(
             _emit_event(
-                spec,
                 effects,
                 rng,
                 schedule,
@@ -276,8 +259,6 @@ def generate_stressors(
     # group-2 (Figure 3, network 3.69X).  No hazard boosts -- the episode
     # clustering itself is the injected correlation.
     if spec.group is HardwareGroup.GROUP2:
-        from ..records.taxonomy import NetworkSubtype
-
         net_episode_rate = (
             effects.net_episode_rate_per_year_g2
             / effects.net_episode_events_mean
@@ -309,7 +290,17 @@ def generate_stressors(
     events.sort(key=lambda e: e.time)
     return StressorTraces(
         events=tuple(events),
-        failures=tuple(sorted(failures)),
-        maintenance=tuple(sorted(maintenance)),
+        failures=rows_table(FailureTable, failures),
+        maintenance=rows_table(MaintenanceTable, maintenance),
         schedule=schedule,
     )
+
+
+def rows_table(cls, rows: list[tuple]):
+    """The column log ``cls`` (a failure or maintenance table) of
+    ``rows``, each a tuple of one row's column values, in record order."""
+    empty = cls.from_records(())
+    columns = zip(*rows) if rows else repeat(())
+    return cls(
+        *(np.array(c, getattr(empty, f.name).dtype) for f, c in zip(fields(cls), columns))
+    ).in_record_order()

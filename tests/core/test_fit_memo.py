@@ -30,6 +30,7 @@ from repro.records.failure import FailureRecord
 from repro.records.io import load_archive, save_archive
 from repro.records.taxonomy import Category, HardwareSubtype
 from repro.records.timeutil import ObservationPeriod
+from tests.records.record_views import failure_records
 
 
 def count_calls(monkeypatch, calls, module, name, counter):
@@ -131,7 +132,7 @@ class TestRepairFitMemo:
     def test_changed_repair_time_changes_the_pooled_key(self, fit_calls):
         a, b = varied_system(1, seed=5), varied_system(2, seed=6)
         first = repair_times([a, b])
-        changed = list(b.failures)
+        changed = list(failure_records(b))
         changed[0] = dataclasses.replace(
             changed[0], downtime_hours=changed[0].downtime_hours + 5.0
         )
@@ -214,7 +215,7 @@ class TestReportMemo:
     def test_system_with_equal_gaps_does_not_kill_the_report(self, tiny_archive):
         # The system with the most failures is fitted first; all of its
         # gaps are exactly half a day.
-        n = max(len(ds.failures) for ds in tiny_archive) + 10
+        n = max(len(ds.failure_table) for ds in tiny_archive) + 10
         flat = system(99, [0.5 * i for i in range(n)], [1.0] * n)
         archive = Archive(
             [*tiny_copy(tiny_archive), flat], tiny_archive.neutron_series

@@ -158,5 +158,5 @@ class TestRoomArea:
         full = room_area_analysis(medium_archive[19], exclude_prone=False)
         assert sum(full.area_nodes.values()) == medium_archive[19].num_nodes
         assert sum(full.area_counts.values()) == len(
-            medium_archive[19].failures
+            medium_archive[19].failure_table
         )

@@ -16,7 +16,7 @@ from repro.core.temperature import (
     thermal_component_impact,
 )
 from repro.records.dataset import Archive
-from repro.records.environment import monthly_means, neutron_columns
+from repro.records.environment import monthly_means
 from repro.records.taxonomy import EnvironmentSubtype, HardwareSubtype
 from repro.records.timeutil import Span
 
@@ -96,22 +96,9 @@ class TestCosmic:
         )
         assert 3000 < r.monthly_counts.mean() < 5000
 
-    def test_neutron_columns_built_once_and_equal_to_readings(self, medium_archive):
-        times, counts = medium_archive.neutron_columns
-        again = medium_archive.neutron_columns
-        assert again[0] is times and again[1] is counts
-        assert not times.flags.writeable and not counts.flags.writeable
-        period = medium_archive[18].period
-        assert np.array_equal(
-            monthly_means(times, counts, period),
-            monthly_means(*neutron_columns(medium_archive.neutron_series), period),
-            equal_nan=True,
-        )
-
-    def test_neutron_columns_follow_a_replaced_series(self, medium_archive):
-        archive = Archive(list(medium_archive), medium_archive.neutron_series)
-        assert archive.neutron_columns[0].size == len(archive.neutron_series)
-        archive.neutron_series = archive.neutron_series[:10]
-        assert archive.neutron_columns[0].tolist() == [
-            r.time for r in archive.neutron_series
-        ]
+    def test_flux_axis_is_the_monthly_mean_of_the_series(self, medium_archive):
+        ds = medium_archive[18]
+        series = medium_archive.neutron_series
+        flux = monthly_means(series.times, series.counts_per_minute, ds.period)
+        r = neutron_correlation(medium_archive, ds, HardwareSubtype.CPU)
+        assert r.monthly_counts.tolist() == flux[~np.isnan(flux)].tolist()

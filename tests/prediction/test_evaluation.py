@@ -16,22 +16,24 @@ class TestTruncate:
         mid = ds.period.start + ds.period.length / 2
         head = truncate_system(ds, ds.period.start, mid)
         assert head.period.end == mid
-        assert all(f.time < mid for f in head.failures)
-        assert head.jobs == () and head.temperatures == ()
+        assert (head.failure_table.times < mid).all()
+        assert len(head.job_columns) == len(head.temperature_columns) == 0
         assert head.num_nodes == ds.num_nodes
 
     def test_tail_window(self, medium_archive):
         ds = medium_archive[18]
         mid = ds.period.start + ds.period.length / 2
         tail = truncate_system(ds, mid, ds.period.end)
-        assert all(f.time >= mid for f in tail.failures)
+        assert (tail.failure_table.times >= mid).all()
 
     def test_halves_partition_failures(self, medium_archive):
         ds = medium_archive[18]
         mid = ds.period.start + ds.period.length / 2
         head = truncate_system(ds, ds.period.start, mid)
         tail = truncate_system(ds, mid, ds.period.end)
-        assert len(head.failures) + len(tail.failures) == len(ds.failures)
+        assert len(head.failure_table) + len(tail.failure_table) == len(
+            ds.failure_table
+        )
 
     def test_rejects_bad_bounds(self, medium_archive):
         ds = medium_archive[18]

@@ -37,6 +37,12 @@ from repro.records.timeutil import ObservationPeriod, Span
 from repro.simulate.archive import make_archive
 from repro.simulate.config import small_config
 from tests.prediction.reference_risk import reference_score
+from tests.records.record_views import (
+    failure_records,
+    job_records,
+    maintenance_records,
+    temperature_records,
+)
 
 def reference_truncate(ds, start, end):
     """``ds`` with only its failures in ``[start, end)``: the filtered
@@ -50,7 +56,7 @@ def reference_truncate(ds, start, end):
         num_nodes=ds.num_nodes,
         processors_per_node=ds.processors_per_node,
         period=ObservationPeriod(start, end),
-        failures=[f for f in ds.failures if start <= f.time < end],
+        failures=[f for f in failure_records(ds) if start <= f.time < end],
         layout=ds.layout,
     )
 
@@ -168,14 +174,13 @@ def assert_same_view(got, want):
     table column equal."""
     assert type(got) is type(want)
     for name in (
-        "system_id", "group", "num_nodes", "processors_per_node", "period",
-        "maintenance", "layout",
+        "system_id", "group", "num_nodes", "processors_per_node", "period", "layout",
     ):
         assert getattr(got, name) == getattr(want, name), name
-    for log in ("failures", "jobs", "temperatures"):
-        assert [dataclasses.astuple(r) for r in getattr(got, log)] == [
-            dataclasses.astuple(r) for r in getattr(want, log)
-        ], log
+    for records in (failure_records, maintenance_records, job_records, temperature_records):
+        assert [dataclasses.astuple(r) for r in records(got)] == [
+            dataclasses.astuple(r) for r in records(want)
+        ], records.__name__
     for f in dataclasses.fields(FailureTable):
         a, b = getattr(got.failure_table, f.name), getattr(want.failure_table, f.name)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), f.name
@@ -246,19 +251,19 @@ class TestTrainingView:
         for start, end in [(0.0, 30.0), (0.0, 4.0), (4.5, 30.0), (4.0, 4.5)]:
             got = truncate_system(ds, start, end)
             assert_same_view(got, reference_truncate(ds, start, end))
-        assert len(truncate_system(ds, 0.0, 4.0).failures) == 0
+        assert len(truncate_system(ds, 0.0, 4.0).failure_table) == 0
 
     def test_column_backed_systems(self):
         """Generated systems keep their logs as columns; their views
-        materialize no job or temperature record and equal the oracle's."""
+        hold no job or temperature rows and equal the oracle's."""
         archive = make_archive(small_config(seed=3, years=1.0, scale=0.03))
         splits = {}
         for ds in archive:
             split = ds.period.start + 0.4 * ds.period.length
             splits[ds.system_id] = [(ds.period.start, split), (split, ds.period.end)]
             views = [truncate_system(ds, start, end) for start, end in splits[ds.system_id]]
-            assert not {"jobs", "temperatures"} & ds.__dict__.keys()
-            assert all(view.jobs == () for view in views)
+            assert all(len(view.job_columns) == 0 for view in views)
+            assert all(len(view.temperature_columns) == 0 for view in views)
         for ds in archive:
             for start, end in splits[ds.system_id]:
                 assert_same_view(

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.records.dataset import (
@@ -12,11 +13,17 @@ from repro.records.dataset import (
     SystemDataset,
 )
 from repro.records.environment import TemperatureColumns, TemperatureReading
-from repro.records.failure import FailureRecord
+from repro.records.failure import FailureRecord, MaintenanceTable
 from repro.records.layout import regular_layout
 from repro.records.taxonomy import Category, HardwareSubtype
 from repro.records.timeutil import ObservationPeriod
 from repro.records.usage import JobColumns, JobRecord
+from tests.records.record_views import (
+    failure_records,
+    failure_table_records,
+    job_records,
+    temperature_records,
+)
 
 
 def fail(time, node=0, cat=Category.HARDWARE, sub=None, system=20):
@@ -45,7 +52,7 @@ class TestFailureTable:
         assert t.times.tolist() == [1.0, 5.0]
         assert t.node_ids.tolist() == [2, 1]
         assert len(t) == 2
-        assert t.to_records(20)[0].subtype is HardwareSubtype.CPU
+        assert failure_table_records(t, 20)[0].subtype is HardwareSubtype.CPU
 
     def test_mask_by_category(self):
         t = FailureTable.from_records([fail(1.0), fail(2.0, cat=Category.SOFTWARE)])
@@ -84,11 +91,11 @@ class TestFailureTable:
 class TestSystemDataset:
     def test_valid(self):
         ds = dataset([fail(1.0), fail(2.0, node=3)])
-        assert len(ds.failures) == 2
+        assert len(ds.failure_table) == 2
 
     def test_sorts_failures(self):
         ds = dataset([fail(5.0), fail(1.0)])
-        assert ds.failures[0].time == 1.0
+        assert ds.failure_table.times[0] == 1.0
 
     def test_rejects_wrong_system_id(self):
         with pytest.raises(DatasetError):
@@ -176,7 +183,6 @@ def lazy(failures=(), num_nodes=4, jobs=JOBS, temps=TEMPS, layout=None):
         processors_per_node=4,
         period=ObservationPeriod(0.0, 100.0),
         failure_table=FailureTable.from_records(failures),
-        maintenance=(),
         job_columns=JobColumns.from_records(jobs),
         temperature_columns=TemperatureColumns.from_records(temps),
         layout=layout,
@@ -184,7 +190,7 @@ def lazy(failures=(), num_nodes=4, jobs=JOBS, temps=TEMPS, layout=None):
 
 
 class TestLazyColumnarSystem:
-    """A column-built dataset: records are views built on first access."""
+    """A column-built dataset, as the loader and the cache build it."""
 
     def test_serves_columns_without_records(self):
         ds = lazy([fail(1.0)])
@@ -192,21 +198,19 @@ class TestLazyColumnarSystem:
         assert ds.job_columns.job_ids.tolist() == [1, 2, 3]
         assert ds.temperature_columns.celsius.tolist() == [30.0, 45.5]
         assert len(ds.failure_table) == 1
-        assert not {"failures", "jobs", "temperatures"} & ds.__dict__.keys()
 
     def test_materialises_equal_records(self):
         ds = lazy([fail(2.0, node=1, sub=HardwareSubtype.CPU), fail(1.0)])
-        assert list(map(dataclasses.astuple, ds.jobs)) == list(
+        assert list(map(dataclasses.astuple, job_records(ds))) == list(
             map(dataclasses.astuple, JOBS)
         )
-        assert ds.temperatures == TEMPS
-        assert list(map(dataclasses.astuple, ds.failures)) == [
+        assert temperature_records(ds) == TEMPS
+        assert list(map(dataclasses.astuple, failure_records(ds))) == [
             dataclasses.astuple(fail(1.0)),
             dataclasses.astuple(fail(2.0, node=1, sub=HardwareSubtype.CPU)),
         ]
-        assert ds.failures is ds.failures
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ds.failures = ()
+            ds.failure_table = FailureTable.from_records(())
 
     def test_runs_dataset_checks(self):
         with pytest.raises(DatasetError, match="only 4 nodes"):
@@ -224,12 +228,27 @@ class TestLazyColumnarSystem:
 
     def test_sorts_failures_and_maintenance(self):
         ds = lazy([fail(5.0), fail(1.0, node=2)])
-        assert [f.time for f in ds.failures] == [1.0, 5.0]
+        assert ds.failure_table.times.tolist() == [1.0, 5.0]
+        events = MaintenanceTable(
+            times=np.array([3.0, 2.0, 3.0]),
+            node_ids=np.array([1, 0, 0]),
+            hardware_related=np.array([True, False, True]),
+            duration_hours=np.array([1.0, 2.0, 3.0]),
+        )
+        ds = dataclasses.replace(ds, maintenance=events)
+        assert ds.maintenance.times.tolist() == [2.0, 3.0, 3.0]
+        assert ds.maintenance.node_ids.tolist() == [0, 0, 1]
+        assert ds.maintenance.hardware_related.tolist() == [False, True, True]
+        assert ds.maintenance.duration_hours.tolist() == [2.0, 3.0, 1.0]
+        with pytest.raises(DatasetError, match="maintenance log references node 4"):
+            dataclasses.replace(
+                ds, maintenance=dataclasses.replace(events, node_ids=np.array([4, 0, 0]))
+            )
 
     def test_empty_logs(self):
         ds = lazy(jobs=(), temps=())
         assert not ds.has_usage and not ds.has_temperature
-        assert ds.jobs == () and ds.temperatures == ()
+        assert job_records(ds) == () and temperature_records(ds) == ()
 
 
 class TestArchive:

@@ -6,10 +6,10 @@ import pytest
 from repro.records.environment import (
     EnvironmentRecordError,
     NeutronReading,
+    NeutronSeries,
     TemperatureColumns,
     TemperatureReading,
     monthly_means,
-    neutron_columns,
     summarize_temperatures,
 )
 from repro.records.timeutil import ObservationPeriod
@@ -24,7 +24,8 @@ def cols(readings):
 
 
 def monthly(readings, period):
-    return monthly_means(*neutron_columns(readings), period)
+    series = NeutronSeries.from_records(readings)
+    return monthly_means(series.times, series.counts_per_minute, period)
 
 
 class TestTemperatureReading:

@@ -26,6 +26,14 @@ from repro.records.io import (
 )
 from repro.records.taxonomy import TaxonomyError
 from repro.records.usage import UsageError
+from tests.records.record_views import (
+    failure_records,
+    failure_table_records,
+    job_records,
+    maintenance_records,
+    neutron_records,
+    temperature_records,
+)
 
 
 #: Paths opened while :func:`opened_files` is active (audit hooks cannot
@@ -62,10 +70,10 @@ class TestRoundTrip:
             orig, back = tiny_archive[sid], loaded[sid]
             assert back.num_nodes == orig.num_nodes
             assert back.group == orig.group
-            assert len(back.failures) == len(orig.failures)
+            assert len(back.failure_table) == len(orig.failure_table)
             assert len(back.maintenance) == len(orig.maintenance)
-            assert len(back.jobs) == len(orig.jobs)
-            assert len(back.temperatures) == len(orig.temperatures)
+            assert len(back.job_columns) == len(orig.job_columns)
+            assert len(back.temperature_columns) == len(orig.temperature_columns)
             assert back.has_layout == orig.has_layout
             assert back.period == orig.period
             if orig.has_layout:
@@ -75,11 +83,13 @@ class TestRoundTrip:
             # The writer is repr-exact, so every field of every record of
             # every log survives the round trip (astuple, because
             # JobRecord.__eq__ ignores its compare=False fields).
-            for log in ("failures", "maintenance", "jobs", "temperatures"):
-                assert list(map(dataclasses.astuple, getattr(back, log))) == list(
-                    map(dataclasses.astuple, getattr(orig, log))
-                ), log
-        assert loaded.neutron_series == tiny_archive.neutron_series
+            for records in (
+                failure_records, maintenance_records, job_records, temperature_records
+            ):
+                assert list(map(dataclasses.astuple, records(back))) == list(
+                    map(dataclasses.astuple, records(orig))
+                ), records.__name__
+        assert neutron_records(loaded) == neutron_records(tiny_archive)
 
     @pytest.mark.parametrize("job_id", [None, "1_000"])
     def test_each_archive_file_is_read_once(
@@ -118,8 +128,8 @@ class TestRoundTrip:
         assert usage_systems, "fixture should include a usage system"
         for ds in usage_systems:
             back = loaded[ds.system_id]
-            orig_failed = sum(j.failed_due_to_node for j in ds.jobs)
-            back_failed = sum(j.failed_due_to_node for j in back.jobs)
+            orig_failed = sum(j.failed_due_to_node for j in job_records(ds))
+            back_failed = sum(j.failed_due_to_node for j in job_records(back))
             assert orig_failed == back_failed
 
 
@@ -362,8 +372,9 @@ class TestWriters:
     def test_write_failures_sorted(self, tiny_archive: Archive, tmp_path: Path):
         ds = tiny_archive[list(tiny_archive.system_ids)[0]]
         p = tmp_path / "f.csv"
-        write_failures(p, FailureTable.from_records(list(reversed(ds.failures))))
+        records = failure_records(ds)
+        write_failures(p, FailureTable.from_records(list(reversed(records))))
         back = read_failures(p, ds.system_id)
         times = back.times.tolist()
         assert times == sorted(times)
-        assert back.to_records(ds.system_id) == ds.failures
+        assert failure_table_records(back, ds.system_id) == records

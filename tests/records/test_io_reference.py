@@ -1,14 +1,13 @@
 """Reference-reader tests for the CSV loader.
 
 Every table is parsed column-wise, by numpy's C reader where it can;
-``read_failures`` / ``read_jobs`` / ``read_temperatures`` check and sort
-the columns with numpy, and the small tables (maintenance, neutrons,
-layout, systems) build their records from them.  This module keeps
-per-row readers for all seven -- ``csv.DictReader``, one record per
-row, records sorted with ``sorted()`` -- as the oracle, and checks the
-loader against it on random tables (hypothesis): same columns, same
-materialised records, and on a bad table the same error type and
-message.  The spelling tests write the
+every log (failures, maintenance, jobs, temperatures, neutrons) is
+checked and sorted as columns with numpy, and the layout and systems
+tables build their records from them.  This module keeps per-row
+readers for all seven -- ``csv.DictReader``, one record per row,
+records sorted with ``sorted()`` -- as the oracle, and checks the
+loader against it on random tables (hypothesis): the columns of the
+sorted records, and on a bad table the same error type and message.  The spelling tests write the
 numbers the way people and other tools do (padding, quotes, underscores,
 other notations, other digits, other line ends), where the C reader and
 ``float()``/``int()`` could part ways.
@@ -31,10 +30,16 @@ from repro.records.dataset import FailureTable, HardwareGroup, SystemDataset
 from repro.records.environment import (
     EnvironmentRecordError,
     NeutronReading,
+    NeutronSeries,
     TemperatureColumns,
     TemperatureReading,
 )
-from repro.records.failure import FailureRecord, MaintenanceRecord, RecordError
+from repro.records.failure import (
+    FailureRecord,
+    MaintenanceRecord,
+    MaintenanceTable,
+    RecordError,
+)
 from repro.records.io import (
     ArchiveIOError,
     load_archive,
@@ -53,6 +58,12 @@ from repro.records.layout import LayoutError, MachineLayout, NodePlacement
 from repro.records.taxonomy import TaxonomyError, parse_category, parse_subtype
 from repro.records.timeutil import ObservationPeriod, TimeError
 from repro.records.usage import JobColumns, JobRecord, UsageError
+from tests.records.record_views import (
+    failure_records,
+    failure_table_records,
+    job_records,
+    temperature_records,
+)
 
 SYSTEM_ID = 20
 NUM_NODES = 64
@@ -86,7 +97,7 @@ SYSTEMS_HEADER = [
 
 
 def reference_rows(path: Path, header: list[str]) -> list[dict[str, str]]:
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != header:
             raise ArchiveIOError(
@@ -443,8 +454,8 @@ class TestLoaderMatchesOracle:
         assert ds.has_temperature == bool(temp_oracle)
         assert_columns_equal(ds.job_columns, job_expected)
         assert_columns_equal(ds.temperature_columns, temp_expected)
-        assert as_tuples(ds.jobs) == as_tuples(job_oracle)
-        assert as_tuples(ds.temperatures) == as_tuples(temp_oracle)
+        assert as_tuples(job_records(ds)) == as_tuples(job_oracle)
+        assert as_tuples(temperature_records(ds)) == as_tuples(temp_oracle)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -457,28 +468,28 @@ class TestLoaderMatchesOracle:
             "\n".join(map(",".join, [JOBS_HEADER, *jobs])) + "\n",
             "\n".join(map(",".join, [TEMPERATURES_HEADER, *temps])) + "\n",
         ) / f"system-{SYSTEM_ID}"
-        job_records = reference_read_jobs(scratch / "jobs.csv", SYSTEM_ID)
-        temp_records = reference_read_temperatures(
+        jobs_read = reference_read_jobs(scratch / "jobs.csv", SYSTEM_ID)
+        temps_read = reference_read_temperatures(
             scratch / "temperatures.csv", SYSTEM_ID
         )
         root = fresh_dir(tmp_path_factory)
         write_archive(root, "", "")
         sysdir = root / f"system-{SYSTEM_ID}"
-        write_jobs(sysdir / "jobs.csv", JobColumns.from_records(sorted(job_records)))
+        write_jobs(sysdir / "jobs.csv", JobColumns.from_records(sorted(jobs_read)))
         write_temperatures(
             sysdir / "temperatures.csv",
-            TemperatureColumns.from_records(sorted(temp_records)),
+            TemperatureColumns.from_records(sorted(temps_read)),
         )
 
         ds = load_archive(root)[SYSTEM_ID]
-        assert as_tuples(ds.jobs) == as_tuples(sorted(job_records))
-        assert as_tuples(ds.temperatures) == as_tuples(sorted(temp_records))
+        assert as_tuples(job_records(ds)) == as_tuples(sorted(jobs_read))
+        assert as_tuples(temperature_records(ds)) == as_tuples(sorted(temps_read))
         assert_columns_equal(
-            ds.job_columns, JobColumns.from_records(sorted(job_records))
+            ds.job_columns, JobColumns.from_records(sorted(jobs_read))
         )
         assert_columns_equal(
             ds.temperature_columns,
-            TemperatureColumns.from_records(sorted(temp_records)),
+            TemperatureColumns.from_records(sorted(temps_read)),
         )
 
     def test_ties_keep_file_order(self, tmp_path):
@@ -510,7 +521,7 @@ class TestLoaderMatchesOracle:
         )
         ds = load_archive(root)[SYSTEM_ID]
         assert not ds.has_usage and not ds.has_temperature
-        assert ds.jobs == () and ds.temperatures == ()
+        assert job_records(ds) == () and temperature_records(ds) == ()
         assert_columns_equal(ds.job_columns, JobColumns.from_records(()))
         assert_columns_equal(
             ds.temperature_columns, TemperatureColumns.from_records(())
@@ -549,12 +560,14 @@ class TestLoaderMatchesOracle:
         )
         for f in dataclasses.fields(SystemDataset):
             a, b = getattr(ds, f.name), getattr(plain, f.name)
-            if isinstance(b, (FailureTable, JobColumns, TemperatureColumns)):
+            if isinstance(
+                b, (FailureTable, MaintenanceTable, JobColumns, TemperatureColumns)
+            ):
                 assert_columns_equal(a, b)
             else:
                 assert a == b, f.name
-        for log in ("failures", "jobs", "temperatures"):
-            assert as_tuples(getattr(ds, log)) == as_tuples(getattr(plain, log))
+        for records in (failure_records, job_records, temperature_records):
+            assert as_tuples(records(ds)) == as_tuples(records(plain))
 
 
 # --- fault injection ------------------------------------------------------
@@ -877,7 +890,8 @@ def check_records_against_oracle(path: Path) -> None:
         records = reference_read_failures(path, SYSTEM_ID)
     except ArchiveIOError:
         return
-    assert as_tuples(read_failures(path, SYSTEM_ID).to_records(SYSTEM_ID)) == (
+    table = read_failures(path, SYSTEM_ID)
+    assert as_tuples(failure_table_records(table, SYSTEM_ID)) == (
         as_tuples(sorted(records))
     )
 
@@ -957,7 +971,7 @@ class TestSpellingsMatchOracle:
         path = fresh_dir(tmp_path_factory) / "failures.csv"
         path.write_text(f"{','.join(FAILURES_HEADER)}\n{value!r},0,HW,,{value!r}\n")
         before = fallbacks(metrics)
-        [record] = read_failures(path, SYSTEM_ID).to_records(SYSTEM_ID)
+        [record] = failure_table_records(read_failures(path, SYSTEM_ID), SYSTEM_ID)
         assert fallbacks(metrics) == before
         assert repr(record.time) == repr(record.downtime_hours) == repr(value)
         check_records_against_oracle(path)
@@ -1129,8 +1143,29 @@ def placements(layout: MachineLayout) -> list[NodePlacement]:
     return [layout.placement(node) for node in layout.node_ids]
 
 
+def same_columns(columns_of):
+    """A check that a loaded log holds the columns of the oracle's
+    records in sorted order."""
+
+    def check(got, records) -> None:
+        assert_columns_equal(got, columns_of(sorted(records)))
+
+    return check
+
+
+def same(comparable):
+    """A check that ``comparable`` of the loaded table equals it of the
+    oracle's."""
+
+    def check(got, expected) -> None:
+        assert comparable(got) == comparable(expected)
+
+    return check
+
+
 #: Per small table: its oracle, its loader, a row strategy, its faults,
-#: its header, three good rows, and what of a loaded table to compare.
+#: its header, three good rows, and the check of a loaded table against
+#: the oracle's.
 SMALL_TABLES = {
     "maintenance": (
         reference_read_maintenance,
@@ -1139,7 +1174,7 @@ SMALL_TABLES = {
         MAINTENANCE_FAULTS,
         MAINTENANCE_HEADER,
         [["1.0", "3", "1", "2.0"], ["2.5", "4", "0", "0.5"], ["0.5", "5", "1", "0.0"]],
-        as_tuples,
+        same_columns(MaintenanceTable.from_records),
     ),
     "neutrons": (
         reference_read_neutrons,
@@ -1148,7 +1183,7 @@ SMALL_TABLES = {
         NEUTRON_FAULTS,
         NEUTRONS_HEADER,
         [["1.0", "4000.0"], ["2.0", "4100.5"], ["3.0", "3900.0"]],
-        as_tuples,
+        same_columns(NeutronSeries.from_records),
     ),
     "layout": (
         reference_read_layout,
@@ -1157,7 +1192,7 @@ SMALL_TABLES = {
         LAYOUT_FAULTS,
         LAYOUT_HEADER,
         [["0", "0", "1", "0", "0"], ["6", "1", "2", "1", "0"], ["12", "2", "3", "2", "0"]],
-        placements,
+        same(placements),
     ),
     "systems": (
         reference_read_systems,
@@ -1170,7 +1205,7 @@ SMALL_TABLES = {
             ["2", "group-2", "8", "128", "0.0", "400.0"],
             ["3", "group-1", "16", "4", "10.0", "800.5"],
         ],
-        list,
+        same(list),
     ),
 }
 
@@ -1178,13 +1213,13 @@ SMALL_TABLES = {
 def check_table_against_oracle(kind: str, path: Path) -> bool:
     """The loader raises what the oracle raises, or loads what it loads;
     whether the table loads."""
-    oracle, loader, *_, comparable = SMALL_TABLES[kind]
+    oracle, loader, *_, check = SMALL_TABLES[kind]
     try:
         expected = oracle(path)
     except ArchiveIOError:
         assert_same_error(lambda p, _: oracle(p), lambda p, _: loader(p), path)
         return False
-    assert comparable(loader(path)) == comparable(expected)
+    check(loader(path), expected)
     return True
 
 

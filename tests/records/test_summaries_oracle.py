@@ -36,6 +36,7 @@ from tests.records.reference_summaries import (
     reference_summarize_temperatures,
     reference_user_usage_summaries,
 )
+from tests.records.record_views import job_records, temperature_records
 
 MAX_NODES = 8
 
@@ -180,10 +181,10 @@ class TestUsageSummaries:
         ds = tiny_archive[20]
         cache = get_cache(ds)
         assert bits(cache.node_usage()) == bits(
-            reference_node_usage_summaries(ds.jobs, ds.num_nodes, ds.period)
+            reference_node_usage_summaries(job_records(ds), ds.num_nodes, ds.period)
         )
         assert bits(cache.user_usage()) == bits(
-            reference_user_usage_summaries(ds.jobs)
+            reference_user_usage_summaries(job_records(ds))
         )
 
 
@@ -198,7 +199,7 @@ class TestTemperatureSummaries:
     def test_archive_system(self, tiny_archive):
         ds = tiny_archive[20]
         assert bits(get_cache(ds).temperature_summaries()) == bits(
-            reference_summarize_temperatures(ds.temperatures, ds.num_nodes)
+            reference_summarize_temperatures(temperature_records(ds), ds.num_nodes)
         )
 
     def test_unsampled_nodes_compare_equal(self):

@@ -36,6 +36,7 @@ from repro.simulate.config import (
 )
 from repro.simulate.power import StressorTraces
 from repro.simulate.usage import UsageTraces
+from tests.records.record_views import failure_table_records
 
 
 class CascadeState:
@@ -337,6 +338,7 @@ def simulate_failures(
     stressor_state = StressorState(n, effects)
 
     # Stressor failures bucketed by day for cascade absorption.
+    stressor_failures = failure_table_records(stressors.failures, spec.system_id)
     exo_nodes_by_day: dict[int, list[int]] = {}
     exo_cats_by_day: dict[int, list[int]] = {}
     # Exogenous hardware failures (PSU/fan events) seed the node's
@@ -344,7 +346,7 @@ def simulate_failures(
     # damaged component instead of re-drawing a CPU-heavy organic mix
     # (Figures 10/13: CPUs show no increase after power/thermal events).
     exo_hw_by_day: dict[int, list[tuple[int, HardwareSubtype]]] = {}
-    for f in stressors.failures:
+    for f in stressor_failures:
         d = int(f.time)
         exo_nodes_by_day.setdefault(d, []).append(f.node_id)
         exo_cats_by_day.setdefault(d, []).append(CATEGORY_INDEX[f.category])
@@ -353,7 +355,7 @@ def simulate_failures(
         ):
             exo_hw_by_day.setdefault(d, []).append((f.node_id, f.subtype))
     exo_env_by_day: dict[int, list[tuple[int, EnvironmentSubtype]]] = {}
-    for f in stressors.failures:
+    for f in stressor_failures:
         if f.category is Category.ENVIRONMENT and isinstance(
             f.subtype, EnvironmentSubtype
         ):

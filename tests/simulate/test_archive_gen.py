@@ -10,6 +10,7 @@ from repro.records.io import save_archive
 from repro.records.taxonomy import Category
 from repro.records.validation import validate_archive
 from repro.simulate.archive import quick_archive
+from tests.records.record_views import failure_records
 
 #: sha256 of the CSV tree ``save_archive(quick_archive(seed))`` writes
 #: (see :func:`tree_digest`).  A change here means the generator's
@@ -50,8 +51,9 @@ class TestMakeArchive:
         a = quick_archive(seed=11, years=1.0, scale=0.02)
         b = quick_archive(seed=11, years=1.0, scale=0.02)
         for sid in a.system_ids:
-            assert len(a[sid].failures) == len(b[sid].failures)
-            for fa, fb in zip(a[sid].failures[:20], b[sid].failures[:20]):
+            fails_a, fails_b = failure_records(a[sid]), failure_records(b[sid])
+            assert len(fails_a) == len(fails_b)
+            for fa, fb in zip(fails_a[:20], fails_b[:20]):
                 assert fa == fb and fa.category == fb.category
 
     @pytest.mark.parametrize("seed", sorted(PINNED_TREES))
@@ -66,17 +68,17 @@ class TestMakeArchive:
 
     def test_every_system_has_failures(self, tiny_archive):
         for ds in tiny_archive:
-            assert len(ds.failures) > 0
+            assert len(ds.failure_table) > 0
 
     def test_failures_inside_period(self, tiny_archive):
         for ds in tiny_archive:
-            for f in ds.failures:
-                assert ds.period.contains(f.time)
+            for t in ds.failure_table.times.tolist():
+                assert ds.period.contains(t)
 
     def test_hardware_share_roughly_sixty_percent(self, medium_archive):
         # Paper: "60% of all failures are attributed to hardware problems"
         g1 = medium_archive.group(HardwareGroup.GROUP1)
-        total = sum(len(ds.failures) for ds in g1)
+        total = sum(len(ds.failure_table) for ds in g1)
         hw = sum(
             int(ds.failure_table.mask(category=Category.HARDWARE).sum())
             for ds in g1
@@ -86,7 +88,7 @@ class TestMakeArchive:
     def test_group2_rates_higher_than_group1(self, medium_archive):
         def daily_rate(group):
             systems = medium_archive.group(group)
-            failures = sum(len(ds.failures) for ds in systems)
+            failures = sum(len(ds.failure_table) for ds in systems)
             node_days = sum(ds.num_nodes * ds.period.length for ds in systems)
             return failures / node_days
 
@@ -96,9 +98,9 @@ class TestMakeArchive:
 
     def test_job_failures_marked(self, medium_archive):
         ds = medium_archive[20]
-        failed = [j for j in ds.jobs if j.failed_due_to_node]
+        failed = int(ds.job_columns.failed_due_to_node.sum())
         assert failed
-        assert len(failed) < len(ds.jobs) * 0.5
+        assert failed < len(ds.job_columns) * 0.5
 
     def test_maintenance_present(self, tiny_archive):
         assert any(ds.maintenance for ds in tiny_archive)

@@ -36,6 +36,8 @@ from repro.simulate.rng import RngStreams
 from repro.simulate.usage import generate_usage
 from repro.stream.ingest import synthetic_source
 
+from tests.records.record_views import failure_table_records
+
 from . import reference_failures as reference
 
 HW = CATEGORY_INDEX[Category.HARDWARE]
@@ -115,7 +117,8 @@ def _run(simulate, spec: SystemSpec, config: ArchiveConfig) -> tuple[list, list]
 
 
 def assert_same_failures(spec: SystemSpec, config: ArchiveConfig) -> int:
-    got, got_draws = _run(simulate_failures, spec, config)
+    table, got_draws = _run(simulate_failures, spec, config)
+    got = list(failure_table_records(table, spec.system_id))
     want, want_draws = _run(reference.simulate_failures, spec, config)
     assert got_draws == want_draws
     assert got == want

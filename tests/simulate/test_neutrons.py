@@ -59,19 +59,36 @@ class TestDailyFlux:
 
 class TestSeries:
     def test_sampling_interval(self):
-        readings, flux = generate_neutron_series(
+        series, flux = generate_neutron_series(
             30.0, np.random.default_rng(1), sample_interval_days=2.0
         )
-        assert len(readings) == 15
+        assert len(series) == 15
         assert flux.shape == (30,)
-        assert readings[1].time - readings[0].time == pytest.approx(2.0)
+        assert series.times[1] - series.times[0] == pytest.approx(2.0)
 
     def test_readings_match_flux(self):
-        readings, flux = generate_neutron_series(
+        series, flux = generate_neutron_series(
             10.0, np.random.default_rng(1), sample_interval_days=1.0
         )
-        for r in readings:
-            assert r.counts_per_minute == pytest.approx(flux[int(r.time)])
+        for t, counts in zip(series.times, series.counts_per_minute):
+            assert counts == pytest.approx(flux[int(t)])
+
+    @pytest.mark.parametrize("duration, interval", [(10.05, 0.3), (7.0, 1.0), (3.5, 4.0)])
+    def test_series_equals_the_sampling_loop(self, duration, interval):
+        """Each sample is what the accumulating loop reads: the flux of
+        the day ``t`` falls in, the last day for a ``t`` past it."""
+        series, flux = generate_neutron_series(
+            duration, np.random.default_rng(4), sample_interval_days=interval
+        )
+        times, counts = [], []
+        t = 0.0
+        while t < duration:
+            times.append(t)
+            counts.append(float(flux[min(int(t), flux.size - 1)]))
+            t += interval
+        assert series.times.dtype == series.counts_per_minute.dtype == np.float64
+        assert series.times.tolist() == times
+        assert series.counts_per_minute.tolist() == counts
 
     def test_rejects_bad_interval(self):
         with pytest.raises(NeutronModelError):

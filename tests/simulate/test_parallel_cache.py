@@ -25,6 +25,13 @@ from repro.simulate.cache import (
     store_cached,
 )
 from repro.simulate.config import ArchiveConfig, EffectSizes, small_config
+from tests.records.record_views import (
+    failure_records,
+    job_records,
+    maintenance_records,
+    neutron_records,
+    temperature_records,
+)
 
 
 def _layout_state(layout):
@@ -42,17 +49,17 @@ def _archive_state(archive: Archive):
     means *every* field matches, not just the comparable ones.
     """
     return {
-        "neutrons": archive.neutron_series,
+        "neutrons": neutron_records(archive),
         "systems": {
             ds.system_id: (
                 ds.group,
                 ds.num_nodes,
                 ds.processors_per_node,
                 ds.period,
-                ds.failures,
-                ds.maintenance,
-                tuple(dataclasses.asdict(j) for j in ds.jobs),
-                ds.temperatures,
+                failure_records(ds),
+                maintenance_records(ds),
+                tuple(dataclasses.asdict(j) for j in job_records(ds)),
+                temperature_records(ds),
                 _layout_state(ds.layout),
             )
             for ds in archive
@@ -81,21 +88,20 @@ class TestCacheRoundTrip:
 
     def test_warm_failure_and_maintenance_logs_equal_cold(self, config, tmp_path):
         """Both logs are stored as columns; decoding must give back the
-        same records: exact floats, the same enum members."""
+        same rows: exact floats, the same enum members."""
         cold = cached_make_archive(config, directory=tmp_path)
         warm = load_cached(config, tmp_path)
         assert warm is not None
         for ds in cold:
             other = warm[ds.system_id]
-            assert isinstance(other.failures, tuple)
-            assert other.failures == ds.failures
-            assert other.maintenance == ds.maintenance
-            for a, b in zip(ds.failures, other.failures):
+            assert failure_records(other) == failure_records(ds)
+            assert maintenance_records(other) == maintenance_records(ds)
+            for a, b in zip(failure_records(ds), failure_records(other)):
                 assert float(a.time).hex() == b.time.hex()
                 assert float(a.downtime_hours).hex() == b.downtime_hours.hex()
                 assert (a.system_id, a.node_id) == (b.system_id, b.node_id)
                 assert a.category is b.category and a.subtype is b.subtype
-            for a, b in zip(ds.maintenance, other.maintenance):
+            for a, b in zip(maintenance_records(ds), maintenance_records(other)):
                 assert float(a.time).hex() == b.time.hex()
                 assert float(a.duration_hours).hex() == b.duration_hours.hex()
                 assert (a.system_id, a.node_id) == (b.system_id, b.node_id)
@@ -227,8 +233,49 @@ class TestCacheCorruptionTolerance:
             payload = pickle.load(fh)
         payload["format"] = 2
         for system, ds in zip(payload["archive"]["systems"], archive):
-            del system["failure_cols"], system["maintenance_cols"]
-            system["failures"], system["maintenance"] = ds.failures, ds.maintenance
+            del system["failure_table"]
+            system["failures"] = failure_records(ds)
+            system["maintenance"] = maintenance_records(ds)
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+        telemetry.reset_metrics()
+        telemetry.set_metrics_enabled(True)
+        try:
+            assert load_cached(config, tmp_path) is None
+            counters = telemetry.metrics_snapshot()["counters"]
+        finally:
+            telemetry.set_metrics_enabled(False)
+            telemetry.reset_metrics()
+        assert counters["archive_cache.abandoned{error=none,stage=stale}"] == 1
+        assert not path.exists()
+        again = cached_make_archive(config, directory=tmp_path)
+        assert _archive_state(again) == _archive_state(archive)
+
+    def test_format_4_entry_is_a_counted_stale_miss(self, config, tmp_path):
+        """An entry of format 4 (maintenance columns under short keys,
+        the neutron series pickled as records) is thrown away and
+        counted, then regenerated."""
+        archive = self._prime(config, tmp_path)
+        path = cache_path(config, tmp_path)
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["format"] = 4
+        for system in payload["archive"]["systems"]:
+            cols = system.pop("maintenance")
+            system["maintenance_cols"] = {
+                "time": cols["times"],
+                "node": cols["node_ids"],
+                "hardware": cols["hardware_related"],
+                "duration": cols["duration_hours"],
+            }
+            for old, new in (
+                ("failure_cols", "failure_table"),
+                ("job_cols", "job_columns"),
+                ("temp_cols", "temperature_columns"),
+            ):
+                system[old] = system.pop(new)
+        del payload["archive"]["neutron_cols"]
+        payload["archive"]["neutrons"] = neutron_records(archive)
         with open(path, "wb") as fh:
             pickle.dump(payload, fh)
         telemetry.reset_metrics()

@@ -10,6 +10,10 @@ from repro.records.taxonomy import (
 )
 from repro.simulate.config import ArchiveConfig, SystemSpec
 from repro.simulate.power import generate_stressors
+from tests.records.record_views import (
+    failure_table_records,
+    maintenance_table_records,
+)
 
 
 def spec(nodes=50, group=HardwareGroup.GROUP1):
@@ -52,7 +56,7 @@ class TestGenerateStressors:
         traces = generate_stressors(
             spec(), config(), np.random.default_rng(3), rack_mapping()
         )
-        for f in traces.failures:
+        for f in failure_table_records(traces.failures, 20):
             if f.subtype in (
                 EnvironmentSubtype.POWER_OUTAGE,
                 EnvironmentSubtype.POWER_SPIKE,
@@ -121,7 +125,7 @@ class TestGenerateStressors:
             spec(), config(), np.random.default_rng(7), rack_mapping()
         )
         assert traces.maintenance
-        for m in traces.maintenance:
+        for m in maintenance_table_records(traces.maintenance, 20):
             assert m.hardware_related
             assert 0 <= m.time < config().duration_days
 

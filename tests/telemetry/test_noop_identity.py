@@ -6,6 +6,7 @@ from repro import telemetry
 from repro.core.report import full_report, profiled_full_report
 from repro.simulate.archive import quick_archive
 from repro.simulate.config import small_config
+from tests.records.record_views import failure_records, job_records
 
 
 class TestNoopIdentity:
@@ -39,8 +40,8 @@ class TestNoopIdentity:
             traced = make_archive(config)
         assert len(plain) == len(traced)
         for ds_plain, ds_traced in zip(plain, traced):
-            assert ds_plain.failures == ds_traced.failures
-            assert ds_plain.jobs == ds_traced.jobs
+            assert failure_records(ds_plain) == failure_records(ds_traced)
+            assert job_records(ds_plain) == job_records(ds_traced)
 
     def test_profile_durations_real_when_disabled(self):
         archive = quick_archive(seed=23, years=1.0, scale=0.03)

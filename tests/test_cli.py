@@ -121,6 +121,32 @@ class TestMalformedArchive:
         assert "NOPE" in message and "\n" not in message
         capsys.readouterr()
 
+    @pytest.fixture()
+    def not_utf8(self, archive_dir, tmp_path) -> Path:
+        """The archive with one byte that is not UTF-8 at the end of
+        row 2 of a failure table."""
+        path = tmp_path / "not-utf8"
+        shutil.copytree(archive_dir, path)
+        failures = path / "system-2" / "failures.csv"
+        lines = failures.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].rstrip(b"\r\n") + b"\xff\r\n"
+        failures.write_bytes(b"".join(lines))
+        return path
+
+    @pytest.mark.parametrize(
+        "command", [["report"], ["validate"], ["stream", "--archive"]]
+    )
+    def test_one_line_error_on_bytes_that_are_not_utf8(
+        self, not_utf8, command, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([*command, str(not_utf8)])
+        message = str(info.value.code)
+        failures = not_utf8 / "system-2" / "failures.csv"
+        assert message == f"error: {failures}: not UTF-8 text (invalid start byte)"
+        assert isinstance(info.value.__context__.__cause__, UnicodeDecodeError)
+        capsys.readouterr()
+
 
 class TestNewCommands:
     def test_figures_all(self, archive_dir, capsys):

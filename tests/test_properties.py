@@ -21,6 +21,7 @@ from repro.records.taxonomy import (
     SoftwareSubtype,
 )
 from repro.records.timeutil import ObservationPeriod
+from tests.records import record_views
 
 CATEGORIES = list(Category)
 SUBTYPE_CHOICES = {
@@ -87,7 +88,7 @@ class TestArchiveRoundTripProperty:
         back = load_archive(root)[1]
         assert back.num_nodes == ds.num_nodes
         assert back.group == ds.group
-        assert len(back.failures) == len(ds.failures)
+        assert len(back.failure_table) == len(ds.failure_table)
 
         def key(f):
             # The CSV format stores times at microsecond precision, so
@@ -98,12 +99,14 @@ class TestArchiveRoundTripProperty:
                     round(f.downtime_hours, 3))
 
         for a, b in zip(
-            sorted(ds.failures, key=key), sorted(back.failures, key=key)
+            sorted(record_views.failure_records(ds), key=key),
+            sorted(record_views.failure_records(back), key=key),
         ):
             assert key(a) == key(b)
         assert len(back.maintenance) == len(ds.maintenance)
-        for a, b in zip(ds.maintenance, back.maintenance):
-            assert a.hardware_related == b.hardware_related
+        assert back.maintenance.hardware_related.tolist() == (
+            ds.maintenance.hardware_related.tolist()
+        )
 
 
 class TestFailureTableProperties:
@@ -119,7 +122,7 @@ class TestFailureTableProperties:
     @settings(max_examples=30, deadline=None)
     @given(ds=systems())
     def test_counts_conserved(self, ds):
-        assert int(ds.failure_counts_per_node().sum()) == len(ds.failures)
+        assert int(ds.failure_counts_per_node().sum()) == len(ds.failure_table)
 
 
 class TestRiskModelProperties:
