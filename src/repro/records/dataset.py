@@ -358,13 +358,16 @@ class SystemDataset:
             raise DatasetError(
                 f"processors_per_node must be >= 1, got {self.processors_per_node}"
             )
-        times = self.failure_table.times
-        outside = times[(times < self.period.start) | (times >= self.period.end)]
-        if outside.size:
-            raise DatasetError(
-                f"failure at t={outside[0]} outside observation period "
-                f"[{self.period.start}, {self.period.end})"
-            )
+        for event, times in (
+            ("failure", self.failure_table.times),
+            ("maintenance", self.maintenance.times),
+        ):
+            outside = times[(times < self.period.start) | (times >= self.period.end)]
+            if outside.size:
+                raise DatasetError(
+                    f"{event} at t={outside[0]} outside observation period "
+                    f"[{self.period.start}, {self.period.end})"
+                )
         for log, nodes in (
             ("failures", self.failure_table.node_ids),
             ("maintenance", self.maintenance.node_ids),

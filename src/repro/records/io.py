@@ -37,7 +37,8 @@ which is then returned as columns in record order; only ``layout.csv``
 and ``systems.csv`` are read as records.
 
 A rejected table raises an :class:`ArchiveIOError` naming the file:
-bytes that are not UTF-8, a wrong header, else its first short or long
+a last row without a line end (a cut file), bytes that are not UTF-8, a
+wrong header, else its first short or long
 row, else its first bad row.  That row's error is its first field that
 does not parse, in the order the record's constructor takes them; else
 the invariant its record breaks, worded by building the record, whose
@@ -271,6 +272,10 @@ class _Rows:
             self._data = path.read_bytes()
         except FileNotFoundError:
             raise ArchiveIOError(f"missing archive file {path}") from None
+        if self._data and not self._data.endswith((b"\n", b"\r")):
+            # Every row ends with a line break (the writer's is CRLF): a
+            # last row without one was cut short.
+            raise ArchiveIOError(f"{path}: truncated (the last row has no line end)")
         self._counted = False
         table = _c_tokens(self._data, spec)
         #: ``csv.reader`` rows; made from the bytes only if they are needed.

@@ -417,18 +417,18 @@ def user_usage_summaries(jobs: JobColumns) -> list[UserUsage]:
     Returns one :class:`UserUsage` per distinct user, sorted by decreasing
     processor-days (the paper focuses on the 50 heaviest users); users
     tied in processor-days keep the order of their first jobs.  Each
-    user's processor-days add up in job order (``ufunc.at``).
+    user's processor-days add up in job order (``np.bincount``).
     """
-    users, inverse = np.unique(jobs.user_ids, return_inverse=True)
+    users, first_seen, inverse = np.unique(
+        jobs.user_ids, return_index=True, return_inverse=True
+    )
     if users.size == 0:
         return []
     pdays = (jobs.end_times - jobs.dispatch_times) * jobs.num_processors
-    totals = np.zeros(users.size, dtype=float)
-    np.add.at(totals, inverse, pdays)
-    fails = np.zeros(users.size, dtype=np.int64)
-    np.add.at(fails, inverse, jobs.failed_due_to_node.astype(np.int64))
-    first_seen = np.full(users.size, len(jobs), dtype=np.int64)
-    np.minimum.at(first_seen, inverse, np.arange(len(jobs), dtype=np.int64))
+    totals = np.bincount(inverse, pdays, minlength=users.size)
+    fails = np.bincount(
+        inverse[jobs.failed_due_to_node.astype(bool)], minlength=users.size
+    )
     order = np.lexsort((first_seen, -totals))
     return [
         UserUsage(

@@ -56,7 +56,6 @@ from .state import (
     CheckpointInfo,
     Checkpointer,
     EventStore,
-    StreamAnalysisConfig,
     StreamAnalysisState,
     StreamStateError,
     SystemStreamState,
@@ -89,7 +88,6 @@ __all__ = [
     "OnlineAnalysis",
     "Pacer",
     "ReplayResult",
-    "StreamAnalysisConfig",
     "StreamAnalysisError",
     "StreamAnalysisState",
     "StreamEvent",

@@ -73,11 +73,6 @@ def risk_model_from_state(
     estimate when defined (trials > 0).  Every conditional cell comes
     from one :meth:`StreamAnalysisState.pooled_any_target` reduction.
     """
-    if horizon not in state.config.spans:
-        raise StreamAnalysisError(
-            f"horizon {horizon} is not tracked; configured spans are "
-            f"{[s.value for s in state.config.spans]}"
-        )
     if not state.systems:
         raise StreamAnalysisError("no systems registered")
     any_rack = any(
@@ -86,16 +81,13 @@ def risk_model_from_state(
     base = state.pooled_baseline(None, horizon)
     baseline = base.successes / base.trials if base.trials else 0.0
     pooled = state.pooled_any_target(horizon).tolist()
-    position = {trigger: i for i, trigger in enumerate(state.config.selections)}
     conditional: dict[tuple[Scope, Category], float] = {}
     for scope in (Scope.NODE, Scope.RACK, Scope.SYSTEM):
         if scope is Scope.RACK and not any_rack:
             continue
-        cells = pooled[_POOLED_ROWS.index(scope)]
-        for category in all_categories():
-            if category not in position:
-                continue
-            successes, trials = cells[position[category]]
+        # Row 0 is the any-failure trigger; the categories follow it.
+        cells = pooled[_POOLED_ROWS.index(scope)][1:]
+        for category, (successes, trials) in zip(all_categories(), cells):
             if trials > 0:
                 conditional[(scope, category)] = successes / trials
     return RiskModel(horizon=horizon, baseline=baseline, conditional=conditional)
@@ -104,6 +96,10 @@ def risk_model_from_state(
 #: Scope order of :meth:`StreamAnalysisState.pooled_any_target` rows.
 _POOLED_ROWS = (Scope.NODE, Scope.SYSTEM, Scope.RACK)
 
+
+#: The risk model's horizon and the nodes kept per system and refresh.
+RISK_HORIZON = Span.WEEK
+RISK_LIMIT = 32
 
 #: Category code -> rank of the category's name (the history sort key).
 _NAME_RANK = np.argsort(np.argsort([c.value for c in all_categories()]))
@@ -217,19 +213,11 @@ class OnlineAnalysis:
         self,
         state: StreamAnalysisState,
         alert_engine=None,
-        risk_horizon: Span = Span.WEEK,
         checkpointer: Checkpointer | None = None,
-        risk_limit: int = 32,
     ) -> None:
-        if risk_horizon not in state.config.spans:
-            raise StreamAnalysisError(
-                f"risk horizon {risk_horizon} is not a tracked span"
-            )
         self.state = state
         self.alert_engine = alert_engine
-        self.risk_horizon = risk_horizon
         self.checkpointer = checkpointer
-        self.risk_limit = risk_limit
         self.totals = BatchStats()
         self.latest_risks: dict[int, list[NodeRisk]] = {}
         self.alerts: list = []
@@ -281,11 +269,11 @@ class OnlineAnalysis:
         if not stats.touched:
             return
         try:
-            model = risk_model_from_state(self.state, self.risk_horizon)
+            model = risk_model_from_state(self.state, RISK_HORIZON)
         except StreamAnalysisError:  # pragma: no cover - defensive
             return
         self.latest_risks.update(
-            node_risks(self.state, model, sorted(stats.touched), limit=self.risk_limit)
+            node_risks(self.state, model, sorted(stats.touched), limit=RISK_LIMIT)
         )
 
     def _emit_lag(self, stats: BatchStats) -> None:
@@ -302,4 +290,4 @@ class OnlineAnalysis:
 
     def risk_model(self) -> RiskModel:
         """The current streaming-counts risk model."""
-        return risk_model_from_state(self.state, self.risk_horizon)
+        return risk_model_from_state(self.state, RISK_HORIZON)

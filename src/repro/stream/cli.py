@@ -31,7 +31,6 @@ from .ingest import (
 from .replay import Pacer, verify_equivalence
 from .state import (
     Checkpointer,
-    StreamAnalysisConfig,
     StreamAnalysisState,
     StreamStateError,
     latest_checkpoint_sequence,
@@ -212,9 +211,8 @@ def add_stream_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_state(args: argparse.Namespace) -> StreamAnalysisState:
-    config = StreamAnalysisConfig(lateness_days=args.lateness)
     if not args.resume:
-        return StreamAnalysisState(config)
+        return StreamAnalysisState(args.lateness)
     if args.checkpoint_dir is None:
         raise SystemExit("error: --resume requires --checkpoint-dir")
     sequence = latest_checkpoint_sequence(args.checkpoint_dir)
@@ -223,7 +221,7 @@ def _build_state(args: argparse.Namespace) -> StreamAnalysisState:
             f"error: no checkpoint found in {args.checkpoint_dir}"
         )
     try:
-        state = load_checkpoint(args.checkpoint_dir, config)
+        state = load_checkpoint(args.checkpoint_dir, args.lateness)
     except StreamStateError as exc:
         raise SystemExit(f"error: cannot restore checkpoint: {exc}")
     print(

@@ -19,6 +19,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from ..core.windows import (
     Scope,
     baseline_counts_batch,
@@ -29,7 +31,7 @@ from ..telemetry import span as tel_span
 from .analysis import OnlineAnalysis
 from .events import StreamEvent
 from .ingest import ClockedSource, IngestPipeline, archive_source
-from .state import BatchStats, StreamAnalysisState
+from .state import SELECTIONS, SPANS, BatchStats, StreamAnalysisState
 
 
 class Pacer:
@@ -156,6 +158,24 @@ class EquivalenceReport:
         )
 
 
+def _differences(batch, stream: np.ndarray, where) -> list[str]:
+    """One line per cell where a batch grid of :class:`Counts` and a
+    stream ``[..., (successes, trials)]`` array of the same layout
+    differ; ``where(*cell)`` names the cell."""
+    counts = np.array(batch, dtype=object).ravel()
+    expected = np.array(
+        [(c.successes, c.trials) for c in counts], dtype=np.int64
+    ).reshape(stream.shape)
+    lines = []
+    for cell in np.argwhere((expected != stream).any(axis=-1)).tolist():
+        want, got = expected[tuple(cell)].tolist(), stream[tuple(cell)].tolist()
+        lines.append(
+            f"{where(*cell)}: batch {want[0]}/{want[1]} != stream "
+            f"{got[0]}/{got[1]}"
+        )
+    return lines
+
+
 def _verify_system(
     ds: SystemDataset,
     state: StreamAnalysisState,
@@ -164,88 +184,43 @@ def _verify_system(
 
     Returns ``(cells_compared, mismatch_descriptions)``.
     """
-    cells = 0
-    mismatches: list[str] = []
-    config = state.config
     system = state.systems[ds.system_id]
     table = ds.failure_table
-    triggers = [table.events(category=c) for c in config.selections]
-    targets = [table.events(category=c) for c in config.selections]
-    wide_targets = [table.events(category=c) for c in config.wide_targets]
-    spans = list(config.spans)
-
-    def label(selection) -> str:
-        return "any" if selection is None else selection.value
-
-    def compare_grid(scope: Scope, batch_grid, stream_grid, target_sels):
-        nonlocal cells
-        for i, trigger_sel in enumerate(config.selections):
-            for j, target_sel in enumerate(target_sels):
-                for k, span in enumerate(spans):
-                    cells = cells + 1
-                    expected = batch_grid[i][j][k]
-                    got = stream_grid[i][j][k]
-                    if expected != got:
-                        mismatches.append(
-                            f"system {ds.system_id} {scope.value} "
-                            f"{label(trigger_sel)}->{label(target_sel)} "
-                            f"@{span.value}: batch {expected.successes}/"
-                            f"{expected.trials} != stream "
-                            f"{got.successes}/{got.trials}"
-                        )
-
-    compare_grid(
-        Scope.NODE,
-        conditional_counts_batch(
-            triggers, targets, ds.period, spans, num_nodes=ds.num_nodes
-        ),
-        system.conditional_grid(Scope.NODE),
-        config.selections,
-    )
-    compare_grid(
-        Scope.SYSTEM,
-        conditional_counts_batch(
-            triggers,
-            wide_targets,
-            ds.period,
-            spans,
-            scope=Scope.SYSTEM,
-            num_nodes=ds.num_nodes,
-        ),
-        system.conditional_grid(Scope.SYSTEM),
-        config.wide_targets,
-    )
+    selections = [table.events(category=c) for c in SELECTIONS]
+    spans = list(SPANS)
+    names = ["any" if s is None else s.value for s in SELECTIONS]
+    # The wide grids' one target is any failure.
+    grids = [
+        (Scope.NODE, selections, {}),
+        (Scope.SYSTEM, selections[:1], {"scope": Scope.SYSTEM}),
+    ]
     if ds.rack_of is not None:
-        compare_grid(
-            Scope.RACK,
-            conditional_counts_batch(
-                triggers,
-                wide_targets,
-                ds.period,
-                spans,
-                scope=Scope.RACK,
-                rack_of=ds.rack_of,
-                num_nodes=ds.num_nodes,
-            ),
-            system.conditional_grid(Scope.RACK),
-            config.wide_targets,
+        grids.append(
+            (Scope.RACK, selections[:1], {"scope": Scope.RACK, "rack_of": ds.rack_of})
         )
-    baseline_batch = baseline_counts_batch(
-        targets, ds.num_nodes, ds.period, spans
+    cells = 0
+    mismatches: list[str] = []
+    for scope, targets, options in grids:
+        stream = system.conditional_cells(scope)
+        batch = conditional_counts_batch(
+            selections, targets, ds.period, spans, num_nodes=ds.num_nodes, **options
+        )
+        cells += stream.size // 2
+        mismatches += _differences(
+            batch,
+            stream,
+            lambda i, j, k, scope=scope: (
+                f"system {ds.system_id} {scope.value} {names[i]}->{names[j]} "
+                f"@{spans[k].value}"
+            ),
+        )
+    stream = system.baseline_cells()
+    cells += stream.size // 2
+    mismatches += _differences(
+        baseline_counts_batch(selections, ds.num_nodes, ds.period, spans),
+        stream,
+        lambda j, k: f"system {ds.system_id} baseline {names[j]} @{spans[k].value}",
     )
-    baseline_stream = system.baseline_grid()
-    for j, target_sel in enumerate(config.selections):
-        for k, span in enumerate(spans):
-            cells = cells + 1
-            expected = baseline_batch[j][k]
-            got = baseline_stream[j][k]
-            if expected != got:
-                mismatches.append(
-                    f"system {ds.system_id} baseline {label(target_sel)} "
-                    f"@{span.value}: batch {expected.successes}/"
-                    f"{expected.trials} != stream {got.successes}/"
-                    f"{got.trials}"
-                )
     return cells, mismatches
 
 
@@ -255,7 +230,7 @@ def verify_equivalence(
     """Prove streaming counts equal the batch kernels on this archive.
 
     The state must have fully consumed the archive (replay complete and
-    finalized); every tracked grid cell is then compared for exact
+    finalized); every grid cell is then compared for exact
     integer equality against freshly-computed batch grids.
     """
     cells = 0

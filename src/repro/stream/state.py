@@ -36,6 +36,13 @@ events stream in, with three guarantees:
   pointers and counters with the ingest path's own code and refuses a
   checkpoint whose stored ones differ.
 
+The state tracks the paper's one correlation grid, fixed as module
+constants: the triggers and targets of :data:`SELECTIONS` (any failure,
+then each root-cause category), the windows of :data:`SPANS` (the
+following day, week and month) and the NODE, RACK and SYSTEM scopes,
+whose wide (RACK/SYSTEM) grids condition on the trigger only (target:
+any failure).  The only setting is the lateness budget.
+
 Every system's stores and counters live in columns shared by all
 systems (:class:`StreamAnalysisState`), so one micro-batch costs a
 fixed number of array operations -- and one kernel call -- however
@@ -76,27 +83,39 @@ CHECKPOINT_VERSION = 1
 #: Selection code for "any category" (no filter).
 ANY_CODE = -1
 
-_CATEGORY_CODES: dict[Category, int] = {
-    c: i for i, c in enumerate(all_categories())
-}
-_CATEGORY_BY_CODE: dict[int, Category] = {
-    i: c for c, i in _CATEGORY_CODES.items()
-}
+#: The window lengths of every conditional and baseline grid.
+SPANS: tuple[Span, ...] = ALL_SPANS
+
+#: The trigger/target selections (``None`` = any failure).  A system's
+#: store of selection code ``c`` (``ANY_CODE`` or a category's index in
+#: ``all_categories()``) is at position ``c + 1``.
+SELECTIONS: tuple[Category | None, ...] = (None, *all_categories())
+
+_N_CODES, _N_SPANS = len(SELECTIONS), len(SPANS)
+_SPAN_DAYS = np.array([span.days for span in SPANS])
+#: Selection -> store position.
+_POSITION: dict[Category | None, int] = {s: i for i, s in enumerate(SELECTIONS)}
+#: Store position -> the selection's name in checkpoints.
+_NAMES = ["any", *(category.value for category in all_categories())]
+#: The wide (RACK/SYSTEM) grids track one target, any failure: the
+#: paper's rack and system analyses condition on the trigger type, not
+#: the target type.  Per target position, whether it is that target.
+_WIDE_TARGET = np.arange(_N_CODES) == _POSITION[None]
 
 
 def selection_code(selection: Category | None) -> int:
     """Integer code of a category selection (``ANY_CODE`` for ``None``)."""
-    return ANY_CODE if selection is None else _CATEGORY_CODES[selection]
+    return _POSITION[selection] - 1
 
 
-def _code_name(code: int) -> str:
-    return "any" if code == ANY_CODE else _CATEGORY_BY_CODE[code].value
-
-
-def _name_code(name: str) -> int:
-    if name == "any":
-        return ANY_CODE
-    return _CATEGORY_CODES[Category(name)]
+def _config_payload(lateness_days: float) -> dict:
+    """The ``config`` block of a checkpoint's meta (the tracked grid)."""
+    return {
+        "lateness_days": _float_hex(lateness_days),
+        "spans": [span.value for span in SPANS],
+        "selections": list(_NAMES),
+        "wide_targets": _NAMES[:1],
+    }
 
 
 def _float_hex(value: float) -> str:
@@ -114,67 +133,6 @@ def _hex_float(text: str) -> float:
     if text == "-inf":
         return -math.inf
     return float.fromhex(text)
-
-
-@dataclass(frozen=True)
-class StreamAnalysisConfig:
-    """What the incremental analysis tracks.
-
-    Attributes:
-        spans: window lengths of the conditional/baseline grids.
-        lateness_days: bounded out-of-order tolerance; events older
-            than ``high - lateness_days`` are dropped as late.  ``0``
-            suits in-order sources (archive replay); live feeds should
-            budget their expected delivery skew.
-        selections: trigger/target category selections of the NODE-scope
-            grid (``None`` = any failure).
-        wide_targets: target selections of the RACK/SYSTEM-scope grids
-            (kept narrow by default: the paper's rack/system analyses
-            condition on the trigger type, not the target type).
-    """
-
-    spans: tuple[Span, ...] = ALL_SPANS
-    lateness_days: float = 0.0
-    selections: tuple[Category | None, ...] = (None, *all_categories())
-    wide_targets: tuple[Category | None, ...] = (None,)
-
-    def __post_init__(self) -> None:
-        if self.lateness_days < 0 or not math.isfinite(self.lateness_days):
-            raise StreamStateError(
-                f"lateness_days must be finite and >= 0, got "
-                f"{self.lateness_days}"
-            )
-        if not self.spans or not self.selections:
-            raise StreamStateError("spans and selections must be non-empty")
-        for target in self.wide_targets:
-            if target not in self.selections:
-                raise StreamStateError(
-                    f"wide target {target!r} must also be a selection"
-                )
-
-    def to_payload(self) -> dict:
-        """JSON-safe description (stored in checkpoints)."""
-        return {
-            "lateness_days": _float_hex(self.lateness_days),
-            "spans": [span.value for span in self.spans],
-            "selections": [_code_name(selection_code(s)) for s in self.selections],
-            "wide_targets": [
-                _code_name(selection_code(s)) for s in self.wide_targets
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "StreamAnalysisConfig":
-        def _selection(name: str) -> Category | None:
-            code = _name_code(name)
-            return None if code == ANY_CODE else _CATEGORY_BY_CODE[code]
-
-        return cls(
-            spans=tuple(Span(v) for v in payload["spans"]),
-            lateness_days=_hex_float(payload["lateness_days"]),
-            selections=tuple(_selection(n) for n in payload["selections"]),
-            wide_targets=tuple(_selection(n) for n in payload["wide_targets"]),
-        )
 
 
 @dataclass
@@ -280,11 +238,10 @@ class SystemStreamState:
         self.num_nodes = num_nodes
         self.period = period
         self.rack_of = rack_of
-        self.config = owner.config
-        self.n_windows = {
-            span.value: count_windows(period, span) for span in self.config.spans
-        }
-        self.clock = WatermarkClock(self.config.lateness_days)
+        self.n_windows = np.array(
+            [count_windows(period, span) for span in SPANS], dtype=np.int64
+        )
+        self.clock = WatermarkClock(owner.lateness_days)
         self.stats = BatchStats()
         self.seen: dict[str, float] = {}
 
@@ -300,13 +257,10 @@ class SystemStreamState:
     # ------------------------------------------------------------------
     # reads
 
-    def store(self, code: int) -> EventStore | None:
-        """The event store of one selection code (``None`` if untracked)."""
+    def store(self, code: int) -> EventStore:
+        """The event store of one selection code."""
         owner = self._owner
-        position = owner._code_index.get(code)
-        if position is None:
-            return None
-        block = self.index * len(owner._codes) + position
+        block = self.index * _N_CODES + code + 1
         lo, hi = owner._bounds[block], owner._bounds[block + 1]
         # A view of the shared column: read-only, or a caller's write
         # would corrupt the state.
@@ -316,24 +270,25 @@ class SystemStreamState:
 
     @property
     def stores(self) -> dict[int, EventStore]:
-        """Every tracked selection code's event store."""
-        return {code: self.store(code) for code in self._owner._codes}
+        """Every selection code's event store."""
+        return {code: self.store(code) for code in range(ANY_CODE, _N_CODES - 1)}
 
     @property
     def resolved(self) -> dict[tuple[int, str], int]:
         """Resolution pointer of each (trigger code, span value)."""
-        owner = self._owner
-        first = self.index * len(owner._codes)
-        done = owner._resolved[first : first + len(owner._codes)].tolist()
+        first = self.index * _N_CODES
+        done = self._owner._resolved[first : first + _N_CODES].tolist()
         return {
-            (code, span.value): done[i][k]
-            for i, code in enumerate(owner._codes)
-            for k, span in enumerate(self.config.spans)
+            (i - 1, span.value): done[i][k]
+            for i in range(_N_CODES)
+            for k, span in enumerate(SPANS)
         }
 
     def conditional_cells(self, scope: Scope) -> np.ndarray | None:
         """The ``[trigger, target, span, (successes, trials)]`` counters at
-        one scope (a writable view; ``None`` for RACK without a layout)."""
+        one scope (a writable view; ``None`` for RACK without a layout).
+        The targets are :data:`SELECTIONS` at NODE scope and any failure
+        alone at RACK and SYSTEM scope."""
         owner = self._owner
         if scope is Scope.NODE:
             return owner._node_cells[self.index]
@@ -350,47 +305,31 @@ class SystemStreamState:
     ) -> Counts:
         """Resolved conditional counts of one grid cell."""
         cells = self.conditional_cells(scope)
-        cell = self._owner._cell(
-            scope, selection_code(trigger), selection_code(target), span.value
-        )
-        if cells is None or cell is None:
-            raise StreamStateError(
-                f"cell {scope}/{trigger}/{target}/{span} is not tracked by "
-                "this configuration"
-            )
-        successes, trials = cells[cell].tolist()
+        if cells is None:
+            raise StreamStateError(f"system {self.system_id} has no rack layout")
+        successes, trials = cells[
+            _POSITION[trigger], _POSITION[target], SPANS.index(span)
+        ].tolist()
         return Counts(successes, trials)
+
+    def baseline_cells(self) -> np.ndarray:
+        """The ``[target, span, (successes, trials)]`` baseline counters:
+        a cell's successes are its distinct (node, tile) keys."""
+        owner = self._owner
+        first = self.index * _N_CODES * _N_SPANS
+        bounds = owner._base_bounds[first : first + _N_CODES * _N_SPANS + 1]
+        successes = np.diff(np.searchsorted(owner._base_keys, bounds))
+        trials = np.broadcast_to(
+            self.num_nodes * self.n_windows, (_N_CODES, _N_SPANS)
+        )
+        return np.stack((successes.reshape(_N_CODES, _N_SPANS), trials), axis=-1)
 
     def baseline(self, target: Category | None, span: Span) -> Counts:
         """Tiled-window baseline counts for one (target, span) cell."""
-        owner = self._owner
-        cell = owner._base_cell(self.index, selection_code(target), span.value)
-        lo, hi = np.searchsorted(
-            owner._base_keys, owner._base_bounds[cell : cell + 2]
-        ).tolist()
-        return Counts(hi - lo, self.num_nodes * self.n_windows[span.value])
-
-    def conditional_grid(self, scope: Scope) -> list[list[list[Counts]]]:
-        """The trigger x target x span grid at one scope (batch layout)."""
-        targets = (
-            self.config.selections
-            if scope is Scope.NODE
-            else self.config.wide_targets
-        )
-        return [
-            [
-                [self.counts(scope, trigger, target, span) for span in self.config.spans]
-                for target in targets
-            ]
-            for trigger in self.config.selections
-        ]
-
-    def baseline_grid(self) -> list[list[Counts]]:
-        """The target x span baseline grid (batch layout)."""
-        return [
-            [self.baseline(target, span) for span in self.config.spans]
-            for target in self.config.selections
-        ]
+        successes, trials = self.baseline_cells()[
+            _POSITION[target], SPANS.index(span)
+        ].tolist()
+        return Counts(successes, trials)
 
     # ------------------------------------------------------------------
     # serialisation
@@ -404,19 +343,17 @@ class SystemStreamState:
         analytical state is bit-identical -- the digest compares
         analytical state only.
         """
-        names = [_code_name(code) for code in self._owner._codes]
-        wide_names = [_code_name(code) for code in self._owner._wide_codes]
-        span_values = [span.value for span in self.config.spans]
+        span_values = [span.value for span in SPANS]
         cond = []
         for scope in (Scope.NODE, *_WIDE_SCOPES):
             cells = self.conditional_cells(scope)
             if cells is None:
                 continue
-            targets = names if scope is Scope.NODE else wide_names
+            targets = _NAMES if scope is Scope.NODE else _NAMES[:1]
             values = cells.tolist()
             cond.extend(
                 [scope.value, tc, gc, sv, *values[i][j][k]]
-                for i, tc in enumerate(names)
+                for i, tc in enumerate(_NAMES)
                 for j, gc in enumerate(targets)
                 for k, sv in enumerate(span_values)
             )
@@ -430,7 +367,7 @@ class SystemStreamState:
                 [key, _float_hex(t)] for key, t in sorted(self.seen.items())
             ],
             "resolved": [
-                [_code_name(tc), sv, done]
+                [_NAMES[tc + 1], sv, done]
                 for (tc, sv), done in self.resolved.items()
             ],
             "cond": cond,
@@ -453,17 +390,17 @@ class SystemStreamState:
         if self.rack_of is not None:
             arrays[f"{prefix}.rack"] = self.rack_of
         keys = owner._base_keys
-        for code in owner._codes:
-            name = _code_name(code)
+        cell = self.index * _N_CODES * _N_SPANS
+        for code, name in enumerate(_NAMES, start=ANY_CODE):
             store = self.store(code)
             arrays[f"{prefix}.k.{name}.times"] = store.times
             arrays[f"{prefix}.k.{name}.nodes"] = store.nodes
-            for span in self.config.spans:
-                cell = owner._base_cell(self.index, code, span.value)
+            for span in SPANS:
                 lo, hi = owner._base_bounds[cell : cell + 2]
                 arrays[f"{prefix}.b.{name}.{span.value}"] = (
                     keys[np.searchsorted(keys, lo) : np.searchsorted(keys, hi)] - lo
                 )
+                cell += 1
         return arrays
 
 
@@ -475,7 +412,7 @@ class StreamAnalysisState:
     """All systems' incremental state in shared columns, plus checkpoint
     orchestration.
 
-    Every system has one *block* per tracked selection, ordered by
+    Every system has one *block* per selection, ordered by
     (system index, selection); the flat ``_times`` / ``_nodes`` columns
     hold every block's time-sorted events, with node ids offset into one
     node space (and rack ids into one rack space; a node of a system
@@ -486,43 +423,31 @@ class StreamAnalysisState:
     the int64 counters.
     """
 
-    def __init__(self, config: StreamAnalysisConfig | None = None) -> None:
-        self.config = config if config is not None else StreamAnalysisConfig()
+    def __init__(self, lateness_days: float = 0.0) -> None:
+        """``lateness_days`` is the bounded out-of-order tolerance: events
+        older than ``high - lateness_days`` are dropped as late.  ``0``
+        suits in-order sources (archive replay); live feeds should budget
+        their expected delivery skew."""
+        if lateness_days < 0 or not math.isfinite(lateness_days):
+            raise StreamStateError(
+                f"lateness_days must be finite and >= 0, got {lateness_days}"
+            )
+        self.lateness_days = lateness_days
         self.systems: dict[int, SystemStreamState] = {}
         self._order: list[SystemStreamState] = []
-        self._codes = [selection_code(s) for s in self.config.selections]
-        self._code_index = {code: i for i, code in enumerate(self._codes)}
-        self._wide_codes = [selection_code(s) for s in self.config.wide_targets]
-        self._wide_index = {code: i for i, code in enumerate(self._wide_codes)}
-        # Target selection -> its wide-grid column (-1: NODE grid only).
-        self._wide_slot = np.array(
-            [self._wide_index.get(code, -1) for code in self._codes],
-            dtype=np.int64,
-        )
-        self._span_index = {
-            span.value: k for k, span in enumerate(self.config.spans)
-        }
-        self._span_days = np.array([span.days for span in self.config.spans])
-        # Event category -> its store's position (uncategorised or
-        # untracked categories feed the ANY store only).
-        self._store_of = {
-            category: self._code_index[code]
-            for category, code in _CATEGORY_CODES.items()
-            if code in self._code_index
-        }
-        self._any = self._code_index.get(ANY_CODE)
-        n_codes, n_spans = len(self._codes), len(self.config.spans)
         # Event columns and block bounds: block b is _bounds[b]:_bounds[b+1].
         self._times = np.empty(0)
         self._nodes = np.empty(0, dtype=np.int64)
         self._bounds = np.zeros(1, dtype=np.int64)
         # Resolution pointers per (block, span), relative to the block.
-        self._resolved = np.zeros((0, n_spans), dtype=np.int64)
-        # (successes, trials) counters.
-        self._node_cells = np.zeros((0, n_codes, n_codes, n_spans, 2), dtype=np.int64)
+        self._resolved = np.zeros((0, _N_SPANS), dtype=np.int64)
+        # (successes, trials) counters; the wide grids' one target is
+        # any failure.
+        self._node_cells = np.zeros(
+            (0, _N_CODES, _N_CODES, _N_SPANS, 2), dtype=np.int64
+        )
         self._wide_cells = np.zeros(
-            (0, len(_WIDE_SCOPES), n_codes, len(self._wide_codes), n_spans, 2),
-            dtype=np.int64,
+            (0, len(_WIDE_SCOPES), _N_CODES, 1, _N_SPANS, 2), dtype=np.int64
         )
         # Baseline (node, tile) keys: the (block, span) cell c owns the
         # key range _base_bounds[c]:_base_bounds[c+1]; sorted and unique.
@@ -532,7 +457,7 @@ class StreamAnalysisState:
         self._node_base = np.zeros(1, dtype=np.int64)
         self._start = np.empty(0)
         self._end = np.empty(0)
-        self._n_windows = np.zeros((0, n_spans), dtype=np.int64)
+        self._n_windows = np.zeros((0, _N_SPANS), dtype=np.int64)
         # Per node (offset ids): rack id and rack peers (rack size - 1).
         self._rack = np.empty(0, dtype=np.int64)
         self._peers = np.empty(0, dtype=np.int64)
@@ -571,10 +496,9 @@ class StreamAnalysisState:
 
     def _grow(self, system: SystemStreamState) -> None:
         """Append one system's blocks, counters and node columns."""
-        n_codes = len(self._codes)
-        self._bounds = np.append(self._bounds, np.repeat(self._bounds[-1], n_codes))
+        self._bounds = np.append(self._bounds, np.repeat(self._bounds[-1], _N_CODES))
         self._resolved = np.concatenate(
-            (self._resolved, np.zeros((n_codes, self._resolved.shape[1]), np.int64))
+            (self._resolved, np.zeros((_N_CODES, _N_SPANS), np.int64))
         )
         self._node_cells = np.concatenate(
             (self._node_cells, np.zeros((1, *self._node_cells.shape[1:]), np.int64))
@@ -582,21 +506,17 @@ class StreamAnalysisState:
         self._wide_cells = np.concatenate(
             (self._wide_cells, np.zeros((1, *self._wide_cells.shape[1:]), np.int64))
         )
-        n_windows = np.array(
-            [system.n_windows[span.value] for span in self.config.spans],
-            dtype=np.int64,
-        )
         self._base_bounds = np.append(
             self._base_bounds,
             self._base_bounds[-1]
-            + np.cumsum(np.tile(system.num_nodes * n_windows, n_codes)),
+            + np.cumsum(np.tile(system.num_nodes * system.n_windows, _N_CODES)),
         )
         self._node_base = np.append(
             self._node_base, self._node_base[-1] + system.num_nodes
         )
         self._start = np.append(self._start, system.period.start)
         self._end = np.append(self._end, system.period.end)
-        self._n_windows = np.concatenate((self._n_windows, n_windows[None]))
+        self._n_windows = np.concatenate((self._n_windows, system.n_windows[None]))
         if system.rack_of is None:
             racks = np.arange(system.num_nodes, dtype=np.int64)
             peers = np.zeros(system.num_nodes, dtype=np.int64)
@@ -615,41 +535,12 @@ class StreamAnalysisState:
             )
 
     # ------------------------------------------------------------------
-    # cell addressing
-
-    def _cell(
-        self, scope: Scope, trigger: int, target: int, span: str
-    ) -> tuple[int, int, int] | None:
-        """``[trigger, target, span]`` position of the conditional cell of
-        two selection codes and a span value (``None`` if untracked)."""
-        targets = self._code_index if scope is Scope.NODE else self._wide_index
-        position = (
-            self._code_index.get(trigger),
-            targets.get(target),
-            self._span_index.get(span),
-        )
-        return None if None in position else position
-
-    def _base_cell(self, index: int, target: int, span: str) -> int:
-        """Baseline key-space cell of system ``index``'s (target code,
-        span value)."""
-        position = self._code_index.get(target)
-        k = self._span_index.get(span)
-        if position is None or k is None:
-            raise StreamStateError(
-                f"baseline {_code_name(target)}/{span} is not tracked by this "
-                "configuration"
-            )
-        return (index * len(self._codes) + position) * len(self._span_days) + k
-
-    # ------------------------------------------------------------------
     # ingestion
 
     def ingest(self, events: Iterable[StreamEvent]) -> BatchStats:
         """Apply one micro-batch, then resolve newly-final windows."""
         stats = BatchStats()
         systems = self.systems
-        store_of = self._store_of
         index: list[int] = []
         times: list[float] = []
         nodes: list[int] = []
@@ -684,7 +575,7 @@ class StreamAnalysisState:
             index.append(system.index)
             times.append(t)
             nodes.append(event.node_id)
-            stores.append(store_of.get(event.category, -1))
+            stores.append(_POSITION.get(event.category, 0))
         if index:
             self._insert(
                 np.array(index, dtype=np.int64),
@@ -706,15 +597,15 @@ class StreamAnalysisState:
         nodes: np.ndarray,
         stores: np.ndarray,
     ) -> None:
-        """Insert admitted events into their blocks and baseline keys."""
-        n_codes = len(self._codes)
+        """Insert admitted events into their blocks and baseline keys:
+        every event into its system's ANY store, a categorised one into
+        its category's store too (``stores`` holds each event's store
+        position; 0, the ANY store, for an uncategorised event)."""
         nodes = nodes + self._node_base[index]
-        parts = []
-        if self._any is not None:
-            parts.append((index * n_codes + self._any, times, nodes))
-        has = stores >= 0
-        parts.append((index[has] * n_codes + stores[has], times[has], nodes[has]))
-        block, times, nodes = (np.concatenate(column) for column in zip(*parts))
+        has = stores > 0
+        block = np.concatenate((index * _N_CODES, index[has] * _N_CODES + stores[has]))
+        times = np.concatenate((times, times[has]))
+        nodes = np.concatenate((nodes, nodes[has]))
         # Arrival order within (block, time): two stable sorts.
         order = np.argsort(times, kind="stable")
         order = order[np.argsort(block[order], kind="stable")]
@@ -741,13 +632,12 @@ class StreamAnalysisState:
         of ``block`` (offset node ids): ``node * n_windows + tile``, the
         arithmetic of ``window_index``, offset into each (block, span)
         cell."""
-        n_spans = self._span_days.size
-        system = block // len(self._codes)
+        system = block // _N_CODES
         start = self._start[system][:, None]
         n_windows = self._n_windows[system]
-        tile = np.floor((times[:, None] - start) / self._span_days).astype(np.int64)
+        tile = np.floor((times[:, None] - start) / _SPAN_DAYS).astype(np.int64)
         valid = (times[:, None] >= start) & (tile >= 0) & (tile < n_windows)
-        cell = block[:, None] * n_spans + np.arange(n_spans)
+        cell = block[:, None] * _N_SPANS + np.arange(_N_SPANS)
         keys = self._base_bounds[cell] + (
             (nodes - self._node_base[system])[:, None] * n_windows + tile
         )
@@ -769,10 +659,9 @@ class StreamAnalysisState:
         category entries, or repeated events -- share one gather over
         their longest alive span; censoring stays per copy.
         """
-        n_codes, n_spans = len(self._codes), self._span_days.size
         index = np.array([system.index for system in systems], dtype=np.int64)
         watermark = np.array([system.clock.watermark for system in systems])
-        blocks = (index[:, None] * n_codes + np.arange(n_codes)).ravel()
+        blocks = (index[:, None] * _N_CODES + np.arange(_N_CODES)).ravel()
         first = self._bounds[blocks][:, None]
         done = first + self._resolved[blocks]
         end = np.broadcast_to(self._bounds[blocks + 1][:, None], done.shape)
@@ -780,8 +669,8 @@ class StreamAnalysisState:
         # entries of the unresolved tail.
         tail = concat_ranges(done.ravel(), end.ravel())
         cell = np.repeat(np.arange(done.size), (end - done).ravel())
-        final = self._times[tail] + np.tile(self._span_days, blocks.size)[cell] < (
-            np.repeat(watermark, n_codes * n_spans)[cell]
+        final = self._times[tail] + np.tile(_SPAN_DAYS, blocks.size)[cell] < (
+            np.repeat(watermark, _N_CODES * _N_SPANS)[cell]
         )
         due = done + np.bincount(cell[final], minlength=done.size).reshape(
             done.shape
@@ -790,16 +679,16 @@ class StreamAnalysisState:
         self._resolved[blocks] = due - first
         if not newly.size:
             return
-        span_of = np.repeat(np.tile(np.arange(n_spans), blocks.size), (due - done).ravel())
+        span_of = np.repeat(np.tile(np.arange(_N_SPANS), blocks.size), (due - done).ravel())
         # alive[k, i]: trigger i is newly final at span k and uncensored.
         trig, column = np.unique(newly, return_inverse=True)
-        alive = np.zeros((n_spans, trig.size), dtype=bool)
+        alive = np.zeros((_N_SPANS, trig.size), dtype=bool)
         alive[span_of, column] = True
         block = np.searchsorted(self._bounds, trig, side="right") - 1
-        system = block // n_codes
+        system = block // _N_CODES
         trig_t = self._times[trig]
         # Censoring: the batch kernel's elementwise ``t + days <= end``.
-        alive &= trig_t + self._span_days[:, None] <= self._end[system]
+        alive &= trig_t + _SPAN_DAYS[:, None] <= self._end[system]
         keep = alive.any(axis=0)
         alive, block, trig_t = alive[:, keep], block[keep], trig_t[keep]
         trig_n = self._nodes[trig[keep]]
@@ -813,7 +702,7 @@ class StreamAnalysisState:
         # Each distinct trigger's longest span alive in any of its copies.
         widest = np.where(
             np.logical_or.reduceat(alive[:, order], starts, axis=1),
-            self._span_days[:, None],
+            _SPAN_DAYS[:, None],
             -np.inf,
         ).argmax(axis=0)
         rep = order[starts]
@@ -825,31 +714,31 @@ class StreamAnalysisState:
         # searches start at that pointer.
         slot = np.empty(len(self._order), dtype=np.int64)
         slot[index] = np.arange(index.size)
-        target = np.arange(n_codes)
-        row = (slot[block[rep] // n_codes][:, None] * n_codes + target).ravel()
-        lo = done[row, np.repeat(widest, n_codes)]
+        target = np.arange(_N_CODES)
+        row = (slot[block[rep] // _N_CODES][:, None] * _N_CODES + target).ravel()
+        lo = done[row, np.repeat(widest, _N_CODES)]
         hi = self._bounds[blocks[row] + 1]
-        pair_t = np.repeat(gather_t, n_codes)
+        pair_t = np.repeat(gather_t, _N_CODES)
         # Each pair's segment (t, t + longest alive span] in its store.
         located = _bisect_right(
             self._times,
             np.concatenate((lo, lo)),
             np.concatenate((hi, hi)),
             np.concatenate(
-                (pair_t, pair_t + np.repeat(self._span_days[widest], n_codes))
+                (pair_t, pair_t + np.repeat(_SPAN_DAYS[widest], _N_CODES))
             ),
         )
         hits = segment_hits(
             located[: lo.size],
             located[lo.size :],
             pair_t,
-            np.repeat(gather_n, n_codes),
+            np.repeat(gather_n, _N_CODES),
             self._times,
             self._nodes,
-            self._span_days,
+            _SPAN_DAYS,
             int(self._node_base[-1]),
             self._rack,
-            np.tile(self._wide_slot >= 0, gather_t.size),
+            np.tile(_WIDE_TARGET, gather_t.size),
         )
         self._fold(hits, distinct, alive, block, trig_n)
 
@@ -863,42 +752,39 @@ class StreamAnalysisState:
     ) -> None:
         """Add resolved hits to the (successes, trials) counters.
 
-        Hit pair ``p`` is distinct trigger ``p // n_codes`` against its
-        system's store ``p % n_codes``; trigger copy ``i`` in ``block[i]``
+        Hit pair ``p`` is distinct trigger ``p // _N_CODES`` against its
+        system's store ``p % _N_CODES``; trigger copy ``i`` in ``block[i]``
         reads the pairs of distinct trigger ``distinct[i]`` at the spans
         ``alive[:, i]``.  Every counter adds one ``np.bincount`` over the
         flat cell index.  A system without a layout adds nothing at RACK
         scope: each of its nodes is its own rack, with no rack peers to
         hit or to count as trials.
         """
-        n_codes, n_spans = len(self._codes), self._span_days.size
-        span = np.arange(n_spans)[:, None]
+        span = np.arange(_N_SPANS)[:, None]
         # NODE cell [system, trigger, target, span]; the block numbers
         # (system, trigger) pairs.
-        target = np.arange(n_codes)
-        live = np.repeat(alive, n_codes, axis=1)
-        cells = ((block[:, None] * n_codes + target).ravel() * n_spans + span)[live]
-        own = hits.own[:, (distinct[:, None] * n_codes + target).ravel()][live]
+        target = np.arange(_N_CODES)
+        live = np.repeat(alive, _N_CODES, axis=1)
+        cells = ((block[:, None] * _N_CODES + target).ravel() * _N_SPANS + span)[live]
+        own = hits.own[:, (distinct[:, None] * _N_CODES + target).ravel()][live]
         node = self._node_cells.reshape(-1, 2)
         node[:, 0] += np.bincount(cells[own], minlength=node.shape[0])
         node[:, 1] += np.bincount(cells, minlength=node.shape[0])
-        # Wide cell [system, scope, trigger, wide target, span], for the
-        # targets with a wide slot; the RACK row follows the SYSTEM row.
-        target = np.flatnonzero(self._wide_slot >= 0)
-        n_wide = len(self._wide_codes)
-        live = np.repeat(alive, target.size, axis=1)
-        system = block // n_codes
+        # Wide cell [system, scope, trigger, span] (one target, any
+        # failure: pair 0 of each trigger); the RACK row follows the
+        # SYSTEM row.
+        system = block // _N_CODES
         cells = (
-            ((system * len(_WIDE_SCOPES) * n_codes + block % n_codes)[:, None]
-             * n_wide + self._wide_slot[target]).ravel() * n_spans + span
-        )[live]
-        cells = np.concatenate((cells, cells + n_codes * n_wide * n_spans))
-        pair = (distinct[:, None] * n_codes + target).ravel()
+            (system * len(_WIDE_SCOPES) * _N_CODES + block % _N_CODES) * _N_SPANS
+            + span
+        )[alive]
+        cells = np.concatenate((cells, cells + _N_CODES * _N_SPANS))
+        pair = distinct * _N_CODES
         successes = np.concatenate(
-            (hits.system[:, pair][live], hits.rack[:, pair][live])
+            (hits.system[:, pair][alive], hits.rack[:, pair][alive])
         )
         trials = np.concatenate([
-            np.broadcast_to(np.repeat(row, target.size), live.shape)[live]
+            np.broadcast_to(row, alive.shape)[alive]
             for row in (np.diff(self._node_base)[system] - 1, self._peers[trig_n])
         ])
         wide = self._wide_cells.reshape(-1, 2)
@@ -912,7 +798,7 @@ class StreamAnalysisState:
         """``stream.pending_triggers``: per span, stored triggers not yet
         resolved (0 everywhere once the stream is finalised)."""
         pending = (np.diff(self._bounds)[:, None] - self._resolved).sum(axis=0)
-        for span, count in zip(self.config.spans, pending.tolist()):
+        for span, count in zip(SPANS, pending.tolist()):
             gauge_set("stream.pending_triggers", count, span=span.value)
 
     def finalize(self) -> None:
@@ -944,36 +830,22 @@ class StreamAnalysisState:
         trigger with target ``None`` (streaming counterpart of
         :func:`repro.core.correlations.pooled_conditional`; systems
         without a layout hold no RACK counts, as the batch helper skips
-        them).  The SYSTEM and RACK rows hold no trials when ``None`` is
-        not a wide target.
+        them).
         """
-        k = self._span_index.get(span.value)
-        if self._any is None or k is None:
-            raise StreamStateError(
-                f"any-target cells at {span} are not tracked by this "
-                "configuration"
-            )
-        wide_any = self._wide_index.get(ANY_CODE)
-        wide = (
-            self._wide_cells[:, :, :, wide_any, k]
-            if wide_any is not None
-            else np.zeros((*self._wide_cells.shape[:3], 2), dtype=np.int64)
-        )
+        k = SPANS.index(span)
         return np.concatenate(
-            (self._node_cells[:, None, :, self._any, k], wide), axis=1
+            (self._node_cells[:, None, :, 0, k], self._wide_cells[:, :, :, 0, k]),
+            axis=1,
         ).sum(axis=0)
 
     def pooled_baseline(self, target: Category | None, span: Span) -> Counts:
         """Baseline counts of one (target, span) summed over every system."""
         if not self._order:
             return Counts(0, 0)
-        code = selection_code(target)
-        cells = np.array(
-            [self._base_cell(s.index, code, span.value) for s in self._order]
-        )
+        k = SPANS.index(span)
+        cells = (np.arange(len(self._order)) * _N_CODES + _POSITION[target]) * _N_SPANS + k
         hits = np.searchsorted(self._base_keys, self._base_bounds[cells + 1])
         hits -= np.searchsorted(self._base_keys, self._base_bounds[cells])
-        k = self._span_index[span.value]
         trials = self._n_windows[:, k] * np.diff(self._node_base)
         return Counts(int(hits.sum()), int(trials.sum()))
 
@@ -986,23 +858,16 @@ class StreamAnalysisState:
         codes)``, grouped by system.  The ANY store is left out: events
         without a category carry no category information.
         """
-        n_codes = len(self._codes)
-        stored = np.array(
-            [i for i, code in enumerate(self._codes) if code != ANY_CODE],
-            dtype=np.int64,
-        )
+        stored = np.arange(1, _N_CODES)
         index = np.array([system.index for system in systems], dtype=np.int64)
-        blocks = (index[:, None] * n_codes + stored).ravel()
+        blocks = (index[:, None] * _N_CODES + stored).ravel()
         hi = self._bounds[blocks + 1]
         lo = _bisect_right(
             self._times, self._bounds[blocks], hi, np.repeat(since, stored.size)
         )
         entries = concat_ranges(lo, hi)
         position = np.repeat(np.arange(blocks.size) // stored.size, hi - lo)
-        codes = np.repeat(
-            np.tile(np.array(self._codes, dtype=np.int64)[stored], index.size),
-            hi - lo,
-        )
+        codes = np.repeat(np.tile(stored - 1, index.size), hi - lo)
         return position, self._times[entries], self._nodes[entries], codes
 
     @property
@@ -1023,7 +888,7 @@ class StreamAnalysisState:
     def _meta_payload(self, include_stats: bool = True) -> dict:
         return {
             "version": CHECKPOINT_VERSION,
-            "config": self.config.to_payload(),
+            "config": _config_payload(self.lateness_days),
             "systems": [
                 self.systems[system_id].to_meta(include_stats=include_stats)
                 for system_id in sorted(self.systems)
@@ -1083,8 +948,7 @@ class StreamAnalysisState:
             system.stats.ignored = int(stats["ignored"])
             system.stats.invalid = int(stats["invalid"])
             system.seen = {key: _hex_float(t) for key, t in meta["seen"]}
-            for code in self._codes:
-                name = _code_name(code)
+            for name in _NAMES:
                 t = np.asarray(arrays[f"{prefix}.k.{name}.times"], dtype=float)
                 n = np.asarray(arrays[f"{prefix}.k.{name}.nodes"], dtype=np.int64)
                 _check_store(system, name, t, n)
@@ -1154,6 +1018,9 @@ class CheckpointInfo:
 
 _LATEST = "LATEST"
 
+#: Checkpoint generations kept on disk: the newest and the one before.
+_KEEP = 2
+
 
 def _checkpoint_paths(directory: Path, sequence: int) -> tuple[Path, Path]:
     stem = f"ckpt-{sequence:06d}"
@@ -1170,14 +1037,14 @@ def latest_checkpoint_sequence(directory: Path | str) -> int | None:
 
 
 def write_checkpoint(
-    state: StreamAnalysisState, directory: Path | str, keep: int = 2
+    state: StreamAnalysisState, directory: Path | str
 ) -> CheckpointInfo:
     """Write a new checkpoint generation and atomically publish it.
 
     Both payload files are written in full before the ``LATEST`` marker
     is swapped in with an atomic rename, so a crash mid-write leaves the
-    previous generation intact.  Older generations beyond ``keep`` are
-    pruned.
+    previous generation intact.  Generations older than the newest two
+    are pruned.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -1196,7 +1063,7 @@ def write_checkpoint(
         size = meta_path.stat().st_size + npz_path.stat().st_size
         for stale in sorted(directory.glob("ckpt-*.meta.json")):
             stale_seq = int(stale.stem.split("-")[1].split(".")[0])
-            if stale_seq <= sequence - keep:
+            if stale_seq <= sequence - _KEEP:
                 stale_meta, stale_npz = _checkpoint_paths(directory, stale_seq)
                 stale_meta.unlink(missing_ok=True)
                 stale_npz.unlink(missing_ok=True)
@@ -1206,13 +1073,14 @@ def write_checkpoint(
 
 
 def load_checkpoint(
-    directory: Path | str, config: StreamAnalysisConfig | None = None
+    directory: Path | str, lateness_days: float | None = None
 ) -> StreamAnalysisState:
     """Restore the newest checkpoint into a fresh state.
 
-    The configuration is rebuilt from the checkpoint itself; passing
-    ``config`` additionally asserts it matches (a consumer restarted
-    with a different grid must not silently resume).
+    The lateness budget is read from the checkpoint itself; passing
+    ``lateness_days`` additionally asserts it matches (a consumer
+    restarted with a different budget must not silently resume).  A
+    checkpoint of any other grid than this module's is refused.
     """
     directory = Path(directory)
     sequence = latest_checkpoint_sequence(directory)
@@ -1232,13 +1100,15 @@ def load_checkpoint(
     try:
         with np.load(npz_path) as payload:
             arrays = {key: payload[key] for key in payload.files}
-        restored_config = StreamAnalysisConfig.from_payload(meta["config"])
-        if config is not None and config != restored_config:
+        config = meta["config"]
+        if lateness_days is None:
+            lateness_days = _hex_float(config["lateness_days"])
+        if config != _config_payload(lateness_days):
             raise StreamStateError(
                 "checkpoint was written under a different stream "
                 "configuration"
             )
-        state = StreamAnalysisState(restored_config)
+        state = StreamAnalysisState(lateness_days)
         state._restore(meta["systems"], arrays)
     except StreamStateError:
         raise
@@ -1253,14 +1123,11 @@ def load_checkpoint(
 class Checkpointer:
     """Periodic checkpoint writer (every N accepted events)."""
 
-    def __init__(
-        self, directory: Path | str, every: int = 0, keep: int = 2
-    ) -> None:
+    def __init__(self, directory: Path | str, every: int = 0) -> None:
         if every < 0:
             raise StreamStateError(f"every must be >= 0, got {every}")
         self.directory = Path(directory)
         self.every = every
-        self.keep = keep
         self._pending = 0
         self.last: CheckpointInfo | None = None
 
@@ -1275,6 +1142,6 @@ class Checkpointer:
 
     def write(self, state: StreamAnalysisState) -> CheckpointInfo:
         """Force a checkpoint now."""
-        self.last = write_checkpoint(state, self.directory, keep=self.keep)
+        self.last = write_checkpoint(state, self.directory)
         self._pending = 0
         return self.last

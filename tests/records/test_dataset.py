@@ -244,6 +244,15 @@ class TestLazyColumnarSystem:
             dataclasses.replace(
                 ds, maintenance=dataclasses.replace(events, node_ids=np.array([4, 0, 0]))
             )
+        for t in (100.0, 250.5):
+            with pytest.raises(
+                DatasetError,
+                match=rf"^maintenance at t={t} outside observation period \[0.0, 100.0\)$",
+            ):
+                dataclasses.replace(
+                    ds,
+                    maintenance=dataclasses.replace(events, times=np.array([2.0, 3.0, t])),
+                )
 
     def test_empty_logs(self):
         ds = lazy(jobs=(), temps=())

@@ -158,6 +158,36 @@ class TestMalformedInput:
         with pytest.raises(ArchiveIOError, match=f"^{path}:3: non-finite time"):
             load_archive(root)
 
+    def test_truncated_log(self, tiny_archive: Archive, tmp_path: Path):
+        """A log cut inside a row fails the load; it used to load the
+        rows before the cut."""
+        root = tmp_path / "arch"
+        save_archive(tiny_archive, root)
+        path = root / "system-19" / "failures.csv"
+        data = path.read_bytes()
+        half = data[: len(data) // 2]
+        assert not half.endswith((b"\n", b"\r"))
+        path.write_bytes(half)
+        with pytest.raises(
+            ArchiveIOError, match=f"^{path}: truncated \\(the last row has no line end\\)$"
+        ):
+            load_archive(root)
+
+    def test_maintenance_outside_period(self, tiny_archive: Archive, tmp_path: Path):
+        """A maintenance event after the period ends fails the load, as a
+        failure there does; it used to load."""
+        root = tmp_path / "arch"
+        save_archive(tiny_archive, root)
+        with (root / "system-18" / "maintenance.csv").open("a") as handle:
+            handle.write("99999.0,0,1,5.0\r\n")
+        period = tiny_archive[18].period
+        match = (
+            f"^inconsistent data for system 18: maintenance at t=99999.0 outside "
+            f"observation period \\[{period.start}, {period.end}\\)$"
+        )
+        with pytest.raises(ArchiveIOError, match=match):
+            load_archive(root)
+
     def test_wrong_header(self, tmp_path: Path):
         p = tmp_path / "failures.csv"
         p.write_text("a,b,c\n1,2,3\n")

@@ -97,6 +97,9 @@ SYSTEMS_HEADER = [
 
 
 def reference_rows(path: Path, header: list[str]) -> list[dict[str, str]]:
+    data = path.read_bytes()
+    if data and data[-1:] not in (b"\n", b"\r"):
+        raise ArchiveIOError(f"{path}: truncated (the last row has no line end)")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != header:

@@ -24,7 +24,14 @@ from repro.core.windows import (
 )
 from repro.prediction.risk import RiskModel
 from repro.records.taxonomy import all_categories
-from repro.stream.state import _WIDE_SCOPES, _bisect_right
+from repro.stream.state import (
+    _N_CODES,
+    _N_SPANS,
+    _SPAN_DAYS,
+    _WIDE_SCOPES,
+    _WIDE_TARGET,
+    _bisect_right,
+)
 
 
 def reference_resolve(self, systems) -> None:
@@ -38,7 +45,7 @@ def reference_resolve(self, systems) -> None:
     then resolve in one :func:`segment_hits` gather against every
     store of their own system.
     """
-    n_codes, n_spans = len(self._codes), self._span_days.size
+    n_codes, n_spans = _N_CODES, _N_SPANS
     index = np.array([system.index for system in systems], dtype=np.int64)
     watermark = np.array([system.clock.watermark for system in systems])
     blocks = (index[:, None] * n_codes + np.arange(n_codes)).ravel()
@@ -49,7 +56,7 @@ def reference_resolve(self, systems) -> None:
     # entries of the unresolved tail.
     tail = concat_ranges(done.ravel(), end.ravel())
     cell = np.repeat(np.arange(done.size), (end - done).ravel())
-    final = self._times[tail] + np.tile(self._span_days, blocks.size)[cell] < (
+    final = self._times[tail] + np.tile(_SPAN_DAYS, blocks.size)[cell] < (
         np.repeat(watermark, n_codes * n_spans)[cell]
     )
     due = done + np.bincount(cell[final], minlength=done.size).reshape(
@@ -68,11 +75,11 @@ def reference_resolve(self, systems) -> None:
     system = block // n_codes
     trig_t = self._times[trig]
     # Censoring: the batch kernel's elementwise ``t + days <= end``.
-    alive &= trig_t + self._span_days[:, None] <= self._end[system]
+    alive &= trig_t + _SPAN_DAYS[:, None] <= self._end[system]
     keep = alive.any(axis=0)
     alive, block, system, trig_t = alive[:, keep], block[keep], system[keep], trig_t[keep]
     trig_n = self._nodes[trig[keep]]
-    longest = np.where(alive, self._span_days[:, None], -np.inf).max(axis=0)
+    longest = np.where(alive, _SPAN_DAYS[:, None], -np.inf).max(axis=0)
     # Pairs: each trigger against every store of its system.
     target = np.arange(n_codes)
     pair_block = (system[:, None] * n_codes + target).ravel()
@@ -86,7 +93,8 @@ def reference_resolve(self, systems) -> None:
         np.concatenate((hi, hi)),
         np.concatenate((pair_t, pair_t + np.repeat(longest, n_codes))),
     )
-    wide_slot = np.tile(self._wide_slot, trig_t.size)
+    # The wide grids' one target, any failure, is column 0.
+    wide_slot = np.where(np.tile(_WIDE_TARGET, trig_t.size), 0, -1)
     hits = segment_hits(
         located[: lo.size],
         located[lo.size :],
@@ -94,7 +102,7 @@ def reference_resolve(self, systems) -> None:
         np.repeat(trig_n, n_codes),
         self._times,
         self._nodes,
-        self._span_days,
+        _SPAN_DAYS,
         int(self._node_base[-1]),
         self._rack,
         wide_slot >= 0,
@@ -116,7 +124,7 @@ def reference_fold(
     scope: each of its nodes is its own rack, with no rack peers to
     hit or to count as trials.
     """
-    n_codes, n_spans = len(self._codes), self._span_days.size
+    n_codes, n_spans = _N_CODES, _N_SPANS
     trig = np.repeat(np.arange(block.size), n_codes)
     live = alive[:, trig]
     span = np.arange(n_spans)[:, None]
@@ -138,7 +146,7 @@ def reference_fold(
     ):
         cells = (
             (((system * len(_WIDE_SCOPES) + row) * n_codes + block % n_codes)
-             * len(self._wide_codes) + wide_slot) * n_spans + span
+             + wide_slot) * n_spans + span
         )[live]
         np.add.at(wide[:, 0], cells, successes[live])
         np.add.at(wide[:, 1], cells, np.broadcast_to(trials, live.shape)[live])
@@ -166,8 +174,6 @@ def reference_risk_model(state, horizon) -> RiskModel:
         if scope is Scope.RACK and not any_rack:
             continue
         for category in all_categories():
-            if category not in state.config.selections:
-                continue
             estimate = reference_pooled(state, scope, category, horizon).estimate()
             if estimate.defined:
                 conditional[(scope, category)] = estimate.value

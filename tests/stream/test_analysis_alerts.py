@@ -23,7 +23,6 @@ from repro.stream import (
     CategoryBurstRule,
     NodeRiskRule,
     OnlineAnalysis,
-    StreamAnalysisConfig,
     StreamAnalysisState,
     StreamEvent,
     node_risks,
@@ -73,7 +72,7 @@ def _burst_events(n: int, t0: float = 10.0) -> list[StreamEvent]:
 
 
 def _fresh_consumer(engine: AlertEngine) -> OnlineAnalysis:
-    state = StreamAnalysisState(StreamAnalysisConfig())
+    state = StreamAnalysisState()
     state.register_system(0, 4, ObservationPeriod(0.0, 1000.0), None)
     return OnlineAnalysis(state, alert_engine=engine)
 

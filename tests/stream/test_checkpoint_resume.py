@@ -14,7 +14,6 @@ import pytest
 from repro.stream import (
     Checkpointer,
     OnlineAnalysis,
-    StreamAnalysisConfig,
     StreamAnalysisState,
     latest_checkpoint_sequence,
     load_checkpoint,
@@ -24,13 +23,13 @@ from repro.stream import (
 
 
 @pytest.fixture(scope="module")
-def config():
-    return StreamAnalysisConfig(lateness_days=2.0)
+def lateness():
+    return 2.0
 
 
 @pytest.fixture(scope="module")
-def reference_digest(tiny_archive, config):
-    consumer = OnlineAnalysis(StreamAnalysisState(config))
+def reference_digest(tiny_archive, lateness):
+    consumer = OnlineAnalysis(StreamAnalysisState(lateness))
     replay_archive(tiny_archive, consumer, batch_size=128)
     return consumer.state.digest()
 
@@ -38,10 +37,10 @@ def reference_digest(tiny_archive, config):
 class TestKillAndResume:
     @pytest.mark.parametrize("kill_after", [1, 137, 500, 1265])
     def test_resume_reproduces_uninterrupted_state(
-        self, tiny_archive, config, reference_digest, tmp_path, kill_after
+        self, tiny_archive, lateness, reference_digest, tmp_path, kill_after
     ):
         # Phase 1: process `kill_after` events, checkpoint, "crash".
-        victim = OnlineAnalysis(StreamAnalysisState(config))
+        victim = OnlineAnalysis(StreamAnalysisState(lateness))
         replay_archive(
             tiny_archive,
             victim,
@@ -55,7 +54,7 @@ class TestKillAndResume:
         del victim
 
         # Phase 2: restore and replay the FULL source from the start.
-        restored = load_checkpoint(tmp_path, config)
+        restored = load_checkpoint(tmp_path, lateness)
         survivor = OnlineAnalysis(restored)
         replay_archive(tiny_archive, survivor, batch_size=128)
         assert survivor.state.digest() == reference_digest
@@ -63,37 +62,37 @@ class TestKillAndResume:
         assert report.ok, report.render()
 
     def test_restore_matches_checkpointed_state_exactly(
-        self, tiny_archive, config, tmp_path
+        self, tiny_archive, lateness, tmp_path
     ):
-        consumer = OnlineAnalysis(StreamAnalysisState(config))
+        consumer = OnlineAnalysis(StreamAnalysisState(lateness))
         replay_archive(
             tiny_archive, consumer, max_events=300, finalize=False
         )
         from repro.stream import write_checkpoint
 
         write_checkpoint(consumer.state, tmp_path)
-        restored = load_checkpoint(tmp_path, config)
+        restored = load_checkpoint(tmp_path, lateness)
         assert restored.digest() == consumer.state.digest()
 
     def test_periodic_checkpointer_writes_during_replay(
-        self, tiny_archive, config, tmp_path
+        self, tiny_archive, lateness, tmp_path
     ):
         checkpointer = Checkpointer(tmp_path, every=200)
         consumer = OnlineAnalysis(
-            StreamAnalysisState(config), checkpointer=checkpointer
+            StreamAnalysisState(lateness), checkpointer=checkpointer
         )
         replay_archive(tiny_archive, consumer, batch_size=64)
         sequence = latest_checkpoint_sequence(tmp_path)
         assert sequence is not None and sequence >= 3
 
     def test_resume_from_periodic_checkpoint_mid_kill(
-        self, tiny_archive, config, reference_digest, tmp_path
+        self, tiny_archive, lateness, reference_digest, tmp_path
     ):
         # Kill WITHOUT an explicit final checkpoint: resume from the
         # last periodic one, which is older than the kill point.
         checkpointer = Checkpointer(tmp_path, every=150)
         victim = OnlineAnalysis(
-            StreamAnalysisState(config), checkpointer=checkpointer
+            StreamAnalysisState(lateness), checkpointer=checkpointer
         )
         replay_archive(
             tiny_archive,
@@ -103,19 +102,19 @@ class TestKillAndResume:
             finalize=False,
         )
         assert latest_checkpoint_sequence(tmp_path) is not None
-        restored = load_checkpoint(tmp_path, config)
+        restored = load_checkpoint(tmp_path, lateness)
         survivor = OnlineAnalysis(restored)
         replay_archive(tiny_archive, survivor, batch_size=64)
         assert survivor.state.digest() == reference_digest
 
-    def test_double_restore_is_stable(self, tiny_archive, config, tmp_path):
-        consumer = OnlineAnalysis(StreamAnalysisState(config))
+    def test_double_restore_is_stable(self, tiny_archive, lateness, tmp_path):
+        consumer = OnlineAnalysis(StreamAnalysisState(lateness))
         replay_archive(
             tiny_archive, consumer, max_events=400, finalize=False
         )
         from repro.stream import write_checkpoint
 
         write_checkpoint(consumer.state, tmp_path)
-        first = load_checkpoint(tmp_path, config)
-        second = load_checkpoint(tmp_path, config)
+        first = load_checkpoint(tmp_path, lateness)
+        second = load_checkpoint(tmp_path, lateness)
         assert first.digest() == second.digest()

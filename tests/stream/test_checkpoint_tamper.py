@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.stream import (
     OnlineAnalysis,
-    StreamAnalysisConfig,
     StreamAnalysisState,
     StreamStateError,
     load_checkpoint,
@@ -66,7 +65,7 @@ class _Checkpoint:
 def checkpoint(tiny_archive, tmp_path_factory):
     """A checkpoint of the tiny archive, streamed half way."""
     consumer = OnlineAnalysis(
-        StreamAnalysisState(StreamAnalysisConfig(lateness_days=2.0))
+        StreamAnalysisState(lateness_days=2.0)
     )
     replay_archive(
         tiny_archive,

@@ -17,7 +17,6 @@ import pytest
 from repro.core.windows import Scope
 from repro.stream import (
     OnlineAnalysis,
-    StreamAnalysisConfig,
     StreamAnalysisState,
     archive_source,
     replay_archive,
@@ -56,7 +55,6 @@ class TestReplayEquivalence:
         # Perturb delivery order by up to 4 days, run with a 5-day
         # out-of-order tolerance: nothing drops, and the final grids
         # still equal the batch results exactly.
-        config = StreamAnalysisConfig(lateness_days=5.0)
         events = list(archive_source(medium_archive))
         rng = random.Random(17)
         keyed = [
@@ -64,7 +62,7 @@ class TestReplayEquivalence:
             for i, ev in enumerate(events)
         ]
         keyed.sort(key=lambda item: (item[0], item[1]))
-        consumer = OnlineAnalysis(StreamAnalysisState(config))
+        consumer = OnlineAnalysis(StreamAnalysisState(lateness_days=5.0))
         consumer.state.register_archive(medium_archive)
         shuffled = [ev for _, _, ev in keyed]
         for start in range(0, len(shuffled), 512):
@@ -77,10 +75,9 @@ class TestReplayEquivalence:
     def test_duplicated_delivery_still_equal(self, medium_archive):
         # Deliver every event twice (within the dedup window): the
         # duplicates drop and the grids still equal batch exactly.
-        config = StreamAnalysisConfig(lateness_days=2.0)
         events = list(archive_source(medium_archive))
         doubled = [ev for ev in events for _ in range(2)]
-        consumer = OnlineAnalysis(StreamAnalysisState(config))
+        consumer = OnlineAnalysis(StreamAnalysisState(lateness_days=2.0))
         consumer.state.register_archive(medium_archive)
         for start in range(0, len(doubled), 512):
             consumer.process_batch(doubled[start : start + 512])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.windows import Scope
 from repro.records.taxonomy import all_categories
 from repro.records.timeutil import ALL_SPANS, ObservationPeriod
-from repro.stream import StreamAnalysisConfig, StreamAnalysisState, StreamEvent
+from repro.stream import StreamAnalysisState, StreamEvent
 
 from tests.core.test_windows_reference import naive_baseline, naive_conditional
 
@@ -97,7 +97,7 @@ class TestIncrementalResolutionOracle:
                 range(len(events)), key=lambda i: (events[i].time + jitter[i], i)
             )
         ]
-        state = StreamAnalysisState(StreamAnalysisConfig(lateness_days=lateness))
+        state = StreamAnalysisState(lateness)
         for system_id, rack_of in SYSTEMS.items():
             state.register_system(
                 system_id, _num_nodes(system_id), PERIOD, rack_of

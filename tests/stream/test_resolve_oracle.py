@@ -28,7 +28,6 @@ from repro.core.windows import Scope
 from repro.records.taxonomy import all_categories
 from repro.records.timeutil import ALL_SPANS, ObservationPeriod
 from repro.stream import (
-    StreamAnalysisConfig,
     StreamAnalysisState,
     StreamEvent,
     load_checkpoint,
@@ -92,7 +91,7 @@ def _stream(raw, lateness: float) -> list[StreamEvent]:
 
 
 def _fresh(lateness: float) -> StreamAnalysisState:
-    state = StreamAnalysisState(StreamAnalysisConfig(lateness_days=lateness))
+    state = StreamAnalysisState(lateness)
     for system_id, rack_of in SYSTEMS.items():
         state.register_system(system_id, _num_nodes(system_id), PERIOD, rack_of)
     return state
@@ -105,7 +104,7 @@ def _as_reference(state: StreamAnalysisState) -> StreamAnalysisState:
 
 def _restored(state: StreamAnalysisState, directory: str) -> StreamAnalysisState:
     write_checkpoint(state, directory)
-    return load_checkpoint(directory, state.config)
+    return load_checkpoint(directory, state.lateness_days)
 
 
 def _assert_same(state: StreamAnalysisState, reference: StreamAnalysisState) -> None:

@@ -28,6 +28,7 @@ from repro.stream import (
     replay_archive,
     risk_model_from_state,
 )
+from repro.stream.analysis import RISK_HORIZON, RISK_LIMIT
 from repro.stream.state import ANY_CODE
 from tests.prediction.reference_risk import reference_score
 
@@ -116,10 +117,10 @@ class ReferenceAnalysis(RecordingAnalysis):
     def _refresh_risks(self, stats) -> None:
         if not stats.touched:
             return
-        model = risk_model_from_state(self.state, self.risk_horizon)
+        model = risk_model_from_state(self.state, RISK_HORIZON)
         for system_id in sorted(stats.touched):
             self.latest_risks[system_id] = reference_node_risks(
-                self.state, model, system_id, limit=self.risk_limit
+                self.state, model, system_id, limit=RISK_LIMIT
             )
 
 

@@ -17,8 +17,6 @@ from repro.records.timeutil import ObservationPeriod, Span
 from repro.stream import (
     ANY_CODE,
     CHECKPOINT_VERSION,
-    OnlineAnalysis,
-    StreamAnalysisConfig,
     StreamAnalysisState,
     StreamEvent,
     StreamStateError,
@@ -26,11 +24,11 @@ from repro.stream import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.stream.state import selection_code
+from repro.stream.state import SPANS, selection_code
 
 
 def _state(lateness: float = 0.0) -> StreamAnalysisState:
-    state = StreamAnalysisState(StreamAnalysisConfig(lateness_days=lateness))
+    state = StreamAnalysisState(lateness_days=lateness)
     state.register_system(0, 4, ObservationPeriod(0.0, 100.0), None)
     return state
 
@@ -252,7 +250,7 @@ class TestBatchResolution:
             assert gauges["stream.pending_triggers{span=month}"] == 6
             state.finalize()
             gauges = telemetry.metrics_snapshot()["gauges"]
-            for span in state.config.spans:
+            for span in SPANS:
                 assert gauges[f"stream.pending_triggers{{span={span.value}}}"] == 0
         finally:
             telemetry.set_metrics_enabled(False)
@@ -289,7 +287,7 @@ class TestCheckpointFiles:
         state = _state()
         for t in (1.0, 2.0, 3.0):
             state.ingest([_event(t)])
-            write_checkpoint(state, tmp_path, keep=2)
+            write_checkpoint(state, tmp_path)
         assert latest_checkpoint_sequence(tmp_path) == 3
         metas = sorted(p.name for p in tmp_path.glob("ckpt-*.meta.json"))
         assert metas == ["ckpt-000002.meta.json", "ckpt-000003.meta.json"]
@@ -312,7 +310,7 @@ class TestCheckpointFiles:
         state.ingest([_event(1.0)])
         write_checkpoint(state, tmp_path)
         with pytest.raises(StreamStateError):
-            load_checkpoint(tmp_path, StreamAnalysisConfig(lateness_days=2.0))
+            load_checkpoint(tmp_path, lateness_days=2.0)
 
     def test_truncated_arrays_rejected(self, tmp_path):
         state = _state()
@@ -437,20 +435,4 @@ class TestCheckpointFiles:
 class TestConfig:
     def test_negative_lateness_rejected(self):
         with pytest.raises(StreamStateError):
-            StreamAnalysisConfig(lateness_days=-1.0)
-
-    def test_wide_targets_must_be_tracked_selections(self):
-        with pytest.raises(StreamStateError):
-            StreamAnalysisConfig(
-                selections=(None,), wide_targets=(Category.HARDWARE,)
-            )
-
-    def test_risk_horizon_must_be_tracked(self):
-        state = StreamAnalysisState(
-            StreamAnalysisConfig(spans=(Span.DAY,))
-        )
-        state.register_system(0, 2, ObservationPeriod(0.0, 10.0), None)
-        from repro.stream import StreamAnalysisError
-
-        with pytest.raises(StreamAnalysisError):
-            OnlineAnalysis(state, risk_horizon=Span.WEEK)
+            StreamAnalysisState(lateness_days=-1.0)
