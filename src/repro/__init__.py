@@ -24,7 +24,7 @@ Quickstart::
 
 from . import telemetry
 from .core.cache import cache_stats, get_cache
-from .core.report import full_report, profiled_full_report
+from .core.report import full_report
 from .records.dataset import Archive, HardwareGroup, SystemDataset
 from .records.io import load_archive, save_archive
 from .records.taxonomy import Category
@@ -49,7 +49,6 @@ __all__ = [
     "get_cache",
     "load_archive",
     "make_archive",
-    "profiled_full_report",
     "quick_archive",
     "save_archive",
     "small_config",

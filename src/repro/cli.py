@@ -13,6 +13,13 @@ Subcommands:
   tail a JSONL log, or run a synthetic live feed) through the
   incremental analysis state with checkpoint/restore, alerts and
   replay-vs-batch verification.
+
+Every subcommand takes ``--telemetry-dir DIR``: the run is traced and
+its metrics recorded, and on exit (also a failed one) ``DIR`` holds
+``trace.jsonl`` (one JSON object per span), ``trace.txt`` (the span
+tree and the metrics listing) and ``manifest.json`` (versions, root
+span timings and the metrics snapshot).  Without it a run records no
+telemetry and leaves the process's telemetry state as it found it.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .records.io import ArchiveIOError, load_archive, save_archive
 from .records.validation import validate_archive
 from .simulate.archive import make_archive
 from .simulate.config import ArchiveConfig, ConfigError
-from .core.report import REPORT_SECTIONS, profiled_full_report
+from .core.report import REPORT_SECTIONS, full_report
 from .prediction.checkpoint import advise
 from .prediction.risk import RiskModel
 
@@ -50,18 +57,6 @@ def _add_generate(sub: argparse._SubParsersAction) -> None:
         help=(
             "always generate from scratch instead of reusing/updating the "
             "archive cache (REPRO_CACHE_DIR or ~/.cache/hpcfail/archives)"
-        ),
-    )
-    _add_trace_arg(p)
-
-
-def _add_trace_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trace",
-        action="store_true",
-        help=(
-            "collect telemetry (spans + metrics) for this run and print "
-            "the span tree and metric counters to stderr on exit"
         ),
     )
 
@@ -87,32 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run every analysis and print the report")
     _add_archive_arg(p)
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "print per-section wall time and analysis-cache hit counts "
-            "to stderr after the report"
-        ),
-    )
-    _add_trace_arg(p)
-    p.add_argument(
-        "--metrics-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the run's metric counters as JSON to PATH",
-    )
-    p.add_argument(
-        "--manifest",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "write a run manifest (versions, timings, cache statistics) "
-            "as JSON to PATH"
-        ),
-    )
 
     p = sub.add_parser("section", help="run one paper section's analysis")
     _add_archive_arg(p)
@@ -157,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     from .stream.cli import add_stream_arguments
 
     add_stream_arguments(p)
-    _add_trace_arg(p)
 
     p = sub.add_parser(
         "figures", help="render the paper's figures as ASCII charts"
@@ -171,6 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
             "11, 12, 13, 14 or 'all' (default)"
         ),
     )
+    for p in sub.choices.values():
+        p.add_argument(
+            "--telemetry-dir",
+            type=Path,
+            default=None,
+            metavar="DIR",
+            help=(
+                "trace the run and write trace.jsonl, trace.txt and "
+                "manifest.json (with the metrics snapshot) to DIR on exit"
+            ),
+        )
     return parser
 
 
@@ -185,54 +164,55 @@ def load_archive_or_exit(path: Path) -> Archive:
         raise SystemExit(f"error: {exc}") from None
 
 
-def _setup_telemetry(args: argparse.Namespace) -> None:
-    """Apply REPRO_TELEMETRY, then layer the --trace flag on top."""
-    telemetry.configure_from_env()
-    if getattr(args, "trace", False):
-        if not telemetry.tracing():
-            telemetry.start_trace()
-        telemetry.enable_metrics()
-    elif getattr(args, "metrics_out", None) is not None:
-        # --metrics-out alone should produce a useful snapshot.
-        telemetry.enable_metrics()
-
-
-def _finish_telemetry(args: argparse.Namespace) -> None:
-    """Flush whatever telemetry the run collected.
-
-    Runs unconditionally after dispatch (even on SystemExit) so traces
-    of failed runs are still exported: ``--trace`` prints the span tree
-    and metric counters to stderr, ``REPRO_TRACE_FILE`` gets the JSONL
-    export, and ``--metrics-out`` gets the metrics snapshot.
-    """
-    roots = telemetry.finish_trace()
-    if getattr(args, "trace", False):
-        if roots:
-            print(telemetry.render_span_tree(roots), file=sys.stderr)
-        rendered = telemetry.render_metrics(telemetry.metrics_snapshot())
-        if rendered:
-            print(rendered, file=sys.stderr)
-    trace_file = telemetry.trace_file_from_env()
-    if trace_file and roots:
-        telemetry.write_spans_jsonl(roots, trace_file)
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out is not None:
-        telemetry.write_metrics_json(metrics_out, telemetry.metrics_snapshot())
+def _write_telemetry(
+    args: argparse.Namespace, roots: list[telemetry.Span]
+) -> None:
+    """Write the run's trace, its text view and its manifest to
+    ``--telemetry-dir``; ``timings_s`` sums the root spans by name."""
+    directory = args.telemetry_dir
+    snapshot = telemetry.metrics_snapshot()
+    telemetry.write_spans_jsonl(roots, directory / "trace.jsonl")
+    (directory / "trace.txt").write_text(
+        telemetry.render_span_tree(roots)
+        + "\n"
+        + telemetry.render_metrics(snapshot)
+        + "\n"
+    )
+    timings: dict[str, float] = {}
+    for root in roots:
+        key = f"{root.name}_s"
+        timings[key] = timings.get(key, 0.0) + root.duration
+    archive = getattr(args, "archive", None)
+    telemetry.write_manifest(
+        directory / "manifest.json",
+        telemetry.build_manifest(
+            args.command,
+            timings=timings,
+            extra=None if archive is None else {"archive_path": str(archive)},
+        ),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    metrics_were_on = telemetry.metrics_enabled()
-    _setup_telemetry(args)
-    if telemetry.metrics_enabled() and not metrics_were_on:
+    if args.telemetry_dir is None:
+        with telemetry.disabled():
+            return _dispatch(args)
+    metrics_were_on = telemetry.set_metrics_enabled(True)
+    if not metrics_were_on:
         # The registry is process-global: a run that turns metrics on
         # records from an empty one, not on top of an earlier run's.
         telemetry.reset_metrics()
     try:
-        return _dispatch(args)
+        with telemetry.trace(args.command) as run_trace:
+            try:
+                return _dispatch(args)
+            finally:
+                # Also on SystemExit: a failed run's trace is the one
+                # worth reading.
+                _write_telemetry(args, run_trace.roots)
     finally:
-        _finish_telemetry(args)
         telemetry.set_metrics_enabled(metrics_were_on)
 
 
@@ -250,8 +230,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             config = ArchiveConfig(seed=args.seed, years=args.years, scale=args.scale)
         except ConfigError as exc:
             raise SystemExit(f"error: {exc}")
-        # Timed through spans (real even without --trace), like the
-        # report profile, so the wall clock stays inside telemetry.
+        # Timed through spans (real even without --telemetry-dir), so
+        # the wall clock stays inside telemetry.
         with telemetry.ensure_trace():
             with telemetry.span("generate.archive") as generate_span:
                 if args.no_cache:
@@ -288,33 +268,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(report.render())
         return 0 if report.ok else 1
     if args.command == "report":
-        archive = load_archive_or_exit(args.archive)
-        # The profiled runner *is* the plain runner plus span-derived
-        # timings, so stdout is byte-identical whether or not --profile,
-        # --trace or --manifest are set.
-        text, profile = profiled_full_report(archive)
-        print(text)
-        if args.profile:
-            print(profile.render(), file=sys.stderr)
-        if args.manifest is not None:
-            timings = {"report_total_s": profile.total_seconds}
-            for name, seconds in profile.section_seconds:
-                timings[f"section.{name}_s"] = seconds
-            telemetry.write_manifest(
-                args.manifest,
-                telemetry.build_manifest(
-                    "report",
-                    archive=archive,
-                    timings=timings,
-                    extra={
-                        "archive_path": str(args.archive),
-                        "analysis_cache_delta": {
-                            "hits": profile.cache_hits,
-                            "misses": profile.cache_misses,
-                        },
-                    },
-                ),
-            )
+        print(full_report(load_archive_or_exit(args.archive)))
         return 0
     if args.command == "section":
         render = dict(REPORT_SECTIONS)[args.name]

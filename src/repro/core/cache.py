@@ -101,9 +101,9 @@ class AnalysisCache:
     def _record(self, hits: int = 0, misses: int = 0) -> None:
         """The single bookkeeping point for every cache query.
 
-        Updates the per-instance tallies (served to ``--profile`` via
-        :func:`cache_stats`) and mirrors them into the telemetry
-        metrics registry.
+        Updates the per-instance tallies (served to the archive
+        manifest via :func:`cache_stats`) and mirrors them into the
+        telemetry metrics registry.
         """
         if hits:
             self.hits += hits

@@ -10,7 +10,6 @@ the systems that support it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..records.dataset import Archive, HardwareGroup, SystemDataset
@@ -19,7 +18,6 @@ from ..records.timeutil import Span
 from ..stats.glm import GLMError
 from .. import telemetry
 from . import correlations, cosmic, downtime, interarrival, lifecycle, nodes, power, temperature, users, usage
-from .cache import cache_stats
 from .regression import (
     RegressionAnalysisError,
     fit_joint_regression,
@@ -374,94 +372,21 @@ REPORT_SECTIONS: tuple[
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ReportProfile:
-    """Where a :func:`full_report` run spent its time.
-
-    Attributes:
-        section_seconds: per-section wall time, in output order.
-        total_seconds: wall time of the whole report.
-        cache_hits: analysis-cache hits during this run (pooled over
-            the archive's systems).
-        cache_misses: analysis-cache misses during this run.
-        cache_entries: memoized values held after the run.
-    """
-
-    section_seconds: tuple[tuple[str, float], ...]
-    total_seconds: float
-    cache_hits: int
-    cache_misses: int
-    cache_entries: int
-
-    def render(self) -> str:
-        """Human-readable profile table (the ``--profile`` output)."""
-        lines = ["report profile:"]
-        for name, seconds in self.section_seconds:
-            lines.append(f"  {name:<14s} {seconds:8.3f}s")
-        lines.append(f"  {'total':<14s} {self.total_seconds:8.3f}s")
-        lines.append(
-            f"analysis cache: {self.cache_hits} hits, "
-            f"{self.cache_misses} misses, {self.cache_entries} entries"
-        )
-        return "\n".join(lines)
-
-
-def _run_report(
-    archive: Archive, fig4_systems: Sequence[int]
-) -> tuple[str, ReportProfile]:
-    """Render every section in order, timed via telemetry spans.
-
-    Each section renders inside a ``report.section`` span under one
-    ``report.run`` root; the :class:`ReportProfile` is read back off
-    those spans, so the ``--profile`` table and a ``--trace`` tree are
-    two views of the same measurement.  :func:`telemetry.ensure_trace`
-    makes the spans real even when telemetry is globally disabled (the
-    private trace is discarded; only the durations survive in the
-    profile).
-    """
-    hits0, misses0, _ = cache_stats(archive)
-
-    def timed_section(
-        name: str, render: Callable[[Archive, Sequence[int]], str]
-    ) -> tuple[str, tuple[str, float]]:
-        with telemetry.span("report.section", section=name) as section_span:
-            text = render(archive, fig4_systems)
-        return text, (name, section_span.duration)
-
-    with telemetry.ensure_trace():
-        with telemetry.span("report.run") as run_span:
-            results = [timed_section(*entry) for entry in REPORT_SECTIONS]
-    hits1, misses1, entries = cache_stats(archive)
-    run_span.set_attrs(
-        cache_hits=hits1 - hits0,
-        cache_misses=misses1 - misses0,
-        cache_entries=entries,
-    )
-    profile = ReportProfile(
-        section_seconds=tuple(seconds for _, seconds in results),
-        total_seconds=run_span.duration,
-        cache_hits=hits1 - hits0,
-        cache_misses=misses1 - misses0,
-        cache_entries=entries,
-    )
-    return "\n\n".join(text for text, _ in results), profile
-
-
 def full_report(
     archive: Archive, fig4_systems: Sequence[int] = (18, 19, 20)
 ) -> str:
     """Run every section and render one combined report.
 
+    Each section renders inside a ``report.section`` span under one
+    ``report.run`` root; with no trace active the spans are no-ops.
+
     Args:
         archive: the archive to analyse.
         fig4_systems: systems to run the Section IV per-node analysis on.
     """
-    text, _ = _run_report(archive, fig4_systems)
-    return text
-
-
-def profiled_full_report(
-    archive: Archive, fig4_systems: Sequence[int] = (18, 19, 20)
-) -> tuple[str, ReportProfile]:
-    """:func:`full_report` plus a :class:`ReportProfile` of the run."""
-    return _run_report(archive, fig4_systems)
+    texts = []
+    with telemetry.span("report.run"):
+        for name, render in REPORT_SECTIONS:
+            with telemetry.span("report.section", section=name):
+                texts.append(render(archive, fig4_systems))
+    return "\n\n".join(texts)

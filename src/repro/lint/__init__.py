@@ -8,9 +8,8 @@ This package proves them with a dependency-free linter built on
 
 * a rule framework -- a registry of visitors producing
   :class:`~repro.lint.findings.Finding` objects with rule ID, severity
-  and location, per-line ``# repro: noqa RULE`` suppressions, and a
-  committed JSON baseline for grandfathered findings
-  (:mod:`~repro.lint.baseline`);
+  and location, and per-line ``# repro: noqa RULE`` suppressions, the
+  one way to accept a deliberate finding;
 * three rule packs:
 
   - **DET** (:mod:`~repro.lint.rules.det`) -- determinism: unseeded RNG
@@ -23,20 +22,18 @@ This package proves them with a dependency-free linter built on
     registry mutators inside loops that bypass the no-op fast-path
     guard; import-time telemetry side effects.
 
-Run it as ``repro lint [paths] --format text|json --baseline FILE``
+Run it as ``repro lint [paths] --format text|json``
 (exit 0 = clean, 1 = findings, 2 = usage error) or programmatically via
 :func:`run_lint`.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, load_baseline, write_baseline
 from .engine import LintResult, lint_file, run_lint
 from .findings import Finding, Severity
 from .registry import Rule, all_rules, get_rule, register
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "Rule",
@@ -44,11 +41,9 @@ __all__ = [
     "all_rules",
     "get_rule",
     "lint_file",
-    "load_baseline",
     "main",
     "register",
     "run_lint",
-    "write_baseline",
 ]
 
 

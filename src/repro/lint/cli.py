@@ -2,8 +2,8 @@
 
 Reached two ways with identical behaviour: ``repro lint ...`` (a
 subcommand of the main CLI) and ``python -m repro.lint`` via
-:func:`lint_main`.  Exit codes: 0 = clean, 1 = findings (or stale
-baseline entries), 2 = usage error (argparse's convention).
+:func:`lint_main`.  Exit codes: 0 = clean, 1 = findings, 2 = usage
+error (argparse's convention).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from .baseline import BaselineError, load_baseline, write_baseline
 from .engine import LintResult, run_lint
 from .registry import all_rules, select_rules
 
@@ -32,23 +31,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("text", "json"),
         default="text",
         help="findings output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of grandfathered findings to subtract",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=(
-            "write the current findings to FILE as a new baseline and "
-            "exit 0 (run it clean, then commit the file)"
-        ),
     )
     parser.add_argument(
         "--output",
@@ -91,25 +73,13 @@ def _findings_json(result: LintResult) -> dict:
             "warnings": result.warnings,
             "files": result.files,
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
-            "stale_baseline": len(result.stale_baseline),
         },
         "findings": [f.to_json() for f in result.findings],
-        "stale_baseline": [
-            {"rule": rule, "path": path, "message": message, "count": count}
-            for (rule, path, message), count in result.stale_baseline
-        ],
     }
 
 
 def _render_text(result: LintResult) -> str:
     lines = [f.render() for f in result.findings]
-    for (rule, path, message), count in result.stale_baseline:
-        lines.append(
-            f"{path}:- {rule} [stale-baseline] {count} baselined "
-            f"occurrence(s) no longer found: {message} -- regenerate "
-            "with --write-baseline"
-        )
     lines.append(result.summary())
     return "\n".join(lines)
 
@@ -133,29 +103,11 @@ def run_lint_command(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    baseline = None
-    if args.baseline is not None and args.write_baseline is None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        result = run_lint(
-            args.paths, rules=rules, baseline=baseline, root=args.root
-        )
+        result = run_lint(args.paths, rules=rules, root=args.root)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, result.findings)
-        print(
-            f"wrote baseline with {len(result.findings)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
-
     if args.output is not None:
         args.output.write_text(
             json.dumps(_findings_json(result), indent=2) + "\n",

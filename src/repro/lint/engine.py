@@ -1,4 +1,4 @@
-"""The lint driver: file discovery, rule dispatch, suppression, baseline.
+"""The lint driver: file discovery, rule dispatch, suppression.
 
 :func:`run_lint` is the one entry point the CLI, CI and tests share:
 
@@ -7,19 +7,16 @@
 2. parse each into a :class:`~repro.lint.context.ModuleContext`
    (syntax errors become ``E000`` findings rather than crashes);
 3. run every rule on every file;
-4. drop findings suppressed by ``# repro: noqa`` comments;
-5. subtract the baseline, reporting what is new -- and which baseline
-   entries have gone stale.
+4. drop findings suppressed by ``# repro: noqa`` comments.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import Baseline
 from .context import ModuleContext
 from .findings import Finding, Severity, sort_findings
 from .registry import Rule, all_rules
@@ -34,10 +31,6 @@ class LintResult:
 
     findings: list[Finding]
     suppressed: int = 0
-    baselined: int = 0
-    stale_baseline: list[tuple[tuple[str, str, str], int]] = field(
-        default_factory=list
-    )
     files: int = 0
 
     @property
@@ -50,8 +43,8 @@ class LintResult:
 
     @property
     def clean(self) -> bool:
-        """True when nothing new (and no stale baseline debt) remains."""
-        return not self.findings and not self.stale_baseline
+        """True when no finding remains after ``noqa`` suppression."""
+        return not self.findings
 
     def summary(self) -> str:
         parts = [
@@ -61,10 +54,6 @@ class LintResult:
         ]
         if self.suppressed:
             parts.append(f"{self.suppressed} suppressed by noqa")
-        if self.baselined:
-            parts.append(f"{self.baselined} baselined")
-        if self.stale_baseline:
-            parts.append(f"{len(self.stale_baseline)} stale baseline entries")
         return "; ".join(parts)
 
 
@@ -119,7 +108,6 @@ def run_lint(
     paths: Sequence[Path],
     *,
     rules: Sequence[Rule] | None = None,
-    baseline: Baseline | None = None,
     root: Path | None = None,
 ) -> LintResult:
     """Lint ``paths`` and return the :class:`LintResult`.
@@ -127,7 +115,6 @@ def run_lint(
     Args:
         paths: files and/or directories to analyze.
         rules: rules to run (default: every registered rule).
-        baseline: grandfathered findings to subtract.
         root: directory findings' paths are reported relative to
             (default: the current working directory).
     """
@@ -158,17 +145,8 @@ def run_lint(
         else:
             kept.append(finding)
 
-    baselined = 0
-    stale: list[tuple[tuple[str, str, str], int]] = []
-    if baseline is not None:
-        fresh, stale = baseline.apply(kept)
-        baselined = len(kept) - len(fresh)
-        kept = fresh
-
     return LintResult(
         findings=sort_findings(kept),
         suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
         files=len(files),
     )

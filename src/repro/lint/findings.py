@@ -11,7 +11,7 @@ class Severity(enum.Enum):
 
     ``ERROR`` findings break a reproducibility guarantee outright;
     ``WARNING`` findings are hazards that need a human judgement call
-    (and a ``# repro: noqa`` or baseline entry when deliberate).
+    (and a ``# repro: noqa`` comment when deliberate).
     """
 
     ERROR = "error"
@@ -29,11 +29,10 @@ class Finding:
         rule: rule identifier, e.g. ``DET001``.
         severity: :class:`Severity` of the rule that fired.
         path: file path, normalised relative to the lint root with
-            forward slashes (stable across platforms for baselines).
+            forward slashes (stable across platforms).
         line: 1-based source line.
         col: 0-based column.
-        message: human-readable description; must not embed line
-            numbers so baseline fingerprints survive unrelated edits.
+        message: human-readable description.
     """
 
     rule: str
@@ -43,11 +42,6 @@ class Finding:
     col: int
     message: str
 
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
-
     def render(self) -> str:
         """``path:line:col RULE [severity] message`` text form."""
         return (
@@ -56,7 +50,7 @@ class Finding:
         )
 
     def to_json(self) -> dict:
-        """JSON-ready dict (used by ``--format json`` and baselines)."""
+        """JSON-ready dict (used by ``--format json`` and ``--output``)."""
         return {
             "rule": self.rule,
             "severity": self.severity.value,

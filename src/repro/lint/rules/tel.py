@@ -33,7 +33,6 @@ REGISTRY_MUTATORS = frozenset({"counter_add", "gauge_set", "observe"})
 #: any of these at import time is a side effect.
 IMPORT_TIME_EFFECTS = frozenset(
     {
-        "configure_from_env",
         "counter_add",
         "disable_metrics",
         "enable_metrics",

@@ -13,7 +13,6 @@ per micro-batch.  Exit codes: 0 = clean run, 1 = verification failure,
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from pathlib import Path
 
@@ -201,18 +200,14 @@ def add_stream_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="K",
         help="print the top K at-risk nodes at the end (default 5, 0 = off)",
     )
-    parser.add_argument(
-        "--metrics-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the run's metric counters as JSON to PATH",
-    )
 
 
 def _build_state(args: argparse.Namespace) -> StreamAnalysisState:
     if not args.resume:
-        return StreamAnalysisState(args.lateness)
+        try:
+            return StreamAnalysisState(args.lateness)
+        except StreamStateError as exc:
+            raise SystemExit(f"error: {exc}")
     if args.checkpoint_dir is None:
         raise SystemExit("error: --resume requires --checkpoint-dir")
     sequence = latest_checkpoint_sequence(args.checkpoint_dir)
@@ -370,9 +365,3 @@ def run_stream_command(args: argparse.Namespace) -> int:
         if not report.ok:
             return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    parser = argparse.ArgumentParser(prog="repro-stream")
-    add_stream_arguments(parser)
-    sys.exit(run_stream_command(parser.parse_args()))

@@ -1,15 +1,17 @@
-"""Exporters: span-tree text, JSONL traces, metrics snapshots.
+"""Exporters: span-tree text, JSONL traces, metrics listings.
 
-Three views of one run, for three audiences:
+Views of one run, for different audiences:
 
-* :func:`render_span_tree` -- the human-facing ``--trace`` output, an
-  indented tree with durations and attributes;
+* :func:`render_span_tree` and :func:`render_metrics` -- the
+  human-facing text of ``--telemetry-dir``'s ``trace.txt``: an
+  indented tree with durations and attributes, then the metrics;
 * :func:`write_spans_jsonl` -- one JSON object per span with explicit
   ``id``/``parent`` links, the machine-readable event log
-  (``REPRO_TRACE_FILE``) that downstream analysis -- including this
-  repo's own tooling -- can mine the way the paper mines failure logs;
-* :func:`write_metrics_json` -- a flat snapshot of the metrics registry
-  (``--metrics-out``).
+  (``trace.jsonl``) that downstream analysis -- including this
+  repo's own tooling -- can mine the way the paper mines failure logs.
+
+The metrics snapshot itself is stored in the run manifest
+(:mod:`repro.telemetry.manifest`).
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def read_spans_jsonl(path: Path | str) -> list[dict[str, Any]]:
 
 
 def render_metrics(snapshot: dict[str, dict[str, Any]] | None = None) -> str:
-    """Human-readable listing of a metrics snapshot (``--trace`` footer)."""
+    """Human-readable listing of a metrics snapshot (``trace.txt`` footer)."""
     snap = metrics_snapshot() if snapshot is None else snapshot
     lines = ["metrics:"]
     empty = True
@@ -122,13 +124,3 @@ def render_metrics(snapshot: dict[str, dict[str, Any]] | None = None) -> str:
         lines.append("  (no metrics recorded)")
     return "\n".join(lines)
 
-
-def write_metrics_json(
-    path: Path | str, snapshot: dict[str, dict[str, Any]] | None = None
-) -> Path:
-    """Write a metrics snapshot as indented JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    snap = metrics_snapshot() if snapshot is None else snapshot
-    path.write_text(json.dumps(snap, indent=2, default=str) + "\n")
-    return path

@@ -5,9 +5,11 @@ output?": the command, the configuration digest and seed (the exact key
 the archive cache uses, so equal digests imply bit-identical archives),
 tool and generator versions, wall-clock timings, analysis-cache
 statistics and a metrics snapshot.  ``repro generate`` drops one next
-to every archive it writes (``manifest.json``); ``repro report
---manifest`` stamps a report run the same way.  Re-running with the
-digest and seed from a manifest reproduces the artifact exactly.
+to every archive it writes (``manifest.json``), the archive's
+provenance; ``--telemetry-dir DIR`` on any command stamps the run the
+same way in ``DIR/manifest.json``, its ``timings_s`` keyed by root span
+(``report.run_s``).  Re-running with the digest and seed from a
+manifest reproduces the artifact exactly.
 
 Imports of the wider package happen lazily inside the builder so
 ``repro.telemetry`` stays importable from anywhere (the analysis and
@@ -26,7 +28,7 @@ from typing import Any, Mapping
 from .metrics import metrics_enabled, metrics_snapshot
 
 #: Bump when the manifest layout changes incompatibly.
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
 
 def _versions() -> dict[str, Any]:
@@ -81,7 +83,8 @@ def build_manifest(
     """Assemble a run manifest.
 
     Args:
-        command: the producing command (``"generate"``, ``"report"``).
+        command: the producing command (``"generate"``, ``"report"``,
+            ...).
         config: the :class:`~repro.simulate.config.ArchiveConfig` the
             run used, if any -- adds seed/years/scale and the cache
             digest.

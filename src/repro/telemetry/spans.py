@@ -16,10 +16,9 @@ Design constraints, in order:
    spans from a second thread.  Each span still records the name of
    its thread, a field of the JSONL trace format.
 
-Collection is explicit: activate a trace with :func:`start_trace` /
-:func:`trace` (or ``REPRO_TELEMETRY=trace`` via
-:func:`~repro.telemetry.configure_from_env`), then read
-``Trace.roots`` or :func:`finish_trace` and hand the spans to
+Collection is explicit: activate a trace with :func:`trace` (the CLI's
+``--telemetry-dir`` scopes one to the run) or :func:`start_trace`, then
+read ``Trace.roots`` or :func:`finish_trace` and hand the spans to
 :mod:`repro.telemetry.export`.
 """
 
@@ -245,8 +244,9 @@ def trace(name: str = "run") -> Iterator[Trace]:
     """Collect spans into a fresh trace for the duration of the block.
 
     The previous trace (if any) is restored on exit, so scoped traces
-    -- a benchmark timing one report, a test asserting on one tree --
-    compose with the global ``REPRO_TELEMETRY`` switch.
+    -- a CLI run under ``--telemetry-dir``, a benchmark timing one
+    report, a test asserting on one tree -- leave the caller's trace
+    active and untouched.
     """
     previous = _swap_trace(Trace(name))
     try:
@@ -259,10 +259,10 @@ def trace(name: str = "run") -> Iterator[Trace]:
 def ensure_trace() -> Iterator[Trace]:
     """The active trace, or a private throwaway one.
 
-    Used by code that reads its own span durations (the report
-    profiler): inside the block spans are always real, but when no
-    outer trace was active the collected tree is discarded on exit
-    instead of being exported.
+    Used by code that reads its own span durations (``repro generate``
+    times its manifest with them): inside the block spans are always
+    real, but when no outer trace was active the collected tree is
+    discarded on exit instead of being exported.
     """
     if _trace is not None:
         yield _trace

@@ -2,8 +2,8 @@
 
 The memoization layer must be invisible: a cold report, a warm report
 and a parallel report must all be the same bytes as the pinned digest.
-These tests also pin the cache bookkeeping the ``--profile`` flag
-reports.
+These tests also pin the cache bookkeeping and the per-section spans a
+traced report records.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from repro.core.cache import (
     split_kind,
 )
 from repro.core.interarrival import fit_interarrival_model
-from repro.core.report import REPORT_SECTIONS, full_report, profiled_full_report
+from repro import telemetry
+from repro.core.report import REPORT_SECTIONS, full_report
 from repro.core.windows import Scope, WindowAnalysisError
 from repro.records.taxonomy import Category, HardwareSubtype
 from repro.records.timeutil import Span
@@ -167,11 +168,12 @@ class TestReportIdentity:
         assert hits > 0 and misses > 0 and entries > 0
 
     def test_profiled_report(self, tiny_archive):
-        text, profile = profiled_full_report(tiny_archive)
+        with telemetry.trace() as tr:
+            text = full_report(tiny_archive)
         assert _digest(text) == TINY_REPORT_SHA256
-        assert len(profile.section_seconds) == len(REPORT_SECTIONS)
-        rendered = profile.render()
-        for name, seconds in profile.section_seconds:
-            assert seconds >= 0.0
-            assert name in rendered
-        assert "analysis cache:" in rendered
+        [run] = tr.roots
+        assert run.name == "report.run" and run.duration > 0
+        assert [child.attrs["section"] for child in run.children] == [
+            name for name, _ in REPORT_SECTIONS
+        ]
+        assert all(child.duration >= 0.0 for child in run.children)

@@ -5,7 +5,6 @@ from repro.telemetry import enable_metrics
 
 
 def main() -> int:
-    telemetry.configure_from_env()
     enable_metrics()
     telemetry.counter_add("runs", 1)
     return 0

@@ -1,16 +1,14 @@
-"""Engine behaviour: discovery, suppression, baseline round-trips."""
+"""Engine behaviour: discovery and suppression."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.lint import load_baseline, run_lint, write_baseline
-from repro.lint.baseline import BaselineError, baseline_from_findings
+from repro.lint import run_lint
 from repro.lint.engine import discover_files
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Severity
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -46,77 +44,3 @@ class TestSuppression:
         result = run_lint([FIXTURES / "suppressed.py"], root=FIXTURES)
         assert "2 suppressed by noqa" in result.summary()
 
-
-class TestBaseline:
-    def test_round_trip_grandfathers_everything(self, tmp_path):
-        dirty = FIXTURES / "det_unseeded_bad.py"
-        first = run_lint([dirty], root=FIXTURES)
-        assert first.findings
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, first.findings)
-        again = run_lint(
-            [dirty], root=FIXTURES, baseline=load_baseline(baseline_path)
-        )
-        assert again.findings == []
-        assert again.baselined == len(first.findings)
-        assert again.stale_baseline == []
-        assert again.clean
-
-    def test_new_finding_is_not_absorbed(self, tmp_path):
-        dirty = FIXTURES / "det_unseeded_bad.py"
-        first = run_lint([dirty], root=FIXTURES)
-        # Baseline everything except one finding: that one must surface.
-        baseline = baseline_from_findings(first.findings[:-1])
-        again = run_lint([dirty], root=FIXTURES, baseline=baseline)
-        assert len(again.findings) == 1
-        assert again.baselined == len(first.findings) - 1
-
-    def test_stale_entries_are_reported_and_break_cleanliness(self, tmp_path):
-        ghost = Finding(
-            rule="DET001",
-            severity=Severity.ERROR,
-            path="no/such/file.py",
-            line=1,
-            col=0,
-            message="long gone",
-        )
-        baseline = baseline_from_findings([ghost])
-        clean_file = FIXTURES / "det_unseeded_good.py"
-        result = run_lint([clean_file], root=FIXTURES, baseline=baseline)
-        assert result.findings == []
-        assert result.stale_baseline == [(ghost.fingerprint, 1)]
-        assert not result.clean
-
-    def test_baseline_is_line_number_independent(self, tmp_path):
-        src = (FIXTURES / "det_unseeded_bad.py").read_text(encoding="utf-8")
-        original = tmp_path / "mod.py"
-        original.write_text(src, encoding="utf-8")
-        baseline = baseline_from_findings(
-            run_lint([original], root=tmp_path).findings
-        )
-        # Shift every line down; fingerprints (rule, path, message) hold.
-        original.write_text("# prologue\n# prologue\n" + src, encoding="utf-8")
-        shifted = run_lint([original], root=tmp_path, baseline=baseline)
-        assert shifted.findings == []
-        assert shifted.stale_baseline == []
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("[]", encoding="utf-8")
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-        path.write_text(
-            json.dumps({"version": 1, "findings": [{"rule": "X"}]}),
-            encoding="utf-8",
-        )
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-    def test_written_baseline_is_stable_json(self, tmp_path):
-        findings = run_lint(
-            [FIXTURES / "det_unseeded_bad.py"], root=FIXTURES
-        ).findings
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_baseline(p1, findings)
-        write_baseline(p2, list(reversed(findings)))
-        assert p1.read_text() == p2.read_text()

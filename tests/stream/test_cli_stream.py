@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+from repro import telemetry
 from repro.cli import main
 from repro.records.io import save_archive
 from repro.stream import archive_source
@@ -98,40 +97,43 @@ class TestStreamCli:
     def test_metrics_out_writes_snapshot(
         self, archive_dir, tmp_path, capsys
     ):
-        metrics = tmp_path / "metrics.json"
+        bundle = tmp_path / "tel"
         code = main(
             [
                 "stream",
                 "--archive", str(archive_dir),
-                "--metrics-out", str(metrics),
+                "--telemetry-dir", str(bundle),
                 "--risk-top", "0",
             ]
         )
         capsys.readouterr()
         assert code == 0
-        snapshot = json.loads(metrics.read_text())
-        counters = snapshot.get("counters", {})
+        manifest = telemetry.read_manifest(bundle / "manifest.json")
+        assert manifest["command"] == "stream"
+        assert "stream.pipeline_s" in manifest["timings_s"]
+        counters = manifest["metrics"].get("counters", {})
         assert any(name.startswith("stream.") for name in counters)
 
     def test_trace_prints_batch_latency_histogram(
         self, archive_dir, tmp_path, capsys
     ):
-        metrics = tmp_path / "metrics.json"
+        bundle = tmp_path / "tel"
         code = main(
             [
                 "stream",
                 "--archive", str(archive_dir),
                 "--batch-size", "16",
-                "--trace",
-                "--metrics-out", str(metrics),
+                "--telemetry-dir", str(bundle),
                 "--risk-top", "0",
             ]
         )
-        out, err = capsys.readouterr()
+        out = capsys.readouterr().out
         assert code == 0
         batches = int(out.split(" batches")[0].rsplit(" ", 1)[1])
-        assert f"stream.batch_s: n={batches} mean=" in err
-        summary = json.loads(metrics.read_text())["histograms"]["stream.batch_s"]
+        text = (bundle / "trace.txt").read_text()
+        assert f"stream.batch_s: n={batches} mean=" in text
+        metrics = telemetry.read_manifest(bundle / "manifest.json")["metrics"]
+        summary = metrics["histograms"]["stream.batch_s"]
         assert summary["count"] == batches
         assert 0 < summary["min"] <= summary["mean"] <= summary["max"]
 
@@ -229,5 +231,16 @@ class TestStreamCli:
                     "--archive", str(archive_dir),
                     "--verify",
                     "--max-events", "10",
+                ]
+            )
+
+    @pytest.mark.parametrize("lateness", ["-1", "nan"])
+    def test_bad_lateness_is_a_one_line_error(self, archive_dir, lateness):
+        with pytest.raises(SystemExit, match="^error: lateness_days"):
+            main(
+                [
+                    "stream",
+                    "--archive", str(archive_dir),
+                    f"--lateness={lateness}",
                 ]
             )

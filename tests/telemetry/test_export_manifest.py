@@ -1,8 +1,6 @@
-"""Exporters (tree text, JSONL, metrics JSON) and run manifests."""
+"""Exporters (tree text, JSONL, metrics listing) and run manifests."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -70,8 +68,11 @@ class TestMetricsExport:
         assert "b.level = 1.5" in text
         assert "c.time: n=1" in text
 
-        path = telemetry.write_metrics_json(tmp_path / "m.json")
-        snap = json.loads(path.read_text())
+        # A run's manifest carries the same snapshot.
+        path = telemetry.write_manifest(
+            tmp_path / "m.json", telemetry.build_manifest("report")
+        )
+        snap = telemetry.read_manifest(path)["metrics"]
         assert snap["counters"]["a.count{kind=x}"] == 2
         assert snap["histograms"]["c.time"]["count"] == 1
         assert snap["histograms"]["c.time"]["max"] == 0.25

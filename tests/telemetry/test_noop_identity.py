@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro import telemetry
-from repro.core.report import full_report, profiled_full_report
+from repro.telemetry import spans
+from repro.core.report import full_report
 from repro.simulate.archive import quick_archive
 from repro.simulate.config import small_config
 from tests.records.record_views import failure_records, job_records
@@ -43,11 +44,17 @@ class TestNoopIdentity:
             assert failure_records(ds_plain) == failure_records(ds_traced)
             assert job_records(ds_plain) == job_records(ds_traced)
 
-    def test_profile_durations_real_when_disabled(self):
+    def test_report_spans_are_noops_when_disabled(self, monkeypatch):
+        # No private trace behind the report: with nothing tracing, it
+        # opens no span at all.
         archive = quick_archive(seed=23, years=1.0, scale=0.03)
+        opened = []
+        init = spans.Span.__init__
+        monkeypatch.setattr(
+            spans.Span,
+            "__init__",
+            lambda self, name, attrs: (opened.append(name), init(self, name, attrs)),
+        )
         with telemetry.disabled():
-            text, profile = profiled_full_report(archive)
-        assert text
-        assert profile.total_seconds > 0
-        assert all(seconds >= 0 for _, seconds in profile.section_seconds)
-        assert len(profile.section_seconds) == 10
+            assert full_report(archive)
+        assert opened == []

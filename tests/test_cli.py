@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import json
 import shutil
 from pathlib import Path
 
@@ -186,36 +185,42 @@ class TestNewCommands:
         assert "lift" in out
 
 
+BUNDLE = ("trace.jsonl", "trace.txt", "manifest.json")
+
+
 class TestTelemetryCli:
     @pytest.fixture(autouse=True)
-    def clean_telemetry(self, monkeypatch):
-        monkeypatch.delenv(telemetry.ENV_MODE, raising=False)
-        monkeypatch.delenv(telemetry.ENV_TRACE_FILE, raising=False)
+    def clean_telemetry(self):
         yield
         telemetry.finish_trace()
         telemetry.set_metrics_enabled(False)
         telemetry.reset_metrics()
 
-    def test_report_trace_stdout_byte_identical(self, archive_dir, capsys):
+    def test_report_trace_stdout_byte_identical(
+        self, archive_dir, tmp_path, capsys
+    ):
         assert main(["report", str(archive_dir)]) == 0
         plain = capsys.readouterr().out
-        assert main(["report", str(archive_dir), "--trace"]) == 0
+        bundle = tmp_path / "tel"
+        assert main(
+            ["report", str(archive_dir), "--telemetry-dir", str(bundle)]
+        ) == 0
         captured = capsys.readouterr()
         assert captured.out == plain  # telemetry never touches stdout
-        assert "span tree:" in captured.err
-        assert "io.load_archive" in captured.err
-        assert captured.err.count("report.section") == 10
-        assert "metrics:" in captured.err
-        assert "analysis_cache." in captured.err
+        assert captured.err == ""
+        text = (bundle / "trace.txt").read_text()
+        assert text.startswith("span tree:")
+        assert "io.load_archive" in text
+        assert text.count("report.section") == 10
+        assert "metrics:" in text
+        assert "analysis_cache." in text
 
     def test_report_metrics_out(self, archive_dir, tmp_path, capsys):
-        out = tmp_path / "metrics.json"
-        code = main(
-            ["report", str(archive_dir), "--trace", "--metrics-out", str(out)]
-        )
+        bundle = tmp_path / "tel"
+        code = main(["report", str(archive_dir), "--telemetry-dir", str(bundle)])
         assert code == 0
         capsys.readouterr()
-        snapshot = json.loads(out.read_text())
+        snapshot = telemetry.read_manifest(bundle / "manifest.json")["metrics"]
         assert snapshot["counters"]["analysis_cache.misses"] > 0
 
     @pytest.mark.parametrize("metrics_on", [False, True])
@@ -227,10 +232,13 @@ class TestTelemetryCli:
         telemetry.set_metrics_enabled(metrics_on)
         snapshots = []
         for run in range(2):
-            out = tmp_path / f"metrics-{run}.json"
-            assert main(["report", str(archive_dir), "--metrics-out", str(out)]) == 0
+            bundle = tmp_path / f"tel-{run}"
+            assert main(
+                ["report", str(archive_dir), "--telemetry-dir", str(bundle)]
+            ) == 0
             assert telemetry.metrics_enabled() is metrics_on
-            snapshots.append(json.loads(out.read_text()))
+            manifest = telemetry.read_manifest(bundle / "manifest.json")
+            snapshots.append(manifest["metrics"])
         capsys.readouterr()
         misses = [s["counters"]["analysis_cache.misses"] for s in snapshots]
         assert misses[0] > 0
@@ -241,16 +249,22 @@ class TestTelemetryCli:
             assert snapshots[0] == snapshots[1]
 
     def test_report_manifest(self, archive_dir, tmp_path, capsys):
-        path = tmp_path / "report_manifest.json"
-        code = main(["report", str(archive_dir), "--manifest", str(path)])
+        bundle = tmp_path / "tel"
+        code = main(["report", str(archive_dir), "--telemetry-dir", str(bundle)])
         assert code == 0
         capsys.readouterr()
-        manifest = telemetry.read_manifest(path)
+        manifest = telemetry.read_manifest(bundle / "manifest.json")
+        assert manifest["schema"] == 2
         assert manifest["command"] == "report"
         assert manifest["archive_path"] == str(archive_dir)
-        assert manifest["timings_s"]["report_total_s"] > 0
-        assert manifest["timings_s"]["section.power_s"] >= 0
-        assert manifest["archive"]["analysis_cache"]["misses"] > 0
+        # One timing per root span; per-section times are in trace.jsonl.
+        assert set(manifest["timings_s"]) == {
+            "io.load_archive_s",
+            "report.run_s",
+        }
+        assert all(s > 0 for s in manifest["timings_s"].values())
+        assert manifest["metrics"]["counters"]["analysis_cache.misses"] > 0
+        assert "analysis_cache_delta" not in manifest
         assert "workers" not in manifest
 
     def test_generate_writes_manifest(self, tmp_path, capsys):
@@ -278,15 +292,75 @@ class TestTelemetryCli:
         assert set(manifest["timings_s"]) == {"generate_s", "save_s"}
         assert all(s > 0 for s in manifest["timings_s"].values())
 
-    def test_trace_file_env_export(
-        self, archive_dir, tmp_path, capsys, monkeypatch
+    def test_trace_jsonl_names_report_spans(
+        self, archive_dir, tmp_path, capsys
     ):
-        trace_file = tmp_path / "run.jsonl"
-        monkeypatch.setenv(telemetry.ENV_MODE, "trace")
-        monkeypatch.setenv(telemetry.ENV_TRACE_FILE, str(trace_file))
-        assert main(["report", str(archive_dir)]) == 0
-        captured = capsys.readouterr()
-        assert "span tree:" not in captured.err  # stderr tree needs --trace
-        records = telemetry.read_spans_jsonl(trace_file)
+        bundle = tmp_path / "tel"
+        code = main(["report", str(archive_dir), "--telemetry-dir", str(bundle)])
+        assert code == 0
+        capsys.readouterr()
+        records = telemetry.read_spans_jsonl(bundle / "trace.jsonl")
         names = {r["name"] for r in records}
         assert {"io.load_archive", "report.run", "report.section"} <= names
+
+    @pytest.mark.parametrize("command", ["generate", "report", "stream"])
+    def test_every_command_writes_the_bundle(
+        self, archive_dir, tmp_path, capsys, command
+    ):
+        bundle = tmp_path / "tel"
+        argv = {
+            "generate": [
+                "generate", str(tmp_path / "arch"), "--seed", "3",
+                "--years", "1.0", "--scale", "0.02", "--no-cache",
+            ],
+            "report": ["report", str(archive_dir)],
+            "stream": ["stream", "--archive", str(archive_dir)],
+        }[command]
+        assert main(argv + ["--telemetry-dir", str(bundle)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in bundle.iterdir()) == sorted(BUNDLE)
+        manifest = telemetry.read_manifest(bundle / "manifest.json")
+        assert manifest["command"] == command
+        assert manifest["timings_s"]
+        assert telemetry.read_spans_jsonl(bundle / "trace.jsonl")
+        if command == "generate":
+            # The archive's own manifest keeps its provenance keys.
+            beside = telemetry.read_manifest(tmp_path / "arch" / "manifest.json")
+            assert set(beside["timings_s"]) == {"generate_s", "save_s"}
+            assert {"config", "archive", "cached", "output"} <= beside.keys()
+
+    def test_failed_run_still_writes_the_bundle(self, tmp_path, capsys):
+        bundle = tmp_path / "tel"
+        with pytest.raises(SystemExit, match="does not exist"):
+            main(
+                [
+                    "report",
+                    str(tmp_path / "nope"),
+                    "--telemetry-dir",
+                    str(bundle),
+                ]
+            )
+        assert sorted(p.name for p in bundle.iterdir()) == sorted(BUNDLE)
+        manifest = telemetry.read_manifest(bundle / "manifest.json")
+        assert manifest["command"] == "report"
+        assert manifest["archive_path"] == str(tmp_path / "nope")
+
+    @pytest.mark.parametrize("traced_run", [False, True])
+    @pytest.mark.parametrize("metrics_on", [False, True])
+    def test_run_leaves_the_callers_trace_alone(
+        self, archive_dir, tmp_path, capsys, traced_run, metrics_on
+    ):
+        caller = telemetry.start_trace()
+        telemetry.set_metrics_enabled(metrics_on)
+        before = telemetry.metrics_snapshot()
+        argv = ["validate", str(archive_dir)]
+        if traced_run:
+            argv += ["--telemetry-dir", str(tmp_path / "tel")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert telemetry.current_trace() is caller
+        assert caller.roots == []
+        assert telemetry.metrics_enabled() is metrics_on
+        if not traced_run:
+            # An untraced run records nothing into the caller's registry.
+            assert telemetry.metrics_snapshot() == before
